@@ -1,0 +1,268 @@
+"""Measurement-file schema, calibration reports, and bundled datasets.
+
+Measurement files are UTF-8 JSON with an explicit unit field and canonical
+value keys; three datasets recorded on the 310.25 mm prototype ship with the
+package and are addressable by fixture name.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from dataclasses import asdict, dataclass, fields
+from importlib import resources
+
+import numpy as np
+
+from . import __version__
+from .errors import InputError
+from .geometry import Geometry
+from .identification import SYSTEM_SINGLE, SYSTEM_SIX, SYSTEM_TWELVE
+from .measurement import (
+    DoublePostureMeasurements,
+    MeasurementSet,
+    ReducedMeasurements,
+    SinglePostureMeasurements,
+)
+
+__all__ = [
+    "SCHEMA_VERSION",
+    "MEASUREMENT_CLASSES",
+    "WIRE_KEYS",
+    "MeasurementFile",
+    "geometry_from_dict",
+    "geometry_to_dict",
+    "parse_measurement",
+    "load_measurement_file",
+    "measurement_to_dict",
+    "write_measurement_file",
+    "CalibrationReport",
+    "FIXTURE_NAMES",
+    "fixture_path",
+    "load_fixture",
+    "sha256_digest",
+]
+
+SCHEMA_VERSION = 1
+
+MEASUREMENT_CLASSES = {
+    SYSTEM_SINGLE: SinglePostureMeasurements,
+    SYSTEM_TWELVE: DoublePostureMeasurements,
+    SYSTEM_SIX: ReducedMeasurements,
+}
+
+#: Key order used when writing files and reports (column order of the
+#: prototype data tables); parsing is order independent.
+WIRE_KEYS = {
+    SYSTEM_SINGLE: (
+        "dz_x0", "dz_y0", "dz_x_plus", "dz_x_minus", "dz_y_plus", "dz_y_minus",
+    ),
+    SYSTEM_SIX: ("dx_y", "dx_z", "dy_x", "dy_z", "dz_x", "dz_y"),
+    SYSTEM_TWELVE: (
+        "dx_y_plus", "dx_y_minus", "dx_z_plus", "dx_z_minus",
+        "dy_x_plus", "dy_x_minus", "dy_z_plus", "dy_z_minus",
+        "dz_x_plus", "dz_x_minus", "dz_y_plus", "dz_y_minus",
+    ),
+}
+
+#: Row order of each calibration system (= measurement dataclass field order).
+ROW_KEYS = {
+    label: tuple(f.name for f in fields(cls)) for label, cls in MEASUREMENT_CLASSES.items()
+}
+
+FIXTURE_NAMES = ("experiment1", "experiment2", "experiment3")
+
+
+def sha256_digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@dataclass(frozen=True)
+class MeasurementFile:
+    """Parsed content of a measurement file."""
+
+    method: str
+    values: dict
+    geometry: Geometry | None = None
+    comment: str | None = None
+    simulation: dict | None = None
+
+    def measurement(self) -> MeasurementSet:
+        return MEASUREMENT_CLASSES[self.method](**self.values)
+
+
+def geometry_from_dict(d: dict) -> Geometry:
+    """Geometry from its serialized form; raises :class:`InputError` naming
+    missing or invalid keys (``r`` and ``d`` fall back to prototype values)."""
+    missing = [k for k in ("L", "rho_min", "rho_max") if k not in d]
+    if missing:
+        raise InputError(f"geometry override missing keys: {', '.join(missing)}")
+    try:
+        return Geometry(
+            L=float(d["L"]),
+            rho_min=float(d["rho_min"]),
+            rho_max=float(d["rho_max"]),
+            r=float(d.get("r", 31.0)),
+            d=float(d.get("d", 80.0)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"invalid geometry override: {exc}") from None
+
+
+def geometry_to_dict(geom: Geometry) -> dict:
+    return {"L": geom.L, "rho_min": geom.rho_min, "rho_max": geom.rho_max,
+            "r": geom.r, "d": geom.d}
+
+
+def parse_measurement(doc: dict) -> MeasurementFile:
+    """Validate and parse a measurement document.
+
+    Raises :class:`InputError` naming every offending key: wrong schema or
+    units, unknown method, missing/unknown/non-finite values.  Raw replicate
+    arrays under ``repetitions`` are averaged into the corresponding values.
+    """
+    if not isinstance(doc, dict):
+        raise InputError("measurement file must contain a JSON object")
+    if doc.get("schema_version") != SCHEMA_VERSION:
+        raise InputError(
+            f"unsupported schema_version {doc.get('schema_version')!r}; "
+            f"expected {SCHEMA_VERSION}"
+        )
+    if doc.get("units") != "mm":
+        raise InputError(f"units must be 'mm', got {doc.get('units')!r}")
+    method = doc.get("method")
+    if method not in MEASUREMENT_CLASSES:
+        raise InputError(
+            f"unknown method {method!r}; expected one of {sorted(MEASUREMENT_CLASSES)}"
+        )
+    required = WIRE_KEYS[method]
+    values = dict(doc.get("values") or {})
+    reps = doc.get("repetitions") or {}
+    if reps:
+        clash = sorted(set(reps) & set(values))
+        if clash:
+            raise InputError(
+                f"keys given both as values and repetitions: {', '.join(clash)}"
+            )
+        for key, arr in reps.items():
+            if not isinstance(arr, (list, tuple)) or not arr:
+                raise InputError(f"repetitions entry {key!r} must be a non-empty array")
+            values[key] = float(np.mean([float(v) for v in arr]))
+    missing = sorted(set(required) - set(values))
+    if missing:
+        raise InputError(f"missing measurement keys: {', '.join(missing)}")
+    unknown = sorted(set(values) - set(required))
+    if unknown:
+        raise InputError(f"unknown measurement keys: {', '.join(unknown)}")
+    clean = {}
+    for key in required:
+        try:
+            v = float(values[key])
+        except (TypeError, ValueError):
+            raise InputError(f"measurement value {key!r} is not a number") from None
+        if not np.isfinite(v):
+            raise InputError(f"measurement value {key!r} is not finite")
+        clean[key] = v
+    geometry = geometry_from_dict(doc["geometry"]) if doc.get("geometry") else None
+    return MeasurementFile(
+        method=method,
+        values=clean,
+        geometry=geometry,
+        comment=doc.get("comment"),
+        simulation=doc.get("simulation"),
+    )
+
+
+def load_measurement_file(path) -> tuple[MeasurementFile, str]:
+    """Read a measurement file; returns the parsed content and its digest."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InputError(f"cannot parse {path}: {exc}") from None
+    return parse_measurement(doc), sha256_digest(data)
+
+
+def measurement_to_dict(
+    m: MeasurementSet,
+    geometry: Geometry | None = None,
+    comment: str | None = None,
+    simulation: dict | None = None,
+) -> dict:
+    """Serializable document for a measurement set, keys in wire order."""
+    by_class = {cls: lab for lab, cls in MEASUREMENT_CLASSES.items()}
+    if type(m) not in by_class:
+        raise TypeError(f"unsupported measurement set type: {type(m).__name__}")
+    label = by_class[type(m)]
+    row = dict(zip(ROW_KEYS[label], m.as_array().tolist()))
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "units": "mm",
+        "method": label,
+        "values": {k: row[k] for k in WIRE_KEYS[label]},
+    }
+    if geometry is not None:
+        doc["geometry"] = geometry_to_dict(geometry)
+    if comment is not None:
+        doc["comment"] = comment
+    if simulation is not None:
+        doc["simulation"] = simulation
+    return doc
+
+
+def write_measurement_file(path, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
+
+
+@dataclass(frozen=True)
+class CalibrationReport:
+    """Serializable calibration outcome; round-trips through JSON exactly."""
+
+    input_digest: str
+    method: str
+    offsets: dict
+    residuals: dict
+    residual_rms: float
+    sigma_hat: float
+    sigma_rho: float
+    iterations: int
+    converged: bool
+    gradient_norm: float
+    schema_version: int = SCHEMA_VERSION
+    toolkit_version: str = __version__
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "CalibrationReport":
+        if doc.get("schema_version") != SCHEMA_VERSION:
+            raise InputError(
+                f"unsupported report schema_version {doc.get('schema_version')!r}"
+            )
+        names = {f.name for f in fields(cls)}
+        unknown = sorted(set(doc) - names)
+        if unknown:
+            raise InputError(f"unknown report keys: {', '.join(unknown)}")
+        missing = sorted(names - set(doc))
+        if missing:
+            raise InputError(f"missing report keys: {', '.join(missing)}")
+        return cls(**doc)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
+
+
+def fixture_path(name: str):
+    """Filesystem path of a bundled dataset (``experiment1`` .. ``experiment3``)."""
+    if name not in FIXTURE_NAMES:
+        raise InputError(f"unknown fixture {name!r}; have {', '.join(FIXTURE_NAMES)}")
+    return resources.files(__package__).joinpath("data", f"{name}.json")
+
+
+def load_fixture(name: str) -> tuple[MeasurementFile, str]:
+    """Parsed bundled dataset and its digest."""
+    data = fixture_path(name).read_bytes()
+    return parse_measurement(json.loads(data.decode("utf-8"))), sha256_digest(data)

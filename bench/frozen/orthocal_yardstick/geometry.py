@@ -1,0 +1,191 @@
+"""Geometry of the simplified PSS Orthoglide model and its canonical postures.
+
+The machine is modelled as three rigid links of length ``L`` joining the tool
+centre point (TCP) to three mutually orthogonal prismatic actuators whose axes
+intersect at the frame origin.  All lengths are millimetres, all angles
+radians.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from enum import Enum, IntEnum
+
+import numpy as np
+
+__all__ = [
+    "Axis",
+    "Geometry",
+    "ConfigurationIndices",
+    "PostureKind",
+    "Posture",
+    "PostureAngles",
+    "calibration_postures",
+    "check_offsets",
+]
+
+
+class Axis(IntEnum):
+    X = 0
+    Y = 1
+    Z = 2
+
+    @classmethod
+    def parse(cls, value: "Axis | int | str") -> "Axis":
+        if isinstance(value, Axis):
+            return value
+        if isinstance(value, int):
+            return cls(value)
+        return cls[value.strip().upper()]
+
+    def __str__(self) -> str:  # pragma: no cover - cosmetic
+        return self.name
+
+
+@dataclass(frozen=True)
+class Geometry:
+    """Nominal leg geometry and software joint limits.
+
+    ``r`` (tool offset, eliminated by a fixed coordinate shift) and ``d``
+    (parallelogram width, eliminated by the rigid-rod reduction) are carried
+    as inert metadata only; no computation depends on them.
+    """
+
+    L: float
+    rho_min: float
+    rho_max: float
+    r: float = 31.0
+    d: float = 80.0
+
+    def __post_init__(self) -> None:
+        if not (self.L > 0):
+            raise ValueError(f"leg length must be positive, got L={self.L}")
+        if not (self.rho_min < 0 < self.rho_max):
+            raise ValueError(
+                f"joint limits must straddle zero: rho_min={self.rho_min}, rho_max={self.rho_max}"
+            )
+        # asin(rho/L) must exist for both limits
+        if abs(self.rho_min) >= self.L or abs(self.rho_max) >= self.L:
+            raise ValueError("joint limits must satisfy |rho| < L")
+
+    @classmethod
+    def prototype(cls) -> "Geometry":
+        """The 310.25 mm laboratory prototype."""
+        return cls(L=310.25, rho_min=-100.0, rho_max=60.0, r=31.0, d=80.0)
+
+    def angle_max(self) -> "PostureAngles":
+        """Leg inclination at the maximum-displacement postures (positive)."""
+        return PostureAngles.from_sine(self.rho_max / self.L)
+
+    def angle_min(self) -> "PostureAngles":
+        """Leg inclination at the minimum-displacement postures (negative)."""
+        return PostureAngles.from_sine(self.rho_min / self.L)
+
+    def joint_bounds(self) -> tuple[float, float]:
+        """Admissible prismatic range about the isotropic value ``L``."""
+        return (self.L + self.rho_min, self.L + self.rho_max)
+
+
+@dataclass(frozen=True)
+class ConfigurationIndices:
+    """Branch signs of the inverse kinematics, fixed to +1 by the prototype
+    assembly."""
+
+    s_x: int = 1
+    s_y: int = 1
+    s_z: int = 1
+
+    def __post_init__(self) -> None:
+        for s in (self.s_x, self.s_y, self.s_z):
+            if s not in (-1, 1):
+                raise ValueError(f"configuration index must be +1 or -1, got {s}")
+
+    def as_tuple(self) -> tuple[int, int, int]:
+        return (self.s_x, self.s_y, self.s_z)
+
+
+POSITIVE_BRANCH = ConfigurationIndices(1, 1, 1)
+
+
+class PostureKind(Enum):
+    ISOTROPIC = "isotropic"
+    MAX_DISPLACEMENT = "max"
+    MIN_DISPLACEMENT = "min"
+
+
+@dataclass(frozen=True)
+class Posture:
+    """One of the seven calibration postures: the isotropic posture or a
+    max/min displacement along a Cartesian axis."""
+
+    kind: PostureKind
+    axis: Axis | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind is PostureKind.ISOTROPIC:
+            if self.axis is not None:
+                raise ValueError("isotropic posture carries no axis")
+        elif self.axis is None:
+            raise ValueError(f"{self.kind.value}-displacement posture requires an axis")
+
+    @classmethod
+    def isotropic(cls) -> "Posture":
+        return cls(PostureKind.ISOTROPIC)
+
+    @classmethod
+    def max(cls, axis: Axis) -> "Posture":
+        return cls(PostureKind.MAX_DISPLACEMENT, Axis.parse(axis))
+
+    @classmethod
+    def min(cls, axis: Axis) -> "Posture":
+        return cls(PostureKind.MIN_DISPLACEMENT, Axis.parse(axis))
+
+    def label(self) -> str:
+        if self.kind is PostureKind.ISOTROPIC:
+            return "isotropic"
+        return f"{self.kind.value} {self.axis.name}-displacement"
+
+
+def calibration_postures() -> tuple[Posture, ...]:
+    """The full calibration set: isotropic plus max/min along each axis."""
+    out = [Posture.isotropic()]
+    out += [Posture.max(a) for a in Axis]
+    out += [Posture.min(a) for a in Axis]
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class PostureAngles:
+    """Leg inclination angle at a displacement posture with its cached
+    trigonometric values."""
+
+    alpha: float
+    s_alpha: float
+    c_alpha: float
+    t_alpha: float
+
+    @classmethod
+    def from_sine(cls, sine: float) -> "PostureAngles":
+        if not -1.0 < sine < 1.0:
+            raise ValueError(f"sine of posture angle out of range: {sine}")
+        cos = math.sqrt(1.0 - sine * sine)
+        return cls(alpha=math.asin(sine), s_alpha=sine, c_alpha=cos, t_alpha=sine / cos)
+
+
+def check_offsets(offsets, geom: Geometry) -> None:
+    """Sanity bound on encoder offsets: finite and |offset| <= L/10.
+
+    Larger values void the simplified kinematic model, so they are rejected
+    before any prediction or identification is attempted.
+    """
+    arr = np.asarray(offsets, dtype=float)
+    if arr.shape[-1] != 3:
+        raise ValueError(f"offsets must have 3 components, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("offsets must be finite")
+    bound = geom.L / 10.0
+    if np.any(np.abs(arr) > bound):
+        raise ValueError(
+            f"offset magnitude exceeds the model validity bound L/10 = {bound:.2f} mm"
+        )

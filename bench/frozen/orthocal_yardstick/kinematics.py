@@ -1,0 +1,347 @@
+"""Exact forward and inverse kinematics of the offset-aware PSS model.
+
+With the frame origin at the intersection of the prismatic axes, the TCP
+position ``p`` and the commanded joint values ``rho`` satisfy the three
+sphere constraints
+
+    (p_i - (rho_i + drho_i))^2 + p_j^2 + p_k^2 = L^2,   {i,j,k} = {x,y,z},
+
+where ``drho`` are the encoder offsets.  All public functions broadcast over
+leading array dimensions: points and joint vectors may be shape ``(3,)`` or
+``(..., 3)``.
+"""
+
+from __future__ import annotations
+
+import warnings
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import DomainError, JointLimitWarning, SingularError
+from .geometry import (
+    POSITIVE_BRANCH,
+    Axis,
+    ConfigurationIndices,
+    Geometry,
+    Posture,
+    PostureAngles,
+    PostureKind,
+)
+
+__all__ = [
+    "QuadraticRoots",
+    "SensitivityRow",
+    "inverse_kinematics",
+    "direct_kinematics",
+    "inverse_jacobian",
+    "posture_commanded_joints",
+    "posture_jacobian",
+    "sensitivity_table",
+    "constraint_residuals",
+]
+
+#: Absolute guard on denominators and square-root arguments (mm resp. mm^2).
+SINGULARITY_TOL = 1e-9
+
+
+def _vec3(x, name: str) -> np.ndarray:
+    arr = np.asarray(x, dtype=float)
+    if arr.shape[-1:] != (3,):
+        raise ValueError(f"{name} must have 3 components, got shape {arr.shape}")
+    return arr
+
+
+@dataclass(frozen=True)
+class QuadraticRoots:
+    """Coefficients and both roots of the direct-kinematics quadratic
+    ``A t^2 + B t + B C = 0``.
+
+    The root not selected by :func:`direct_kinematics` is retained here so the
+    discarded branch stays inspectable.
+    """
+
+    A: float | np.ndarray
+    B: float | np.ndarray
+    C: float | np.ndarray
+    t_plus: float | np.ndarray
+    t_minus: float | np.ndarray
+    discriminant: float | np.ndarray
+
+
+def constraint_residuals(p, rho, offsets, geom: Geometry) -> np.ndarray:
+    """Residuals of the three sphere constraints (mm^2), one per leg."""
+    p = _vec3(p, "p")
+    eff = _vec3(rho, "rho") + _vec3(offsets, "offsets")
+    psq = p * p
+    total = psq.sum(axis=-1, keepdims=True)
+    res = (p - eff) ** 2 + (total - psq) - geom.L**2
+    return res
+
+
+def inverse_kinematics(
+    p,
+    offsets,
+    geom: Geometry,
+    indices: ConfigurationIndices = POSITIVE_BRANCH,
+) -> np.ndarray:
+    """Commanded joint values reaching the TCP position ``p``.
+
+    For each axis, ``rho_i = p_i + s_i * sqrt(L^2 - p_j^2 - p_k^2) - drho_i``
+    with branch signs ``s`` fixed by the assembly.
+
+    Raises
+    ------
+    DomainError
+        If any square-root argument is not positive (pose unreachable).
+
+    Warns
+    -----
+    JointLimitWarning
+        If a solution lies outside the software joint range; the solution is
+        still returned.
+    """
+    p = _vec3(p, "p")
+    off = _vec3(offsets, "offsets")
+    psq = p * p
+    args = geom.L**2 - (psq.sum(axis=-1, keepdims=True) - psq)
+    if np.any(args <= SINGULARITY_TOL):
+        raise DomainError("pose unreachable: square-root argument is not positive")
+    signs = np.asarray(indices.as_tuple(), dtype=float)
+    rho = p + signs * np.sqrt(args) - off
+    lo, hi = geom.joint_bounds()
+    if np.any(rho < lo - SINGULARITY_TOL) or np.any(rho > hi + SINGULARITY_TOL):
+        warnings.warn(
+            f"inverse kinematics solution outside joint range [{lo:.3f}, {hi:.3f}] mm",
+            JointLimitWarning,
+            stacklevel=2,
+        )
+    return rho
+
+
+def _dk_roots(rho_eff: np.ndarray, L: float):
+    """Both roots of the direct-kinematics quadratic for effective joints.
+
+    Coefficients follow from substituting ``p_i = eff_i/2 + t/eff_i`` into the
+    sphere constraints:
+
+        A = sum of pairwise products of eff_i^2,
+        B = product of eff_i^2,
+        C = (sum of eff_i^2 - 4 L^2) / 4.
+
+    The numerically stable form ``q = -(B + sqrt(disc))/2`` is used; ``B`` is
+    a product of squares and therefore positive.
+    """
+    sq = rho_eff * rho_eff
+    A = sq[..., 1] * sq[..., 2] + sq[..., 0] * sq[..., 2] + sq[..., 0] * sq[..., 1]
+    B = sq[..., 0] * sq[..., 1] * sq[..., 2]
+    C = (sq.sum(axis=-1) - 4.0 * L * L) / 4.0
+    disc = B * B - 4.0 * A * B * C
+    if np.any(disc < 0):
+        raise DomainError("joint set unreachable: negative discriminant")
+    q = -(B + np.sqrt(disc)) / 2.0
+    t_minus = q / A
+    t_plus = (B * C) / q
+    return t_minus, t_plus, A, B, C, disc
+
+
+def _dk_select(rho_eff: np.ndarray, t_minus, t_plus) -> np.ndarray:
+    """TCP position for the admissible root of minimal norm.
+
+    A root is admissible when all three configuration indices
+    ``sign(eff_i - p_i)`` are +1, matching the prototype assembly.
+    """
+    p_lo = rho_eff / 2.0 + t_minus[..., None] / rho_eff
+    p_hi = rho_eff / 2.0 + t_plus[..., None] / rho_eff
+    ok_lo = (rho_eff - p_lo > 0).all(axis=-1)
+    ok_hi = (rho_eff - p_hi > 0).all(axis=-1)
+    if not np.all(ok_lo | ok_hi):
+        raise SingularError(
+            "no admissible direct-kinematics branch: both roots violate the "
+            "+1 configuration indices"
+        )
+    norm_lo = (p_lo * p_lo).sum(axis=-1)
+    norm_hi = (p_hi * p_hi).sum(axis=-1)
+    take_hi = ok_hi & (~ok_lo | (norm_hi < norm_lo))
+    return np.where(take_hi[..., None], p_hi, p_lo)
+
+
+def _dk_point(rho_eff: np.ndarray, L: float) -> np.ndarray:
+    """Fast path: selected TCP position for effective joints ``(..., 3)``."""
+    if np.any(np.abs(rho_eff) < SINGULARITY_TOL):
+        raise DomainError("effective joint value is zero")
+    t_minus, t_plus, *_ = _dk_roots(rho_eff, L)
+    return _dk_select(rho_eff, t_minus, t_plus)
+
+
+def direct_kinematics(
+    rho, offsets, geom: Geometry
+) -> tuple[np.ndarray, QuadraticRoots]:
+    """TCP position for commanded joints ``rho`` under encoder offsets.
+
+    Of the two quadratic roots the admissible one (configuration indices all
+    +1) of minimal ``||p||`` is selected; for the prototype workspace this is
+    the branch inside the quasi-cubic working volume.  Both roots are
+    returned for inspection.
+
+    Raises
+    ------
+    DomainError
+        Effective joint value zero, or negative discriminant.
+    SingularError
+        Neither root yields +1 configuration indices.
+    """
+    rho = _vec3(rho, "rho")
+    eff = rho + _vec3(offsets, "offsets")
+    if np.any(np.abs(eff) < SINGULARITY_TOL):
+        raise DomainError("effective joint value is zero")
+    t_minus, t_plus, A, B, C, disc = _dk_roots(eff, geom.L)
+    p = _dk_select(eff, t_minus, t_plus)
+    scalar = rho.ndim == 1
+    roots = QuadraticRoots(
+        A=float(A) if scalar else A,
+        B=float(B) if scalar else B,
+        C=float(C) if scalar else C,
+        t_plus=float(t_plus) if scalar else t_plus,
+        t_minus=float(t_minus) if scalar else t_minus,
+        discriminant=float(disc) if scalar else disc,
+    )
+    return p, roots
+
+
+def inverse_jacobian(p, rho) -> np.ndarray:
+    """Sensitivity of the joints to the TCP position, ``d(rho)/d(p)``.
+
+    Row ``i`` has a unit diagonal entry and off-diagonal entries
+    ``p_j / (p_i - rho_i)``; it is the matrix inverse of the TCP Jacobian
+    ``d(p)/d(rho)`` (see :func:`posture_jacobian` for the canonical
+    postures).  ``rho`` must be the *effective* joint values, i.e. include
+    the encoder offsets when they are nonzero.
+
+    Raises
+    ------
+    SingularError
+        If any denominator ``|p_i - rho_i|`` falls below the guard.
+    """
+    p = np.asarray(p, dtype=float)
+    rho = np.asarray(rho, dtype=float)
+    if p.shape != (3,) or rho.shape != (3,):
+        raise ValueError("inverse_jacobian expects single points of shape (3,)")
+    denom = p - rho
+    if np.any(np.abs(denom) < SINGULARITY_TOL):
+        raise SingularError("singular configuration: p_i - rho_i vanishes")
+    M = np.eye(3)
+    for i in range(3):
+        for j in range(3):
+            if i != j:
+                M[i, j] = p[j] / denom[i]
+    return M
+
+
+def _posture_angle(posture: Posture, geom: Geometry) -> PostureAngles:
+    if posture.kind is PostureKind.MAX_DISPLACEMENT:
+        return geom.angle_max()
+    if posture.kind is PostureKind.MIN_DISPLACEMENT:
+        return geom.angle_min()
+    raise ValueError("isotropic posture has no displacement angle")
+
+
+def posture_commanded_joints(posture: Posture, geom: Geometry) -> np.ndarray:
+    """Commanded joints for a calibration posture of the nominal machine.
+
+    Isotropic: ``(L, L, L)``.  Displacement along axis ``i``:
+    ``rho_i = L + L sin(alpha)``, the others ``L cos(alpha)``, with the
+    signed angle of the matching joint limit.
+    """
+    L = geom.L
+    if posture.kind is PostureKind.ISOTROPIC:
+        return np.full(3, L)
+    ang = _posture_angle(posture, geom)
+    rho = np.full(3, L * ang.c_alpha)
+    rho[posture.axis] = L + L * ang.s_alpha
+    return rho
+
+
+def posture_jacobian(posture: Posture, geom: Geometry) -> np.ndarray:
+    """TCP Jacobian ``d(p)/d(rho)`` at a calibration posture.
+
+    Identity at the isotropic posture.  For a displacement along axis ``i``
+    the column ``i`` carries ``tan(alpha)`` into the two other rows:
+    TCP displacements obey ``dp_i = drho_i`` and
+    ``dp_j = tan(alpha) drho_i + drho_j`` for ``j != i``.
+    """
+    if posture.kind is PostureKind.ISOTROPIC:
+        return np.eye(3)
+    ang = _posture_angle(posture, geom)
+    J = np.eye(3)
+    for j in range(3):
+        if j != posture.axis:
+            J[j, posture.axis] = ang.t_alpha
+    return J
+
+
+@dataclass(frozen=True)
+class SensitivityRow:
+    """One row of the posture sensitivity table.
+
+    ``at_max`` and ``at_min`` evaluate the deviation at the max- and
+    min-displacement variant of the posture; isotropic rows carry the same
+    value in both fields.
+    """
+
+    posture: str
+    leg: Axis
+    plane: str
+    at_max: float
+    at_min: float
+
+    @property
+    def value(self) -> float:
+        if self.at_max != self.at_min:
+            raise ValueError("row has distinct max/min values; read them directly")
+        return self.at_max
+
+
+# (leg, plane) pairs measurable at the isotropic posture; the deviation is the
+# offset of the axis perpendicular to the plane.
+_ISO_ROWS = [
+    (Axis.X, "XY"),
+    (Axis.X, "XZ"),
+    (Axis.Y, "XY"),
+    (Axis.Y, "YZ"),
+    (Axis.Z, "XZ"),
+    (Axis.Z, "YZ"),
+]
+_PERP = {"XY": Axis.Z, "XZ": Axis.Y, "YZ": Axis.X}
+_PLANES = {Axis.X: ("XY", "XZ"), Axis.Y: ("XY", "YZ"), Axis.Z: ("XZ", "YZ")}
+
+
+def sensitivity_table(geom: Geometry, offsets) -> list[SensitivityRow]:
+    """Linearized TCP deviations at the calibration postures (12 rows).
+
+    Isotropic rows evaluate the single perpendicular offset; displacement
+    rows evaluate ``tan(alpha) drho_leg + drho_perp`` at both the max and the
+    min posture angle.
+    """
+    off = _vec3(offsets, "offsets")
+    if off.ndim != 1:
+        raise ValueError("sensitivity_table expects a single offset triple")
+    t1 = geom.angle_max().t_alpha
+    t2 = geom.angle_min().t_alpha
+    rows = [
+        SensitivityRow("isotropic", leg, plane, off[_PERP[plane]], off[_PERP[plane]])
+        for leg, plane in _ISO_ROWS
+    ]
+    for leg in Axis:
+        for plane in _PLANES[leg]:
+            perp = _PERP[plane]
+            rows.append(
+                SensitivityRow(
+                    f"max/min {leg.name}-displacement",
+                    leg,
+                    plane,
+                    t1 * off[leg] + off[perp],
+                    t2 * off[leg] + off[perp],
+                )
+            )
+    return rows
