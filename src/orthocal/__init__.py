@@ -42,10 +42,12 @@ from .kinematics import (
 )
 from .measurement import (
     GENERATOR_ALGORITHM,
+    SCHEMES,
     DoublePostureMeasurements,
     GaugeLocation,
     NoiseModel,
     ReducedMeasurements,
+    Scheme,
     SinglePostureMeasurements,
     add_noise,
     double_deviation_array,
@@ -67,6 +69,7 @@ from .identification import (
     ResidualReport,
     build_single_posture_system,
     build_six_eq_system,
+    build_system,
     build_twelve_eq_system,
     coefficients,
     least_squares_solve,
@@ -85,6 +88,7 @@ from .accuracy import (
     monte_carlo,
     noise_covariance_six,
     noise_covariance_twelve,
+    offset_covariance_closed_form,
     offset_covariance_six,
     offset_covariance_twelve,
     propagate_covariance,

@@ -19,16 +19,15 @@ import numpy as np
 
 from .errors import ConvergenceError, RankError
 from .geometry import Geometry, check_offsets
-from .identification import (
-    _gauss_newton_constant,
-    build_six_eq_system,
-    build_twelve_eq_system,
-)
+from .identification import _gauss_newton_constant, solve_single_posture_closed_form
 from .measurement import (
+    GAUGE_CORRELATION_BLOCK,
+    SCHEMES,
+    SYSTEM_SINGLE,
+    SYSTEM_SIX,
+    SYSTEM_TWELVE,
+    SinglePostureMeasurements,
     _noise_double,
-    _REDUCTION_PAIRS,
-    double_deviation_array,
-    reduced_deviation_array,
 )
 
 __all__ = [
@@ -41,21 +40,11 @@ __all__ = [
     "OffsetCovariance",
     "offset_covariance_six",
     "offset_covariance_twelve",
+    "offset_covariance_closed_form",
     "MonteCarloReport",
     "MC_METHODS",
     "monte_carlo",
 ]
-
-#: Correlation pattern of one leg's four double-posture deviations
-#: (max/min deviations of a gauge share the isotropic reading noise).
-GAUGE_CORRELATION_BLOCK = np.array(
-    [
-        [2.0, 0.0, 1.0, 0.0],
-        [0.0, 2.0, 0.0, 1.0],
-        [1.0, 0.0, 2.0, 0.0],
-        [0.0, 1.0, 0.0, 2.0],
-    ]
-)
 
 
 class CovarianceStructure(Enum):
@@ -75,15 +64,16 @@ def noise_covariance_six(sigma: float) -> NoiseCovariance:
     """Reduced-system error covariance ``2 sigma^2 I``: each difference of
     two independent raw readings, independent across channels."""
     return NoiseCovariance(
-        2.0 * sigma**2 * np.eye(6), CovarianceStructure.SCALED_IDENTITY
+        sigma**2 * SCHEMES[SYSTEM_SIX].noise_covariance, CovarianceStructure.SCALED_IDENTITY
     )
 
 
 def noise_covariance_twelve(sigma: float) -> NoiseCovariance:
     """Full-system error covariance ``sigma^2 G`` with one correlation block
     per plane-pair group of four deviations."""
-    G = np.kron(np.eye(3), GAUGE_CORRELATION_BLOCK)
-    return NoiseCovariance(sigma**2 * G, CovarianceStructure.BLOCK_G)
+    return NoiseCovariance(
+        sigma**2 * SCHEMES[SYSTEM_TWELVE].noise_covariance, CovarianceStructure.BLOCK_G
+    )
 
 
 def propagate_covariance(design: np.ndarray, noise_matrix: np.ndarray) -> np.ndarray:
@@ -105,30 +95,48 @@ class OffsetCovariance:
     method: str
 
 
-def _offset_covariance(design, noise_cov: NoiseCovariance, method: str) -> OffsetCovariance:
-    V = propagate_covariance(design, noise_cov.matrix)
+def _offset_covariance(
+    label: str, geom: Geometry, sigma: float, method: str, gain=None
+) -> OffsetCovariance:
+    """Offset covariance of a linear estimator on the readings of scheme
+    ``label``: ``gain`` maps the readings to the offsets, least squares on
+    the scheme's design when None."""
+    if sigma < 0:
+        raise ValueError("sigma must be non-negative")
+    scheme = SCHEMES[label]
+    noise = sigma**2 * scheme.noise_covariance
+    if gain is None:
+        V = propagate_covariance(scheme.design(geom), noise)
+    else:
+        V = gain @ noise @ gain.T
     return OffsetCovariance(V=V, sigma_rho=float(np.sqrt(np.trace(V) / 3.0)), method=method)
 
 
 def offset_covariance_six(geom: Geometry, sigma: float) -> OffsetCovariance:
     """Analytic offset covariance of the six-equation estimator,
     ``V = 2 (J'J)^-1 sigma^2``."""
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
-    design = build_six_eq_system(geom).design_matrix
-    return _offset_covariance(design, noise_covariance_six(sigma), "six")
+    return _offset_covariance(SYSTEM_SIX, geom, sigma, "six")
 
 
 def offset_covariance_twelve(geom: Geometry, sigma: float) -> OffsetCovariance:
     """Analytic offset covariance of the twelve-equation estimator with the
     block-correlated error covariance."""
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
-    design = build_twelve_eq_system(geom).design_matrix
-    return _offset_covariance(design, noise_covariance_twelve(sigma), "twelve")
+    return _offset_covariance(SYSTEM_TWELVE, geom, sigma, "twelve")
+
+
+def offset_covariance_closed_form(geom: Geometry, sigma: float) -> OffsetCovariance:
+    """Analytic offset covariance of the sequential single-posture solution,
+    ``V = 2 sigma^2 K K'`` with ``K`` its own 3x6 map (not the pseudoinverse)."""
+    # the solution is linear in the readings: column j of K solves reading e_j
+    gain = np.column_stack([
+        solve_single_posture_closed_form(SinglePostureMeasurements.from_array(e), geom).offsets
+        for e in np.eye(6)
+    ])
+    return _offset_covariance(SYSTEM_SINGLE, geom, sigma, "closed-form", gain)
 
 
 MC_METHODS = ("six", "twelve", "nonlinear-six", "nonlinear-twelve")
+_MC_SCHEMES = {"six": SYSTEM_SIX, "twelve": SYSTEM_TWELVE}
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,15 +191,10 @@ def monte_carlo(
     truth = np.asarray(true_offsets, dtype=float)
     check_offsets(truth, geom)
 
-    reduced = method.endswith("six")
-    if reduced:
-        d_true = reduced_deviation_array(truth, geom)
-        design = build_six_eq_system(geom).design_matrix
-        predict_fn = lambda x: reduced_deviation_array(x, geom)  # noqa: E731
-    else:
-        d_true = double_deviation_array(truth, geom)
-        design = build_twelve_eq_system(geom).design_matrix
-        predict_fn = lambda x: double_deviation_array(x, geom)  # noqa: E731
+    scheme = SCHEMES[_MC_SCHEMES[method.removeprefix("nonlinear-")]]
+    d_true = scheme.predict(truth, geom)
+    design = scheme.design(geom)
+    predict_fn = lambda x: scheme.predict(x, geom)  # noqa: E731
     pinv = np.linalg.pinv(design)
 
     rep_mean = np.empty((replications, 3))
@@ -200,13 +203,8 @@ def monte_carlo(
     failed = 0
     for rep in range(replications):
         rng = np.random.default_rng(seed + rep)
-        noise12 = _noise_double(rng, sigma, (runs,))
-        if reduced:
-            noise = np.stack(
-                [noise12[:, i] - noise12[:, j] for i, j in _REDUCTION_PAIRS], axis=1
-            )
-        else:
-            noise = noise12
+        # raw double-posture readings, reduced for the six-equation scheme
+        noise = scheme.from_full(_noise_double(rng, sigma, (runs,)))
         obs = d_true[None, :] + noise
         x = obs @ pinv.T
         if method.startswith("nonlinear"):

@@ -19,9 +19,9 @@ from . import __version__
 from .accuracy import (
     MC_METHODS,
     monte_carlo,
+    offset_covariance_closed_form,
     offset_covariance_six,
     offset_covariance_twelve,
-    propagate_covariance,
 )
 from .errors import (
     ConvergenceError,
@@ -34,8 +34,6 @@ from .errors import (
 from .fileio import (
     FIXTURE_NAMES,
     CalibrationReport,
-    ROW_KEYS,
-    WIRE_KEYS,
     geometry_from_dict,
     load_fixture,
     load_measurement_file,
@@ -43,12 +41,7 @@ from .fileio import (
 )
 from .geometry import Geometry
 from .identification import (
-    SYSTEM_SINGLE,
-    SYSTEM_SIX,
-    SYSTEM_TWELVE,
-    build_single_posture_system,
-    build_six_eq_system,
-    build_twelve_eq_system,
+    build_system,
     least_squares_solve,
     nonlinear_identify,
     solve_single_posture_closed_form,
@@ -56,10 +49,12 @@ from .identification import (
 from .kinematics import sensitivity_table
 from .measurement import (
     GENERATOR_ALGORITHM,
+    SCHEMES,
+    SYSTEM_SINGLE,
+    SYSTEM_SIX,
+    SYSTEM_TWELVE,
     NoiseModel,
     add_noise,
-    predict_double_posture,
-    predict_single_posture,
     reduce as reduce_measurements,
 )
 
@@ -107,25 +102,14 @@ def _note(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-# method name -> (required measurement shape, estimator kind)
+# method name -> (measurement scheme, estimator kind, analytic offset covariance)
 CALIBRATE_METHODS = {
-    "closed-form": (SYSTEM_SINGLE, "closed-form"),
-    "linear6": (SYSTEM_SIX, "linear"),
-    "linear12": (SYSTEM_TWELVE, "linear"),
-    "nonlinear6": (SYSTEM_SIX, "nonlinear"),
-    "nonlinear12": (SYSTEM_TWELVE, "nonlinear"),
+    "closed-form": (SYSTEM_SINGLE, "closed-form", offset_covariance_closed_form),
+    "linear6": (SYSTEM_SIX, "linear", offset_covariance_six),
+    "linear12": (SYSTEM_TWELVE, "linear", offset_covariance_twelve),
+    "nonlinear6": (SYSTEM_SIX, "nonlinear", offset_covariance_six),
+    "nonlinear12": (SYSTEM_TWELVE, "nonlinear", offset_covariance_twelve),
 }
-
-
-def _analytic_sigma_rho(method: str, geom: Geometry, sigma_hat: float) -> float:
-    shape, _ = CALIBRATE_METHODS[method]
-    if shape == SYSTEM_SIX:
-        return offset_covariance_six(geom, sigma_hat).sigma_rho
-    if shape == SYSTEM_TWELVE:
-        return offset_covariance_twelve(geom, sigma_hat).sigma_rho
-    design = build_single_posture_system(geom).design_matrix
-    V = propagate_covariance(design, 2.0 * sigma_hat**2 * np.eye(6))
-    return float(np.sqrt(np.trace(V) / 3.0))
 
 
 def cmd_calibrate(args) -> int:
@@ -136,23 +120,23 @@ def cmd_calibrate(args) -> int:
     else:
         raise InputError(f"no such file or fixture: {args.file}")
     geom = _load_geometry(args.geometry) or mf.geometry or Geometry.prototype()
-    shape, kind = CALIBRATE_METHODS[args.method]
+    label, kind, covariance = CALIBRATE_METHODS[args.method]
     m = mf.measurement()
-    if mf.method == SYSTEM_TWELVE and shape == SYSTEM_SIX:
+    if mf.method == SYSTEM_TWELVE and label == SYSTEM_SIX:
         _note(args, "reducing double-full measurements to max-minus-min differences")
         m = reduce_measurements(m)
-    elif mf.method != shape:
+    elif mf.method != label:
         raise InputError(
-            f"method {args.method} requires {shape} measurements, file has {mf.method}"
+            f"method {args.method} requires {label} measurements, file has {mf.method}"
         )
     if kind == "closed-form":
         result = solve_single_posture_closed_form(m, geom)
     elif kind == "linear":
-        builder = build_six_eq_system if shape == SYSTEM_SIX else build_twelve_eq_system
-        result = least_squares_solve(builder(geom), m)
+        result = least_squares_solve(build_system(label, geom), m)
     else:
         result = nonlinear_identify(m, geom)
-    residuals = dict(zip(ROW_KEYS[shape], result.residuals.tolist()))
+    scheme = SCHEMES[label]
+    residuals = dict(zip(scheme.row_keys, result.residuals.tolist()))
     report = CalibrationReport(
         input_digest=digest,
         method=args.method,
@@ -161,10 +145,10 @@ def cmd_calibrate(args) -> int:
             "d_rho_y": float(result.offsets[1]),
             "d_rho_z": float(result.offsets[2]),
         },
-        residuals={k: residuals[k] for k in WIRE_KEYS[shape]},
+        residuals={k: residuals[k] for k in scheme.wire_keys},
         residual_rms=result.residual_rms,
         sigma_hat=result.sigma_hat,
-        sigma_rho=_analytic_sigma_rho(args.method, geom, result.sigma_hat),
+        sigma_rho=covariance(geom, result.sigma_hat).sigma_rho,
         iterations=result.iterations,
         converged=result.converged,
         gradient_norm=result.gradient_norm,
@@ -193,12 +177,8 @@ def cmd_simulate(args) -> int:
         raise InputError("--sigma must be non-negative")
     if args.repetitions < 1:
         raise InputError("--repetitions must be >= 1")
-    if args.method == SYSTEM_SINGLE:
-        m = predict_single_posture(offsets, geom)
-    else:
-        m = predict_double_posture(offsets, geom)
-        if args.method == SYSTEM_SIX:
-            m = reduce_measurements(m)
+    scheme = SCHEMES[args.method]
+    m = scheme.measurement.from_array(scheme.predict(offsets, geom))
     m = add_noise(m, NoiseModel(sigma=args.sigma, seed=args.seed), args.repetitions)
     if args.quantize is not None:
         if args.quantize <= 0:
@@ -361,7 +341,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--method",
         default=SYSTEM_SIX,
-        choices=[SYSTEM_SINGLE, SYSTEM_TWELVE, SYSTEM_SIX],
+        choices=list(SCHEMES),
         help="measurement shape to simulate",
     )
     p.add_argument("--repetitions", type=int, default=1, help="readings averaged per gauge")

@@ -17,18 +17,10 @@ import numpy as np
 from . import __version__
 from .errors import InputError
 from .geometry import Geometry
-from .identification import SYSTEM_SINGLE, SYSTEM_SIX, SYSTEM_TWELVE
-from .measurement import (
-    DoublePostureMeasurements,
-    MeasurementSet,
-    ReducedMeasurements,
-    SinglePostureMeasurements,
-)
+from .measurement import SCHEMES, MeasurementSet, scheme_of
 
 __all__ = [
     "SCHEMA_VERSION",
-    "MEASUREMENT_CLASSES",
-    "WIRE_KEYS",
     "MeasurementFile",
     "geometry_from_dict",
     "geometry_to_dict",
@@ -44,31 +36,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-
-MEASUREMENT_CLASSES = {
-    SYSTEM_SINGLE: SinglePostureMeasurements,
-    SYSTEM_TWELVE: DoublePostureMeasurements,
-    SYSTEM_SIX: ReducedMeasurements,
-}
-
-#: Key order used when writing files and reports (column order of the
-#: prototype data tables); parsing is order independent.
-WIRE_KEYS = {
-    SYSTEM_SINGLE: (
-        "dz_x0", "dz_y0", "dz_x_plus", "dz_x_minus", "dz_y_plus", "dz_y_minus",
-    ),
-    SYSTEM_SIX: ("dx_y", "dx_z", "dy_x", "dy_z", "dz_x", "dz_y"),
-    SYSTEM_TWELVE: (
-        "dx_y_plus", "dx_y_minus", "dx_z_plus", "dx_z_minus",
-        "dy_x_plus", "dy_x_minus", "dy_z_plus", "dy_z_minus",
-        "dz_x_plus", "dz_x_minus", "dz_y_plus", "dz_y_minus",
-    ),
-}
-
-#: Row order of each calibration system (= measurement dataclass field order).
-ROW_KEYS = {
-    label: tuple(f.name for f in fields(cls)) for label, cls in MEASUREMENT_CLASSES.items()
-}
 
 FIXTURE_NAMES = ("experiment1", "experiment2", "experiment3")
 
@@ -88,12 +55,14 @@ class MeasurementFile:
     simulation: dict | None = None
 
     def measurement(self) -> MeasurementSet:
-        return MEASUREMENT_CLASSES[self.method](**self.values)
+        return SCHEMES[self.method].measurement(**self.values)
 
 
 def geometry_from_dict(d: dict) -> Geometry:
     """Geometry from its serialized form; raises :class:`InputError` naming
     missing or invalid keys (``r`` and ``d`` fall back to prototype values)."""
+    if not isinstance(d, dict):
+        raise InputError(f"geometry must be a JSON object, got {type(d).__name__}")
     missing = [k for k in ("L", "rho_min", "rho_max") if k not in d]
     if missing:
         raise InputError(f"geometry override missing keys: {', '.join(missing)}")
@@ -131,23 +100,25 @@ def parse_measurement(doc: dict) -> MeasurementFile:
     if doc.get("units") != "mm":
         raise InputError(f"units must be 'mm', got {doc.get('units')!r}")
     method = doc.get("method")
-    if method not in MEASUREMENT_CLASSES:
-        raise InputError(
-            f"unknown method {method!r}; expected one of {sorted(MEASUREMENT_CLASSES)}"
-        )
-    required = WIRE_KEYS[method]
-    values = dict(doc.get("values") or {})
+    if not isinstance(method, str) or method not in SCHEMES:
+        raise InputError(f"unknown method {method!r}; expected one of {sorted(SCHEMES)}")
+    required = SCHEMES[method].wire_keys
+    values = doc.get("values") or {}
     reps = doc.get("repetitions") or {}
-    if reps:
-        clash = sorted(set(reps) & set(values))
-        if clash:
-            raise InputError(
-                f"keys given both as values and repetitions: {', '.join(clash)}"
-            )
-        for key, arr in reps.items():
-            if not isinstance(arr, (list, tuple)) or not arr:
-                raise InputError(f"repetitions entry {key!r} must be a non-empty array")
+    for key, part in (("values", values), ("repetitions", reps)):
+        if not isinstance(part, dict):
+            raise InputError(f"{key} must be a JSON object, got {type(part).__name__}")
+    values = dict(values)
+    clash = sorted(set(reps) & set(values))
+    if clash:
+        raise InputError(f"keys given both as values and repetitions: {', '.join(clash)}")
+    for key, arr in reps.items():
+        if not isinstance(arr, (list, tuple)) or not arr:
+            raise InputError(f"repetitions entry {key!r} must be a non-empty array")
+        try:
             values[key] = float(np.mean([float(v) for v in arr]))
+        except (TypeError, ValueError):
+            raise InputError(f"repetitions entry {key!r} holds a non-number") from None
     missing = sorted(set(required) - set(values))
     if missing:
         raise InputError(f"missing measurement keys: {', '.join(missing)}")
@@ -175,8 +146,11 @@ def parse_measurement(doc: dict) -> MeasurementFile:
 
 def load_measurement_file(path) -> tuple[MeasurementFile, str]:
     """Read a measurement file; returns the parsed content and its digest."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
     try:
         doc = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -191,16 +165,12 @@ def measurement_to_dict(
     simulation: dict | None = None,
 ) -> dict:
     """Serializable document for a measurement set, keys in wire order."""
-    by_class = {cls: lab for lab, cls in MEASUREMENT_CLASSES.items()}
-    if type(m) not in by_class:
-        raise TypeError(f"unsupported measurement set type: {type(m).__name__}")
-    label = by_class[type(m)]
-    row = dict(zip(ROW_KEYS[label], m.as_array().tolist()))
+    scheme = scheme_of(m)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "units": "mm",
-        "method": label,
-        "values": {k: row[k] for k in WIRE_KEYS[label]},
+        "method": scheme.label,
+        "values": {k: float(getattr(m, k)) for k in scheme.wire_keys},
     }
     if geometry is not None:
         doc["geometry"] = geometry_to_dict(geometry)

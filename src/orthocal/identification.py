@@ -16,17 +16,23 @@ import numpy as np
 
 from .errors import ConvergenceError, RankError
 from .geometry import Geometry, check_offsets
-from .kinematics import _dk_point, inverse_jacobian
+from .kinematics import inverse_jacobian
 from .measurement import (
     _CHANNELS_12,
-    _REDUCTION_PAIRS,
+    SCHEMES,
+    SYSTEM_SINGLE,
+    SYSTEM_SIX,
+    SYSTEM_TWELVE,
+    CalibrationCoefficients,
     DoublePostureMeasurements,
     MeasurementSet,
     ReducedMeasurements,
     SinglePostureMeasurements,
-    double_deviation_array,
-    reduced_deviation_array,
-    single_deviation_array,
+    _gauge_station,
+    _iso_tcp,
+    _posture,
+    coefficients,
+    scheme_of,
 )
 
 __all__ = [
@@ -36,6 +42,7 @@ __all__ = [
     "CalibrationCoefficients",
     "coefficients",
     "LinearSystem",
+    "build_system",
     "build_single_posture_system",
     "build_twelve_eq_system",
     "build_six_eq_system",
@@ -48,41 +55,6 @@ __all__ = [
     "residual_report",
 ]
 
-SYSTEM_SINGLE = "single-posture"
-SYSTEM_TWELVE = "double-full"
-SYSTEM_SIX = "double-reduced"
-
-
-@dataclass(frozen=True)
-class CalibrationCoefficients:
-    """Dimensionless coefficients of the linear calibration systems.
-
-    ``a_i = tan(alpha_i)`` (single posture), ``b_i = sin(alpha_i)`` and
-    ``c_i = (0.5 + sin(alpha_i)) tan(alpha_i)`` (twelve equations), and the
-    reduced-system differences ``b = b1 - b2``, ``c = c1 - c2``, where
-    ``alpha_1/alpha_2`` are the max/min displacement angles.
-    """
-
-    a1: float
-    a2: float
-    b1: float
-    c1: float
-    b2: float
-    c2: float
-    b: float
-    c: float
-
-
-def coefficients(geom: Geometry) -> CalibrationCoefficients:
-    """Exact coefficient values for a geometry (not rounded)."""
-    amax = geom.angle_max()
-    amin = geom.angle_min()
-    a1, a2 = amax.t_alpha, amin.t_alpha
-    b1, b2 = amax.s_alpha, amin.s_alpha
-    c1 = (0.5 + b1) * a1
-    c2 = (0.5 + b2) * a2
-    return CalibrationCoefficients(a1, a2, b1, c1, b2, c2, b1 - b2, c1 - c2)
-
 
 @dataclass(frozen=True, eq=False)
 class LinearSystem:
@@ -93,75 +65,33 @@ class LinearSystem:
     rhs: np.ndarray | None = None
 
     def with_measurements(self, m: MeasurementSet) -> "LinearSystem":
-        return replace(self, rhs=_system_rhs(self.label, m))
+        if scheme_of(m).label != self.label:
+            raise TypeError(
+                f"{self.label} system requires {SCHEMES[self.label].measurement.__name__}, "
+                f"got {type(m).__name__}"
+            )
+        return replace(self, rhs=m.as_array())
 
 
-def _system_rhs(label: str, m: MeasurementSet) -> np.ndarray:
-    expected = {
-        SYSTEM_SINGLE: SinglePostureMeasurements,
-        SYSTEM_TWELVE: DoublePostureMeasurements,
-        SYSTEM_SIX: ReducedMeasurements,
-    }[label]
-    if not isinstance(m, expected):
-        raise TypeError(
-            f"{label} system requires {expected.__name__}, got {type(m).__name__}"
-        )
-    return m.as_array()
+def build_system(label: str, geom: Geometry) -> LinearSystem:
+    """Linear calibration system of the measurement scheme ``label``."""
+    return LinearSystem(SCHEMES[label].design(geom), label)
 
 
 def build_single_posture_system(geom: Geometry) -> LinearSystem:
     """Six-row single-posture system: two isotropic z-rows then the X and Y
     displacement rows."""
-    k = coefficients(geom)
-    design = np.array(
-        [
-            [0.0, 0.0, 1.0],
-            [0.0, 0.0, 1.0],
-            [k.a1, 0.0, 1.0],
-            [k.a2, 0.0, 1.0],
-            [0.0, k.a1, 1.0],
-            [0.0, k.a2, 1.0],
-        ]
-    )
-    return LinearSystem(design, SYSTEM_SINGLE)
+    return build_system(SYSTEM_SINGLE, geom)
 
 
 def build_twelve_eq_system(geom: Geometry) -> LinearSystem:
     """Twelve-row double-posture system, grouped in fours per plane pair."""
-    k = coefficients(geom)
-    design = np.array(
-        [
-            [k.b1, k.c1, 0.0],
-            [k.c1, k.b1, 0.0],
-            [k.b2, k.c2, 0.0],
-            [k.c2, k.b2, 0.0],
-            [0.0, k.b1, k.c1],
-            [0.0, k.c1, k.b1],
-            [0.0, k.b2, k.c2],
-            [0.0, k.c2, k.b2],
-            [k.b1, 0.0, k.c1],
-            [k.c1, 0.0, k.b1],
-            [k.b2, 0.0, k.c2],
-            [k.c2, 0.0, k.b2],
-        ]
-    )
-    return LinearSystem(design, SYSTEM_TWELVE)
+    return build_system(SYSTEM_TWELVE, geom)
 
 
 def build_six_eq_system(geom: Geometry) -> LinearSystem:
     """Six-row reduced system on the max-minus-min differences."""
-    k = coefficients(geom)
-    design = np.array(
-        [
-            [k.b, k.c, 0.0],
-            [k.c, k.b, 0.0],
-            [0.0, k.b, k.c],
-            [0.0, k.c, k.b],
-            [k.b, 0.0, k.c],
-            [k.c, 0.0, k.b],
-        ]
-    )
-    return LinearSystem(design, SYSTEM_SIX)
+    return build_system(SYSTEM_SIX, geom)
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,26 +184,23 @@ def prediction_jacobian(offsets, geom: Geometry, label: str = SYSTEM_TWELVE) -> 
     parameter.  At zero offsets this reduces to the constant linear-system
     matrix.  Nominal gauge placement is assumed.
     """
+    scheme = SCHEMES.get(label)
+    if scheme is None or scheme.from_full is None:
+        raise ValueError(f"prediction_jacobian supports {SYSTEM_TWELVE!r} or {SYSTEM_SIX!r}")
     dr = np.asarray(offsets, dtype=float)
     check_offsets(dr, geom)
-    L = geom.L
-    iso_eff = dr + L
-    p0 = _dk_point(iso_eff, L)
-    D0 = _dk_jacobian(p0, iso_eff)
+    p0 = _iso_tcp(dr, geom)
+    D0 = _dk_jacobian(p0, dr + geom.L)
     rows = np.zeros((12, 3))
     cache: dict[tuple, tuple] = {}
     for slot, leg, gax, sign in _CHANNELS_12:
         key = (leg, sign)
         if key not in cache:
-            ang = geom.angle_max() if sign > 0 else geom.angle_min()
-            joints = dr + L * ang.c_alpha
-            joints[leg] = dr[leg] + L * (1.0 + ang.s_alpha)
-            pp = _dk_point(joints, L)
+            joints, pp = _posture(dr, leg, sign, geom)
             Dp = _dk_jacobian(pp, joints)
-            e = np.zeros(3)
-            e[leg] = 1.0
-            num = L / 2 + L * ang.s_alpha + dr[leg] / 2 - p0[leg] / 2
-            den = L * (1.0 + ang.s_alpha) + dr[leg] - pp[leg]
+            e = np.eye(3)[leg]
+            num = joints[leg] - _gauge_station(p0, dr, leg, geom.L)
+            den = joints[leg] - pp[leg]
             mu = num / den
             d_num = e / 2 - D0[leg, :] / 2
             d_den = e - Dp[leg, :]
@@ -281,11 +208,7 @@ def prediction_jacobian(offsets, geom: Geometry, label: str = SYSTEM_TWELVE) -> 
             cache[key] = (pp, Dp, mu, d_mu)
         pp, Dp, mu, d_mu = cache[key]
         rows[slot, :] = d_mu * pp[gax] + mu * Dp[gax, :] - D0[gax, :] / 2
-    if label == SYSTEM_TWELVE:
-        return rows
-    if label == SYSTEM_SIX:
-        return np.stack([rows[i] - rows[j] for i, j in _REDUCTION_PAIRS])
-    raise ValueError(f"prediction_jacobian supports {SYSTEM_TWELVE!r} or {SYSTEM_SIX!r}")
+    return np.ascontiguousarray(scheme.from_full(rows.T).T)
 
 
 def _gauss_newton_constant(
@@ -432,18 +355,14 @@ def nonlinear_identify(
         If the iteration budget is exhausted before the step or gradient
         tolerance is met.
     """
-    if isinstance(m, ReducedMeasurements):
-        label = SYSTEM_SIX
-        sys = build_six_eq_system(geom)
-        predict_fn = lambda x: reduced_deviation_array(x, geom)  # noqa: E731
-    elif isinstance(m, DoublePostureMeasurements):
-        label = SYSTEM_TWELVE
-        sys = build_twelve_eq_system(geom)
-        predict_fn = lambda x: double_deviation_array(x, geom)  # noqa: E731
-    else:
+    scheme = scheme_of(m)
+    if scheme.from_full is None:
         raise TypeError(
             "nonlinear_identify accepts ReducedMeasurements or DoublePostureMeasurements"
         )
+    label = scheme.label
+    sys = build_system(label, geom)
+    predict_fn = lambda x: scheme.predict(x, geom)  # noqa: E731
     obs = m.as_array()
     if initial is None:
         x0 = least_squares_solve(sys, m).offsets
@@ -498,29 +417,14 @@ def residual_report(
     """
     dr = np.asarray(offsets, dtype=float)
     check_offsets(dr, geom)
-    obs = m.as_array()
+    scheme = scheme_of(m)
     if model == "linear":
-        if isinstance(m, SinglePostureMeasurements):
-            design = build_single_posture_system(geom).design_matrix
-        elif isinstance(m, DoublePostureMeasurements):
-            design = build_twelve_eq_system(geom).design_matrix
-        elif isinstance(m, ReducedMeasurements):
-            design = build_six_eq_system(geom).design_matrix
-        else:
-            raise TypeError(f"unsupported measurement set: {type(m).__name__}")
-        predicted = design @ dr
+        predicted = scheme.design(geom) @ dr
     elif model == "nonlinear":
-        if isinstance(m, SinglePostureMeasurements):
-            predicted = single_deviation_array(dr, geom)
-        elif isinstance(m, DoublePostureMeasurements):
-            predicted = double_deviation_array(dr, geom)
-        elif isinstance(m, ReducedMeasurements):
-            predicted = reduced_deviation_array(dr, geom)
-        else:
-            raise TypeError(f"unsupported measurement set: {type(m).__name__}")
+        predicted = scheme.predict(dr, geom)
     else:
         raise ValueError(f"model must be 'linear' or 'nonlinear', got {model!r}")
-    r = obs - predicted
+    r = m.as_array() - predicted
     n = r.size
     ssr = float(r @ r)
     return ResidualReport(

@@ -11,12 +11,16 @@ All deviation predictors are exact nonlinear models built on the direct
 kinematics; the linear calibration systems are their first-order expansions.
 Predictors accept offset arrays of shape ``(3,)`` or ``(..., 3)``; the
 ``*_array`` variants return plain arrays in the canonical equation order.
+:data:`SCHEMES` maps each scheme label to its measurement type, wire keys,
+predictor, linear design and noise model.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from types import MappingProxyType
+from typing import Callable
 
 import numpy as np
 
@@ -25,9 +29,19 @@ from .geometry import Axis, Geometry, Posture, PostureKind, check_offsets
 from .kinematics import _dk_point
 
 __all__ = [
+    "SYSTEM_SINGLE",
+    "SYSTEM_TWELVE",
+    "SYSTEM_SIX",
+    "MeasurementSet",
     "SinglePostureMeasurements",
     "DoublePostureMeasurements",
     "ReducedMeasurements",
+    "CalibrationCoefficients",
+    "coefficients",
+    "GAUGE_CORRELATION_BLOCK",
+    "Scheme",
+    "SCHEMES",
+    "scheme_of",
     "GaugeLocation",
     "NoiseModel",
     "GENERATOR_ALGORITHM",
@@ -45,13 +59,26 @@ __all__ = [
 #: Identifier of the pseudo-random generator backing :class:`NoiseModel`.
 GENERATOR_ALGORITHM = "pcg64"
 
+#: Labels of the three measurement schemes, the keys of :data:`SCHEMES`.
+SYSTEM_SINGLE = "single-posture"
+SYSTEM_TWELVE = "double-full"
+SYSTEM_SIX = "double-reduced"
 
-def _field_array(m) -> np.ndarray:
-    return np.array([getattr(m, f.name) for f in fields(m)], dtype=float)
+
+class MeasurementSet:
+    """Base of the measurement dataclasses: their fields, in declaration
+    order, are the rows of the scheme's calibration system."""
+
+    def as_array(self) -> np.ndarray:
+        return np.array([getattr(self, f.name) for f in fields(self)], dtype=float)
+
+    @classmethod
+    def from_array(cls, values):
+        return cls(*map(float, np.asarray(values, dtype=float)))
 
 
 @dataclass(frozen=True)
-class SinglePostureMeasurements:
+class SinglePostureMeasurements(MeasurementSet):
     """Six z-deviations of the single-posture scheme, in calibration-system
     row order: isotropic X/Y legs, then X-leg max/min, then Y-leg max/min."""
 
@@ -62,16 +89,9 @@ class SinglePostureMeasurements:
     dz_y_plus: float
     dz_y_minus: float
 
-    def as_array(self) -> np.ndarray:
-        return _field_array(self)
-
-    @classmethod
-    def from_array(cls, values) -> "SinglePostureMeasurements":
-        return cls(*map(float, np.asarray(values, dtype=float)))
-
 
 @dataclass(frozen=True)
-class DoublePostureMeasurements:
+class DoublePostureMeasurements(MeasurementSet):
     """Twelve double-posture deviations in the row order of the full linear
     system: the legs are grouped by gauged plane pair, max before min."""
 
@@ -88,16 +108,9 @@ class DoublePostureMeasurements:
     dx_z_minus: float
     dz_x_minus: float
 
-    def as_array(self) -> np.ndarray:
-        return _field_array(self)
-
-    @classmethod
-    def from_array(cls, values) -> "DoublePostureMeasurements":
-        return cls(*map(float, np.asarray(values, dtype=float)))
-
 
 @dataclass(frozen=True)
-class ReducedMeasurements:
+class ReducedMeasurements(MeasurementSet):
     """Max-minus-min deviation differences, in reduced-system row order."""
 
     dx_y: float
@@ -107,15 +120,6 @@ class ReducedMeasurements:
     dx_z: float
     dz_x: float
 
-    def as_array(self) -> np.ndarray:
-        return _field_array(self)
-
-    @classmethod
-    def from_array(cls, values) -> "ReducedMeasurements":
-        return cls(*map(float, np.asarray(values, dtype=float)))
-
-
-MeasurementSet = SinglePostureMeasurements | DoublePostureMeasurements | ReducedMeasurements
 
 # Canonical 12-vector channels: (slot, leg, gauge axis, +1 max / -1 min).
 _CHANNELS_12 = (
@@ -133,18 +137,92 @@ _CHANNELS_12 = (
     (11, Axis.X, Axis.Z, -1),
 )
 
-# Plus/minus slot pairs forming the reduced 6-vector, in reduced row order.
-_REDUCTION_PAIRS = ((0, 2), (1, 3), (4, 6), (5, 7), (8, 10), (9, 11))
+# Single-posture displacement channels after the two isotropic z-rows:
+# (gauged leg, +1 max / -1 min).
+_CHANNELS_SINGLE = ((Axis.X, +1), (Axis.X, -1), (Axis.Y, +1), (Axis.Y, -1))
 
-# Gauge slot (0 or 1) of each (leg, gauge axis) pair in the raw-noise layout.
+# Plus/minus slots whose differences form the reduced 6-vector, in row order.
+_REDUCTION_PLUS, _REDUCTION_MINUS = [0, 1, 4, 5, 8, 9], [2, 3, 6, 7, 10, 11]
+
+# Gauge slot (0 or 1) of each (leg, gauge axis) pair in the raw-noise layout:
+# a leg's two gauges in axis order.
 _GAUGE_SLOT = {
-    (Axis.X, Axis.Y): 0,
-    (Axis.X, Axis.Z): 1,
-    (Axis.Y, Axis.X): 0,
-    (Axis.Y, Axis.Z): 1,
-    (Axis.Z, Axis.X): 0,
-    (Axis.Z, Axis.Y): 1,
+    (leg, gax): [a for a in Axis if a != leg].index(gax)
+    for leg in Axis for gax in Axis if gax != leg
 }
+
+#: Correlation pattern of one leg's four double-posture deviations
+#: (max/min deviations of a gauge share the isotropic reading noise).
+GAUGE_CORRELATION_BLOCK = np.array(
+    [
+        [2.0, 0.0, 1.0, 0.0],
+        [0.0, 2.0, 0.0, 1.0],
+        [1.0, 0.0, 2.0, 0.0],
+        [0.0, 1.0, 0.0, 2.0],
+    ]
+)
+
+
+def _reduce_channels(full: np.ndarray) -> np.ndarray:
+    """Max-minus-min differences of the twelve channels on the last axis."""
+    return full[..., _REDUCTION_PLUS] - full[..., _REDUCTION_MINUS]
+
+
+@dataclass(frozen=True)
+class CalibrationCoefficients:
+    """Dimensionless coefficients of the linear calibration systems.
+
+    ``a_i = tan(alpha_i)`` (single posture), ``b_i = sin(alpha_i)`` and
+    ``c_i = (0.5 + sin(alpha_i)) tan(alpha_i)`` (twelve equations), and the
+    reduced-system differences ``b = b1 - b2``, ``c = c1 - c2``, where
+    ``alpha_1/alpha_2`` are the max/min displacement angles.
+    """
+
+    a1: float
+    a2: float
+    b1: float
+    c1: float
+    b2: float
+    c2: float
+    b: float
+    c: float
+
+
+def coefficients(geom: Geometry) -> CalibrationCoefficients:
+    """Exact coefficient values for a geometry (not rounded)."""
+    amax = geom.angle_max()
+    amin = geom.angle_min()
+    a1, a2 = amax.t_alpha, amin.t_alpha
+    b1, b2 = amax.s_alpha, amin.s_alpha
+    c1 = (0.5 + b1) * a1
+    c2 = (0.5 + b2) * a2
+    return CalibrationCoefficients(a1, a2, b1, c1, b2, c2, b1 - b2, c1 - c2)
+
+
+def _single_design(geom: Geometry) -> np.ndarray:
+    """Two isotropic z-rows, then the X and Y displacement rows with ``a``
+    on the leg axis."""
+    k = coefficients(geom)
+    design = np.zeros((6, 3))
+    design[:, 2] = 1.0
+    for slot, (leg, sign) in enumerate(_CHANNELS_SINGLE, start=2):
+        design[slot, leg] = k.a1 if sign > 0 else k.a2
+    return design
+
+
+def _twelve_design(geom: Geometry) -> np.ndarray:
+    """Twelve double-posture rows: ``b`` on the gauge axis and ``c`` on the
+    leg axis, with the max (1) or min (2) displacement angle."""
+    k = coefficients(geom)
+    design = np.zeros((12, 3))
+    for slot, leg, gax, sign in _CHANNELS_12:
+        design[slot, gax], design[slot, leg] = (k.b1, k.c1) if sign > 0 else (k.b2, k.c2)
+    return design
+
+
+def _six_design(geom: Geometry) -> np.ndarray:
+    """Reduced rows on the max-minus-min differences: ``b`` and ``c``."""
+    return np.ascontiguousarray(_reduce_channels(_twelve_design(geom).T).T)
 
 
 def _offsets_array(offsets, geom: Geometry) -> np.ndarray:
@@ -153,15 +231,16 @@ def _offsets_array(offsets, geom: Geometry) -> np.ndarray:
     return arr
 
 
-def _posture_tcp(dr: np.ndarray, leg: Axis, sign: int, geom: Geometry) -> np.ndarray:
-    """TCP at the max (+1) or min (-1) displacement posture of ``leg``."""
+def _posture(dr: np.ndarray, leg: Axis, sign: int, geom: Geometry):
+    """Effective joints and TCP at the max (+1) or min (-1) displacement
+    posture of ``leg``."""
     ang = geom.angle_max() if sign > 0 else geom.angle_min()
     joints = dr + geom.L * ang.c_alpha
     joints[..., leg] = dr[..., leg] + geom.L * (1.0 + ang.s_alpha)
-    posture = Posture.max(leg) if sign > 0 else Posture.min(leg)
     try:
-        return _dk_point(joints, geom.L)
+        return joints, _dk_point(joints, geom.L)
     except (DomainError, SingularError) as exc:
+        posture = Posture.max(leg) if sign > 0 else Posture.min(leg)
         raise type(exc)(f"{posture.label()} posture: {exc}") from None
 
 
@@ -170,6 +249,12 @@ def _iso_tcp(dr: np.ndarray, geom: Geometry) -> np.ndarray:
         return _dk_point(dr + geom.L, geom.L)
     except (DomainError, SingularError) as exc:
         raise type(exc)(f"isotropic posture: {exc}") from None
+
+
+def _gauge_station(p0: np.ndarray, dr: np.ndarray, leg: Axis, L: float, shift=0.0):
+    """Along-axis coordinate of the gauge station of ``leg``: the leg
+    midpoint at the isotropic posture ``p0``, displaced by ``shift``."""
+    return L / 2 + (p0[..., leg] + dr[..., leg]) / 2 + shift
 
 
 def double_deviation_array(offsets, geom: Geometry, gauge_shift=None) -> np.ndarray:
@@ -181,20 +266,16 @@ def double_deviation_array(offsets, geom: Geometry, gauge_shift=None) -> np.ndar
     """
     dr = _offsets_array(offsets, geom)
     shift = np.zeros(3) if gauge_shift is None else np.asarray(gauge_shift, dtype=float)
-    L = geom.L
-    iso_eff = dr + L
+    iso_eff = dr + geom.L
     p0 = _iso_tcp(dr, geom)
     out = np.empty(dr.shape[:-1] + (12,))
     cache: dict[tuple, tuple] = {}
     for slot, leg, gax, sign in _CHANNELS_12:
         key = (leg, sign)
         if key not in cache:
-            pp = _posture_tcp(dr, leg, sign, geom)
-            ang = geom.angle_max() if sign > 0 else geom.angle_min()
-            joint = dr[..., leg] + L * (1.0 + ang.s_alpha)
-            # gauge station along the leg axis; exactly the leg midpoint when
-            # the shift hook is zero
-            xg = L / 2 + (p0[..., leg] + dr[..., leg]) / 2 + shift[leg]
+            joints, pp = _posture(dr, leg, sign, geom)
+            joint = joints[..., leg]
+            xg = _gauge_station(p0, dr, leg, geom.L, shift[leg])
             denom = joint - pp[..., leg]
             if np.any(np.abs(denom) < 1e-9):
                 raise SingularError("leg line parallel to the gauge station plane")
@@ -208,8 +289,7 @@ def double_deviation_array(offsets, geom: Geometry, gauge_shift=None) -> np.ndar
 
 def reduced_deviation_array(offsets, geom: Geometry, gauge_shift=None) -> np.ndarray:
     """Exact max-minus-min deviations, shape ``(..., 6)`` in reduced order."""
-    full = double_deviation_array(offsets, geom, gauge_shift)
-    return np.stack([full[..., i] - full[..., j] for i, j in _REDUCTION_PAIRS], axis=-1)
+    return _reduce_channels(double_deviation_array(offsets, geom, gauge_shift))
 
 
 def single_deviation_array(offsets, geom: Geometry) -> np.ndarray:
@@ -223,10 +303,8 @@ def single_deviation_array(offsets, geom: Geometry) -> np.ndarray:
     out = np.empty(dr.shape[:-1] + (6,))
     out[..., 0] = p0[..., 2]
     out[..., 1] = p0[..., 2]
-    out[..., 2] = _posture_tcp(dr, Axis.X, +1, geom)[..., 2]
-    out[..., 3] = _posture_tcp(dr, Axis.X, -1, geom)[..., 2]
-    out[..., 4] = _posture_tcp(dr, Axis.Y, +1, geom)[..., 2]
-    out[..., 5] = _posture_tcp(dr, Axis.Y, -1, geom)[..., 2]
+    for slot, (leg, sign) in enumerate(_CHANNELS_SINGLE, start=2):
+        out[..., slot] = _posture(dr, leg, sign, geom)[1][..., 2]
     return out
 
 
@@ -246,10 +324,7 @@ def predict_single_posture(offsets, geom: Geometry) -> SinglePostureMeasurements
 
 def reduce(m: DoublePostureMeasurements) -> ReducedMeasurements:
     """Collapse a full double-posture set to max-minus-min differences."""
-    full = m.as_array()
-    return ReducedMeasurements.from_array(
-        [full[i] - full[j] for i, j in _REDUCTION_PAIRS]
-    )
+    return ReducedMeasurements.from_array(_reduce_channels(m.as_array()))
 
 
 @dataclass(frozen=True)
@@ -276,7 +351,7 @@ def gauge_locations(offsets, geom: Geometry) -> tuple[GaugeLocation, GaugeLocati
     out = []
     for leg in Axis:
         pos = p0 / 2.0
-        pos[leg] = geom.L / 2 + (p0[leg] + dr[leg]) / 2
+        pos[leg] = _gauge_station(p0, dr, leg, geom.L)
         out.append(GaugeLocation(leg=leg, position=pos))
     return tuple(out)
 
@@ -300,20 +375,17 @@ def leg_line_scaling(
     dr = _offsets_array(offsets, geom)
     if dr.ndim != 1:
         raise ValueError("leg_line_scaling expects a single offset triple")
-    L = geom.L
     p0 = _iso_tcp(dr, geom)
-    xg = L / 2 + (p0[leg] + dr[leg]) / 2 + gauge_shift
+    xg = _gauge_station(p0, dr, leg, geom.L, gauge_shift)
     if posture.kind is PostureKind.ISOTROPIC:
-        joint = L + dr[leg]
-        p_leg = p0[leg]
+        joints, pp = dr + geom.L, p0
     else:
-        ang = geom.angle_max() if posture.kind is PostureKind.MAX_DISPLACEMENT else geom.angle_min()
-        joint = L * (1.0 + ang.s_alpha) + dr[leg]
-        p_leg = _posture_tcp(dr, leg, +1 if posture.kind is PostureKind.MAX_DISPLACEMENT else -1, geom)[leg]
-    denom = joint - p_leg
+        sign = +1 if posture.kind is PostureKind.MAX_DISPLACEMENT else -1
+        joints, pp = _posture(dr, leg, sign, geom)
+    denom = joints[leg] - pp[leg]
     if abs(denom) < 1e-9:
         raise SingularError("leg line parallel to the gauge station plane")
-    return float((joint - xg) / denom)
+    return float((joints[leg] - xg) / denom)
 
 
 @dataclass(frozen=True)
@@ -335,9 +407,10 @@ class NoiseModel:
         return np.random.default_rng(self.seed)
 
 
-def _noise_single(rng: np.random.Generator, sigma: float, shape: tuple = ()) -> np.ndarray:
-    """Single-posture noise: each deviation is the difference of two raw
-    absolute readings, variance ``2 sigma^2``, independent across channels."""
+def _noise_pairs(rng: np.random.Generator, sigma: float, shape: tuple = ()) -> np.ndarray:
+    """Six channels, each the difference of two independent raw readings,
+    variance ``2 sigma^2``: the single-posture deviations, and the reduced
+    max-minus-min differences (their shared isotropic reading cancels)."""
     xi = rng.standard_normal(shape + (6, 2)) * sigma
     return xi[..., 0] - xi[..., 1]
 
@@ -358,11 +431,86 @@ def _noise_double(rng: np.random.Generator, sigma: float, shape: tuple = ()) -> 
     return out
 
 
-def _noise_reduced(rng: np.random.Generator, sigma: float, shape: tuple = ()) -> np.ndarray:
-    """Reduced noise: difference of the max and min raw readings (the shared
-    isotropic reading cancels), variance ``2 sigma^2`` per channel."""
-    xi = rng.standard_normal(shape + (6, 2)) * sigma
-    return xi[..., 0] - xi[..., 1]
+@dataclass(frozen=True, eq=False)
+class Scheme:
+    """Everything the toolkit knows about one measurement scheme.
+
+    ``predict(offsets, geom)`` is the exact deviation model and
+    ``design(geom)`` its first-order expansion, both in row order;
+    ``sample_noise(rng, sigma, shape)`` draws the reading errors, whose
+    covariance is ``sigma**2 * noise_covariance``.  ``wire_keys`` is the key
+    order of files and reports.  ``from_full`` maps the twelve double-posture
+    channels (last axis) onto the rows; None for a scheme not read from the
+    double-posture gauges.
+    """
+
+    label: str
+    measurement: type
+    wire_keys: tuple[str, ...]
+    predict: Callable
+    design: Callable
+    sample_noise: Callable
+    noise_covariance: np.ndarray
+    from_full: Callable | None
+
+    def __post_init__(self) -> None:
+        self.noise_covariance.setflags(write=False)
+
+    @property
+    def row_keys(self) -> tuple[str, ...]:
+        return tuple(f.name for f in fields(self.measurement))
+
+
+#: The measurement schemes by label.
+SCHEMES = MappingProxyType(
+    {
+        SYSTEM_SINGLE: Scheme(
+            label=SYSTEM_SINGLE,
+            measurement=SinglePostureMeasurements,
+            wire_keys=(
+                "dz_x0", "dz_y0", "dz_x_plus", "dz_x_minus", "dz_y_plus", "dz_y_minus",
+            ),
+            predict=single_deviation_array,
+            design=_single_design,
+            sample_noise=_noise_pairs,
+            noise_covariance=2.0 * np.eye(6),
+            from_full=None,
+        ),
+        SYSTEM_TWELVE: Scheme(
+            label=SYSTEM_TWELVE,
+            measurement=DoublePostureMeasurements,
+            wire_keys=(
+                "dx_y_plus", "dx_y_minus", "dx_z_plus", "dx_z_minus",
+                "dy_x_plus", "dy_x_minus", "dy_z_plus", "dy_z_minus",
+                "dz_x_plus", "dz_x_minus", "dz_y_plus", "dz_y_minus",
+            ),
+            predict=double_deviation_array,
+            design=_twelve_design,
+            sample_noise=_noise_double,
+            noise_covariance=np.kron(np.eye(3), GAUGE_CORRELATION_BLOCK),
+            from_full=lambda full: full,
+        ),
+        SYSTEM_SIX: Scheme(
+            label=SYSTEM_SIX,
+            measurement=ReducedMeasurements,
+            wire_keys=("dx_y", "dx_z", "dy_x", "dy_z", "dz_x", "dz_y"),
+            predict=reduced_deviation_array,
+            design=_six_design,
+            sample_noise=_noise_pairs,
+            noise_covariance=2.0 * np.eye(6),
+            from_full=_reduce_channels,
+        ),
+    }
+)
+
+_SCHEME_OF_CLASS = {s.measurement: s for s in SCHEMES.values()}
+
+
+def scheme_of(m: MeasurementSet) -> Scheme:
+    """The scheme of a measurement set; TypeError for anything else."""
+    if type(m) in _SCHEME_OF_CLASS:
+        return _SCHEME_OF_CLASS[type(m)]
+    raise TypeError(f"unsupported measurement set type: {type(m).__name__}")
 
 
 def add_noise(m: MeasurementSet, noise: NoiseModel, repetitions: int = 1) -> MeasurementSet:
@@ -376,12 +524,6 @@ def add_noise(m: MeasurementSet, noise: NoiseModel, repetitions: int = 1) -> Mea
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     if noise.sigma == 0.0:
         return m
+    scheme = scheme_of(m)
     sig = noise.sigma / math.sqrt(repetitions)
-    rng = noise.make_rng()
-    if isinstance(m, SinglePostureMeasurements):
-        return SinglePostureMeasurements.from_array(m.as_array() + _noise_single(rng, sig))
-    if isinstance(m, DoublePostureMeasurements):
-        return DoublePostureMeasurements.from_array(m.as_array() + _noise_double(rng, sig))
-    if isinstance(m, ReducedMeasurements):
-        return ReducedMeasurements.from_array(m.as_array() + _noise_reduced(rng, sig))
-    raise TypeError(f"unsupported measurement set type: {type(m).__name__}")
+    return type(m).from_array(m.as_array() + scheme.sample_noise(noise.make_rng(), sig))

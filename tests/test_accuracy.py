@@ -4,14 +4,21 @@ import pytest
 from orthocal import (
     GAUGE_CORRELATION_BLOCK,
     CovarianceStructure,
+    NoiseModel,
     RankError,
+    add_noise,
+    build_single_posture_system,
     build_twelve_eq_system,
+    coefficients,
     monte_carlo,
     noise_covariance_six,
     noise_covariance_twelve,
+    offset_covariance_closed_form,
     offset_covariance_six,
     offset_covariance_twelve,
+    predict_single_posture,
     propagate_covariance,
+    solve_single_posture_closed_form,
 )
 
 
@@ -92,6 +99,36 @@ class TestAnalyticPropagation:
     def test_negative_sigma_rejected(self, geom):
         with pytest.raises(ValueError):
             offset_covariance_six(geom, -1.0)
+
+
+class TestClosedFormCovariance:
+    def test_own_map_not_pseudoinverse(self, geom):
+        sigma = 0.01
+        cov = offset_covariance_closed_form(geom, sigma)
+        # the map of the sequential solution, written out from its formulas
+        k = coefficients(geom)
+        den = k.a1**2 + k.a2**2
+        iso = -(k.a1 + k.a2) / (2 * den)
+        K = np.array([
+            [iso, iso, k.a1 / den, k.a2 / den, 0, 0],
+            [iso, iso, 0, 0, k.a1 / den, k.a2 / den],
+            [0.5, 0.5, 0, 0, 0, 0],
+        ])
+        np.testing.assert_allclose(cov.V, 2 * sigma**2 * K @ K.T, rtol=1e-12, atol=1e-20)
+        assert cov.sigma_rho == pytest.approx(3.0853223 * sigma, rel=1e-7)
+        pinv_V = propagate_covariance(
+            build_single_posture_system(geom).design_matrix, 2 * sigma**2 * np.eye(6)
+        )
+        pinv_sigma_rho = np.sqrt(np.trace(pinv_V) / 3)
+
+        clean = predict_single_posture([0.3, -0.2, 0.5], geom)
+        est = np.array([
+            solve_single_posture_closed_form(add_noise(clean, NoiseModel(sigma, s)), geom).offsets
+            for s in range(4000)
+        ])
+        empirical = np.sqrt(np.trace(np.cov(est.T)) / 3)
+        assert empirical == pytest.approx(cov.sigma_rho, rel=0.02)
+        assert abs(empirical - cov.sigma_rho) < abs(empirical - pinv_sigma_rho)
 
 
 class TestMonteCarlo:

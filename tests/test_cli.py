@@ -70,6 +70,38 @@ class TestCalibrate:
         assert rc == 1
         assert "dz_y" in err
 
+    @pytest.mark.parametrize(
+        "overrides, geometry",
+        [
+            ({"values": [1, 2]}, None),
+            ({"repetitions": [1]}, None),
+            ({"geometry": 5}, None),
+            ({"method": ["x"]}, None),
+            ({}, 5),
+        ],
+        ids=["values-list", "repetitions-list", "geometry-number", "method-list",
+             "geometry-file-number"],
+    )
+    def test_malformed_file_exit_1(self, capsys, tmp_path, overrides, geometry):
+        doc = {"schema_version": 1, "units": "mm", "method": "double-reduced",
+               "values": dict(TABLE4[2]), **overrides}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["calibrate", str(path), "--method", "linear6"]
+        if geometry is not None:
+            geo = tmp_path / "g.json"
+            geo.write_text(json.dumps(geometry), encoding="utf-8")
+            argv += ["--geometry", str(geo)]
+        rc, _, err = run_cli(capsys, *argv)
+        assert rc == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_directory_exit_1(self, capsys, tmp_path):
+        rc, _, err = run_cli(capsys, "calibrate", str(tmp_path), "--method", "linear6")
+        assert rc == 1
+        assert err.startswith("error: cannot read")
+
     def test_shape_mismatch_exit_1(self, capsys):
         rc, _, err = run_cli(capsys, "calibrate", "experiment2", "--method", "closed-form")
         assert rc == 1
@@ -114,6 +146,19 @@ class TestCalibrate:
             [0.5, 0.5, 0.5],
             atol=1e-6,
         )
+
+    def test_closed_form_sigma_rho(self, capsys, tmp_path):
+        path = tmp_path / "single.json"
+        rc, _, _ = run_cli(
+            capsys, "simulate", "--offsets", "0.3,-0.2,0.5", "--sigma", "0.01",
+            "--method", "single-posture", "--out", str(path),
+        )
+        assert rc == 0
+        rc, out, _ = run_cli(capsys, "calibrate", str(path), "--method", "closed-form")
+        assert rc == 0
+        doc = json.loads(out)
+        # the sequential solution's own factor, not the pseudoinverse's 2.988
+        assert doc["sigma_rho"] == pytest.approx(3.0853223 * doc["sigma_hat"], rel=1e-7)
 
 
 class TestSimulate:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from orthocal import (
+    SCHEMES,
     CalibrationReport,
     Geometry,
     InputError,
@@ -18,7 +19,7 @@ from orthocal import (
     reduce,
     write_measurement_file,
 )
-from orthocal.fileio import FIXTURE_NAMES, WIRE_KEYS
+from orthocal.fileio import FIXTURE_NAMES
 
 from conftest import TABLE4
 
@@ -98,6 +99,24 @@ class TestParsing:
         with pytest.raises(InputError, match="dx_y"):
             parse_measurement(doc)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"values": [1, 2]},
+            {"repetitions": [1]},
+            {"repetitions": {"dq_w": [[1]]}},
+            {"geometry": 5},
+            {"method": ["x"]},
+        ],
+        ids=["values-list", "repetitions-list", "repetition-not-number", "geometry-number",
+             "method-list"],
+    )
+    def test_malformed_types_rejected(self, overrides):
+        doc = _reduced_doc()
+        doc.update(overrides)
+        with pytest.raises(InputError):
+            parse_measurement(doc)
+
     def test_repetitions_are_averaged(self):
         doc = _reduced_doc()
         del doc["values"]["dx_y"]
@@ -131,7 +150,7 @@ class TestParsing:
         m = predict_single_posture([0.1, 0.2, -0.1], geom)
         doc = measurement_to_dict(m)
         assert doc["method"] == "single-posture"
-        assert tuple(doc["values"]) == WIRE_KEYS["single-posture"]
+        assert tuple(doc["values"]) == SCHEMES["single-posture"].wire_keys
         parsed = parse_measurement(doc)
         assert parsed.measurement() == m
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from orthocal import (
+    SCHEMES,
     Axis,
     DoublePostureMeasurements,
     NoiseModel,
@@ -17,14 +18,15 @@ from orthocal import (
     double_deviation_array,
     gauge_locations,
     leg_line_scaling,
+    measurement_to_dict,
+    parse_measurement,
     predict_double_posture,
     predict_single_posture,
     reduce,
     reduced_deviation_array,
     single_deviation_array,
 )
-from orthocal.accuracy import GAUGE_CORRELATION_BLOCK
-from orthocal.measurement import _noise_double, _noise_reduced, _noise_single
+from orthocal.measurement import _noise_double
 
 
 class TestPredictors:
@@ -205,28 +207,6 @@ class TestNoise:
             assert type(noisy) is type(m)
             assert np.all(noisy.as_array() != m.as_array())
 
-    def test_reduced_channel_std(self):
-        # differences of two independent readings: std = sqrt(2) * sigma
-        rng = np.random.default_rng(123)
-        draws = _noise_reduced(rng, 0.01, (10000,))
-        stds = draws.std(axis=0, ddof=1)
-        np.testing.assert_allclose(stds, np.sqrt(2) * 0.01, rtol=0.03)
-
-    def test_single_channel_std(self):
-        rng = np.random.default_rng(124)
-        draws = _noise_single(rng, 0.01, (10000,))
-        np.testing.assert_allclose(draws.std(axis=0, ddof=1), np.sqrt(2) * 0.01, rtol=0.03)
-
-    def test_double_noise_covariance_structure(self):
-        # empirical covariance of the 12-vector noise must match the
-        # block-correlated pattern from the shared isotropic readings
-        sigma = 0.01
-        rng = np.random.default_rng(2024)
-        draws = _noise_double(rng, sigma, (100000,))
-        emp = np.cov(draws.T)
-        G = np.kron(np.eye(3), GAUGE_CORRELATION_BLOCK)
-        assert np.abs(emp - sigma**2 * G).max() <= 0.05 * sigma**2 * G.max()
-
     def test_reduction_cancels_isotropic_noise(self):
         # reducing the 12-vector noise gives variance 2 sigma^2 channels
         sigma = 0.01
@@ -236,6 +216,34 @@ class TestNoise:
         red = np.stack([draws[:, i] - draws[:, j] for i, j in pairs], axis=1)
         emp = np.cov(red.T)
         assert np.abs(emp - 2 * sigma**2 * np.eye(6)).max() <= 0.1 * sigma**2
+
+    # add_noise on a zero set with sigma 0.01 mm and seed 2024, recorded
+    # before the measurement-scheme registry replaced the per-type dispatch;
+    # the single-posture and reduced sets share one sampler, hence one stream
+    PINNED_2024 = {
+        "single-posture": [
+            -0.00613063166719249, 0.021198990450711795, -0.014599964514479657,
+            0.0035216411909473827, 0.01059442101141365, 0.013710820751607102,
+        ],
+        "double-full": [
+            -0.0035216411909473827, 0.00613063166719249, 0.00948934656354857,
+            0.0011786265564471248, -0.021879429569561265, -0.001110839192224558,
+            -0.012478908528223767, -0.01482165994383166, 0.025921226208109695,
+            -0.004196205809023027, 0.011566294381968018, 0.01040375870545663,
+        ],
+        "double-reduced": [
+            -0.00613063166719249, 0.021198990450711795, -0.014599964514479657,
+            0.0035216411909473827, 0.01059442101141365, 0.013710820751607102,
+        ],
+    }
+
+    @pytest.mark.parametrize("label", list(PINNED_2024))
+    def test_noise_stream_pinned(self, label):
+        cls = SCHEMES[label].measurement
+        zero = cls.from_array(np.zeros(len(self.PINNED_2024[label])))
+        noisy = add_noise(zero, NoiseModel(sigma=0.01, seed=2024))
+        assert type(noisy) is cls
+        assert noisy.as_array().tolist() == self.PINNED_2024[label]
 
     def test_repetition_averaging_shrinks_noise(self, geom):
         rng_std = []
@@ -266,3 +274,36 @@ class TestMeasurementTypes:
         arr6 = np.arange(6.0)
         assert SinglePostureMeasurements.from_array(arr6).as_array().tolist() == arr6.tolist()
         assert ReducedMeasurements.from_array(arr6).as_array().tolist() == arr6.tolist()
+
+
+class TestSchemes:
+    @pytest.mark.parametrize("label", list(SCHEMES))
+    def test_scheme_entry(self, geom, label):
+        scheme = SCHEMES[label]
+        assert scheme.label == label
+        n = len(scheme.wire_keys)
+
+        # sampler: empirical covariance is sigma^2 times the entry's covariance
+        sigma = 0.01
+        draws = scheme.sample_noise(np.random.default_rng(2024), sigma, (100000,))
+        assert draws.shape == (100000, n)
+        cov = sigma**2 * scheme.noise_covariance
+        assert np.abs(np.cov(draws.T) - cov).max() <= 0.05 * cov.max()
+
+        # design: the predictor's finite-difference Jacobian at zero offsets
+        design = scheme.design(geom)
+        h = 1e-4
+        fd = np.column_stack([
+            (scheme.predict(h * e, geom) - scheme.predict(-h * e, geom)) / (2 * h)
+            for e in np.eye(3)
+        ])
+        assert design.shape == (n, 3)
+        np.testing.assert_allclose(fd, design, atol=1e-7)
+
+        # wire keys: the row keys in file order, round-tripping through a document
+        assert sorted(scheme.wire_keys) == sorted(scheme.row_keys)
+        m = scheme.measurement.from_array(np.arange(n) / 7.0)
+        doc = measurement_to_dict(m)
+        assert doc["method"] == label
+        assert tuple(doc["values"]) == scheme.wire_keys
+        assert parse_measurement(doc).measurement() == m
