@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConvergenceError, RankError
 from .geometry import Geometry, check_offsets
-from .identification import _gauss_newton_constant, solve_single_posture_closed_form
+from .identification import _gauss_newton, solve_single_posture_closed_form
 from .measurement import (
     GAUGE_CORRELATION_BLOCK,
     SCHEMES,
@@ -101,7 +101,7 @@ def _offset_covariance(
     """Offset covariance of a linear estimator on the readings of scheme
     ``label``: ``gain`` maps the readings to the offsets, least squares on
     the scheme's design when None."""
-    if sigma < 0:
+    if not (sigma >= 0):
         raise ValueError("sigma must be non-negative")
     scheme = SCHEMES[label]
     noise = sigma**2 * scheme.noise_covariance
@@ -185,7 +185,7 @@ def monte_carlo(
         raise ValueError(f"runs must be >= 1, got {runs}")
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
-    if sigma < 0:
+    if not (sigma >= 0):
         raise ValueError("sigma must be non-negative")
     geom = geom or Geometry.prototype()
     truth = np.asarray(true_offsets, dtype=float)
@@ -208,7 +208,7 @@ def monte_carlo(
         obs = d_true[None, :] + noise
         x = obs @ pinv.T
         if method.startswith("nonlinear"):
-            x, conv, _, _ = _gauss_newton_constant(obs, design, predict_fn, x)
+            x, conv, _, _ = _gauss_newton(obs, design, predict_fn, x)
             failed += int((~conv).sum())
             x = x[conv]
             if x.shape[0] == 0:

@@ -173,7 +173,7 @@ def cmd_calibrate(args) -> int:
 def cmd_simulate(args) -> int:
     offsets = _parse_offsets(args.offsets)
     geom = _load_geometry(args.geometry) or Geometry.prototype()
-    if args.sigma < 0:
+    if not (args.sigma >= 0):
         raise InputError("--sigma must be non-negative")
     if args.repetitions < 1:
         raise InputError("--repetitions must be >= 1")
@@ -181,7 +181,7 @@ def cmd_simulate(args) -> int:
     m = scheme.measurement.from_array(scheme.predict(offsets, geom))
     m = add_noise(m, NoiseModel(sigma=args.sigma, seed=args.seed), args.repetitions)
     if args.quantize is not None:
-        if args.quantize <= 0:
+        if not (args.quantize > 0):
             raise InputError("--quantize must be positive")
         q = args.quantize
         vals = np.round(m.as_array() / q) * q
@@ -205,7 +205,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_accuracy(args) -> int:
-    if args.sigma < 0:
+    if not (args.sigma >= 0):
         raise InputError("--sigma must be non-negative")
     geom = _load_geometry(args.geometry) or Geometry.prototype()
     six = offset_covariance_six(geom, args.sigma)
@@ -241,7 +241,7 @@ def cmd_montecarlo(args) -> int:
         raise InputError("--runs must be >= 1")
     if args.replications < 1:
         raise InputError("--replications must be >= 1")
-    if args.sigma < 0:
+    if not (args.sigma >= 0):
         raise InputError("--sigma must be non-negative")
     geom = _load_geometry(args.geometry) or Geometry.prototype()
     if args.reproduce == "table3":

@@ -16,9 +16,7 @@ import numpy as np
 
 from .errors import ConvergenceError, RankError
 from .geometry import Geometry, check_offsets
-from .kinematics import inverse_jacobian
 from .measurement import (
-    _CHANNELS_12,
     SCHEMES,
     SYSTEM_SINGLE,
     SYSTEM_SIX,
@@ -28,10 +26,8 @@ from .measurement import (
     MeasurementSet,
     ReducedMeasurements,
     SinglePostureMeasurements,
-    _gauge_station,
-    _iso_tcp,
-    _posture,
     coefficients,
+    prediction_jacobian,
     scheme_of,
 )
 
@@ -171,49 +167,19 @@ def least_squares_solve(
     return _result(sol, residuals, f"least-squares({sys.label})", 0, True, grad)
 
 
-def _dk_jacobian(p: np.ndarray, rho_eff: np.ndarray) -> np.ndarray:
-    """TCP Jacobian ``dp/drho`` at a solved configuration."""
-    return np.linalg.inv(inverse_jacobian(p, rho_eff))
+def _lstsq(J: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solutions of ``J x = b`` over a stack
+    ``(N, n, 3)``, by SVD with the cut-off of :func:`numpy.linalg.lstsq`."""
+    U, s, Vt = np.linalg.svd(J, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(J.shape[-2:]) * s[:, :1]
+    y = np.einsum("kni,kn->ki", U, b)
+    y = np.divide(y, s, out=np.zeros_like(y), where=keep)
+    return np.einsum("kij,ki->kj", Vt, y)
 
 
-def prediction_jacobian(offsets, geom: Geometry, label: str = SYSTEM_TWELVE) -> np.ndarray:
-    """Exact analytic Jacobian of the nonlinear deviation model.
-
-    Differentiates the leg-deviation predictions with respect to the offsets
-    by the chain rule through the direct kinematics and the gauge-line
-    parameter.  At zero offsets this reduces to the constant linear-system
-    matrix.  Nominal gauge placement is assumed.
-    """
-    scheme = SCHEMES.get(label)
-    if scheme is None or scheme.from_full is None:
-        raise ValueError(f"prediction_jacobian supports {SYSTEM_TWELVE!r} or {SYSTEM_SIX!r}")
-    dr = np.asarray(offsets, dtype=float)
-    check_offsets(dr, geom)
-    p0 = _iso_tcp(dr, geom)
-    D0 = _dk_jacobian(p0, dr + geom.L)
-    rows = np.zeros((12, 3))
-    cache: dict[tuple, tuple] = {}
-    for slot, leg, gax, sign in _CHANNELS_12:
-        key = (leg, sign)
-        if key not in cache:
-            joints, pp = _posture(dr, leg, sign, geom)
-            Dp = _dk_jacobian(pp, joints)
-            e = np.eye(3)[leg]
-            num = joints[leg] - _gauge_station(p0, dr, leg, geom.L)
-            den = joints[leg] - pp[leg]
-            mu = num / den
-            d_num = e / 2 - D0[leg, :] / 2
-            d_den = e - Dp[leg, :]
-            d_mu = (d_num * den - num * d_den) / (den * den)
-            cache[key] = (pp, Dp, mu, d_mu)
-        pp, Dp, mu, d_mu = cache[key]
-        rows[slot, :] = d_mu * pp[gax] + mu * Dp[gax, :] - D0[gax, :] / 2
-    return np.ascontiguousarray(scheme.from_full(rows.T).T)
-
-
-def _gauss_newton_constant(
+def _gauss_newton(
     obs: np.ndarray,
-    design: np.ndarray,
+    jacobian,
     predict_fn,
     x0: np.ndarray,
     max_iter: int = 100,
@@ -222,11 +188,14 @@ def _gauss_newton_constant(
     max_halvings: int = 20,
     objective_history: list | None = None,
 ):
-    """Vectorized damped Gauss-Newton with a constant Jacobian.
+    """Vectorized damped Gauss-Newton.
 
     Iterates a batch of problems simultaneously: ``obs`` is ``(N, n)`` and
-    ``x0`` is ``(N, 3)``.  A step is halved (up to ``max_halvings`` times)
-    whenever it fails to decrease the residual sum of squares, so the
+    ``x0`` is ``(N, 3)``.  ``jacobian`` is either a constant ``(n, 3)``
+    matrix or a callback mapping iterates ``(k, 3)`` to model Jacobians
+    ``(k, n, 3)``, evaluated at every sweep; its step is the minimum-norm
+    least-squares solution.  A step is halved (up to ``max_halvings``
+    times) whenever it fails to decrease the residual sum of squares, so the
     objective is non-increasing across accepted iterations; when
     ``objective_history`` is given the per-run objective is appended after
     every sweep.
@@ -234,7 +203,8 @@ def _gauss_newton_constant(
     Returns ``(x, converged, iterations, residuals)`` where ``residuals`` is
     predicted minus observed at the final iterate.
     """
-    P = np.linalg.solve(design.T @ design, design.T)  # (3, n)
+    if not callable(jacobian):
+        P = np.linalg.solve(jacobian.T @ jacobian, jacobian.T)  # (3, n)
     x = np.array(x0, dtype=float, copy=True)
     r = predict_fn(x) - obs
     F = np.einsum("ij,ij->i", r, r)
@@ -248,7 +218,11 @@ def _gauss_newton_constant(
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        grad = 2.0 * r[idx] @ design  # (na, 3)
+        if callable(jacobian):
+            J = jacobian(x[idx])
+            grad = 2.0 * np.einsum("kn,kni->ki", r[idx], J)
+        else:
+            grad = 2.0 * r[idx] @ jacobian  # (na, 3)
         flat = np.linalg.norm(grad, axis=1) < grad_tol
         if flat.any():
             converged[idx[flat]] = True
@@ -256,7 +230,10 @@ def _gauss_newton_constant(
             idx = idx[~flat]
             if idx.size == 0:
                 continue
-        step = -(r[idx] @ P.T)
+        if callable(jacobian):
+            step = _lstsq(J[~flat], -r[idx])
+        else:
+            step = -(r[idx] @ P.T)
         alpha = np.ones(idx.size)
         x_try = x[idx] + step
         r_try = predict_fn(x_try) - obs[idx]
@@ -290,45 +267,6 @@ def _gauss_newton_constant(
         if objective_history is not None:
             objective_history.append(F.copy())
     return x, converged, iterations, r
-
-
-def _gauss_newton_exact(
-    obs: np.ndarray,
-    geom: Geometry,
-    label: str,
-    predict_fn,
-    x0: np.ndarray,
-    max_iter: int = 100,
-    step_tol: float = 1e-9,
-    grad_tol: float = 1e-12,
-    max_halvings: int = 20,
-):
-    """Scalar damped Gauss-Newton recomputing the exact Jacobian each step."""
-    x = np.array(x0, dtype=float, copy=True)
-    r = predict_fn(x[None, :])[0] - obs
-    F = float(r @ r)
-    iterations = 0
-    for _ in range(max_iter):
-        J = prediction_jacobian(x, geom, label)
-        grad = 2.0 * J.T @ r
-        if np.linalg.norm(grad) < grad_tol:
-            return x, True, iterations, r
-        step = np.linalg.lstsq(J, -r, rcond=None)[0]
-        alpha = 1.0
-        for _h in range(max_halvings + 1):
-            x_try = x + alpha * step
-            r_try = predict_fn(x_try[None, :])[0] - obs
-            F_try = float(r_try @ r_try)
-            if F_try < F:
-                break
-            alpha *= 0.5
-        else:
-            return x, np.linalg.norm(alpha * step) < step_tol, iterations, r
-        x, r, F = x_try, r_try, F_try
-        iterations += 1
-        if np.linalg.norm(alpha * step) < step_tol:
-            return x, True, iterations, r
-    return x, False, iterations, r
 
 
 def nonlinear_identify(
@@ -370,27 +308,18 @@ def nonlinear_identify(
         x0 = np.asarray(initial, dtype=float)
         check_offsets(x0, geom)
     if jacobian == "linear":
-        x, conv, iters, r = _gauss_newton_constant(
-            obs[None, :],
-            sys.design_matrix,
-            predict_fn,
-            x0[None, :],
-            max_iter=max_iter,
-            step_tol=step_tol,
-            grad_tol=grad_tol,
-        )
-        x, conv, iters, r = x[0], bool(conv[0]), int(iters[0]), r[0]
-        grad_norm = float(np.linalg.norm(2.0 * sys.design_matrix.T @ r))
+        jac = sys.design_matrix
     elif jacobian == "exact":
-        x, conv, iters, r = _gauss_newton_exact(
-            obs, geom, label, predict_fn, x0,
-            max_iter=max_iter, step_tol=step_tol, grad_tol=grad_tol,
-        )
-        grad_norm = float(
-            np.linalg.norm(2.0 * prediction_jacobian(x, geom, label).T @ r)
-        )
+        jac = lambda x: prediction_jacobian(x, geom, label)  # noqa: E731
     else:
         raise ValueError(f"jacobian must be 'linear' or 'exact', got {jacobian!r}")
+    x, conv, iters, r = _gauss_newton(
+        obs[None, :], jac, predict_fn, x0[None, :],
+        max_iter=max_iter, step_tol=step_tol, grad_tol=grad_tol,
+    )
+    x, conv, iters, r = x[0], bool(conv[0]), int(iters[0]), r[0]
+    J = jac(x) if callable(jac) else jac
+    grad_norm = float(np.linalg.norm(2.0 * J.T @ r))
     if not conv:
         raise ConvergenceError(
             f"Gauss-Newton did not converge within {max_iter} iterations"

@@ -119,6 +119,18 @@ def inverse_kinematics(
     return rho
 
 
+# numpy reduces over a short last axis far slower than it adds three
+# component arrays; left to right, the sum is the same bit for bit
+def _sum3(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=-1)`` for a last axis of length 3."""
+    return a[..., 0] + a[..., 1] + a[..., 2]
+
+
+def _all3(a: np.ndarray) -> np.ndarray:
+    """``a.all(axis=-1)`` for a boolean last axis of length 3."""
+    return a[..., 0] & a[..., 1] & a[..., 2]
+
+
 def _dk_roots(rho_eff: np.ndarray, L: float):
     """Both roots of the direct-kinematics quadratic for effective joints.
 
@@ -135,7 +147,7 @@ def _dk_roots(rho_eff: np.ndarray, L: float):
     sq = rho_eff * rho_eff
     A = sq[..., 1] * sq[..., 2] + sq[..., 0] * sq[..., 2] + sq[..., 0] * sq[..., 1]
     B = sq[..., 0] * sq[..., 1] * sq[..., 2]
-    C = (sq.sum(axis=-1) - 4.0 * L * L) / 4.0
+    C = (_sum3(sq) - 4.0 * L * L) / 4.0
     disc = B * B - 4.0 * A * B * C
     if np.any(disc < 0):
         raise DomainError("joint set unreachable: negative discriminant")
@@ -151,17 +163,18 @@ def _dk_select(rho_eff: np.ndarray, t_minus, t_plus) -> np.ndarray:
     A root is admissible when all three configuration indices
     ``sign(eff_i - p_i)`` are +1, matching the prototype assembly.
     """
-    p_lo = rho_eff / 2.0 + t_minus[..., None] / rho_eff
-    p_hi = rho_eff / 2.0 + t_plus[..., None] / rho_eff
-    ok_lo = (rho_eff - p_lo > 0).all(axis=-1)
-    ok_hi = (rho_eff - p_hi > 0).all(axis=-1)
+    half = rho_eff / 2.0
+    p_lo = half + t_minus[..., None] / rho_eff
+    p_hi = half + t_plus[..., None] / rho_eff
+    ok_lo = _all3(rho_eff - p_lo > 0)
+    ok_hi = _all3(rho_eff - p_hi > 0)
     if not np.all(ok_lo | ok_hi):
         raise SingularError(
             "no admissible direct-kinematics branch: both roots violate the "
             "+1 configuration indices"
         )
-    norm_lo = (p_lo * p_lo).sum(axis=-1)
-    norm_hi = (p_hi * p_hi).sum(axis=-1)
+    norm_lo = _sum3(p_lo * p_lo)
+    norm_hi = _sum3(p_hi * p_hi)
     take_hi = ok_hi & (~ok_lo | (norm_hi < norm_lo))
     return np.where(take_hi[..., None], p_hi, p_lo)
 
@@ -216,25 +229,21 @@ def inverse_jacobian(p, rho) -> np.ndarray:
     ``p_j / (p_i - rho_i)``; it is the matrix inverse of the TCP Jacobian
     ``d(p)/d(rho)`` (see :func:`posture_jacobian` for the canonical
     postures).  ``rho`` must be the *effective* joint values, i.e. include
-    the encoder offsets when they are nonzero.
+    the encoder offsets when they are nonzero.  Points and joints of shape
+    ``(..., 3)`` give matrices of shape ``(..., 3, 3)``.
 
     Raises
     ------
     SingularError
         If any denominator ``|p_i - rho_i|`` falls below the guard.
     """
-    p = np.asarray(p, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    if p.shape != (3,) or rho.shape != (3,):
-        raise ValueError("inverse_jacobian expects single points of shape (3,)")
-    denom = p - rho
+    p = _vec3(p, "p")
+    denom = p - _vec3(rho, "rho")
     if np.any(np.abs(denom) < SINGULARITY_TOL):
         raise SingularError("singular configuration: p_i - rho_i vanishes")
-    M = np.eye(3)
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                M[i, j] = p[j] / denom[i]
+    M = p[..., None, :] / denom[..., :, None]
+    diag = np.arange(3)
+    M[..., diag, diag] = 1.0
     return M
 
 

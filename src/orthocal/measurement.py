@@ -8,7 +8,8 @@ the isotropic posture) and reads the leg's lateral position as the machine
 moves between the isotropic and the max/min displacement postures.
 
 All deviation predictors are exact nonlinear models built on the direct
-kinematics; the linear calibration systems are their first-order expansions.
+kinematics, which solves the isotropic and the six displacement postures as
+one stack; the linear calibration systems are their first-order expansions.
 Predictors accept offset arrays of shape ``(3,)`` or ``(..., 3)``; the
 ``*_array`` variants return plain arrays in the canonical equation order.
 :data:`SCHEMES` maps each scheme label to its measurement type, wire keys,
@@ -17,6 +18,7 @@ predictor, linear design and noise model.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from types import MappingProxyType
@@ -26,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, SingularError
 from .geometry import Axis, Geometry, Posture, PostureKind, check_offsets
-from .kinematics import _dk_point
+from .kinematics import _dk_point, inverse_jacobian
 
 __all__ = [
     "SYSTEM_SINGLE",
@@ -47,6 +49,7 @@ __all__ = [
     "GENERATOR_ALGORITHM",
     "gauge_locations",
     "leg_line_scaling",
+    "prediction_jacobian",
     "predict_single_posture",
     "predict_double_posture",
     "single_deviation_array",
@@ -121,20 +124,20 @@ class ReducedMeasurements(MeasurementSet):
     dz_x: float
 
 
-# Canonical 12-vector channels: (slot, leg, gauge axis, +1 max / -1 min).
+# Canonical 12-vector channels in slot order: (leg, gauge axis, +1 max / -1 min).
 _CHANNELS_12 = (
-    (0, Axis.Y, Axis.X, +1),
-    (1, Axis.X, Axis.Y, +1),
-    (2, Axis.Y, Axis.X, -1),
-    (3, Axis.X, Axis.Y, -1),
-    (4, Axis.Z, Axis.Y, +1),
-    (5, Axis.Y, Axis.Z, +1),
-    (6, Axis.Z, Axis.Y, -1),
-    (7, Axis.Y, Axis.Z, -1),
-    (8, Axis.Z, Axis.X, +1),
-    (9, Axis.X, Axis.Z, +1),
-    (10, Axis.Z, Axis.X, -1),
-    (11, Axis.X, Axis.Z, -1),
+    (Axis.Y, Axis.X, +1),
+    (Axis.X, Axis.Y, +1),
+    (Axis.Y, Axis.X, -1),
+    (Axis.X, Axis.Y, -1),
+    (Axis.Z, Axis.Y, +1),
+    (Axis.Y, Axis.Z, +1),
+    (Axis.Z, Axis.Y, -1),
+    (Axis.Y, Axis.Z, -1),
+    (Axis.Z, Axis.X, +1),
+    (Axis.X, Axis.Z, +1),
+    (Axis.Z, Axis.X, -1),
+    (Axis.X, Axis.Z, -1),
 )
 
 # Single-posture displacement channels after the two isotropic z-rows:
@@ -144,12 +147,38 @@ _CHANNELS_SINGLE = ((Axis.X, +1), (Axis.X, -1), (Axis.Y, +1), (Axis.Y, -1))
 # Plus/minus slots whose differences form the reduced 6-vector, in row order.
 _REDUCTION_PLUS, _REDUCTION_MINUS = [0, 1, 4, 5, 8, 9], [2, 3, 6, 7, 10, 11]
 
-# Gauge slot (0 or 1) of each (leg, gauge axis) pair in the raw-noise layout:
-# a leg's two gauges in axis order.
-_GAUGE_SLOT = {
-    (leg, gax): [a for a in Axis if a != leg].index(gax)
-    for leg in Axis for gax in Axis if gax != leg
-}
+# The posture stack, solved in one direct-kinematics call: the isotropic
+# posture, then the max and min displacement postures along X, Y and Z.  A
+# kinematic failure names the first failing posture in this order.
+_STACK = (Posture.isotropic(),) + tuple(
+    make(axis) for axis in Axis for make in (Posture.max, Posture.min)
+)
+
+
+def _stack_row(leg: Axis, sign: int) -> int:
+    """Stack row of the max (+1) or min (-1) displacement posture of ``leg``."""
+    return _STACK.index(Posture.max(leg) if sign > 0 else Posture.min(leg))
+
+
+# Per-channel index arrays: leg, gauge axis, stack row of the displacement
+# posture, gauge slot (0 or 1: a leg's two gauges in axis order) and reading
+# (0 isotropic, 1 max, 2 min) in the raw-noise layout.
+_LEG_12, _GAUGE_12, _SIGN_12 = (np.array(column) for column in zip(*_CHANNELS_12))
+_ROW_12 = np.array([_stack_row(leg, sign) for leg, _, sign in _CHANNELS_12])
+_SLOT_12 = _GAUGE_12 - (_GAUGE_12 > _LEG_12)
+_READING_12 = np.where(_SIGN_12 > 0, 1, 2)
+
+# Stack rows of the single-posture channels: the isotropic z-rows, then the
+# X and Y displacement postures.
+_ROW_SINGLE = np.array([0, 0] + [_stack_row(leg, sign) for leg, sign in _CHANNELS_SINGLE])
+
+# Gauged leg lines as (stack row, leg) pairs: each leg at the isotropic
+# posture, then each displacement posture on its own leg, so the line of
+# channel ``k`` is ``_ROW_12[k] + 2`` at its posture and ``_LEG_12[k]`` at
+# the isotropic one.
+_LINE_ROW, _LINE_LEG = np.array(
+    [(0, leg) for leg in Axis] + [(row, p.axis) for row, p in enumerate(_STACK) if row]
+).T
 
 #: Correlation pattern of one leg's four double-posture deviations
 #: (max/min deviations of a gauge share the isotropic reading noise).
@@ -215,7 +244,7 @@ def _twelve_design(geom: Geometry) -> np.ndarray:
     leg axis, with the max (1) or min (2) displacement angle."""
     k = coefficients(geom)
     design = np.zeros((12, 3))
-    for slot, leg, gax, sign in _CHANNELS_12:
+    for slot, (leg, gax, sign) in enumerate(_CHANNELS_12):
         design[slot, gax], design[slot, leg] = (k.b1, k.c1) if sign > 0 else (k.b2, k.c2)
     return design
 
@@ -231,30 +260,42 @@ def _offsets_array(offsets, geom: Geometry) -> np.ndarray:
     return arr
 
 
-def _posture(dr: np.ndarray, leg: Axis, sign: int, geom: Geometry):
-    """Effective joints and TCP at the max (+1) or min (-1) displacement
-    posture of ``leg``."""
-    ang = geom.angle_max() if sign > 0 else geom.angle_min()
-    joints = dr + geom.L * ang.c_alpha
-    joints[..., leg] = dr[..., leg] + geom.L * (1.0 + ang.s_alpha)
+@functools.lru_cache(maxsize=16)
+def _stack_joints(geom: Geometry) -> np.ndarray:
+    """Effective joints of the posture stack at zero offsets, ``(7, 3)``
+    (read-only): ``L`` at the isotropic posture; at a displacement posture
+    ``L (1 + sin alpha)`` on the displaced leg and ``L cos alpha`` on the
+    others."""
+    base = np.empty((len(_STACK), 3))
+    base[0] = geom.L
+    for row, posture in enumerate(_STACK[1:], start=1):
+        ang = geom.angle_max() if posture.kind is PostureKind.MAX_DISPLACEMENT else geom.angle_min()
+        base[row] = geom.L * ang.c_alpha
+        base[row, posture.axis] = geom.L * (1.0 + ang.s_alpha)
+    base.setflags(write=False)
+    return base
+
+
+def _posture_stack(dr: np.ndarray, geom: Geometry, rows=slice(None)):
+    """Effective joints and TCPs of the stack postures ``rows`` under offsets
+    ``(..., 3)``, each ``(..., k, 3)``, from one direct-kinematics call."""
+    joints = dr[..., None, :] + _stack_joints(geom)[rows]
     try:
         return joints, _dk_point(joints, geom.L)
-    except (DomainError, SingularError) as exc:
-        posture = Posture.max(leg) if sign > 0 else Posture.min(leg)
-        raise type(exc)(f"{posture.label()} posture: {exc}") from None
+    except (DomainError, SingularError):
+        # error path only: find the first failing posture to name it
+        for i, row in enumerate(np.arange(len(_STACK))[rows]):
+            try:
+                _dk_point(joints[..., i, :], geom.L)
+            except (DomainError, SingularError) as exc:
+                raise type(exc)(f"{_STACK[row].label()} posture: {exc}") from None
+        raise
 
 
-def _iso_tcp(dr: np.ndarray, geom: Geometry) -> np.ndarray:
-    try:
-        return _dk_point(dr + geom.L, geom.L)
-    except (DomainError, SingularError) as exc:
-        raise type(exc)(f"isotropic posture: {exc}") from None
-
-
-def _gauge_station(p0: np.ndarray, dr: np.ndarray, leg: Axis, L: float, shift=0.0):
-    """Along-axis coordinate of the gauge station of ``leg``: the leg
-    midpoint at the isotropic posture ``p0``, displaced by ``shift``."""
-    return L / 2 + (p0[..., leg] + dr[..., leg]) / 2 + shift
+def _gauge_station(p0: np.ndarray, dr: np.ndarray, L: float, shift=0.0) -> np.ndarray:
+    """Along-axis coordinates of the three gauge stations, ``(..., 3)``: the
+    leg midpoints at the isotropic posture ``p0``, displaced by ``shift``."""
+    return L / 2 + (p0 + dr) / 2 + shift
 
 
 def double_deviation_array(offsets, geom: Geometry, gauge_shift=None) -> np.ndarray:
@@ -265,26 +306,16 @@ def double_deviation_array(offsets, geom: Geometry, gauge_shift=None) -> np.ndar
     midpoint at the isotropic posture.
     """
     dr = _offsets_array(offsets, geom)
-    shift = np.zeros(3) if gauge_shift is None else np.asarray(gauge_shift, dtype=float)
-    iso_eff = dr + geom.L
-    p0 = _iso_tcp(dr, geom)
-    out = np.empty(dr.shape[:-1] + (12,))
-    cache: dict[tuple, tuple] = {}
-    for slot, leg, gax, sign in _CHANNELS_12:
-        key = (leg, sign)
-        if key not in cache:
-            joints, pp = _posture(dr, leg, sign, geom)
-            joint = joints[..., leg]
-            xg = _gauge_station(p0, dr, leg, geom.L, shift[leg])
-            denom = joint - pp[..., leg]
-            if np.any(np.abs(denom) < 1e-9):
-                raise SingularError("leg line parallel to the gauge station plane")
-            mu = (joint - xg) / denom
-            mu0 = (iso_eff[..., leg] - xg) / (iso_eff[..., leg] - p0[..., leg])
-            cache[key] = (pp, mu, mu0)
-        pp, mu, mu0 = cache[key]
-        out[..., slot] = mu * pp[..., gax] - mu0 * p0[..., gax]
-    return out
+    shift = 0.0 if gauge_shift is None else np.asarray(gauge_shift, dtype=float)
+    joints, p = _posture_stack(dr, geom)
+    p0 = p[..., 0, :]
+    # line parameter of the gauge station on each gauged leg line
+    joint = joints[..., _LINE_ROW, _LINE_LEG]
+    denom = joint - p[..., _LINE_ROW, _LINE_LEG]
+    if np.any(np.abs(denom) < 1e-9):
+        raise SingularError("leg line parallel to the gauge station plane")
+    mu = (joint - _gauge_station(p0, dr, geom.L, shift)[..., _LINE_LEG]) / denom
+    return mu[..., _ROW_12 + 2] * p[..., _ROW_12, _GAUGE_12] - mu[..., _LEG_12] * p0[..., _GAUGE_12]
 
 
 def reduced_deviation_array(offsets, geom: Geometry, gauge_shift=None) -> np.ndarray:
@@ -299,13 +330,43 @@ def single_deviation_array(offsets, geom: Geometry) -> np.ndarray:
     deviation is the TCP z-coordinate at the posture.
     """
     dr = _offsets_array(offsets, geom)
-    p0 = _iso_tcp(dr, geom)
-    out = np.empty(dr.shape[:-1] + (6,))
-    out[..., 0] = p0[..., 2]
-    out[..., 1] = p0[..., 2]
-    for slot, (leg, sign) in enumerate(_CHANNELS_SINGLE, start=2):
-        out[..., slot] = _posture(dr, leg, sign, geom)[1][..., 2]
-    return out
+    rows = slice(_ROW_SINGLE.max() + 1)  # the isotropic and X/Y postures
+    return _posture_stack(dr, geom, rows)[1][..., _ROW_SINGLE, 2]
+
+
+def prediction_jacobian(offsets, geom: Geometry, label: str = SYSTEM_TWELVE) -> np.ndarray:
+    """Exact analytic Jacobian of the nonlinear deviation model.
+
+    Differentiates the leg-deviation predictions with respect to the offsets
+    by the chain rule through the direct kinematics and the gauge-line
+    parameter, for offsets ``(..., 3)``; shape ``(..., n, 3)`` with ``n``
+    the rows of scheme ``label``.  At zero offsets this reduces to the
+    constant linear-system matrix.  Nominal gauge placement is assumed.
+    """
+    scheme = SCHEMES.get(label)
+    if scheme is None or scheme.from_full is None:
+        raise ValueError(f"prediction_jacobian supports {SYSTEM_TWELVE!r} or {SYSTEM_SIX!r}")
+    dr = _offsets_array(offsets, geom)
+    joints, p = _posture_stack(dr, geom)
+    D = np.linalg.inv(inverse_jacobian(p, joints))  # dp/drho at each posture
+    D0, p0 = D[..., 0, :, :], p[..., 0, :]
+    # gauge-line parameter mu = num / den of each displacement posture on its
+    # own leg, and its gradient; at the isotropic posture mu is 1/2
+    rows, legs = _LINE_ROW[3:], _LINE_LEG[3:]
+    joint = joints[..., rows, legs]
+    num = joint - _gauge_station(p0, dr, geom.L)[..., legs]
+    den = joint - p[..., rows, legs]
+    e = np.eye(3)[legs]
+    d_num = e / 2 - D0[..., legs, :] / 2
+    d_den = e - D[..., rows, legs, :]
+    d_mu = (d_num * den[..., None] - num[..., None] * d_den) / (den * den)[..., None]
+    k = _ROW_12 - 1
+    full = (
+        d_mu[..., k, :] * p[..., _ROW_12, _GAUGE_12, None]
+        + (num / den)[..., k, None] * D[..., _ROW_12, _GAUGE_12, :]
+        - D0[..., _GAUGE_12, :] / 2
+    )
+    return np.ascontiguousarray(np.swapaxes(scheme.from_full(np.swapaxes(full, -1, -2)), -1, -2))
 
 
 def predict_double_posture(
@@ -347,13 +408,12 @@ def gauge_locations(offsets, geom: Geometry) -> tuple[GaugeLocation, GaugeLocati
     dr = _offsets_array(offsets, geom)
     if dr.ndim != 1:
         raise ValueError("gauge_locations expects a single offset triple")
-    p0 = _iso_tcp(dr, geom)
-    out = []
-    for leg in Axis:
-        pos = p0 / 2.0
-        pos[leg] = _gauge_station(p0, dr, leg, geom.L)
-        out.append(GaugeLocation(leg=leg, position=pos))
-    return tuple(out)
+    p0 = _posture_stack(dr, geom, slice(1))[1][0]
+    station = _gauge_station(p0, dr, geom.L)
+    return tuple(
+        GaugeLocation(leg=leg, position=np.where(np.arange(3) == leg, station, p0 / 2.0))
+        for leg in Axis
+    )
 
 
 def leg_line_scaling(
@@ -375,17 +435,12 @@ def leg_line_scaling(
     dr = _offsets_array(offsets, geom)
     if dr.ndim != 1:
         raise ValueError("leg_line_scaling expects a single offset triple")
-    p0 = _iso_tcp(dr, geom)
-    xg = _gauge_station(p0, dr, leg, geom.L, gauge_shift)
-    if posture.kind is PostureKind.ISOTROPIC:
-        joints, pp = dr + geom.L, p0
-    else:
-        sign = +1 if posture.kind is PostureKind.MAX_DISPLACEMENT else -1
-        joints, pp = _posture(dr, leg, sign, geom)
-    denom = joints[leg] - pp[leg]
+    joints, p = _posture_stack(dr, geom, [0, _STACK.index(posture)])
+    xg = _gauge_station(p[0], dr, geom.L, gauge_shift)[leg]
+    denom = joints[1, leg] - p[1, leg]
     if abs(denom) < 1e-9:
         raise SingularError("leg line parallel to the gauge station plane")
-    return float((joints[leg] - xg) / denom)
+    return float((joints[1, leg] - xg) / denom)
 
 
 @dataclass(frozen=True)
@@ -422,13 +477,8 @@ def _noise_double(rng: np.random.Generator, sigma: float, shape: tuple = ()) -> 
     min postures; a deviation is the posture reading minus the isotropic one,
     so the max and min deviations of a gauge share the isotropic noise term.
     """
-    xi = rng.standard_normal(shape + (3, 2, 3)) * sigma  # (leg, gauge slot, posture)
-    out = np.empty(shape + (12,))
-    for slot, leg, gax, sign in _CHANNELS_12:
-        g = _GAUGE_SLOT[(leg, gax)]
-        pos = 1 if sign > 0 else 2
-        out[..., slot] = xi[..., leg, g, pos] - xi[..., leg, g, 0]
-    return out
+    xi = rng.standard_normal(shape + (3, 2, 3)) * sigma  # (leg, gauge slot, reading)
+    return xi[..., _LEG_12, _SLOT_12, _READING_12] - xi[..., _LEG_12, _SLOT_12, 0]
 
 
 @dataclass(frozen=True, eq=False)

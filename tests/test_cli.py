@@ -319,6 +319,21 @@ class TestParsingAndProcess:
         assert rc == 1
         assert "bogus" in err
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (("accuracy", "--sigma", "nan"), "--sigma"),
+            (("simulate", "--offsets", "0,0,0", "--quantize", "nan"), "--quantize"),
+            (("montecarlo", "--sigma", "nan"), "--sigma"),
+        ],
+        ids=["accuracy-sigma", "simulate-quantize", "montecarlo-sigma"],
+    )
+    def test_nan_option_exit_1(self, capsys, argv, option):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: ") and option in err
+
     def test_verbose_summary_on_stderr(self, capsys):
         rc, out, err = run_cli(
             capsys, "calibrate", "experiment2", "--method", "linear6", "--verbose"

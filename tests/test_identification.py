@@ -21,7 +21,7 @@ from orthocal import (
     residual_report,
     solve_single_posture_closed_form,
 )
-from orthocal.identification import LinearSystem, _gauss_newton_constant
+from orthocal.identification import LinearSystem, _gauss_newton
 
 from conftest import EXPECTED_IMPROVEMENT, REFERENCE_OFFSETS, reduced_from_table
 
@@ -271,6 +271,28 @@ class TestNonlinearIdentify:
             exact = nonlinear_identify(m, geom, jacobian="exact")
             np.testing.assert_allclose(exact.offsets, oracle, atol=1e-5)
 
+    # exact-Jacobian solutions and iteration counts recorded while that path
+    # was a separate scalar loop stepping by numpy.linalg.lstsq
+    EXACT_PINNED = {
+        1: ([2.2664727001933866, 1.6491815811909436, -1.4145599040841526], 3),
+        2: ([-0.5268275065389096, 0.5921073010191406, -1.7606033100538026], 3),
+        3: ([0.0667431382553195, 0.14105749264094813, 0.0025126696333153593], 3),
+        "noisy-full": ([1.1628108659867111, -2.07295499792714, 0.4120559863488007], 3),
+    }
+
+    @pytest.mark.parametrize("case", list(EXACT_PINNED))
+    def test_exact_jacobian_pinned(self, geom, case):
+        from orthocal import NoiseModel, add_noise
+
+        if case == "noisy-full":
+            m = add_noise(predict_double_posture([1.0, -2.0, 0.5], geom), NoiseModel(0.05, 9))
+        else:
+            m = reduced_from_table(case)
+        offsets, iterations = self.EXACT_PINNED[case]
+        res = nonlinear_identify(m, geom, jacobian="exact")
+        assert res.iterations == iterations
+        np.testing.assert_allclose(res.offsets, offsets, rtol=0, atol=1e-12)
+
     def test_twelve_equation_path(self, geom):
         truth = np.array([1.5, -0.5, 2.0])
         m = predict_double_posture(truth, geom)
@@ -301,7 +323,7 @@ class TestNonlinearIdentify:
 
         obs = predict(np.array([[0.5, 0.5, 0.5]]))
         history = []
-        x, conv, iters, _ = _gauss_newton_constant(
+        x, conv, iters, _ = _gauss_newton(
             obs, np.eye(3), predict, np.array([[2.0, 2.0, 2.0]]),
             objective_history=history,
         )
@@ -318,7 +340,7 @@ class TestNonlinearIdentify:
         history = []
         sys = build_six_eq_system(geom)
         x0 = np.array([[2.0, 2.0, -2.0]])
-        _gauss_newton_constant(
+        _gauss_newton(
             obs[None, :],
             sys.design_matrix,
             lambda x: reduced_deviation_array(x, geom),

@@ -5,6 +5,7 @@ from orthocal import (
     SCHEMES,
     Axis,
     DoublePostureMeasurements,
+    Geometry,
     NoiseModel,
     Posture,
     ReducedMeasurements,
@@ -26,6 +27,7 @@ from orthocal import (
     reduced_deviation_array,
     single_deviation_array,
 )
+from orthocal.errors import SingularError
 from orthocal.measurement import _noise_double
 
 
@@ -101,6 +103,71 @@ class TestPredictors:
         assert batch.shape == (7, 12)
         for i, dr in enumerate(drs):
             np.testing.assert_allclose(batch[i], double_deviation_array(dr, geom), atol=0)
+
+    # predictions at these offsets, recorded before the seven postures were
+    # solved as one stack (one posture per direct-kinematics call)
+    PINNED_OFFSETS = [[0.5, -0.3, 0.2], [-20.0, 25.0, -15.0]]
+    PINNED_SHIFT = [0.4, -0.2, 0.1]
+    PINNED = {
+        ("double", False): [
+            [0.05576464604168879, 0.010513430053907785, -0.1431020419225683,
+             0.06627612811669158, -0.030457968465305046, -0.002223481066600738,
+             0.08440132576115601, -0.046492918492442484, 0.12413075788856354,
+             0.10711385144630842, -0.1733419054290066, -0.09485771001109171],
+            [-0.20711740511958432, 2.615575829379635, 4.515862282679551,
+             -7.287261906547792, 3.3365018586197586, 0.755735056734439,
+             -7.614369403989021, 2.844532550764918, -5.570010166693445,
+             -5.3145395497971695, 6.926118834888529, 5.561097116785804],
+        ],
+        ("double", True): [
+            [0.05572655446191127, 0.010386172484574768, -0.14303627818569437,
+             0.06649576960746198, -0.03047073749625917, -0.0022616058923063537,
+             0.08442335615292952, -0.0464270754986195, 0.12411802393810328,
+             0.10698680079749423, -0.17331993022860692, -0.09463844829916036],
+            [-0.20394446563937052, 2.620062685596098, 4.510354970023654,
+             -7.295204857806776, 3.337289959437303, 0.7588523458473064,
+             -7.615771422942508, 2.8391458671200085, -5.569101436235881,
+             -5.30946683752778, 6.924482656008788, 5.552015576870305],
+        ],
+        ("reduced", False): [
+            [0.1988666879642571, -0.05576269806278379, -0.11485929422646106,
+             0.044269437425841746, 0.29747266331757016, 0.20197156145740014],
+            [-4.7229796877991355, 9.902837735927427, 10.950871262608779,
+             -2.088797494030479, -12.496129001581973, -10.875636666582974],
+        ],
+        ("reduced", True): [
+            [0.19876283264760564, -0.05610959712288721, -0.11489409364918869,
+             0.044165469606313144, 0.2974379541667102, 0.20162524909665458],
+            [-4.714299435663024, 9.915267543402873, 10.953061382379811,
+             -2.080293521272702, -12.493584092244669, -10.861482414398086],
+        ],
+        ("single", False): [
+            [0.2005478310057356, 0.2005478310057356, 0.2990914242131453,
+             0.030483065943712973, 0.1414068400650308, 0.3026863634343897],
+            [-13.35938865262483, -13.35938865262483, -17.28079894030506,
+             -6.339438856578511, -8.548665745149776, -21.616170342472998],
+        ],
+    }
+
+    @pytest.mark.parametrize("predictor, shifted", list(PINNED))
+    def test_predictions_pinned(self, geom, predictor, shifted):
+        fn = {
+            "double": double_deviation_array,
+            "reduced": reduced_deviation_array,
+            "single": single_deviation_array,
+        }[predictor]
+        args = (self.PINNED_SHIFT,) if shifted else ()
+        out = fn(np.array(self.PINNED_OFFSETS), geom, *args)
+        assert np.array_equal(out, np.array(self.PINNED[predictor, shifted]))
+
+    @pytest.mark.parametrize("fn", [double_deviation_array, single_deviation_array])
+    def test_failing_posture_named(self, fn):
+        # the isotropic and max X postures solve; min X is the first posture
+        # of the stack order (isotropic, X max/min, Y max/min, Z max/min)
+        # whose direct kinematics fails
+        geom = Geometry(L=100, rho_min=-99, rho_max=60)
+        with pytest.raises(SingularError, match="^min X-displacement posture: "):
+            fn([-10.0, -10.0, -10.0], geom)
 
 
 class TestReduce:
