@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConvergenceError, RankError
 from .geometry import Geometry, check_offsets
-from .identification import _gauss_newton, solve_single_posture_closed_form
+from .identification import _gauss_newton, _step_map, solve_single_posture_closed_form
 from .measurement import (
     GAUGE_CORRELATION_BLOCK,
     SCHEMES,
@@ -27,6 +27,7 @@ from .measurement import (
     SYSTEM_SIX,
     SYSTEM_TWELVE,
     SinglePostureMeasurements,
+    _geometry_constant,
     _noise_double,
 )
 
@@ -76,13 +77,25 @@ def noise_covariance_twelve(sigma: float) -> NoiseCovariance:
     )
 
 
-def propagate_covariance(design: np.ndarray, noise_matrix: np.ndarray) -> np.ndarray:
-    """Covariance of the least-squares estimate for a given error covariance."""
-    design = np.asarray(design, dtype=float)
+def _normal_maps(design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(J'J)^-1`` and ``(J'J)^-1 J'`` of a full-rank design ``J``."""
     if np.linalg.matrix_rank(design) < design.shape[1]:
         raise RankError("design matrix is rank deficient")
     JtJ_inv = np.linalg.inv(design.T @ design)
-    return JtJ_inv @ design.T @ np.asarray(noise_matrix) @ design @ JtJ_inv
+    return JtJ_inv, JtJ_inv @ design.T
+
+
+def propagate_covariance(design: np.ndarray, noise_matrix: np.ndarray) -> np.ndarray:
+    """Covariance of the least-squares estimate for a given error covariance."""
+    design = np.asarray(design, dtype=float)
+    JtJ_inv, pinv = _normal_maps(design)
+    return pinv @ np.asarray(noise_matrix) @ design @ JtJ_inv
+
+
+@_geometry_constant
+def _scheme_normal_maps(label: str, geom: Geometry) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_normal_maps` of scheme ``label``'s design."""
+    return _normal_maps(SCHEMES[label].design(geom))
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,12 +114,14 @@ def _offset_covariance(
     """Offset covariance of a linear estimator on the readings of scheme
     ``label``: ``gain`` maps the readings to the offsets, least squares on
     the scheme's design when None."""
-    if not (sigma >= 0):
-        raise ValueError("sigma must be non-negative")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError("sigma must be finite and non-negative")
     scheme = SCHEMES[label]
     noise = sigma**2 * scheme.noise_covariance
     if gain is None:
-        V = propagate_covariance(scheme.design(geom), noise)
+        # propagate_covariance with the design's maps computed once
+        JtJ_inv, pinv = _scheme_normal_maps(label, geom)
+        V = pinv @ noise @ scheme.design(geom) @ JtJ_inv
     else:
         V = gain @ noise @ gain.T
     return OffsetCovariance(V=V, sigma_rho=float(np.sqrt(np.trace(V) / 3.0)), method=method)
@@ -124,15 +139,20 @@ def offset_covariance_twelve(geom: Geometry, sigma: float) -> OffsetCovariance:
     return _offset_covariance(SYSTEM_TWELVE, geom, sigma, "twelve")
 
 
-def offset_covariance_closed_form(geom: Geometry, sigma: float) -> OffsetCovariance:
-    """Analytic offset covariance of the sequential single-posture solution,
-    ``V = 2 sigma^2 K K'`` with ``K`` its own 3x6 map (not the pseudoinverse)."""
-    # the solution is linear in the readings: column j of K solves reading e_j
-    gain = np.column_stack([
+@_geometry_constant
+def _closed_form_gain(geom: Geometry) -> np.ndarray:
+    """The sequential single-posture solution's own 3x6 map of the readings."""
+    # the solution is linear in the readings: column j solves reading e_j
+    return np.column_stack([
         solve_single_posture_closed_form(SinglePostureMeasurements.from_array(e), geom).offsets
         for e in np.eye(6)
     ])
-    return _offset_covariance(SYSTEM_SINGLE, geom, sigma, "closed-form", gain)
+
+
+def offset_covariance_closed_form(geom: Geometry, sigma: float) -> OffsetCovariance:
+    """Analytic offset covariance of the sequential single-posture solution,
+    ``V = 2 sigma^2 K K'`` with ``K`` its own 3x6 map (not the pseudoinverse)."""
+    return _offset_covariance(SYSTEM_SINGLE, geom, sigma, "closed-form", _closed_form_gain(geom))
 
 
 MC_METHODS = ("six", "twelve", "nonlinear-six", "nonlinear-twelve")
@@ -185,8 +205,8 @@ def monte_carlo(
         raise ValueError(f"runs must be >= 1, got {runs}")
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
-    if not (sigma >= 0):
-        raise ValueError("sigma must be non-negative")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError("sigma must be finite and non-negative")
     geom = geom or Geometry.prototype()
     truth = np.asarray(true_offsets, dtype=float)
     check_offsets(truth, geom)
@@ -194,6 +214,7 @@ def monte_carlo(
     scheme = SCHEMES[_MC_SCHEMES[method.removeprefix("nonlinear-")]]
     d_true = scheme.predict(truth, geom)
     design = scheme.design(geom)
+    jacobian = (design, _step_map(scheme.label, geom))
     predict_fn = lambda x: scheme.predict(x, geom)  # noqa: E731
     pinv = np.linalg.pinv(design)
 
@@ -208,7 +229,7 @@ def monte_carlo(
         obs = d_true[None, :] + noise
         x = obs @ pinv.T
         if method.startswith("nonlinear"):
-            x, conv, _, _ = _gauss_newton(obs, design, predict_fn, x)
+            x, conv, _, _ = _gauss_newton(obs, jacobian, predict_fn, x)
             failed += int((~conv).sum())
             x = x[conv]
             if x.shape[0] == 0:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -76,6 +77,11 @@ def _parse_offsets(text: str) -> np.ndarray:
         return np.array([float(p) for p in parts])
     except ValueError:
         raise InputError(f"--offsets values must be numbers, got {text!r}") from None
+
+
+def _check_sigma(sigma: float) -> None:
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise InputError("--sigma must be finite and non-negative")
 
 
 def _load_geometry(path: str | None) -> Geometry | None:
@@ -173,16 +179,15 @@ def cmd_calibrate(args) -> int:
 def cmd_simulate(args) -> int:
     offsets = _parse_offsets(args.offsets)
     geom = _load_geometry(args.geometry) or Geometry.prototype()
-    if not (args.sigma >= 0):
-        raise InputError("--sigma must be non-negative")
+    _check_sigma(args.sigma)
     if args.repetitions < 1:
         raise InputError("--repetitions must be >= 1")
     scheme = SCHEMES[args.method]
     m = scheme.measurement.from_array(scheme.predict(offsets, geom))
     m = add_noise(m, NoiseModel(sigma=args.sigma, seed=args.seed), args.repetitions)
     if args.quantize is not None:
-        if not (args.quantize > 0):
-            raise InputError("--quantize must be positive")
+        if not (math.isfinite(args.quantize) and args.quantize > 0):
+            raise InputError("--quantize must be finite and positive")
         q = args.quantize
         vals = np.round(m.as_array() / q) * q
         m = type(m).from_array(vals)
@@ -205,8 +210,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_accuracy(args) -> int:
-    if not (args.sigma >= 0):
-        raise InputError("--sigma must be non-negative")
+    _check_sigma(args.sigma)
     geom = _load_geometry(args.geometry) or Geometry.prototype()
     six = offset_covariance_six(geom, args.sigma)
     twelve = offset_covariance_twelve(geom, args.sigma)
@@ -241,8 +245,7 @@ def cmd_montecarlo(args) -> int:
         raise InputError("--runs must be >= 1")
     if args.replications < 1:
         raise InputError("--replications must be >= 1")
-    if not (args.sigma >= 0):
-        raise InputError("--sigma must be non-negative")
+    _check_sigma(args.sigma)
     geom = _load_geometry(args.geometry) or Geometry.prototype()
     if args.reproduce == "table3":
         rows = []

@@ -163,27 +163,32 @@ def _dk_select(rho_eff: np.ndarray, t_minus, t_plus) -> np.ndarray:
     A root is admissible when all three configuration indices
     ``sign(eff_i - p_i)`` are +1, matching the prototype assembly.
     """
-    half = rho_eff / 2.0
-    p_lo = half + t_minus[..., None] / rho_eff
-    p_hi = half + t_plus[..., None] / rho_eff
-    ok_lo = _all3(rho_eff - p_lo > 0)
-    ok_hi = _all3(rho_eff - p_hi > 0)
+    # in place where possible: three arrays of the joints' shape at a time
+    # (``scratch`` is half the joints, then the differences and squares)
+    scratch = rho_eff / 2.0
+    p_lo = np.divide(t_minus[..., None], rho_eff)
+    p_lo += scratch
+    p_hi = np.divide(t_plus[..., None], rho_eff)
+    p_hi += scratch
+    ok_lo = _all3(np.subtract(rho_eff, p_lo, out=scratch) > 0)
+    ok_hi = _all3(np.subtract(rho_eff, p_hi, out=scratch) > 0)
     if not np.all(ok_lo | ok_hi):
         raise SingularError(
             "no admissible direct-kinematics branch: both roots violate the "
             "+1 configuration indices"
         )
-    norm_lo = _sum3(p_lo * p_lo)
-    norm_hi = _sum3(p_hi * p_hi)
+    norm_lo = _sum3(np.multiply(p_lo, p_lo, out=scratch))
+    norm_hi = _sum3(np.multiply(p_hi, p_hi, out=scratch))
     take_hi = ok_hi & (~ok_lo | (norm_hi < norm_lo))
-    return np.where(take_hi[..., None], p_hi, p_lo)
+    np.copyto(p_lo, p_hi, where=take_hi[..., None])
+    return p_lo
 
 
 def _dk_point(rho_eff: np.ndarray, L: float) -> np.ndarray:
     """Fast path: selected TCP position for effective joints ``(..., 3)``."""
     if np.any(np.abs(rho_eff) < SINGULARITY_TOL):
         raise DomainError("effective joint value is zero")
-    t_minus, t_plus, *_ = _dk_roots(rho_eff, L)
+    t_minus, t_plus = _dk_roots(rho_eff, L)[:2]  # frees the other coefficients
     return _dk_select(rho_eff, t_minus, t_plus)
 
 
@@ -259,7 +264,7 @@ def posture_commanded_joints(posture: Posture, geom: Geometry) -> np.ndarray:
     """Commanded joints for a calibration posture of the nominal machine.
 
     Isotropic: ``(L, L, L)``.  Displacement along axis ``i``:
-    ``rho_i = L + L sin(alpha)``, the others ``L cos(alpha)``, with the
+    ``rho_i = L (1 + sin(alpha))``, the others ``L cos(alpha)``, with the
     signed angle of the matching joint limit.
     """
     L = geom.L
@@ -267,7 +272,7 @@ def posture_commanded_joints(posture: Posture, geom: Geometry) -> np.ndarray:
         return np.full(3, L)
     ang = _posture_angle(posture, geom)
     rho = np.full(3, L * ang.c_alpha)
-    rho[posture.axis] = L + L * ang.s_alpha
+    rho[posture.axis] = L * (1.0 + ang.s_alpha)
     return rho
 
 

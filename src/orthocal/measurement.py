@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, SingularError
 from .geometry import Axis, Geometry, Posture, PostureKind, check_offsets
-from .kinematics import _dk_point, inverse_jacobian
+from .kinematics import _dk_point, inverse_jacobian, posture_commanded_joints
 
 __all__ = [
     "SYSTEM_SINGLE",
@@ -228,6 +228,30 @@ def coefficients(geom: Geometry) -> CalibrationCoefficients:
     return CalibrationCoefficients(a1, a2, b1, c1, b2, c2, b1 - b2, c1 - c2)
 
 
+def _geometry_constant(fn):
+    """Compute ``fn(..., geom)`` once per argument tuple (``lru_cache``).  The
+    arrays it returns, alone or in a tuple, are shared by every caller and
+    therefore made read-only."""
+
+    @functools.lru_cache(maxsize=16)
+    @functools.wraps(fn)
+    def cached(*args):
+        out = fn(*args)
+        for a in out if isinstance(out, tuple) else (out,):
+            a.setflags(write=False)
+        return out
+
+    return cached
+
+
+@_geometry_constant
+def _stack_joints(geom: Geometry) -> np.ndarray:
+    """Effective joints of the posture stack at zero offsets, ``(7, 3)``: the
+    commanded joints of each stack posture."""
+    return np.array([posture_commanded_joints(posture, geom) for posture in _STACK])
+
+
+@_geometry_constant
 def _single_design(geom: Geometry) -> np.ndarray:
     """Two isotropic z-rows, then the X and Y displacement rows with ``a``
     on the leg axis."""
@@ -239,6 +263,7 @@ def _single_design(geom: Geometry) -> np.ndarray:
     return design
 
 
+@_geometry_constant
 def _twelve_design(geom: Geometry) -> np.ndarray:
     """Twelve double-posture rows: ``b`` on the gauge axis and ``c`` on the
     leg axis, with the max (1) or min (2) displacement angle."""
@@ -249,6 +274,7 @@ def _twelve_design(geom: Geometry) -> np.ndarray:
     return design
 
 
+@_geometry_constant
 def _six_design(geom: Geometry) -> np.ndarray:
     """Reduced rows on the max-minus-min differences: ``b`` and ``c``."""
     return np.ascontiguousarray(_reduce_channels(_twelve_design(geom).T).T)
@@ -258,22 +284,6 @@ def _offsets_array(offsets, geom: Geometry) -> np.ndarray:
     arr = np.asarray(offsets, dtype=float)
     check_offsets(arr, geom)
     return arr
-
-
-@functools.lru_cache(maxsize=16)
-def _stack_joints(geom: Geometry) -> np.ndarray:
-    """Effective joints of the posture stack at zero offsets, ``(7, 3)``
-    (read-only): ``L`` at the isotropic posture; at a displacement posture
-    ``L (1 + sin alpha)`` on the displaced leg and ``L cos alpha`` on the
-    others."""
-    base = np.empty((len(_STACK), 3))
-    base[0] = geom.L
-    for row, posture in enumerate(_STACK[1:], start=1):
-        ang = geom.angle_max() if posture.kind is PostureKind.MAX_DISPLACEMENT else geom.angle_min()
-        base[row] = geom.L * ang.c_alpha
-        base[row, posture.axis] = geom.L * (1.0 + ang.s_alpha)
-    base.setflags(write=False)
-    return base
 
 
 def _posture_stack(dr: np.ndarray, geom: Geometry, rows=slice(None)):
@@ -455,8 +465,8 @@ class NoiseModel:
     seed: int
 
     def __post_init__(self) -> None:
-        if not (self.sigma >= 0.0):
-            raise ValueError(f"sigma must be non-negative, got {self.sigma}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
+            raise ValueError(f"sigma must be finite and non-negative, got {self.sigma}")
 
     def make_rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)

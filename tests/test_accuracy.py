@@ -3,7 +3,11 @@ import pytest
 
 from orthocal import (
     GAUGE_CORRELATION_BLOCK,
+    SCHEMES,
+    SYSTEM_SIX,
+    SYSTEM_TWELVE,
     CovarianceStructure,
+    Geometry,
     NoiseModel,
     RankError,
     add_noise,
@@ -92,13 +96,26 @@ class TestAnalyticPropagation:
             assert np.linalg.eigvalsh(V).min() > 0
             assert cov.sigma_rho == pytest.approx(np.sqrt(np.trace(V) / 3), rel=1e-15)
 
+    @pytest.mark.parametrize(
+        "fn, label",
+        [(offset_covariance_six, SYSTEM_SIX), (offset_covariance_twelve, SYSTEM_TWELVE)],
+    )
+    def test_cached_maps_give_propagated_covariance(self, fn, label):
+        # the per-Geometry maps must not move a bit of V
+        for geom in (Geometry.prototype(), Geometry(L=250.0, rho_min=-80.0, rho_max=70.0)):
+            design = SCHEMES[label].design(geom)
+            for sigma in (0.0, 0.01, 0.037, 1.0):
+                noise = sigma**2 * SCHEMES[label].noise_covariance
+                assert np.array_equal(fn(geom, sigma).V, propagate_covariance(design, noise))
+
     def test_rank_error(self):
         with pytest.raises(RankError):
             propagate_covariance(np.ones((6, 3)), np.eye(6))
 
     def test_negative_sigma_rejected(self, geom):
-        with pytest.raises(ValueError):
-            offset_covariance_six(geom, -1.0)
+        for sigma in (-1.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                offset_covariance_six(geom, sigma)
 
 
 class TestClosedFormCovariance:
@@ -199,5 +216,7 @@ class TestMonteCarlo:
             monte_carlo([0, 0, 0], 0.01, 10, 0, "six", 0)
         with pytest.raises(ValueError):
             monte_carlo([0, 0, 0], -0.01, 10, 1, "six", 0)
+        with pytest.raises(ValueError, match="sigma"):
+            monte_carlo([0, 0, 0], np.inf, 10, 1, "nonlinear-six", 0)
         with pytest.raises(ValueError):
             monte_carlo([0, 0, 0], 0.01, 10, 1, "newton", 0)

@@ -325,8 +325,17 @@ class TestParsingAndProcess:
             (("accuracy", "--sigma", "nan"), "--sigma"),
             (("simulate", "--offsets", "0,0,0", "--quantize", "nan"), "--quantize"),
             (("montecarlo", "--sigma", "nan"), "--sigma"),
+            (("accuracy", "--sigma", "inf"), "--sigma"),
+            (("simulate", "--offsets", "0,0,0", "--sigma", "inf"), "--sigma"),
+            (("simulate", "--offsets", "0,0,0", "--quantize", "inf"), "--quantize"),
+            (("montecarlo", "--sigma", "inf"), "--sigma"),
+            (("montecarlo", "--sigma", "-inf"), "--sigma"),
         ],
-        ids=["accuracy-sigma", "simulate-quantize", "montecarlo-sigma"],
+        ids=[
+            "accuracy-sigma", "simulate-quantize", "montecarlo-sigma", "accuracy-sigma-inf",
+            "simulate-sigma-inf", "simulate-quantize-inf", "montecarlo-sigma-inf",
+            "montecarlo-sigma-minus-inf",
+        ],
     )
     def test_nan_option_exit_1(self, capsys, argv, option):
         rc, out, err = run_cli(capsys, *argv)

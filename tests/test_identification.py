@@ -3,15 +3,21 @@ import pytest
 from scipy.optimize import least_squares as scipy_least_squares
 
 from orthocal import (
+    SCHEMES,
+    SYSTEM_SIX,
+    SYSTEM_TWELVE,
     ConvergenceError,
+    NoiseModel,
     RankError,
     ReducedMeasurements,
     SinglePostureMeasurements,
+    add_noise,
     build_single_posture_system,
     build_six_eq_system,
     build_twelve_eq_system,
     coefficients,
     least_squares_solve,
+    measurement,
     nonlinear_identify,
     prediction_jacobian,
     predict_double_posture,
@@ -21,7 +27,8 @@ from orthocal import (
     residual_report,
     solve_single_posture_closed_form,
 )
-from orthocal.identification import LinearSystem, _gauss_newton
+from orthocal.identification import LinearSystem, _gauss_newton, _lstsq, _step_map
+from orthocal.measurement import _noise_double
 
 from conftest import EXPECTED_IMPROVEMENT, REFERENCE_OFFSETS, reduced_from_table
 
@@ -324,7 +331,7 @@ class TestNonlinearIdentify:
         obs = predict(np.array([[0.5, 0.5, 0.5]]))
         history = []
         x, conv, iters, _ = _gauss_newton(
-            obs, np.eye(3), predict, np.array([[2.0, 2.0, 2.0]]),
+            obs, (np.eye(3), np.eye(3)), predict, np.array([[2.0, 2.0, 2.0]]),
             objective_history=history,
         )
         assert conv[0]
@@ -342,7 +349,7 @@ class TestNonlinearIdentify:
         x0 = np.array([[2.0, 2.0, -2.0]])
         _gauss_newton(
             obs[None, :],
-            sys.design_matrix,
+            (sys.design_matrix, _step_map(sys.label, geom)),
             lambda x: reduced_deviation_array(x, geom),
             x0,
             objective_history=history,
@@ -417,3 +424,125 @@ class TestResidualReport:
     def test_invalid_model(self, geom):
         with pytest.raises(ValueError):
             residual_report([0, 0, 0], reduced_from_table(1), geom, model="quadratic")
+
+
+def _one_level_per_call(obs, jacobian, predict_fn, x0, max_iter=100, step_tol=1e-9,
+                        grad_tol=1e-12, max_halvings=20):
+    """Reference damped Gauss-Newton that makes one forward-model call per
+    halving level: the loop whose results the batched solver must keep."""
+    if not callable(jacobian):
+        jacobian, P = jacobian
+    x = np.array(x0, dtype=float, copy=True)
+    r = predict_fn(x) - obs
+    F = np.einsum("ij,ij->i", r, r)
+    n_run = x.shape[0]
+    converged = np.zeros(n_run, dtype=bool)
+    iterations = np.zeros(n_run, dtype=int)
+    active = np.ones(n_run, dtype=bool)
+    for _ in range(max_iter):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        if callable(jacobian):
+            J = jacobian(x[idx])
+            grad = 2.0 * np.einsum("kn,kni->ki", r[idx], J)
+        else:
+            grad = 2.0 * r[idx] @ jacobian
+        flat = np.linalg.norm(grad, axis=1) < grad_tol
+        if flat.any():
+            converged[idx[flat]] = True
+            active[idx[flat]] = False
+            idx = idx[~flat]
+            if idx.size == 0:
+                continue
+        if callable(jacobian):
+            step = _lstsq(J[~flat], -r[idx])
+        else:
+            step = -(r[idx] @ P.T)
+        alpha = np.ones(idx.size)
+        x_try = x[idx] + step
+        r_try = predict_fn(x_try) - obs[idx]
+        F_try = np.einsum("ij,ij->i", r_try, r_try)
+        worse = ~(F_try < F[idx])
+        for _h in range(max_halvings):
+            if not worse.any():
+                break
+            alpha[worse] *= 0.5
+            sub = np.flatnonzero(worse)
+            xt = x[idx[sub]] + alpha[sub, None] * step[sub]
+            rt = predict_fn(xt) - obs[idx[sub]]
+            Ft = np.einsum("ij,ij->i", rt, rt)
+            x_try[sub], r_try[sub], F_try[sub] = xt, rt, Ft
+            worse[sub] = ~(Ft < F[idx[sub]])
+        accepted = ~worse
+        acc = idx[accepted]
+        x[acc] = x_try[accepted]
+        r[acc] = r_try[accepted]
+        F[acc] = F_try[accepted]
+        iterations[acc] += 1
+        tiny = np.linalg.norm(alpha[:, None] * step, axis=1) < step_tol
+        done = (accepted & tiny) | (worse & tiny)
+        converged[idx[done]] = True
+        active[idx[done | (worse & ~tiny)]] = False
+    return x, converged, iterations, r
+
+
+def _stiff_cubic(x):
+    return x + 2.0 * x**3
+
+
+class TestBlockHalving:
+    """The solver evaluates several halving levels per forward-model call;
+    every result must equal the one-level-per-call loop's bit for bit."""
+
+    @staticmethod
+    def _problem(geom, label, jacobian, n):
+        scheme = SCHEMES[label]
+        rng = np.random.default_rng([n, len(label), jacobian == "exact"])
+        truth = rng.uniform(-5.0, 5.0, (n, 3))
+        obs = scheme.predict(truth, geom) + scheme.from_full(_noise_double(rng, 0.02, (n,)))
+        x0 = obs @ np.linalg.pinv(scheme.design(geom)).T
+        if jacobian == "exact":
+            jac = lambda x: prediction_jacobian(x, geom, label)  # noqa: E731
+        else:
+            jac = (scheme.design(geom), _step_map(label, geom))
+        return obs, jac, lambda x: scheme.predict(x, geom), x0
+
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    @pytest.mark.parametrize("jacobian", ["linear", "exact"])
+    @pytest.mark.parametrize("label", [SYSTEM_SIX, SYSTEM_TWELVE])
+    def test_equals_one_level_per_call(self, geom, label, jacobian, n):
+        args = self._problem(geom, label, jacobian, n)
+        for got, want in zip(_gauss_newton(*args), _one_level_per_call(*args)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_stiff_cubic_equals_one_level_per_call(self, n):
+        rng = np.random.default_rng(n)
+        obs = _stiff_cubic(rng.uniform(-1.0, 1.0, (n, 3)))
+        x0 = rng.uniform(1.0, 6.0, (n, 3)) * rng.choice([-1.0, 1.0], (n, 3))
+        args = (obs, (np.eye(3), np.eye(3)), _stiff_cubic, x0)
+        for max_halvings in (0, 3, 20):
+            got = _gauss_newton(*args, max_iter=200, max_halvings=max_halvings)
+            want = _one_level_per_call(*args, max_iter=200, max_halvings=max_halvings)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("label", [SYSTEM_SIX, SYSTEM_TWELVE])
+    def test_call_budget(self, geom, monkeypatch, label):
+        # a paper-scale solve: one call for the start, then per sweep one for
+        # the full step and one for all its halving levels
+        calls = []
+        stack = measurement._posture_stack
+        monkeypatch.setattr(
+            measurement, "_posture_stack", lambda *a: calls.append(1) or stack(*a)
+        )
+        rng = np.random.default_rng(4)
+        for seed in range(20):
+            m = predict_double_posture(rng.uniform(-1.0, 1.0, 3), geom)
+            if label == SYSTEM_SIX:
+                m = reduce(m)
+            m = add_noise(m, NoiseModel(0.01, seed))
+            calls.clear()
+            res = nonlinear_identify(m, geom)
+            assert len(calls) <= 2 * res.iterations + 3

@@ -3,6 +3,7 @@ import pytest
 
 from orthocal import (
     SCHEMES,
+    SYSTEM_SINGLE,
     Axis,
     DoublePostureMeasurements,
     Geometry,
@@ -13,6 +14,7 @@ from orthocal import (
     add_noise,
     build_six_eq_system,
     build_single_posture_system,
+    build_system,
     build_twelve_eq_system,
     coefficients,
     direct_kinematics,
@@ -27,8 +29,10 @@ from orthocal import (
     reduced_deviation_array,
     single_deviation_array,
 )
+from orthocal.accuracy import _scheme_normal_maps
 from orthocal.errors import SingularError
-from orthocal.measurement import _noise_double
+from orthocal.identification import _step_map
+from orthocal.measurement import _noise_double, _stack_joints
 
 
 class TestPredictors:
@@ -330,6 +334,8 @@ class TestNoise:
         with pytest.raises(ValueError):
             NoiseModel(sigma=-0.1, seed=0)
         with pytest.raises(ValueError):
+            NoiseModel(sigma=np.inf, seed=0)
+        with pytest.raises(ValueError):
             add_noise(ReducedMeasurements(0, 0, 0, 0, 0, 0), NoiseModel(0.1, 0), repetitions=0)
 
 
@@ -374,3 +380,19 @@ class TestSchemes:
         assert doc["method"] == label
         assert tuple(doc["values"]) == scheme.wire_keys
         assert parse_measurement(doc).measurement() == m
+
+    @pytest.mark.parametrize("label", list(SCHEMES))
+    def test_geometry_constants_cached_read_only(self, label):
+        # equal geometries share one read-only design and its solver maps
+        first, second = Geometry.prototype(), Geometry.prototype()
+        design = SCHEMES[label].design(first)
+        assert SCHEMES[label].design(second) is design
+        assert build_system(label, second).design_matrix is design
+        with pytest.raises(ValueError):
+            design[0, 0] = 1.0
+        assert _scheme_normal_maps(label, second) is _scheme_normal_maps(label, first)
+        shared = [design, _stack_joints(first), *_scheme_normal_maps(label, first)]
+        if label != SYSTEM_SINGLE:  # the nonlinear estimators' schemes
+            assert _step_map(label, second) is _step_map(label, first)
+            shared.append(_step_map(label, first))
+        assert not any(a.flags.writeable for a in shared)
