@@ -1,12 +1,14 @@
 """Noise propagation into the identified offsets, analytic and Monte-Carlo.
 
-The linear estimators admit a closed-form variance-covariance matrix: with a
-design ``J`` and measurement-error covariance ``S``, the estimate covariance
-is the sandwich ``(J'J)^-1 J' S J (J'J)^-1``.  The reduced six-equation
-system has independent errors of variance ``2 sigma^2``; the twelve-equation
-system inherits a block correlation from the shared isotropic readings.  The
-Monte-Carlo harness validates these factors empirically and covers the
-nonlinear estimators, for which no closed form exists.
+Every linear estimator is a gain ``K`` that maps the readings to the
+offsets: ``pinv(J)`` for least squares on a design ``J``, and the sequential
+solution's own 3x6 map for the closed form.  With measurement-error
+covariance ``S`` the estimate covariance is ``K S K'``.  The reduced
+six-equation system has independent errors of variance ``2 sigma^2``; the
+twelve-equation system inherits a block correlation from the shared
+isotropic readings.  The Monte-Carlo harness starts from the same gains,
+validates these factors empirically and covers the nonlinear estimators,
+for which no closed form exists.
 """
 
 from __future__ import annotations
@@ -17,17 +19,15 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConvergenceError, RankError
+from .errors import ConvergenceError
 from .geometry import Geometry, check_offsets
-from .identification import _gauss_newton, _step_map, solve_single_posture_closed_form
+from .identification import _closed_form_gain, _gauss_newton, _least_squares_gain
 from .measurement import (
     GAUGE_CORRELATION_BLOCK,
     SCHEMES,
     SYSTEM_SINGLE,
     SYSTEM_SIX,
     SYSTEM_TWELVE,
-    SinglePostureMeasurements,
-    _geometry_constant,
     _noise_double,
 )
 
@@ -77,25 +77,11 @@ def noise_covariance_twelve(sigma: float) -> NoiseCovariance:
     )
 
 
-def _normal_maps(design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(J'J)^-1`` and ``(J'J)^-1 J'`` of a full-rank design ``J``."""
-    if np.linalg.matrix_rank(design) < design.shape[1]:
-        raise RankError("design matrix is rank deficient")
-    JtJ_inv = np.linalg.inv(design.T @ design)
-    return JtJ_inv, JtJ_inv @ design.T
-
-
 def propagate_covariance(design: np.ndarray, noise_matrix: np.ndarray) -> np.ndarray:
-    """Covariance of the least-squares estimate for a given error covariance."""
-    design = np.asarray(design, dtype=float)
-    JtJ_inv, pinv = _normal_maps(design)
-    return pinv @ np.asarray(noise_matrix) @ design @ JtJ_inv
-
-
-@_geometry_constant
-def _scheme_normal_maps(label: str, geom: Geometry) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_normal_maps` of scheme ``label``'s design."""
-    return _normal_maps(SCHEMES[label].design(geom))
+    """Covariance ``K S K'`` of the least-squares estimate ``K = pinv(J)`` for
+    a given error covariance ``S``."""
+    gain = _least_squares_gain(design)
+    return gain @ np.asarray(noise_matrix) @ gain.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,50 +95,38 @@ class OffsetCovariance:
 
 
 def _offset_covariance(
-    label: str, geom: Geometry, sigma: float, method: str, gain=None
+    label: str, gain: np.ndarray, sigma: float, method: str
 ) -> OffsetCovariance:
-    """Offset covariance of a linear estimator on the readings of scheme
-    ``label``: ``gain`` maps the readings to the offsets, least squares on
-    the scheme's design when None."""
+    """Offset covariance ``K S K'`` of the linear estimator ``gain`` on the
+    readings of scheme ``label``."""
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError("sigma must be finite and non-negative")
-    scheme = SCHEMES[label]
-    noise = sigma**2 * scheme.noise_covariance
-    if gain is None:
-        # propagate_covariance with the design's maps computed once
-        JtJ_inv, pinv = _scheme_normal_maps(label, geom)
-        V = pinv @ noise @ scheme.design(geom) @ JtJ_inv
-    else:
-        V = gain @ noise @ gain.T
-    return OffsetCovariance(V=V, sigma_rho=float(np.sqrt(np.trace(V) / 3.0)), method=method)
+    with np.errstate(over="ignore", invalid="ignore"):
+        V = gain @ (sigma * sigma * SCHEMES[label].noise_covariance) @ gain.T
+        sigma_rho = float(np.sqrt(np.trace(V) / 3.0))
+    if not (np.isfinite(V).all() and math.isfinite(sigma_rho)):
+        raise ValueError(f"sigma {sigma:g} overflows the offset covariance")
+    return OffsetCovariance(V=V, sigma_rho=sigma_rho, method=method)
 
 
 def offset_covariance_six(geom: Geometry, sigma: float) -> OffsetCovariance:
     """Analytic offset covariance of the six-equation estimator,
     ``V = 2 (J'J)^-1 sigma^2``."""
-    return _offset_covariance(SYSTEM_SIX, geom, sigma, "six")
+    gain = _least_squares_gain(SCHEMES[SYSTEM_SIX].design(geom))
+    return _offset_covariance(SYSTEM_SIX, gain, sigma, "six")
 
 
 def offset_covariance_twelve(geom: Geometry, sigma: float) -> OffsetCovariance:
     """Analytic offset covariance of the twelve-equation estimator with the
     block-correlated error covariance."""
-    return _offset_covariance(SYSTEM_TWELVE, geom, sigma, "twelve")
-
-
-@_geometry_constant
-def _closed_form_gain(geom: Geometry) -> np.ndarray:
-    """The sequential single-posture solution's own 3x6 map of the readings."""
-    # the solution is linear in the readings: column j solves reading e_j
-    return np.column_stack([
-        solve_single_posture_closed_form(SinglePostureMeasurements.from_array(e), geom).offsets
-        for e in np.eye(6)
-    ])
+    gain = _least_squares_gain(SCHEMES[SYSTEM_TWELVE].design(geom))
+    return _offset_covariance(SYSTEM_TWELVE, gain, sigma, "twelve")
 
 
 def offset_covariance_closed_form(geom: Geometry, sigma: float) -> OffsetCovariance:
     """Analytic offset covariance of the sequential single-posture solution,
     ``V = 2 sigma^2 K K'`` with ``K`` its own 3x6 map (not the pseudoinverse)."""
-    return _offset_covariance(SYSTEM_SINGLE, geom, sigma, "closed-form", _closed_form_gain(geom))
+    return _offset_covariance(SYSTEM_SINGLE, _closed_form_gain(geom), sigma, "closed-form")
 
 
 MC_METHODS = ("six", "twelve", "nonlinear-six", "nonlinear-twelve")
@@ -214,9 +188,8 @@ def monte_carlo(
     scheme = SCHEMES[_MC_SCHEMES[method.removeprefix("nonlinear-")]]
     d_true = scheme.predict(truth, geom)
     design = scheme.design(geom)
-    jacobian = (design, _step_map(scheme.label, geom))
+    gain = _least_squares_gain(design)
     predict_fn = lambda x: scheme.predict(x, geom)  # noqa: E731
-    pinv = np.linalg.pinv(design)
 
     rep_mean = np.empty((replications, 3))
     rep_std = np.empty((replications, 3))
@@ -227,9 +200,9 @@ def monte_carlo(
         # raw double-posture readings, reduced for the six-equation scheme
         noise = scheme.from_full(_noise_double(rng, sigma, (runs,)))
         obs = d_true[None, :] + noise
-        x = obs @ pinv.T
+        x = obs @ gain.T
         if method.startswith("nonlinear"):
-            x, conv, _, _ = _gauss_newton(obs, jacobian, predict_fn, x)
+            x, conv, _, _ = _gauss_newton(obs, (design, gain), predict_fn, x)
             failed += int((~conv).sum())
             x = x[conv]
             if x.shape[0] == 0:

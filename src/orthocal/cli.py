@@ -96,7 +96,7 @@ def _load_geometry(path: str | None) -> Geometry | None:
 
 
 def _emit(args, doc: dict) -> None:
-    text = json.dumps(doc, indent=2)
+    text = json.dumps(doc, indent=2, allow_nan=False)
     print(text)
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -10,6 +10,7 @@ of the nonlinear model is available as an option and for verification.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -126,6 +127,47 @@ def _result(offsets, residuals, method, iterations, converged, gradient_norm) ->
     )
 
 
+def _least_squares_gain(design: np.ndarray) -> np.ndarray:
+    """Least-squares gain ``K = pinv(D)`` of a rank-3 design ``D``: the
+    estimate is ``K @ readings``.  Shared read-only per design content, since
+    systems and covariances arrive with arbitrary designs."""
+    design = np.asarray(design, dtype=float)
+    return _pinv_of(design.shape, design.tobytes())
+
+
+@functools.lru_cache(maxsize=32)
+def _pinv_of(shape: tuple, data: bytes) -> np.ndarray:
+    design = np.frombuffer(data).reshape(shape)
+    rank = np.linalg.matrix_rank(design)
+    if rank < 3:
+        raise RankError(f"design matrix has rank {rank} < 3")
+    gain = np.linalg.pinv(design)
+    gain.setflags(write=False)
+    return gain
+
+
+@_geometry_constant
+def _closed_form_gain(geom: Geometry) -> np.ndarray:
+    """:func:`solve_single_posture_closed_form` as a 3x6 map of the readings,
+    written from the coefficients."""
+    k = coefficients(geom)
+    den = k.a1**2 + k.a2**2
+    iso = -(k.a1 + k.a2) / (2.0 * den)
+    return np.array([
+        [iso, iso, k.a1 / den, k.a2 / den, 0.0, 0.0],
+        [iso, iso, 0.0, 0.0, k.a1 / den, k.a2 / den],
+        [0.5, 0.5, 0.0, 0.0, 0.0, 0.0],
+    ])
+
+
+def _linear_result(sys: LinearSystem, gain: np.ndarray, method: str) -> CalibrationResult:
+    """The linear estimator ``gain`` applied to the readings of ``sys``."""
+    offsets = gain @ sys.rhs
+    residuals = sys.rhs - sys.design_matrix @ offsets
+    grad = np.linalg.norm(2.0 * sys.design_matrix.T @ residuals)
+    return _result(offsets, residuals, method, 0, True, grad)
+
+
 def solve_single_posture_closed_form(
     m: SinglePostureMeasurements, geom: Geometry
 ) -> CalibrationResult:
@@ -135,16 +177,8 @@ def solve_single_posture_closed_form(
     displacement rows conditioned on it.  Computationally convenient, but it
     may leave slightly higher residuals than the full pseudoinverse.
     """
-    k = coefficients(geom)
-    drz = (m.dz_x0 + m.dz_y0) / 2.0
-    den = k.a1**2 + k.a2**2
-    drx = (k.a1 * (m.dz_x_plus - drz) + k.a2 * (m.dz_x_minus - drz)) / den
-    dry = (k.a1 * (m.dz_y_plus - drz) + k.a2 * (m.dz_y_minus - drz)) / den
-    offsets = np.array([drx, dry, drz])
-    sys = build_single_posture_system(geom)
-    residuals = m.as_array() - sys.design_matrix @ offsets
-    grad = np.linalg.norm(2.0 * sys.design_matrix.T @ residuals)
-    return _result(offsets, residuals, "closed-form", 0, True, grad)
+    sys = build_single_posture_system(geom).with_measurements(m)
+    return _linear_result(sys, _closed_form_gain(geom), "closed-form")
 
 
 def least_squares_solve(
@@ -152,38 +186,18 @@ def least_squares_solve(
 ) -> CalibrationResult:
     """Minimum-residual solution of a linear calibration system.
 
-    Solved by orthogonal decomposition (not explicit normal equations); the
-    result is the unique least-squares minimizer for a rank-3 design.
+    The readings are mapped by the design's least-squares gain ``pinv(D)``
+    (an SVD, not the explicit normal equations), the gain the Monte-Carlo
+    and the Gauss-Newton step use too; the result is the unique
+    least-squares minimizer for a rank-3 design.
     """
     if m is not None:
         sys = sys.with_measurements(m)
     if sys.rhs is None:
         raise ValueError("linear system has no right-hand side; pass measurements")
-    design = sys.design_matrix
-    sol, _, rank, _ = np.linalg.lstsq(design, sys.rhs, rcond=None)
-    if rank < 3:
-        raise RankError(f"design matrix of the {sys.label} system has rank {rank} < 3")
-    residuals = sys.rhs - design @ sol
-    grad = np.linalg.norm(2.0 * design.T @ residuals)
-    return _result(sol, residuals, f"least-squares({sys.label})", 0, True, grad)
-
-
-def _lstsq(J: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares solutions of ``J x = b`` over a stack
-    ``(N, n, 3)``, by SVD with the cut-off of :func:`numpy.linalg.lstsq`."""
-    U, s, Vt = np.linalg.svd(J, full_matrices=False)
-    keep = s > np.finfo(float).eps * max(J.shape[-2:]) * s[:, :1]
-    y = np.einsum("kni,kn->ki", U, b)
-    y = np.divide(y, s, out=np.zeros_like(y), where=keep)
-    return np.einsum("kij,ki->kj", Vt, y)
-
-
-@_geometry_constant
-def _step_map(label: str, geom: Geometry) -> np.ndarray:
-    """Gauss-Newton step map ``solve(D'D, D')`` of scheme ``label``'s design
-    ``D``, the constant Jacobian of the default nonlinear estimators."""
-    design = SCHEMES[label].design(geom)
-    return np.linalg.solve(design.T @ design, design.T)
+    return _linear_result(
+        sys, _least_squares_gain(sys.design_matrix), f"least-squares({sys.label})"
+    )
 
 
 # Rows a damping round aims to fill in one forward-model call: about the
@@ -210,10 +224,12 @@ def _gauss_newton(
 
     Iterates a batch of problems simultaneously: ``obs`` is ``(N, n)`` and
     ``x0`` is ``(N, 3)``.  ``jacobian`` is either a pair of a constant
-    ``(n, 3)`` matrix ``D`` and its step map ``solve(D'D, D')`` (see
-    :func:`_step_map`), or a callback mapping iterates ``(k, 3)`` to model
-    Jacobians ``(k, n, 3)``, evaluated at every sweep, whose step is the
-    minimum-norm least-squares solution.  A step is halved (up to
+    ``(n, 3)`` matrix ``D`` and its least-squares gain ``K = pinv(D)`` (see
+    :func:`_least_squares_gain`), the step being ``-K r``, or a callback
+    mapping iterates ``(k, 3)`` to model Jacobians ``(k, n, 3)``, evaluated
+    at every sweep, whose step is the minimum-norm least-squares solution
+    ``-pinv(J) r`` with the singular-value cut-off of
+    :func:`numpy.linalg.lstsq`.  A step is halved (up to
     ``max_halvings`` times) whenever it fails to decrease the residual sum of
     squares, so the objective is non-increasing across accepted iterations;
     the halving levels are evaluated in blocks, several per model call, with
@@ -224,7 +240,7 @@ def _gauss_newton(
     predicted minus observed at the final iterate.
     """
     if not callable(jacobian):
-        jacobian, P = jacobian  # (n, 3), (3, n)
+        jacobian, K = jacobian  # (n, 3), (3, n)
     x = np.array(x0, dtype=float, copy=True)
     r = predict_fn(x) - obs
     F = np.einsum("ij,ij->i", r, r)
@@ -251,9 +267,10 @@ def _gauss_newton(
             if idx.size == 0:
                 continue
         if callable(jacobian):
-            step = _lstsq(J[~flat], -r[idx])
+            gains = np.linalg.pinv(J[~flat], rcond=np.finfo(float).eps * max(J.shape[1:]))
+            step = -np.einsum("kin,kn->ki", gains, r[idx])
         else:
-            step = -(r[idx] @ P.T)
+            step = -(r[idx] @ K.T)
         alpha = np.ones(idx.size)
         x_try = x[idx] + step
         r_try = predict_fn(x_try) - obs[idx]
@@ -315,7 +332,7 @@ def nonlinear_identify(
     ``jacobian="linear"`` uses the constant linear-system matrix as the
     Gauss-Newton Jacobian; ``"exact"`` recomputes the analytic model Jacobian
     every iteration.  The default initial guess is the linear least-squares
-    solution.
+    solution, the design's least-squares gain applied to the readings.
 
     Raises
     ------
@@ -329,16 +346,17 @@ def nonlinear_identify(
             "nonlinear_identify accepts ReducedMeasurements or DoublePostureMeasurements"
         )
     label = scheme.label
-    sys = build_system(label, geom)
+    design = scheme.design(geom)
+    gain = _least_squares_gain(design)
     predict_fn = lambda x: scheme.predict(x, geom)  # noqa: E731
     obs = m.as_array()
     if initial is None:
-        x0 = least_squares_solve(sys, m).offsets
+        x0 = gain @ obs
     else:
         x0 = np.asarray(initial, dtype=float)
         check_offsets(x0, geom)
     if jacobian == "linear":
-        jac = (sys.design_matrix, _step_map(label, geom))
+        jac = (design, gain)
     elif jacobian == "exact":
         jac = lambda x: prediction_jacobian(x, geom, label)  # noqa: E731
     else:

@@ -3,6 +3,7 @@ import pytest
 
 from orthocal import (
     GAUGE_CORRELATION_BLOCK,
+    MC_METHODS,
     SCHEMES,
     SYSTEM_SIX,
     SYSTEM_TWELVE,
@@ -12,11 +13,14 @@ from orthocal import (
     RankError,
     add_noise,
     build_single_posture_system,
+    build_system,
     build_twelve_eq_system,
     coefficients,
+    least_squares_solve,
     monte_carlo,
     noise_covariance_six,
     noise_covariance_twelve,
+    nonlinear_identify,
     offset_covariance_closed_form,
     offset_covariance_six,
     offset_covariance_twelve,
@@ -24,6 +28,7 @@ from orthocal import (
     propagate_covariance,
     solve_single_posture_closed_form,
 )
+from orthocal.measurement import _noise_double
 
 
 class TestNoiseCovariance:
@@ -113,8 +118,9 @@ class TestAnalyticPropagation:
             propagate_covariance(np.ones((6, 3)), np.eye(6))
 
     def test_negative_sigma_rejected(self, geom):
-        for sigma in (-1.0, np.inf, np.nan):
-            with pytest.raises(ValueError):
+        # a finite sigma whose covariance overflows is rejected as well
+        for sigma in (-1.0, np.inf, np.nan, 1e154, 1e200):
+            with pytest.raises(ValueError, match="sigma"):
                 offset_covariance_six(geom, sigma)
 
 
@@ -208,6 +214,22 @@ class TestMonteCarlo:
     def test_single_replication_has_no_spread(self, geom):
         rep = monte_carlo([0.1] * 3, 0.01, 100, 1, "six", seed=6)
         assert rep.std_of_std is None
+
+    @pytest.mark.parametrize("method", MC_METHODS)
+    def test_same_readings_as_scalar_estimators(self, geom, method):
+        # one run draws its readings as below; the scalar estimator given the
+        # same readings must return the same bits
+        truth = np.array([0.5, -1.0, 2.0])
+        scheme = SCHEMES[SYSTEM_TWELVE if method.endswith("twelve") else SYSTEM_SIX]
+        for seed in range(20):
+            rep = monte_carlo(truth, 0.02, 1, 1, method, seed, geom)
+            noise = scheme.from_full(_noise_double(np.random.default_rng(seed), 0.02, (1,)))
+            m = scheme.measurement.from_array(scheme.predict(truth, geom) + noise[0])
+            if method.startswith("nonlinear"):
+                est = nonlinear_identify(m, geom)
+            else:
+                est = least_squares_solve(build_system(scheme.label, geom), m)
+            assert np.array_equal(rep.per_axis_mean, est.offsets - truth)
 
     def test_validation(self, geom):
         with pytest.raises(ValueError):

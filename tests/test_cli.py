@@ -11,9 +11,15 @@ from orthocal.cli import main
 from conftest import REFERENCE_OFFSETS, TABLE4
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def run_cli(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
+    if rc == 0:  # successful output is strict JSON: no NaN or Infinity
+        json.loads(captured.out, parse_constant=_reject_constant)
     return rc, captured.out, captured.err
 
 
@@ -330,11 +336,13 @@ class TestParsingAndProcess:
             (("simulate", "--offsets", "0,0,0", "--quantize", "inf"), "--quantize"),
             (("montecarlo", "--sigma", "inf"), "--sigma"),
             (("montecarlo", "--sigma", "-inf"), "--sigma"),
+            (("accuracy", "--sigma", "1e154"), "sigma"),
+            (("accuracy", "--sigma", "1e200"), "sigma"),
         ],
         ids=[
             "accuracy-sigma", "simulate-quantize", "montecarlo-sigma", "accuracy-sigma-inf",
             "simulate-sigma-inf", "simulate-quantize-inf", "montecarlo-sigma-inf",
-            "montecarlo-sigma-minus-inf",
+            "montecarlo-sigma-minus-inf", "accuracy-sigma-1e154", "accuracy-sigma-1e200",
         ],
     )
     def test_nan_option_exit_1(self, capsys, argv, option):

@@ -27,7 +27,7 @@ from orthocal import (
     residual_report,
     solve_single_posture_closed_form,
 )
-from orthocal.identification import LinearSystem, _gauss_newton, _lstsq, _step_map
+from orthocal.identification import LinearSystem, _gauss_newton, _least_squares_gain
 from orthocal.measurement import _noise_double
 
 from conftest import EXPECTED_IMPROVEMENT, REFERENCE_OFFSETS, reduced_from_table
@@ -140,6 +140,10 @@ class TestClosedForm:
         )
         assert float(cf.residuals @ cf.residuals) == pytest.approx(3.734379949567723, rel=1e-12)
         assert float(ls.residuals @ ls.residuals) == pytest.approx(1.3024529181569957, rel=1e-12)
+
+    def test_rejects_other_schemes(self, geom):
+        with pytest.raises(TypeError, match="SinglePostureMeasurements"):
+            solve_single_posture_closed_form(reduced_from_table(1), geom)
 
     def test_never_beats_pseudoinverse(self, geom):
         sys = build_single_posture_system(geom)
@@ -349,7 +353,7 @@ class TestNonlinearIdentify:
         x0 = np.array([[2.0, 2.0, -2.0]])
         _gauss_newton(
             obs[None, :],
-            (sys.design_matrix, _step_map(sys.label, geom)),
+            (sys.design_matrix, _least_squares_gain(sys.design_matrix)),
             lambda x: reduced_deviation_array(x, geom),
             x0,
             objective_history=history,
@@ -456,7 +460,8 @@ def _one_level_per_call(obs, jacobian, predict_fn, x0, max_iter=100, step_tol=1e
             if idx.size == 0:
                 continue
         if callable(jacobian):
-            step = _lstsq(J[~flat], -r[idx])
+            gains = np.linalg.pinv(J[~flat], rcond=np.finfo(float).eps * max(J.shape[1:]))
+            step = -np.einsum("kin,kn->ki", gains, r[idx])
         else:
             step = -(r[idx] @ P.T)
         alpha = np.ones(idx.size)
@@ -505,7 +510,7 @@ class TestBlockHalving:
         if jacobian == "exact":
             jac = lambda x: prediction_jacobian(x, geom, label)  # noqa: E731
         else:
-            jac = (scheme.design(geom), _step_map(label, geom))
+            jac = (scheme.design(geom), _least_squares_gain(scheme.design(geom)))
         return obs, jac, lambda x: scheme.predict(x, geom), x0
 
     @pytest.mark.parametrize("n", [1, 7, 1000])

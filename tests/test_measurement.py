@@ -3,7 +3,6 @@ import pytest
 
 from orthocal import (
     SCHEMES,
-    SYSTEM_SINGLE,
     Axis,
     DoublePostureMeasurements,
     Geometry,
@@ -29,9 +28,8 @@ from orthocal import (
     reduced_deviation_array,
     single_deviation_array,
 )
-from orthocal.accuracy import _scheme_normal_maps
 from orthocal.errors import SingularError
-from orthocal.identification import _step_map
+from orthocal.identification import _least_squares_gain
 from orthocal.measurement import _noise_double, _stack_joints
 
 
@@ -390,9 +388,8 @@ class TestSchemes:
         assert build_system(label, second).design_matrix is design
         with pytest.raises(ValueError):
             design[0, 0] = 1.0
-        assert _scheme_normal_maps(label, second) is _scheme_normal_maps(label, first)
-        shared = [design, _stack_joints(first), *_scheme_normal_maps(label, first)]
-        if label != SYSTEM_SINGLE:  # the nonlinear estimators' schemes
-            assert _step_map(label, second) is _step_map(label, first)
-            shared.append(_step_map(label, first))
+        gain = _least_squares_gain(design)
+        assert _least_squares_gain(SCHEMES[label].design(second)) is gain
+        assert _least_squares_gain(design.copy()) is gain
+        shared = [design, _stack_joints(first), gain]
         assert not any(a.flags.writeable for a in shared)
