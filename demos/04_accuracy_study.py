@@ -6,6 +6,7 @@ import time
 import numpy as np
 
 from orthocal import (
+    ESTIMATORS,
     Geometry,
     build_twelve_eq_system,
     monte_carlo,
@@ -38,14 +39,19 @@ print(f"with the true block covariance:                          {twelve.sigma_r
 print("correlation block (one plane pair):")
 print(noise_covariance_twelve(1.0).matrix[:4, :4])
 
-# Monte-Carlo cross-check with the nonlinear estimators.  Full benchmark
-# size is 10000 runs x 20 replications; a reduced size keeps this demo quick.
+# Monte-Carlo cross-check of every estimator in the table against its
+# analytic sigma_rho = sigma sqrt(trace(K S K')/3), closed form included; for
+# the nonlinear estimators that is the first-order value of their start K.
+# Full benchmark size is 10000 runs x 20 replications; a reduced size keeps
+# this demo quick.
 runs, reps = 4000, 5
 print(f"\nMonte-Carlo with {runs} runs x {reps} replications (true offsets 0.1 mm):")
-for method, analytic in (("nonlinear-six", six), ("nonlinear-twelve", twelve)):
+for name, est in ESTIMATORS.items():
+    K = est.gain(geom)
+    analytic = sigma * np.sqrt(np.trace(K @ est.scheme.noise_covariance @ K.T) / 3)
     start = time.perf_counter()
-    rep = monte_carlo([0.1] * 3, sigma, runs, reps, method, seed=7)
+    rep = monte_carlo([0.1] * 3, sigma, runs, reps, name, seed=7)
     elapsed = time.perf_counter() - start
-    print(f"  {method:<17} pooled std {rep.pooled_std:.5f} mm "
-          f"(analytic {analytic.sigma_rho:.5f}), "
+    print(f"  {name:<17} pooled std {rep.pooled_std:.5f} mm "
+          f"(analytic {analytic:.5f}), "
           f"replication spread {rep.std_of_std:.6f}, {elapsed:.1f} s")

@@ -63,8 +63,10 @@ from .identification import (
     SYSTEM_SINGLE,
     SYSTEM_SIX,
     SYSTEM_TWELVE,
+    ESTIMATORS,
     CalibrationCoefficients,
     CalibrationResult,
+    Estimator,
     LinearSystem,
     ResidualReport,
     build_single_posture_system,
@@ -80,7 +82,6 @@ from .identification import (
 )
 from .accuracy import (
     GAUGE_CORRELATION_BLOCK,
-    MC_METHODS,
     CovarianceStructure,
     MonteCarloReport,
     NoiseCovariance,

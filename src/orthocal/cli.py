@@ -17,13 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .accuracy import (
-    MC_METHODS,
-    monte_carlo,
-    offset_covariance_closed_form,
-    offset_covariance_six,
-    offset_covariance_twelve,
-)
+from .accuracy import _offset_covariance, monte_carlo
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -41,17 +35,11 @@ from .fileio import (
     measurement_to_dict,
 )
 from .geometry import Geometry
-from .identification import (
-    build_system,
-    least_squares_solve,
-    nonlinear_identify,
-    solve_single_posture_closed_form,
-)
+from .identification import ESTIMATORS, _linear_result, build_system, nonlinear_identify
 from .kinematics import sensitivity_table
 from .measurement import (
     GENERATOR_ALGORITHM,
     SCHEMES,
-    SYSTEM_SINGLE,
     SYSTEM_SIX,
     SYSTEM_TWELVE,
     NoiseModel,
@@ -108,14 +96,8 @@ def _note(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-# method name -> (measurement scheme, estimator kind, analytic offset covariance)
-CALIBRATE_METHODS = {
-    "closed-form": (SYSTEM_SINGLE, "closed-form", offset_covariance_closed_form),
-    "linear6": (SYSTEM_SIX, "linear", offset_covariance_six),
-    "linear12": (SYSTEM_TWELVE, "linear", offset_covariance_twelve),
-    "nonlinear6": (SYSTEM_SIX, "nonlinear", offset_covariance_six),
-    "nonlinear12": (SYSTEM_TWELVE, "nonlinear", offset_covariance_twelve),
-}
+# calibrate --method name -> estimator name
+CALIBRATE_METHODS = {e.cli: name for name, e in ESTIMATORS.items()}
 
 
 def cmd_calibrate(args) -> int:
@@ -126,22 +108,22 @@ def cmd_calibrate(args) -> int:
     else:
         raise InputError(f"no such file or fixture: {args.file}")
     geom = _load_geometry(args.geometry) or mf.geometry or Geometry.prototype()
-    label, kind, covariance = CALIBRATE_METHODS[args.method]
+    name = CALIBRATE_METHODS[args.method]
+    est = ESTIMATORS[name]
+    scheme = est.scheme
     m = mf.measurement()
-    if mf.method == SYSTEM_TWELVE and label == SYSTEM_SIX:
+    if mf.method == SYSTEM_TWELVE and scheme.label == SYSTEM_SIX:
         _note(args, "reducing double-full measurements to max-minus-min differences")
         m = reduce_measurements(m)
-    elif mf.method != label:
+    elif mf.method != scheme.label:
         raise InputError(
-            f"method {args.method} requires {label} measurements, file has {mf.method}"
+            f"method {args.method} requires {scheme.label} measurements, file has {mf.method}"
         )
-    if kind == "closed-form":
-        result = solve_single_posture_closed_form(m, geom)
-    elif kind == "linear":
-        result = least_squares_solve(build_system(label, geom), m)
-    else:
+    if est.nonlinear:
         result = nonlinear_identify(m, geom)
-    scheme = SCHEMES[label]
+    else:
+        system = build_system(scheme.label, geom).with_measurements(m)
+        result = _linear_result(system, est.gain(geom), name)
     residuals = dict(zip(scheme.row_keys, result.residuals.tolist()))
     report = CalibrationReport(
         input_digest=digest,
@@ -154,7 +136,7 @@ def cmd_calibrate(args) -> int:
         residuals={k: residuals[k] for k in scheme.wire_keys},
         residual_rms=result.residual_rms,
         sigma_hat=result.sigma_hat,
-        sigma_rho=covariance(geom, result.sigma_hat).sigma_rho,
+        sigma_rho=_offset_covariance(name, geom, result.sigma_hat).sigma_rho,
         iterations=result.iterations,
         converged=result.converged,
         gradient_norm=result.gradient_norm,
@@ -212,10 +194,10 @@ def cmd_simulate(args) -> int:
 def cmd_accuracy(args) -> int:
     _check_sigma(args.sigma)
     geom = _load_geometry(args.geometry) or Geometry.prototype()
-    six = offset_covariance_six(geom, args.sigma)
-    twelve = offset_covariance_twelve(geom, args.sigma)
-    unit_six = offset_covariance_six(geom, 1.0).sigma_rho
-    unit_twelve = offset_covariance_twelve(geom, 1.0).sigma_rho
+    six = _offset_covariance("six", geom, args.sigma)
+    twelve = _offset_covariance("twelve", geom, args.sigma)
+    unit_six = _offset_covariance("six", geom, 1.0).sigma_rho
+    unit_twelve = _offset_covariance("twelve", geom, 1.0).sigma_rho
     doc = {
         "sigma": args.sigma,
         "six_equation": {"sigma_rho": six.sigma_rho, "factor": unit_six},
@@ -367,7 +349,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sigma", type=float, default=0.01)
     p.add_argument("--runs", type=int, default=10000)
     p.add_argument("--replications", type=int, default=20)
-    p.add_argument("--method", default="nonlinear-six", choices=MC_METHODS)
+    p.add_argument("--method", default="nonlinear-six", choices=list(ESTIMATORS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reproduce", choices=["table3"], help="run the standard benchmark preset")
     p.add_argument("--geometry", help="JSON geometry override file")

@@ -1,17 +1,19 @@
 """Offset identification from leg-parallelism measurements.
 
-Three estimator families are provided: the closed-form single-posture
-solution, linear least squares on the six- and twelve-equation systems, and
-Gauss-Newton refinement on the exact nonlinear deviation model.  Following
-the calibration procedure, the Gauss-Newton step uses the constant
-linear-system matrix as its Jacobian by default; the exact analytic Jacobian
-of the nonlinear model is available as an option and for verification.
+The table :data:`ESTIMATORS` holds the five estimators: the closed-form
+single-posture solution, linear least squares on the six- and
+twelve-equation systems, and Gauss-Newton refinement of either on the exact
+nonlinear deviation model.  Following the calibration procedure, the
+Gauss-Newton step uses the constant linear-system matrix as its Jacobian; the
+exact analytic Jacobian is available to ``nonlinear_identify`` for verification.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
+from types import MappingProxyType
+from typing import Callable
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from .measurement import (
     DoublePostureMeasurements,
     MeasurementSet,
     ReducedMeasurements,
+    Scheme,
     SinglePostureMeasurements,
     _geometry_constant,
     coefficients,
@@ -49,6 +52,8 @@ __all__ = [
     "least_squares_solve",
     "nonlinear_identify",
     "prediction_jacobian",
+    "Estimator",
+    "ESTIMATORS",
     "ResidualReport",
     "residual_report",
 ]
@@ -111,15 +116,21 @@ class CalibrationResult:
     gradient_norm: float
 
 
-def _result(offsets, residuals, method, iterations, converged, gradient_norm) -> CalibrationResult:
-    r = np.asarray(residuals, dtype=float)
+def _residual_scale(r: np.ndarray) -> tuple[float, float]:
+    """RMS ``sqrt(ssr/n)`` and noise estimate ``sqrt(ssr/(n-3))`` of residuals ``r``."""
     n = r.size
     ssr = float(r @ r)
+    return float(np.sqrt(ssr / n)), float(np.sqrt(ssr / (n - 3)))
+
+
+def _result(offsets, residuals, method, iterations, converged, gradient_norm) -> CalibrationResult:
+    r = np.asarray(residuals, dtype=float)
+    rms, sigma_hat = _residual_scale(r)
     return CalibrationResult(
         offsets=np.asarray(offsets, dtype=float),
         residuals=r,
-        residual_rms=float(np.sqrt(ssr / n)),
-        sigma_hat=float(np.sqrt(ssr / (n - 3))),
+        residual_rms=rms,
+        sigma_hat=sigma_hat,
         method=method,
         iterations=int(iterations),
         converged=bool(converged),
@@ -158,6 +169,36 @@ def _closed_form_gain(geom: Geometry) -> np.ndarray:
         [iso, iso, 0.0, 0.0, k.a1 / den, k.a2 / den],
         [0.5, 0.5, 0.0, 0.0, 0.0, 0.0],
     ])
+
+
+@dataclass(frozen=True, eq=False)
+class Estimator:
+    """An offset estimator on the readings of ``scheme``: the read-only map
+    ``K = gain(geom)``, refined from ``K @ readings`` by constant-Jacobian
+    Gauss-Newton when ``nonlinear``; ``cli`` is its ``calibrate --method``."""
+
+    scheme: Scheme
+    gain: Callable
+    nonlinear: bool
+    cli: str
+
+
+def _least_squares(label: str, nonlinear: bool, cli: str) -> Estimator:
+    """Least squares on the design ``D`` of scheme ``label``: ``K = pinv(D)``."""
+    scheme = SCHEMES[label]
+    return Estimator(scheme, lambda geom: _least_squares_gain(scheme.design(geom)), nonlinear, cli)
+
+
+#: The offset estimators by name, the methods ``monte_carlo`` takes.
+ESTIMATORS = MappingProxyType(
+    {
+        "closed-form": Estimator(SCHEMES[SYSTEM_SINGLE], _closed_form_gain, False, "closed-form"),
+        "six": _least_squares(SYSTEM_SIX, False, "linear6"),
+        "twelve": _least_squares(SYSTEM_TWELVE, False, "linear12"),
+        "nonlinear-six": _least_squares(SYSTEM_SIX, True, "nonlinear6"),
+        "nonlinear-twelve": _least_squares(SYSTEM_TWELVE, True, "nonlinear12"),
+    }
+)
 
 
 def _linear_result(sys: LinearSystem, gain: np.ndarray, method: str) -> CalibrationResult:
@@ -402,10 +443,5 @@ def residual_report(
     else:
         raise ValueError(f"model must be 'linear' or 'nonlinear', got {model!r}")
     r = m.as_array() - predicted
-    n = r.size
-    ssr = float(r @ r)
-    return ResidualReport(
-        residuals=r,
-        rms=float(np.sqrt(ssr / n)),
-        sigma_hat=float(np.sqrt(ssr / (n - 3))),
-    )
+    rms, sigma_hat = _residual_scale(r)
+    return ResidualReport(residuals=r, rms=rms, sigma_hat=sigma_hat)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from orthocal import (
+    ESTIMATORS,
     GAUGE_CORRELATION_BLOCK,
-    MC_METHODS,
     SCHEMES,
     SYSTEM_SIX,
     SYSTEM_TWELVE,
@@ -123,6 +123,13 @@ class TestAnalyticPropagation:
             with pytest.raises(ValueError, match="sigma"):
                 offset_covariance_six(geom, sigma)
 
+    @pytest.mark.parametrize("fn", [noise_covariance_six, noise_covariance_twelve])
+    def test_noise_covariance_rejects_bad_sigma(self, fn):
+        # 1e154 squares to a finite 1e308 that the unit covariance overflows
+        for sigma in (-1.0, np.nan, 1e154, 1e200):
+            with pytest.raises(ValueError, match="sigma"):
+                fn(sigma)
+
 
 class TestClosedFormCovariance:
     def test_own_map_not_pseudoinverse(self, geom):
@@ -181,7 +188,8 @@ class TestMonteCarlo:
         )
 
     @pytest.mark.parametrize("method, factor", [("six", 1.9843155282433684),
-                                                ("twelve", 2.065773686280565)])
+                                                ("twelve", 2.065773686280565),
+                                                ("closed-form", 3.0853223201044044)])
     def test_matches_analytic_covariance(self, geom, method, factor):
         # pooled Monte-Carlo std vs the analytic propagation, 3% at 1e4 runs
         sigma = 0.01
@@ -215,21 +223,28 @@ class TestMonteCarlo:
         rep = monte_carlo([0.1] * 3, 0.01, 100, 1, "six", seed=6)
         assert rep.std_of_std is None
 
-    @pytest.mark.parametrize("method", MC_METHODS)
+    @pytest.mark.parametrize("method", list(ESTIMATORS))
     def test_same_readings_as_scalar_estimators(self, geom, method):
         # one run draws its readings as below; the scalar estimator given the
         # same readings must return the same bits
         truth = np.array([0.5, -1.0, 2.0])
-        scheme = SCHEMES[SYSTEM_TWELVE if method.endswith("twelve") else SYSTEM_SIX]
+        est = ESTIMATORS[method]
+        scheme = est.scheme
         for seed in range(20):
             rep = monte_carlo(truth, 0.02, 1, 1, method, seed, geom)
-            noise = scheme.from_full(_noise_double(np.random.default_rng(seed), 0.02, (1,)))
-            m = scheme.measurement.from_array(scheme.predict(truth, geom) + noise[0])
-            if method.startswith("nonlinear"):
-                est = nonlinear_identify(m, geom)
+            rng = np.random.default_rng(seed)
+            if scheme.from_full is None:
+                noise = scheme.sample_noise(rng, 0.02, (1,))
             else:
-                est = least_squares_solve(build_system(scheme.label, geom), m)
-            assert np.array_equal(rep.per_axis_mean, est.offsets - truth)
+                noise = scheme.from_full(_noise_double(rng, 0.02, (1,)))
+            m = scheme.measurement.from_array(scheme.predict(truth, geom) + noise[0])
+            if method == "closed-form":
+                res = solve_single_posture_closed_form(m, geom)
+            elif est.nonlinear:
+                res = nonlinear_identify(m, geom)
+            else:
+                res = least_squares_solve(build_system(scheme.label, geom), m)
+            assert np.array_equal(rep.per_axis_mean, res.offsets - truth)
 
     def test_validation(self, geom):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -5,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from orthocal import ConvergenceError
-from orthocal.cli import main
+from orthocal import ESTIMATORS, ConvergenceError
+from orthocal.cli import build_parser, main
 
 from conftest import REFERENCE_OFFSETS, TABLE4
 
@@ -267,6 +268,23 @@ class TestMonteCarlo:
         assert doc["pooled_std"] == pytest.approx(0.0198, rel=0.2)
         assert doc["failed_runs"] == 0
 
+    def test_closed_form(self, capsys):
+        rc, out, _ = run_cli(
+            capsys, "montecarlo", "--offsets", "0.1,0.1,0.1", "--sigma", "0.01",
+            "--runs", "400", "--replications", "2", "--method", "closed-form",
+        )
+        assert rc == 0
+        assert json.loads(out)["pooled_std"] == pytest.approx(0.0309, rel=0.2)
+
+    def test_method_choices_are_the_estimators(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+        def choices(command):
+            return next(a.choices for a in sub.choices[command]._actions if a.dest == "method")
+
+        assert set(choices("calibrate")) == {e.cli for e in ESTIMATORS.values()}
+        assert list(choices("montecarlo")) == list(ESTIMATORS)
+
     def test_zero_runs_exit_1(self, capsys):
         rc, _, _ = run_cli(capsys, "montecarlo", "--runs", "0")
         assert rc == 1
@@ -338,11 +356,17 @@ class TestParsingAndProcess:
             (("montecarlo", "--sigma", "-inf"), "--sigma"),
             (("accuracy", "--sigma", "1e154"), "sigma"),
             (("accuracy", "--sigma", "1e200"), "sigma"),
+            (("montecarlo", "--sigma", "1e200", "--runs", "10", "--method", "six"), "sigma"),
+            (("montecarlo", "--sigma", "1e200", "--runs", "10", "--method", "nonlinear-six"),
+             "sigma"),
+            (("montecarlo", "--sigma", "1e152", "--runs", "10000", "--method", "six"), "sigma"),
         ],
         ids=[
             "accuracy-sigma", "simulate-quantize", "montecarlo-sigma", "accuracy-sigma-inf",
             "simulate-sigma-inf", "simulate-quantize-inf", "montecarlo-sigma-inf",
             "montecarlo-sigma-minus-inf", "accuracy-sigma-1e154", "accuracy-sigma-1e200",
+            "montecarlo-six-sigma-1e200", "montecarlo-nonlinear-six-sigma-1e200",
+            "montecarlo-six-sigma-1e152-runs-10000",
         ],
     )
     def test_nan_option_exit_1(self, capsys, argv, option):
