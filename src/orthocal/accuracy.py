@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConvergenceError
 from .geometry import Geometry, check_offsets
 from .identification import ESTIMATORS, _gauss_newton, _least_squares_gain
-from .measurement import GAUGE_CORRELATION_BLOCK, SCHEMES, SYSTEM_SIX, SYSTEM_TWELVE, _noise_double
+from .measurement import GAUGE_CORRELATION_BLOCK, SCHEMES, SYSTEM_SIX, SYSTEM_TWELVE
 
 __all__ = [
     "CovarianceStructure",
@@ -190,12 +190,7 @@ def monte_carlo(
     failed = 0
     for rep in range(replications):
         rng = np.random.default_rng(seed + rep)
-        if scheme.from_full is None:
-            noise = scheme.sample_noise(rng, sigma, (runs,))
-        else:
-            # raw double-posture readings, reduced for the six-equation scheme
-            noise = scheme.from_full(_noise_double(rng, sigma, (runs,)))
-        obs = d_true[None, :] + noise
+        obs = d_true[None, :] + scheme.sample_noise(rng, sigma, (runs,))
         x = obs @ gain.T
         if est.nonlinear:
             x, conv, _, _ = _gauss_newton(obs, (scheme.design(geom), gain), predict_fn, x)

@@ -59,8 +59,8 @@ class Geometry:
     d: float = 80.0
 
     def __post_init__(self) -> None:
-        if not (self.L > 0):
-            raise ValueError(f"leg length must be positive, got L={self.L}")
+        if not (0 < self.L < math.inf):
+            raise ValueError(f"leg length must be positive and finite, got L={self.L}")
         if not (self.rho_min < 0 < self.rho_max):
             raise ValueError(
                 f"joint limits must straddle zero: rho_min={self.rho_min}, rho_max={self.rho_max}"

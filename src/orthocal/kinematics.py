@@ -161,27 +161,24 @@ def _dk_select(rho_eff: np.ndarray, t_minus, t_plus) -> np.ndarray:
     """TCP position for the admissible root of minimal norm.
 
     A root is admissible when all three configuration indices
-    ``sign(eff_i - p_i)`` are +1, matching the prototype assembly.
+    ``sign(eff_i - p_i)`` are +1, matching the prototype assembly.  With
+    ``S = sum 1/eff_i^2`` the squared norm is ``sum eff_i^2/4 + 3t + S t^2``
+    and the roots sum to ``-1/S``, so ``t_minus`` has the smaller norm by
+    ``2 (t_plus - t_minus)``.  Being negative, it is admissible exactly when
+    every effective joint is positive; the other rows can only take
+    ``t_plus``.
     """
-    # in place where possible: three arrays of the joints' shape at a time
-    # (``scratch`` is half the joints, then the differences and squares)
-    scratch = rho_eff / 2.0
-    p_lo = np.divide(t_minus[..., None], rho_eff)
-    p_lo += scratch
-    p_hi = np.divide(t_plus[..., None], rho_eff)
-    p_hi += scratch
-    ok_lo = _all3(np.subtract(rho_eff, p_lo, out=scratch) > 0)
-    ok_hi = _all3(np.subtract(rho_eff, p_hi, out=scratch) > 0)
-    if not np.all(ok_lo | ok_hi):
-        raise SingularError(
-            "no admissible direct-kinematics branch: both roots violate the "
-            "+1 configuration indices"
-        )
-    norm_lo = _sum3(np.multiply(p_lo, p_lo, out=scratch))
-    norm_hi = _sum3(np.multiply(p_hi, p_hi, out=scratch))
-    take_hi = ok_hi & (~ok_lo | (norm_hi < norm_lo))
-    np.copyto(p_lo, p_hi, where=take_hi[..., None])
-    return p_lo
+    positive = _all3(rho_eff > 0)
+    p = np.divide(np.where(positive, t_minus, t_plus)[..., None], rho_eff)
+    p += rho_eff / 2.0
+    if not positive.all():
+        rest = ~positive
+        if not _all3(rho_eff[rest] - p[rest] > 0).all():
+            raise SingularError(
+                "no admissible direct-kinematics branch: both roots violate the "
+                "+1 configuration indices"
+            )
+    return p
 
 
 def _dk_point(rho_eff: np.ndarray, L: float) -> np.ndarray:
@@ -316,18 +313,10 @@ class SensitivityRow:
         return self.at_max
 
 
-# (leg, plane) pairs measurable at the isotropic posture; the deviation is the
-# offset of the axis perpendicular to the plane.
-_ISO_ROWS = [
-    (Axis.X, "XY"),
-    (Axis.X, "XZ"),
-    (Axis.Y, "XY"),
-    (Axis.Y, "YZ"),
-    (Axis.Z, "XZ"),
-    (Axis.Z, "YZ"),
-]
-_PERP = {"XY": Axis.Z, "XZ": Axis.Y, "YZ": Axis.X}
+# The two planes gauged on each leg, and the axis perpendicular to each plane:
+# at the isotropic posture a plane's deviation is that axis's offset.
 _PLANES = {Axis.X: ("XY", "XZ"), Axis.Y: ("XY", "YZ"), Axis.Z: ("XZ", "YZ")}
+_PERP = {"XY": Axis.Z, "XZ": Axis.Y, "YZ": Axis.X}
 
 
 def sensitivity_table(geom: Geometry, offsets) -> list[SensitivityRow]:
@@ -344,7 +333,8 @@ def sensitivity_table(geom: Geometry, offsets) -> list[SensitivityRow]:
     t2 = geom.angle_min().t_alpha
     rows = [
         SensitivityRow("isotropic", leg, plane, off[_PERP[plane]], off[_PERP[plane]])
-        for leg, plane in _ISO_ROWS
+        for leg in Axis
+        for plane in _PLANES[leg]
     ]
     for leg in Axis:
         for plane in _PLANES[leg]:

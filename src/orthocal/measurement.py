@@ -308,6 +308,22 @@ def _gauge_station(p0: np.ndarray, dr: np.ndarray, L: float, shift=0.0) -> np.nd
     return L / 2 + (p0 + dr) / 2 + shift
 
 
+def _gauge_lines(dr, geom: Geometry, shift=0.0, rows=slice(None), lines=(_LINE_ROW, _LINE_LEG)):
+    """Effective joints and TCPs of the stack postures ``rows`` under offsets
+    ``dr``, and the parameter ``mu = num / den`` of the gauge station on the
+    leg lines ``lines``, ``(row in rows, leg)`` pairs; by default the nine
+    gauged lines of the whole stack.  The leg runs from the prismatic joint
+    centre (``mu = 0``) to the TCP (``mu = 1``)."""
+    joints, p = _posture_stack(dr, geom, rows)
+    line_row, line_leg = lines
+    joint = joints[..., line_row, line_leg]
+    num = joint - _gauge_station(p[..., 0, :], dr, geom.L, shift)[..., line_leg]
+    den = joint - p[..., line_row, line_leg]
+    if np.any(np.abs(den) < 1e-9):
+        raise SingularError("leg line parallel to the gauge station plane")
+    return joints, p, num, den
+
+
 def double_deviation_array(offsets, geom: Geometry, gauge_shift=None) -> np.ndarray:
     """Exact double-posture deviations, shape ``(..., 12)`` in canonical order.
 
@@ -317,15 +333,9 @@ def double_deviation_array(offsets, geom: Geometry, gauge_shift=None) -> np.ndar
     """
     dr = _offsets_array(offsets, geom)
     shift = 0.0 if gauge_shift is None else np.asarray(gauge_shift, dtype=float)
-    joints, p = _posture_stack(dr, geom)
-    p0 = p[..., 0, :]
-    # line parameter of the gauge station on each gauged leg line
-    joint = joints[..., _LINE_ROW, _LINE_LEG]
-    denom = joint - p[..., _LINE_ROW, _LINE_LEG]
-    if np.any(np.abs(denom) < 1e-9):
-        raise SingularError("leg line parallel to the gauge station plane")
-    mu = (joint - _gauge_station(p0, dr, geom.L, shift)[..., _LINE_LEG]) / denom
-    return mu[..., _ROW_12 + 2] * p[..., _ROW_12, _GAUGE_12] - mu[..., _LEG_12] * p0[..., _GAUGE_12]
+    _, p, num, den = _gauge_lines(dr, geom, shift)
+    mu = num / den
+    return mu[..., _ROW_12 + 2] * p[..., _ROW_12, _GAUGE_12] - mu[..., _LEG_12] * p[..., 0, _GAUGE_12]
 
 
 def reduced_deviation_array(offsets, geom: Geometry, gauge_shift=None) -> np.ndarray:
@@ -357,15 +367,13 @@ def prediction_jacobian(offsets, geom: Geometry, label: str = SYSTEM_TWELVE) -> 
     if scheme is None or scheme.from_full is None:
         raise ValueError(f"prediction_jacobian supports {SYSTEM_TWELVE!r} or {SYSTEM_SIX!r}")
     dr = _offsets_array(offsets, geom)
-    joints, p = _posture_stack(dr, geom)
+    joints, p, num, den = _gauge_lines(dr, geom)
     D = np.linalg.inv(inverse_jacobian(p, joints))  # dp/drho at each posture
-    D0, p0 = D[..., 0, :, :], p[..., 0, :]
-    # gauge-line parameter mu = num / den of each displacement posture on its
-    # own leg, and its gradient; at the isotropic posture mu is 1/2
+    D0 = D[..., 0, :, :]
+    # gradient of the gauge-line parameter of each displacement posture on
+    # its own leg; at the isotropic posture mu is 1/2
     rows, legs = _LINE_ROW[3:], _LINE_LEG[3:]
-    joint = joints[..., rows, legs]
-    num = joint - _gauge_station(p0, dr, geom.L)[..., legs]
-    den = joint - p[..., rows, legs]
+    num, den = num[..., 3:], den[..., 3:]
     e = np.eye(3)[legs]
     d_num = e / 2 - D0[..., legs, :] / 2
     d_den = e - D[..., rows, legs, :]
@@ -445,12 +453,9 @@ def leg_line_scaling(
     dr = _offsets_array(offsets, geom)
     if dr.ndim != 1:
         raise ValueError("leg_line_scaling expects a single offset triple")
-    joints, p = _posture_stack(dr, geom, [0, _STACK.index(posture)])
-    xg = _gauge_station(p[0], dr, geom.L, gauge_shift)[leg]
-    denom = joints[1, leg] - p[1, leg]
-    if abs(denom) < 1e-9:
-        raise SingularError("leg line parallel to the gauge station plane")
-    return float((joints[1, leg] - xg) / denom)
+    # only the two postures involved, so an unrelated posture cannot fail
+    _, _, num, den = _gauge_lines(dr, geom, gauge_shift, [0, _STACK.index(posture)], (1, leg))
+    return float(num / den)
 
 
 @dataclass(frozen=True)
@@ -473,9 +478,8 @@ class NoiseModel:
 
 
 def _noise_pairs(rng: np.random.Generator, sigma: float, shape: tuple = ()) -> np.ndarray:
-    """Six channels, each the difference of two independent raw readings,
-    variance ``2 sigma^2``: the single-posture deviations, and the reduced
-    max-minus-min differences (their shared isotropic reading cancels)."""
+    """Single-posture noise: six channels, each the difference of two
+    independent raw readings, variance ``2 sigma^2``."""
     xi = rng.standard_normal(shape + (6, 2)) * sigma
     return xi[..., 0] - xi[..., 1]
 
@@ -556,7 +560,11 @@ SCHEMES = MappingProxyType(
             wire_keys=("dx_y", "dx_z", "dy_x", "dy_z", "dz_x", "dz_y"),
             predict=reduced_deviation_array,
             design=_six_design,
-            sample_noise=_noise_pairs,
+            # the max-minus-min differences of the raw double-posture
+            # readings: the shared isotropic reading cancels
+            sample_noise=lambda rng, sigma, shape=(): _reduce_channels(
+                _noise_double(rng, sigma, shape)
+            ),
             noise_covariance=2.0 * np.eye(6),
             from_full=_reduce_channels,
         ),

@@ -85,9 +85,10 @@ class TestCalibrate:
             ({"geometry": 5}, None),
             ({"method": ["x"]}, None),
             ({}, 5),
+            ({}, {"L": float("inf"), "rho_min": -100.0, "rho_max": 60.0}),
         ],
         ids=["values-list", "repetitions-list", "geometry-number", "method-list",
-             "geometry-file-number"],
+             "geometry-file-number", "geometry-file-infinite-L"],
     )
     def test_malformed_file_exit_1(self, capsys, tmp_path, overrides, geometry):
         doc = {"schema_version": 1, "units": "mm", "method": "double-reduced",

@@ -28,7 +28,6 @@ from orthocal import (
     solve_single_posture_closed_form,
 )
 from orthocal.identification import LinearSystem, _gauss_newton, _least_squares_gain
-from orthocal.measurement import _noise_double
 
 from conftest import EXPECTED_IMPROVEMENT, REFERENCE_OFFSETS, reduced_from_table
 
@@ -505,7 +504,7 @@ class TestBlockHalving:
         scheme = SCHEMES[label]
         rng = np.random.default_rng([n, len(label), jacobian == "exact"])
         truth = rng.uniform(-5.0, 5.0, (n, 3))
-        obs = scheme.predict(truth, geom) + scheme.from_full(_noise_double(rng, 0.02, (n,)))
+        obs = scheme.predict(truth, geom) + scheme.sample_noise(rng, 0.02, (n,))
         x0 = obs @ np.linalg.pinv(scheme.design(geom)).T
         if jacobian == "exact":
             jac = lambda x: prediction_jacobian(x, geom, label)  # noqa: E731

@@ -39,6 +39,7 @@ class TestGeometry:
             dict(L=310.25, rho_min=-100.0, rho_max=-60.0),
             dict(L=310.25, rho_min=-400.0, rho_max=60.0),
             dict(L=310.25, rho_min=-100.0, rho_max=400.0),
+            dict(L=np.inf, rho_min=-100.0, rho_max=60.0),
         ],
     )
     def test_invalid_geometry(self, kwargs):

@@ -30,7 +30,7 @@ from orthocal import (
 )
 from orthocal.errors import SingularError
 from orthocal.identification import _least_squares_gain
-from orthocal.measurement import _noise_double, _stack_joints
+from orthocal.measurement import _stack_joints
 
 
 class TestPredictors:
@@ -277,18 +277,15 @@ class TestNoise:
             assert np.all(noisy.as_array() != m.as_array())
 
     def test_reduction_cancels_isotropic_noise(self):
-        # reducing the 12-vector noise gives variance 2 sigma^2 channels
+        # reducing the raw 12-vector noise gives variance 2 sigma^2 channels
         sigma = 0.01
         rng = np.random.default_rng(77)
-        draws = _noise_double(rng, sigma, (100000,))
-        pairs = ((0, 2), (1, 3), (4, 6), (5, 7), (8, 10), (9, 11))
-        red = np.stack([draws[:, i] - draws[:, j] for i, j in pairs], axis=1)
+        red = SCHEMES["double-reduced"].sample_noise(rng, sigma, (100000,))
         emp = np.cov(red.T)
         assert np.abs(emp - 2 * sigma**2 * np.eye(6)).max() <= 0.1 * sigma**2
 
     # add_noise on a zero set with sigma 0.01 mm and seed 2024, recorded
-    # before the measurement-scheme registry replaced the per-type dispatch;
-    # the single-posture and reduced sets share one sampler, hence one stream
+    # before the measurement-scheme registry replaced the per-type dispatch
     PINNED_2024 = {
         "single-posture": [
             -0.00613063166719249, 0.021198990450711795, -0.014599964514479657,
@@ -300,11 +297,12 @@ class TestNoise:
             -0.012478908528223767, -0.01482165994383166, 0.025921226208109695,
             -0.004196205809023027, 0.011566294381968018, 0.01040375870545663,
         ],
-        "double-reduced": [
-            -0.00613063166719249, 0.021198990450711795, -0.014599964514479657,
-            0.0035216411909473827, 0.01059442101141365, 0.013710820751607102,
-        ],
     }
+    # the reduced readings are the max-minus-min differences of the raw
+    # double-posture draw, so their stream is the reduction of its pin
+    PINNED_2024["double-reduced"] = (
+        reduce(DoublePostureMeasurements.from_array(PINNED_2024["double-full"])).as_array().tolist()
+    )
 
     @pytest.mark.parametrize("label", list(PINNED_2024))
     def test_noise_stream_pinned(self, label):

@@ -1,6 +1,7 @@
 """Property tests over the model's validity domain (|offset| <= L/10)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,9 @@ from orthocal import (
     reduced_deviation_array,
     single_deviation_array,
 )
+from orthocal.errors import DomainError, SingularError
+from orthocal.kinematics import _dk_roots, _dk_select
+from orthocal.measurement import _stack_joints
 
 GEOM = Geometry.prototype()
 _coord = st.floats(-GEOM.L / 10, GEOM.L / 10, allow_nan=False)
@@ -33,3 +37,69 @@ def test_batch_row_equals_scalar_call(offsets):
         assert batch.shape[0] == len(offsets)
         for i, dr in enumerate(offsets):
             assert np.array_equal(batch[i], model(dr, GEOM))
+
+
+def _brute_force_select(eff, t_minus, t_plus):
+    """Oracle for the root choice: both TCPs, both admissibility masks and
+    both norms; the admissible root of smaller norm wins."""
+    p_lo = t_minus[..., None] / eff + eff / 2.0
+    p_hi = t_plus[..., None] / eff + eff / 2.0
+    ok_lo = np.all(eff - p_lo > 0, axis=-1)
+    ok_hi = np.all(eff - p_hi > 0, axis=-1)
+    if not np.all(ok_lo | ok_hi):
+        raise SingularError("no admissible root")
+    norm_lo = np.sum(p_lo * p_lo, axis=-1)
+    norm_hi = np.sum(p_hi * p_hi, axis=-1)
+    take_hi = ok_hi & (~ok_lo | (norm_hi < norm_lo))
+    return np.where(take_hi[..., None], p_hi, p_lo)
+
+
+def _check_root_rule(eff, L):
+    """``_dk_select`` equals the oracle on every row whose roots exist, or
+    raises where the oracle raises, and on the batch of admissible rows."""
+    admissible = []
+    for row in eff:
+        try:
+            t_minus, t_plus = _dk_roots(row, L)[:2]
+        except DomainError:
+            continue
+        try:
+            expected = _brute_force_select(row, t_minus, t_plus)
+        except SingularError:
+            with pytest.raises(SingularError):
+                _dk_select(row, t_minus, t_plus)
+            continue
+        assert np.array_equal(_dk_select(row, t_minus, t_plus), expected)
+        admissible.append(row)
+    if admissible:
+        batch = np.array(admissible)
+        t_minus, t_plus = _dk_roots(batch, L)[:2]
+        assert np.array_equal(
+            _dk_select(batch, t_minus, t_plus), _brute_force_select(batch, t_minus, t_plus)
+        )
+
+
+@st.composite
+def _geometries(draw):
+    L = draw(st.floats(50.0, 1000.0))
+    rho_min = -draw(st.floats(0.01, 0.95)) * L
+    rho_max = draw(st.floats(0.01, 0.95)) * L
+    return Geometry(L=L, rho_min=rho_min, rho_max=rho_max)
+
+
+@settings(max_examples=100, deadline=None)
+@given(geom=_geometries(), data=st.data())
+def test_root_rule_on_posture_stack(geom, data):
+    # (a) the seven stack postures of a random geometry, offsets up to L/10
+    coord = st.floats(-geom.L / 10, geom.L / 10)
+    offsets = np.array(data.draw(st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=8)))
+    _check_root_rule((offsets[:, None, :] + _stack_joints(geom)).reshape(-1, 3), geom.L)
+
+
+@settings(max_examples=100, deadline=None)
+@given(L=st.floats(50.0, 1000.0), data=st.data())
+def test_root_rule_on_mixed_sign_joints(L, data):
+    # (b) arbitrary effective joints of either sign, |eff| <= 1.5 L
+    joint = st.floats(-1.5 * L, 1.5 * L).filter(lambda v: abs(v) >= 1e-6 * L)
+    eff = np.array(data.draw(st.lists(st.tuples(joint, joint, joint), min_size=1, max_size=40)))
+    _check_root_rule(eff, L)
