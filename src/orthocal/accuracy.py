@@ -102,7 +102,7 @@ def _offset_covariance(name: str, geom: Geometry, sigma: float) -> OffsetCovaria
     gain = est.gain(geom)
     with np.errstate(over="ignore", invalid="ignore"):
         V = gain @ S @ gain.T
-        sigma_rho = float(np.sqrt(np.trace(V) / 3.0))
+        sigma_rho = float(np.sqrt(V.trace() / 3.0))
     if not (np.isfinite(V).all() and math.isfinite(sigma_rho)):
         raise ValueError(f"sigma {sigma:g} overflows the offset covariance")
     return OffsetCovariance(V=V, sigma_rho=sigma_rho, method=name)

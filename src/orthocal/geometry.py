@@ -182,10 +182,11 @@ def check_offsets(offsets, geom: Geometry) -> None:
     arr = np.asarray(offsets, dtype=float)
     if arr.shape[-1] != 3:
         raise ValueError(f"offsets must have 3 components, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("offsets must be finite")
     bound = geom.L / 10.0
-    if np.any(np.abs(arr) > bound):
+    # one test on the accept path: NaN fails it too
+    if not (np.abs(arr) <= bound).all():
+        if not np.isfinite(arr).all():
+            raise ValueError("offsets must be finite")
         raise ValueError(
             f"offset magnitude exceeds the model validity bound L/10 = {bound:.2f} mm"
         )

@@ -250,6 +250,12 @@ def least_squares_solve(
 _HALVING_BLOCK_ROWS = 128
 
 
+def _row_norm(v: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(v, axis=1)``: the computation it makes, without the
+    overhead of its dispatch."""
+    return np.sqrt(np.add.reduce(v * v, axis=1))
+
+
 def _gauss_newton(
     obs: np.ndarray,
     jacobian,
@@ -292,28 +298,30 @@ def _gauss_newton(
     iterations = np.zeros(n_run, dtype=int)
     active = np.ones(n_run, dtype=bool)
     for _ in range(max_iter):
-        idx = np.flatnonzero(active)
+        idx = active.nonzero()[0]
         if idx.size == 0:
             break
+        xa, ra = x[idx], r[idx]  # the active rows
         if callable(jacobian):
-            J = jacobian(x[idx])
-            grad = 2.0 * np.einsum("kn,kni->ki", r[idx], J)
+            J = jacobian(xa)
+            grad = 2.0 * np.einsum("kn,kni->ki", ra, J)
         else:
-            grad = 2.0 * r[idx] @ jacobian  # (na, 3)
-        flat = np.linalg.norm(grad, axis=1) < grad_tol
+            grad = 2.0 * ra @ jacobian  # (na, 3)
+        flat = _row_norm(grad) < grad_tol
         if flat.any():
             converged[idx[flat]] = True
             active[idx[flat]] = False
-            idx = idx[~flat]
+            keep = ~flat
+            idx, xa, ra = idx[keep], xa[keep], ra[keep]
             if idx.size == 0:
                 continue
         if callable(jacobian):
             gains = np.linalg.pinv(J[~flat], rcond=np.finfo(float).eps * max(J.shape[1:]))
-            step = -np.einsum("kin,kn->ki", gains, r[idx])
+            step = -np.einsum("kin,kn->ki", gains, ra)
         else:
-            step = -(r[idx] @ K.T)
+            step = -(ra @ K.T)
         alpha = np.ones(idx.size)
-        x_try = x[idx] + step
+        x_try = xa + step
         r_try = predict_fn(x_try) - obs[idx]
         F_try = np.einsum("ij,ij->i", r_try, r_try)
         # strict decrease required: accepting equal-objective steps can cycle
@@ -323,7 +331,7 @@ def _gauss_newton(
             # the next k halving levels of every still-worse row in one call;
             # each row keeps its first level that lowers the objective, the
             # level a one-level-per-call loop would stop at
-            sub = np.flatnonzero(worse)
+            sub = worse.nonzero()[0]
             k = min(max_halvings - level, -(-_HALVING_BLOCK_ROWS // sub.size))
             rows = np.repeat(sub, k)
             a = np.tile(np.ldexp(1.0, -np.arange(level + 1, level + k + 1)), sub.size)
@@ -344,14 +352,11 @@ def _gauss_newton(
         r[acc] = r_try[accepted]
         F[acc] = F_try[accepted]
         iterations[acc] += 1
-        step_norm = np.linalg.norm(alpha[:, None] * step, axis=1)
-        tiny = step_norm < step_tol
-        # accepted rows with a tiny step have converged; rows whose damping
-        # exhausted count as converged only if the proposed step was tiny
-        done = (accepted & tiny) | (worse & tiny)
-        failed = worse & ~tiny
-        converged[idx[done]] = True
-        active[idx[done | failed]] = False
+        # a tiny damped step ends the row as converged, accepted or with the
+        # damping exhausted; the damping exhausted on a larger one, as failed
+        tiny = _row_norm(alpha[:, None] * step) < step_tol
+        converged[idx[tiny]] = True
+        active[idx[tiny | worse]] = False
         if objective_history is not None:
             objective_history.append(F.copy())
     return x, converged, iterations, r
@@ -379,7 +384,8 @@ def nonlinear_identify(
     ------
     ConvergenceError
         If the iteration budget is exhausted before the step or gradient
-        tolerance is met.
+        tolerance is met, or if no halving of a step lowers the objective
+        while the step is not below the tolerance.
     """
     scheme = scheme_of(m)
     if scheme.from_full is None:
@@ -410,8 +416,12 @@ def nonlinear_identify(
     J = jac(x) if callable(jac) else jac[0]
     grad_norm = float(np.linalg.norm(2.0 * J.T @ r))
     if not conv:
+        # short of the budget, only a step that no halving made descend stops a row
         raise ConvergenceError(
             f"Gauss-Newton did not converge within {max_iter} iterations"
+            if iters == max_iter
+            else f"Gauss-Newton step halving exhausted after {iters} of {max_iter} "
+            "iterations: no damped step lowered the objective"
         )
     return _result(x, -r, f"gauss-newton({label})", iters, conv, grad_norm)
 

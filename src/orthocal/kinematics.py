@@ -119,13 +119,9 @@ def inverse_kinematics(
     return rho
 
 
-# numpy reduces over a short last axis far slower than it adds three
-# component arrays; left to right, the sum is the same bit for bit
-def _sum3(a: np.ndarray) -> np.ndarray:
-    """``a.sum(axis=-1)`` for a last axis of length 3."""
-    return a[..., 0] + a[..., 1] + a[..., 2]
-
-
+# numpy reduces over a short last axis far slower than it combines the three
+# component arrays (``_dk_roots`` adds them left to right, which is the sum
+# over that axis bit for bit)
 def _all3(a: np.ndarray) -> np.ndarray:
     """``a.all(axis=-1)`` for a boolean last axis of length 3."""
     return a[..., 0] & a[..., 1] & a[..., 2]
@@ -145,13 +141,14 @@ def _dk_roots(rho_eff: np.ndarray, L: float):
     a product of squares and therefore positive.
     """
     sq = rho_eff * rho_eff
-    A = sq[..., 1] * sq[..., 2] + sq[..., 0] * sq[..., 2] + sq[..., 0] * sq[..., 1]
-    B = sq[..., 0] * sq[..., 1] * sq[..., 2]
-    C = (_sum3(sq) - 4.0 * L * L) / 4.0
+    s0, s1, s2 = sq[..., 0], sq[..., 1], sq[..., 2]
+    A = s1 * s2 + s0 * s2 + s0 * s1
+    B = s0 * s1 * s2
+    C = (s0 + s1 + s2 - 4.0 * L * L) / 4.0
     disc = B * B - 4.0 * A * B * C
-    if np.any(disc < 0):
+    if (disc < 0).any():
         raise DomainError("joint set unreachable: negative discriminant")
-    q = -(B + np.sqrt(disc)) / 2.0
+    q = (B + np.sqrt(disc)) / -2.0
     t_minus = q / A
     t_plus = (B * C) / q
     return t_minus, t_plus, A, B, C, disc
@@ -183,7 +180,7 @@ def _dk_select(rho_eff: np.ndarray, t_minus, t_plus) -> np.ndarray:
 
 def _dk_point(rho_eff: np.ndarray, L: float) -> np.ndarray:
     """Fast path: selected TCP position for effective joints ``(..., 3)``."""
-    if np.any(np.abs(rho_eff) < SINGULARITY_TOL):
+    if (np.abs(rho_eff) < SINGULARITY_TOL).any():
         raise DomainError("effective joint value is zero")
     t_minus, t_plus = _dk_roots(rho_eff, L)[:2]  # frees the other coefficients
     return _dk_select(rho_eff, t_minus, t_plus)
@@ -208,7 +205,7 @@ def direct_kinematics(
     """
     rho = _vec3(rho, "rho")
     eff = rho + _vec3(offsets, "offsets")
-    if np.any(np.abs(eff) < SINGULARITY_TOL):
+    if (np.abs(eff) < SINGULARITY_TOL).any():
         raise DomainError("effective joint value is zero")
     t_minus, t_plus, A, B, C, disc = _dk_roots(eff, geom.L)
     p = _dk_select(eff, t_minus, t_plus)
@@ -241,7 +238,7 @@ def inverse_jacobian(p, rho) -> np.ndarray:
     """
     p = _vec3(p, "p")
     denom = p - _vec3(rho, "rho")
-    if np.any(np.abs(denom) < SINGULARITY_TOL):
+    if (np.abs(denom) < SINGULARITY_TOL).any():
         raise SingularError("singular configuration: p_i - rho_i vanishes")
     M = p[..., None, :] / denom[..., :, None]
     diag = np.arange(3)

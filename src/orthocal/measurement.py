@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, fields
 from types import MappingProxyType
 from typing import Callable
@@ -73,11 +74,20 @@ class MeasurementSet:
     order, are the rows of the scheme's calibration system."""
 
     def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, f.name) for f in fields(self)], dtype=float)
+        return np.array(_row_values(type(self))(self), dtype=float)
 
     @classmethod
     def from_array(cls, values):
-        return cls(*map(float, np.asarray(values, dtype=float)))
+        arr = np.asarray(values, dtype=float)
+        if arr.ndim != 1:
+            raise TypeError(f"{cls.__name__} takes one row of readings, got shape {arr.shape}")
+        return cls(*arr.tolist())
+
+
+@functools.cache
+def _row_values(cls: type) -> Callable:
+    """Getter of the field values of a measurement class, in field order."""
+    return operator.attrgetter(*(f.name for f in fields(cls)))
 
 
 @dataclass(frozen=True)
@@ -145,7 +155,7 @@ _CHANNELS_12 = (
 _CHANNELS_SINGLE = ((Axis.X, +1), (Axis.X, -1), (Axis.Y, +1), (Axis.Y, -1))
 
 # Plus/minus slots whose differences form the reduced 6-vector, in row order.
-_REDUCTION_PLUS, _REDUCTION_MINUS = [0, 1, 4, 5, 8, 9], [2, 3, 6, 7, 10, 11]
+_REDUCTION_PLUS, _REDUCTION_MINUS = np.array([[0, 1, 4, 5, 8, 9], [2, 3, 6, 7, 10, 11]])
 
 # The posture stack, solved in one direct-kinematics call: the isotropic
 # posture, then the max and min displacement postures along X, Y and Z.  A
@@ -179,6 +189,13 @@ _ROW_SINGLE = np.array([0, 0] + [_stack_row(leg, sign) for leg, sign in _CHANNEL
 _LINE_ROW, _LINE_LEG = np.array(
     [(0, leg) for leg in Axis] + [(row, p.axis) for row, p in enumerate(_STACK) if row]
 ).T
+_LINE_12 = _ROW_12 + 2
+
+# The six displacement-posture lines alone, the unit vector of each one's
+# leg, and the displacement line of each channel.
+_DISP_ROW, _DISP_LEG = _LINE_ROW[3:], _LINE_LEG[3:]
+_DISP_UNIT = np.eye(3)[_DISP_LEG]
+_DISP_12 = _ROW_12 - 1
 
 #: Correlation pattern of one leg's four double-posture deviations
 #: (max/min deviations of a gauge share the isotropic reading noise).
@@ -302,13 +319,15 @@ def _posture_stack(dr: np.ndarray, geom: Geometry, rows=slice(None)):
         raise
 
 
-def _gauge_station(p0: np.ndarray, dr: np.ndarray, L: float, shift=0.0) -> np.ndarray:
+def _gauge_station(p0: np.ndarray, dr: np.ndarray, L: float, shift=None) -> np.ndarray:
     """Along-axis coordinates of the three gauge stations, ``(..., 3)``: the
-    leg midpoints at the isotropic posture ``p0``, displaced by ``shift``."""
-    return L / 2 + (p0 + dr) / 2 + shift
+    leg midpoints at the isotropic posture ``p0``, displaced by ``shift`` if
+    given."""
+    station = L / 2 + (p0 + dr) / 2
+    return station if shift is None else station + shift
 
 
-def _gauge_lines(dr, geom: Geometry, shift=0.0, rows=slice(None), lines=(_LINE_ROW, _LINE_LEG)):
+def _gauge_lines(dr, geom: Geometry, shift=None, rows=slice(None), lines=(_LINE_ROW, _LINE_LEG)):
     """Effective joints and TCPs of the stack postures ``rows`` under offsets
     ``dr``, and the parameter ``mu = num / den`` of the gauge station on the
     leg lines ``lines``, ``(row in rows, leg)`` pairs; by default the nine
@@ -319,7 +338,7 @@ def _gauge_lines(dr, geom: Geometry, shift=0.0, rows=slice(None), lines=(_LINE_R
     joint = joints[..., line_row, line_leg]
     num = joint - _gauge_station(p[..., 0, :], dr, geom.L, shift)[..., line_leg]
     den = joint - p[..., line_row, line_leg]
-    if np.any(np.abs(den) < 1e-9):
+    if (np.abs(den) < 1e-9).any():
         raise SingularError("leg line parallel to the gauge station plane")
     return joints, p, num, den
 
@@ -332,10 +351,10 @@ def double_deviation_array(offsets, geom: Geometry, gauge_shift=None) -> np.ndar
     midpoint at the isotropic posture.
     """
     dr = _offsets_array(offsets, geom)
-    shift = 0.0 if gauge_shift is None else np.asarray(gauge_shift, dtype=float)
+    shift = None if gauge_shift is None else np.asarray(gauge_shift, dtype=float)
     _, p, num, den = _gauge_lines(dr, geom, shift)
     mu = num / den
-    return mu[..., _ROW_12 + 2] * p[..., _ROW_12, _GAUGE_12] - mu[..., _LEG_12] * p[..., 0, _GAUGE_12]
+    return mu[..., _LINE_12] * p[..., _ROW_12, _GAUGE_12] - mu[..., _LEG_12] * p[..., 0, _GAUGE_12]
 
 
 def reduced_deviation_array(offsets, geom: Geometry, gauge_shift=None) -> np.ndarray:
@@ -372,16 +391,13 @@ def prediction_jacobian(offsets, geom: Geometry, label: str = SYSTEM_TWELVE) -> 
     D0 = D[..., 0, :, :]
     # gradient of the gauge-line parameter of each displacement posture on
     # its own leg; at the isotropic posture mu is 1/2
-    rows, legs = _LINE_ROW[3:], _LINE_LEG[3:]
     num, den = num[..., 3:], den[..., 3:]
-    e = np.eye(3)[legs]
-    d_num = e / 2 - D0[..., legs, :] / 2
-    d_den = e - D[..., rows, legs, :]
+    d_num = _DISP_UNIT / 2 - D0[..., _DISP_LEG, :] / 2
+    d_den = _DISP_UNIT - D[..., _DISP_ROW, _DISP_LEG, :]
     d_mu = (d_num * den[..., None] - num[..., None] * d_den) / (den * den)[..., None]
-    k = _ROW_12 - 1
     full = (
-        d_mu[..., k, :] * p[..., _ROW_12, _GAUGE_12, None]
-        + (num / den)[..., k, None] * D[..., _ROW_12, _GAUGE_12, :]
+        d_mu[..., _DISP_12, :] * p[..., _ROW_12, _GAUGE_12, None]
+        + (num / den)[..., _DISP_12, None] * D[..., _ROW_12, _GAUGE_12, :]
         - D0[..., _GAUGE_12, :] / 2
     )
     return np.ascontiguousarray(np.swapaxes(scheme.from_full(np.swapaxes(full, -1, -2)), -1, -2))

@@ -362,8 +362,22 @@ class TestNonlinearIdentify:
         assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
 
     def test_convergence_error(self, geom):
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match="did not converge within 1 iterations"):
             nonlinear_identify(reduced_from_table(1), geom, initial=[0, 0, 0], max_iter=1)
+
+    def test_halving_exhausted_error(self, geom):
+        # double-full readings at offsets (5, -5, 2.5) mm and sigma 0.1 mm on
+        # which no halving of the constant-Jacobian step lowers the objective
+        # at the third iteration, far inside the budget
+        m = add_noise(predict_double_posture([5.0, -5.0, 2.5], geom), NoiseModel(0.1, 5))
+        with pytest.raises(ConvergenceError) as info:
+            nonlinear_identify(m, geom)
+        assert str(info.value) == (
+            "Gauss-Newton step halving exhausted after 2 of 100 iterations: "
+            "no damped step lowered the objective"
+        )
+        # the readings themselves are solvable
+        assert nonlinear_identify(m, geom, jacobian="exact").converged
 
     def test_gradient_check_exact_jacobian(self, geom):
         # analytic model Jacobian vs central finite differences, offsets up

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from orthocal import (
     parse_measurement,
     predict_double_posture,
     predict_single_posture,
+    prediction_jacobian,
     reduce,
     reduced_deviation_array,
     single_deviation_array,
@@ -98,6 +101,30 @@ class TestPredictors:
     def test_offset_bound_enforced(self, geom):
         with pytest.raises(ValueError):
             double_deviation_array([40.0, 0, 0], geom)
+        # |offset| = L/10 exactly is inside the validity domain, one ulp more is not
+        bound = geom.L / 10.0
+        double_deviation_array([bound, -bound, bound], geom)
+        with pytest.raises(ValueError, match="validity bound"):
+            double_deviation_array([0.0, np.nextafter(-bound, -np.inf), 0.0], geom)
+
+    @pytest.mark.parametrize(
+        "offsets, message",
+        [
+            ([np.nan, 0.0, 0.0], "must be finite"),
+            ([0.0, np.inf, 0.0], "must be finite"),
+            ([0.0, 0.0, -np.inf], "must be finite"),
+            ([40.0, 0.0, 0.0], "validity bound"),
+            ([0.0, -40.0, 0.0], "validity bound"),
+            ([[0.5, 0.5, 0.5], [0.0, 0.0, np.nan], [1.0, -1.0, 0.0]], "must be finite"),
+            ([[0.5, 0.5, 0.5], [0.0, 40.0, 0.0], [1.0, -1.0, 0.0]], "validity bound"),
+            # a non-finite row is named before an out-of-bound one
+            ([[0.0, 40.0, 0.0], [np.nan, 0.0, 0.0]], "must be finite"),
+        ],
+        ids=["nan", "+inf", "-inf", "+40mm", "-40mm", "batch-nan", "batch-40mm", "batch-both"],
+    )
+    def test_offset_rejected(self, geom, offsets, message):
+        with pytest.raises(ValueError, match=message):
+            double_deviation_array(offsets, geom)
 
     def test_batch_shape(self, geom):
         drs = np.random.default_rng(0).uniform(-1, 1, (7, 3))
@@ -161,6 +188,80 @@ class TestPredictors:
         args = (self.PINNED_SHIFT,) if shifted else ()
         out = fn(np.array(self.PINNED_OFFSETS), geom, *args)
         assert np.array_equal(out, np.array(self.PINNED[predictor, shifted]))
+
+    # the exact Jacobian at PINNED_OFFSETS, recorded before the forward model's
+    # numpy calls were cut down
+    PINNED_JACOBIAN = {
+        "double-full": [
+            [
+                [0.1935869987943899, 0.1365649941727915, 6.126808948362993e-05],
+                [0.13719887900791108, 0.19330375499328423, 0.0004905435249327574],
+                [-0.3224392581937754, -0.060219996390758486, -0.00019934303350886733],
+                [-0.0610028268441317, -0.3222289240358518, -0.0003107360710739668],
+                [0.0006614662859568291, 0.19327762961378447, 0.13709576504685192],
+                [0.0003931428141731245, 0.1366992426316625, 0.19345487427439323],
+                [-0.0006287572637880278, -0.3222490723964899, -0.06077122526718757],
+                [-0.0005594197077133451, -0.06028132392694815, -0.32238042809462786],
+                [0.19363096593558415, -0.00022431249845512147, 0.13673634431943646],
+                [0.1369737077009499, -6.336045228701149e-05, 0.19352496630441773],
+                [-0.3224059820149161, 0.0003324944432188169, -0.06060604841707339],
+                [-0.06089897793992578, 0.0002904383165237707, -0.3223270044373864],
+            ],
+            [
+                [0.18673826747106648, 0.14995008692984033, -0.0016855198550054934],
+                [0.11660424584140242, 0.2018510161576113, -0.02530523402100198],
+                [-0.3182011288196721, -0.08248215573811654, 0.012413222967570582],
+                [-0.04059880662173652, -0.32917860720764636, 0.019858424534595454],
+                [-0.028469604976379466, 0.20236607790190225, 0.11797608837521559],
+                [-0.007487576109987133, 0.14719456070760728, 0.18920317244864737],
+                [0.025879804629247112, -0.32896592514782963, -0.044473544537906064],
+                [0.018847470381217347, -0.08087164653736716, -0.3190932888269605],
+                [0.18457793880564288, 0.020364280645438188, 0.13660519755620884],
+                [0.13239868165663385, 0.017719436630180226, 0.1865656507416915],
+                [-0.32127304127761663, -0.027347323203646898, -0.05154679338275764],
+                [-0.04602909528407002, -0.026884889798660813, -0.32230994515881983],
+            ],
+        ],
+        "double-reduced": [
+            [
+                [0.5160262569881653, 0.19678499056354998, 0.00026061112299249727],
+                [0.19820170585204278, 0.515532679029136, 0.0008012795960067242],
+                [0.001290223549744857, 0.5155267020102744, 0.19786699031403948],
+                [0.0009525625218864696, 0.19698056655861065, 0.5158353023690211],
+                [0.5160369479505003, -0.0005568069416739384, 0.19734239273650986],
+                [0.19787268564087568, -0.0003537987688107822, 0.5158519707418041],
+            ],
+            [
+                [0.5049393962907386, 0.23243224266795687, -0.014098742822576076],
+                [0.15720305246313893, 0.5310296233652576, -0.04516365855559744],
+                [-0.05434940960562658, 0.5313320030497319, 0.16244963291312164],
+                [-0.02633504649120448, 0.22806620724497445, 0.5082964612756078],
+                [0.5058509800832596, 0.047711603849085085, 0.18815199093896648],
+                [0.17842777694070386, 0.04460432642884104, 0.5088755959005113],
+            ],
+        ],
+    }
+
+    # sha256 of the little-endian bytes of the Jacobians of a seeded 7-row
+    # batch (five rows up to L/10, then PINNED_OFFSETS), recorded with them
+    PINNED_JACOBIAN_BATCH = {
+        "double-full": "569998f6e67b74cc246cdb51ea3588c0ac7cde3d1c0d995e3fd981f1286c73dc",
+        "double-reduced": "e074708e41313c0366982decebed567248efdd2bb6b43a4376c738b1b44884f2",
+    }
+
+    @pytest.mark.parametrize("label", list(PINNED_JACOBIAN))
+    def test_prediction_jacobian_pinned(self, geom, label):
+        pinned = np.array(self.PINNED_JACOBIAN[label])
+        offsets = np.array(self.PINNED_OFFSETS)
+        assert np.array_equal(prediction_jacobian(offsets, geom, label), pinned)
+        for dr, jac in zip(offsets, pinned):
+            assert np.array_equal(prediction_jacobian(dr, geom, label), jac)
+        rng = np.random.default_rng(31)
+        batch = np.vstack([rng.uniform(-geom.L / 10, geom.L / 10, (5, 3)), offsets])
+        out = prediction_jacobian(batch, geom, label)
+        assert np.array_equal(out[5:], pinned)
+        digest = hashlib.sha256(np.ascontiguousarray(out, dtype="<f8").tobytes()).hexdigest()
+        assert digest == self.PINNED_JACOBIAN_BATCH[label]
 
     @pytest.mark.parametrize("fn", [double_deviation_array, single_deviation_array])
     def test_failing_posture_named(self, fn):
