@@ -180,7 +180,7 @@ def check_offsets(offsets, geom: Geometry) -> None:
     before any prediction or identification is attempted.
     """
     arr = np.asarray(offsets, dtype=float)
-    if arr.shape[-1] != 3:
+    if arr.shape[-1:] != (3,):
         raise ValueError(f"offsets must have 3 components, got shape {arr.shape}")
     bound = geom.L / 10.0
     # one test on the accept path: NaN fails it too

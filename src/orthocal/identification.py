@@ -243,11 +243,16 @@ def least_squares_solve(
 
 # Rows a damping round aims to fill in one forward-model call: about the
 # break-even where a call's per-row cost equals its fixed cost.  Measured on a
-# 2-vCPU Xeon VM (numpy 2.4.6, one BLAS thread), a predictor call costs
-# 110-165 us plus 0.8-1.1 us per row, even at 126-192 rows.  A 1000-run
-# Table 3 pass then makes 184 calls on 55.3k rows (one level per call: 383
-# calls on 54.5k rows; 64 here: 227 calls on 54.8k rows).
-_HALVING_BLOCK_ROWS = 128
+# 2-vCPU Xeon VM (numpy 2.4.6, one BLAS thread), a twelve-channel predictor
+# call on the component-major posture stack costs about 120 us plus 0.3 us
+# per row at 128-512 rows.  A 1000-run Table 3 pass at seed 0 then makes 119
+# calls on 57.5k rows (128 here: 186 calls on 55.1k rows; 768: 89 calls on
+# 60.6k rows, slower).  At most 1365: a block of k > 1 levels then has fewer
+# than 2731 rows.  From 2731 twelve-channel rows (256 KiB) numpy computes
+# ``predict - obs`` in place into the predictor's F-ordered output, below it
+# into a new C-ordered array, and the objective's summation order follows
+# that layout; so a block keeps the layout one level per call would give.
+_HALVING_BLOCK_ROWS = 384
 
 
 def _row_norm(v: np.ndarray) -> np.ndarray:

@@ -8,7 +8,9 @@ sphere constraints
 
 where ``drho`` are the encoder offsets.  All public functions broadcast over
 leading array dimensions: points and joint vectors may be shape ``(3,)`` or
-``(..., 3)``.
+``(..., 3)``.  The direct-kinematics kernel :func:`_dk_point` works on joints
+laid out component-major, ``(3, ...)``, so that each of its ops runs over
+long contiguous planes instead of a length-3 inner axis.
 """
 
 from __future__ import annotations
@@ -119,71 +121,60 @@ def inverse_kinematics(
     return rho
 
 
-# numpy reduces over a short last axis far slower than it combines the three
-# component arrays (``_dk_roots`` adds them left to right, which is the sum
-# over that axis bit for bit)
-def _all3(a: np.ndarray) -> np.ndarray:
-    """``a.all(axis=-1)`` for a boolean last axis of length 3."""
-    return a[..., 0] & a[..., 1] & a[..., 2]
+def _dk_roots(e: np.ndarray, L: float):
+    """Coefficients of the direct-kinematics quadratic ``A t^2 + B t + B C``
+    for effective joints ``e`` laid out component-major, ``(3, ...)``, and
+    its stable root term ``q``.
 
-
-def _dk_roots(rho_eff: np.ndarray, L: float):
-    """Both roots of the direct-kinematics quadratic for effective joints.
-
-    Coefficients follow from substituting ``p_i = eff_i/2 + t/eff_i`` into the
+    Coefficients follow from substituting ``p_i = e_i/2 + t/e_i`` into the
     sphere constraints:
 
-        A = sum of pairwise products of eff_i^2,
-        B = product of eff_i^2,
-        C = (sum of eff_i^2 - 4 L^2) / 4.
+        A = sum of pairwise products of e_i^2,
+        B = product of e_i^2,
+        C = (sum of e_i^2 - 4 L^2) / 4.
 
     The numerically stable form ``q = -(B + sqrt(disc))/2`` is used; ``B`` is
-    a product of squares and therefore positive.
+    a product of squares and therefore positive.  The roots are
+    ``t_minus = q / A`` and ``t_plus = (B C) / q``.
     """
-    sq = rho_eff * rho_eff
-    s0, s1, s2 = sq[..., 0], sq[..., 1], sq[..., 2]
+    s0, s1, s2 = e * e
     A = s1 * s2 + s0 * s2 + s0 * s1
     B = s0 * s1 * s2
     C = (s0 + s1 + s2 - 4.0 * L * L) / 4.0
     disc = B * B - 4.0 * A * B * C
     if (disc < 0).any():
         raise DomainError("joint set unreachable: negative discriminant")
-    q = (B + np.sqrt(disc)) / -2.0
-    t_minus = q / A
-    t_plus = (B * C) / q
-    return t_minus, t_plus, A, B, C, disc
+    return A, B, C, disc, (B + np.sqrt(disc)) / -2.0
 
 
-def _dk_select(rho_eff: np.ndarray, t_minus, t_plus) -> np.ndarray:
-    """TCP position for the admissible root of minimal norm.
+def _dk_point(e: np.ndarray, L: float) -> np.ndarray:
+    """TCP positions ``(3, ...)`` for effective joints ``e`` laid out
+    component-major, ``(3, ...)``.
 
-    A root is admissible when all three configuration indices
-    ``sign(eff_i - p_i)`` are +1, matching the prototype assembly.  With
-    ``S = sum 1/eff_i^2`` the squared norm is ``sum eff_i^2/4 + 3t + S t^2``
-    and the roots sum to ``-1/S``, so ``t_minus`` has the smaller norm by
-    ``2 (t_plus - t_minus)``.  Being negative, it is admissible exactly when
-    every effective joint is positive; the other rows can only take
-    ``t_plus``.
+    Of the two roots the admissible one (configuration indices
+    ``sign(e_i - p_i)`` all +1, matching the prototype assembly) of minimal
+    norm is taken.  With ``S = sum 1/e_i^2`` the squared norm is
+    ``sum e_i^2/4 + 3t + S t^2`` and the roots sum to ``-1/S``, so ``t_minus``
+    has the smaller norm by ``2 (t_plus - t_minus)``.  Being negative, it is
+    admissible exactly when every effective joint is positive; the other
+    rows can only take ``t_plus``.
     """
-    positive = _all3(rho_eff > 0)
-    p = np.divide(np.where(positive, t_minus, t_plus)[..., None], rho_eff)
-    p += rho_eff / 2.0
-    if not positive.all():
-        rest = ~positive
-        if not _all3(rho_eff[rest] - p[rest] > 0).all():
-            raise SingularError(
-                "no admissible direct-kinematics branch: both roots violate the "
-                "+1 configuration indices"
-            )
-    return p
-
-
-def _dk_point(rho_eff: np.ndarray, L: float) -> np.ndarray:
-    """Fast path: selected TCP position for effective joints ``(..., 3)``."""
-    if (np.abs(rho_eff) < SINGULARITY_TOL).any():
+    if (np.abs(e) < SINGULARITY_TOL).any():
         raise DomainError("effective joint value is zero")
-    t_minus, t_plus = _dk_roots(rho_eff, L)[:2]  # frees the other coefficients
-    return _dk_select(rho_eff, t_minus, t_plus)
+    A, B, C, _, q = _dk_roots(e, L)
+    t = q / A
+    rest = ~(e > 0).all(axis=0)
+    mixed = rest.any()
+    if mixed:
+        t[rest] = (B[rest] * C[rest]) / q[rest]
+    p = t / e
+    p += e / 2.0
+    if mixed and not (e[:, rest] - p[:, rest] > 0).all():
+        raise SingularError(
+            "no admissible direct-kinematics branch: both roots violate the "
+            "+1 configuration indices"
+        )
+    return p
 
 
 def direct_kinematics(
@@ -203,22 +194,15 @@ def direct_kinematics(
     SingularError
         Neither root yields +1 configuration indices.
     """
-    rho = _vec3(rho, "rho")
-    eff = rho + _vec3(offsets, "offsets")
-    if (np.abs(eff) < SINGULARITY_TOL).any():
-        raise DomainError("effective joint value is zero")
-    t_minus, t_plus, A, B, C, disc = _dk_roots(eff, geom.L)
-    p = _dk_select(eff, t_minus, t_plus)
-    scalar = rho.ndim == 1
+    eff = _vec3(rho, "rho") + _vec3(offsets, "offsets")
+    e = eff.reshape(-1, 3).T  # component-major, one column per joint triple
+    p = _dk_point(e, geom.L)
+    A, B, C, disc, q = _dk_roots(e, geom.L)  # its guards passed in _dk_point
+    shape = eff.shape[:-1]
     roots = QuadraticRoots(
-        A=float(A) if scalar else A,
-        B=float(B) if scalar else B,
-        C=float(C) if scalar else C,
-        t_plus=float(t_plus) if scalar else t_plus,
-        t_minus=float(t_minus) if scalar else t_minus,
-        discriminant=float(disc) if scalar else disc,
+        *(v.reshape(shape) if shape else float(v[0]) for v in (A, B, C, (B * C) / q, q / A, disc))
     )
-    return p, roots
+    return p.T.reshape(eff.shape), roots
 
 
 def inverse_jacobian(p, rho) -> np.ndarray:

@@ -12,6 +12,11 @@ kinematics, which solves the isotropic and the six displacement postures as
 one stack; the linear calibration systems are their first-order expansions.
 Predictors accept offset arrays of shape ``(3,)`` or ``(..., 3)``; the
 ``*_array`` variants return plain arrays in the canonical equation order.
+Inside, offsets, joints and TCPs are laid out component-major, ``(3, ...)``
+and ``(3, 7, ...)`` for the posture stack, so that every op runs over
+contiguous planes; each predictor returns the layout the row-major model
+returned (strides and data ownership), on which the solver's summation
+order depends.
 :data:`SCHEMES` maps each scheme label to its measurement type, wire keys,
 predictor, linear design and noise model.
 """
@@ -262,10 +267,12 @@ def _geometry_constant(fn):
 
 
 @_geometry_constant
-def _stack_joints(geom: Geometry) -> np.ndarray:
-    """Effective joints of the posture stack at zero offsets, ``(7, 3)``: the
-    commanded joints of each stack posture."""
-    return np.array([posture_commanded_joints(posture, geom) for posture in _STACK])
+def _stack_joints(geom: Geometry, ndim: int) -> np.ndarray:
+    """Effective joints of the posture stack at zero offsets, the commanded
+    joints of each stack posture, component-major: ``(3, 7, 1, ...)`` with
+    one unit axis per batch axis of ``ndim``-dimensional offsets."""
+    joints = np.array([posture_commanded_joints(posture, geom) for posture in _STACK]).T
+    return np.ascontiguousarray(joints).reshape((3, len(_STACK)) + (1,) * (ndim - 1))
 
 
 @_geometry_constant
@@ -297,30 +304,42 @@ def _six_design(geom: Geometry) -> np.ndarray:
     return np.ascontiguousarray(_reduce_channels(_twelve_design(geom).T).T)
 
 
+def _cm(a: np.ndarray) -> np.ndarray:
+    """Component-major view ``(k, ...)`` of an array ``(..., k)``."""
+    return a.transpose(-1, *range(a.ndim - 1))
+
+
+def _rm(a: np.ndarray) -> np.ndarray:
+    """Row-major view ``(..., k)`` of a component-major array ``(k, ...)``."""
+    return a.transpose(*range(1, a.ndim), 0) if a.ndim > 1 else a
+
+
 def _offsets_array(offsets, geom: Geometry) -> np.ndarray:
+    """Checked offsets ``(..., 3)`` as a component-major view ``(3, ...)``."""
     arr = np.asarray(offsets, dtype=float)
     check_offsets(arr, geom)
-    return arr
+    return _cm(arr)
 
 
 def _posture_stack(dr: np.ndarray, geom: Geometry, rows=slice(None)):
     """Effective joints and TCPs of the stack postures ``rows`` under offsets
-    ``(..., 3)``, each ``(..., k, 3)``, from one direct-kinematics call."""
-    joints = dr[..., None, :] + _stack_joints(geom)[rows]
+    ``dr``, ``(3, ...)``, each ``(3, k, ...)``, from one direct-kinematics
+    call."""
+    joints = dr[:, None] + _stack_joints(geom, dr.ndim)[:, rows]
     try:
         return joints, _dk_point(joints, geom.L)
     except (DomainError, SingularError):
         # error path only: find the first failing posture to name it
         for i, row in enumerate(np.arange(len(_STACK))[rows]):
             try:
-                _dk_point(joints[..., i, :], geom.L)
+                _dk_point(joints[:, i : i + 1], geom.L)
             except (DomainError, SingularError) as exc:
                 raise type(exc)(f"{_STACK[row].label()} posture: {exc}") from None
         raise
 
 
 def _gauge_station(p0: np.ndarray, dr: np.ndarray, L: float, shift=None) -> np.ndarray:
-    """Along-axis coordinates of the three gauge stations, ``(..., 3)``: the
+    """Along-axis coordinates of the three gauge stations, ``(3, ...)``: the
     leg midpoints at the isotropic posture ``p0``, displaced by ``shift`` if
     given."""
     station = L / 2 + (p0 + dr) / 2
@@ -335,9 +354,9 @@ def _gauge_lines(dr, geom: Geometry, shift=None, rows=slice(None), lines=(_LINE_
     centre (``mu = 0``) to the TCP (``mu = 1``)."""
     joints, p = _posture_stack(dr, geom, rows)
     line_row, line_leg = lines
-    joint = joints[..., line_row, line_leg]
-    num = joint - _gauge_station(p[..., 0, :], dr, geom.L, shift)[..., line_leg]
-    den = joint - p[..., line_row, line_leg]
+    joint = joints[line_leg, line_row]
+    num = joint - _gauge_station(p[:, 0], dr, geom.L, shift)[line_leg]
+    den = joint - p[line_leg, line_row]
     if (np.abs(den) < 1e-9).any():
         raise SingularError("leg line parallel to the gauge station plane")
     return joints, p, num, den
@@ -351,10 +370,13 @@ def double_deviation_array(offsets, geom: Geometry, gauge_shift=None) -> np.ndar
     midpoint at the isotropic posture.
     """
     dr = _offsets_array(offsets, geom)
-    shift = None if gauge_shift is None else np.asarray(gauge_shift, dtype=float)
-    _, p, num, den = _gauge_lines(dr, geom, shift)
+    if gauge_shift is not None:
+        gauge_shift = _cm(np.broadcast_to(gauge_shift, _rm(dr).shape))
+    _, p, num, den = _gauge_lines(dr, geom, gauge_shift)
     mu = num / den
-    return mu[..., _LINE_12] * p[..., _ROW_12, _GAUGE_12] - mu[..., _LEG_12] * p[..., 0, _GAUGE_12]
+    # from row-major views of the operands: the result owns its data, laid
+    # out as the row-major model laid it out
+    return _rm(mu[_LINE_12]) * _rm(p[_GAUGE_12, _ROW_12]) - _rm(mu[_LEG_12]) * _rm(p[_GAUGE_12, 0])
 
 
 def reduced_deviation_array(offsets, geom: Geometry, gauge_shift=None) -> np.ndarray:
@@ -370,7 +392,7 @@ def single_deviation_array(offsets, geom: Geometry) -> np.ndarray:
     """
     dr = _offsets_array(offsets, geom)
     rows = slice(_ROW_SINGLE.max() + 1)  # the isotropic and X/Y postures
-    return _posture_stack(dr, geom, rows)[1][..., _ROW_SINGLE, 2]
+    return _rm(_posture_stack(dr, geom, rows)[1][2, _ROW_SINGLE])
 
 
 def prediction_jacobian(offsets, geom: Geometry, label: str = SYSTEM_TWELVE) -> np.ndarray:
@@ -387,11 +409,13 @@ def prediction_jacobian(offsets, geom: Geometry, label: str = SYSTEM_TWELVE) -> 
         raise ValueError(f"prediction_jacobian supports {SYSTEM_TWELVE!r} or {SYSTEM_SIX!r}")
     dr = _offsets_array(offsets, geom)
     joints, p, num, den = _gauge_lines(dr, geom)
+    # the chain rule runs on row-major views: joints and TCPs (..., 7, 3)
+    joints, p = (np.moveaxis(a, (0, 1), (-1, -2)) for a in (joints, p))
     D = np.linalg.inv(inverse_jacobian(p, joints))  # dp/drho at each posture
     D0 = D[..., 0, :, :]
     # gradient of the gauge-line parameter of each displacement posture on
     # its own leg; at the isotropic posture mu is 1/2
-    num, den = num[..., 3:], den[..., 3:]
+    num, den = _rm(num[3:]), _rm(den[3:])
     d_num = _DISP_UNIT / 2 - D0[..., _DISP_LEG, :] / 2
     d_den = _DISP_UNIT - D[..., _DISP_ROW, _DISP_LEG, :]
     d_mu = (d_num * den[..., None] - num[..., None] * d_den) / (den * den)[..., None]
@@ -442,7 +466,7 @@ def gauge_locations(offsets, geom: Geometry) -> tuple[GaugeLocation, GaugeLocati
     dr = _offsets_array(offsets, geom)
     if dr.ndim != 1:
         raise ValueError("gauge_locations expects a single offset triple")
-    p0 = _posture_stack(dr, geom, slice(1))[1][0]
+    p0 = _posture_stack(dr, geom, slice(1))[1][:, 0]
     station = _gauge_station(p0, dr, geom.L)
     return tuple(
         GaugeLocation(leg=leg, position=np.where(np.arange(3) == leg, station, p0 / 2.0))

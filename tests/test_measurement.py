@@ -17,12 +17,15 @@ from orthocal import (
     build_single_posture_system,
     build_system,
     build_twelve_eq_system,
+    check_offsets,
     coefficients,
     direct_kinematics,
     double_deviation_array,
     gauge_locations,
     leg_line_scaling,
     measurement_to_dict,
+    monte_carlo,
+    nonlinear_identify,
     parse_measurement,
     predict_double_posture,
     predict_single_posture,
@@ -125,6 +128,51 @@ class TestPredictors:
     def test_offset_rejected(self, geom, offsets, message):
         with pytest.raises(ValueError, match=message):
             double_deviation_array(offsets, geom)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g: check_offsets(3.0, g),
+            lambda g: double_deviation_array(3.0, g),
+            lambda g: monte_carlo(3.0, 0.01, 10, 1, "six"),
+            lambda g: nonlinear_identify(
+                reduce(predict_double_posture(np.zeros(3), g)), g, initial=3.0
+            ),
+        ],
+        ids=["check_offsets", "double_deviation_array", "monte_carlo", "nonlinear_identify"],
+    )
+    def test_scalar_offset_rejected(self, geom, call):
+        # the rank is checked before the last axis is read
+        with pytest.raises(ValueError, match=r"^offsets must have 3 components, got shape \(\)$"):
+            call(geom)
+
+    @pytest.mark.parametrize(
+        "shape, strides",
+        [
+            ((1, 3), [(96, 8), (48, 8), (8, 8)]),
+            ((7, 3), [(8, 56)] * 3),
+            ((1000, 3), [(8, 8000)] * 3),
+            ((3000, 3), [(8, 24000)] * 3),
+            ((6000, 3), [(8, 48000)] * 3),
+            ((4, 5, 3), [(40, 8, 160)] * 3),
+        ],
+        ids=["1", "7", "1000", "3000", "6000", "4x5"],
+    )
+    def test_output_layout_pinned(self, geom, shape, strides):
+        # strides and data ownership of the twelve, six and single-posture
+        # predictions as recorded from the row-major (..., 7, 3) model.  The
+        # solver's objective sums each residual row in an order that follows
+        # its memory layout, and numpy computes ``predict - obs`` in place into
+        # an output it owns from 256 KiB on (temporary elision), F-ordered,
+        # else into a new C-ordered array; a failure here on a new numpy
+        # release points at those internals.
+        dr = np.random.default_rng(0).uniform(-1.0, 1.0, shape)
+        models = (double_deviation_array, reduced_deviation_array, single_deviation_array)
+        for model, want, owns in zip(models, strides, (True, True, False)):
+            out = model(dr, geom)
+            assert (out.strides, out.flags.owndata) == (want, owns)
+            residual = model(dr, geom) - np.zeros(out.shape)[np.arange(shape[0])]
+            assert residual.flags.c_contiguous == (not owns or out.nbytes < 2**18)
 
     def test_batch_shape(self, geom):
         drs = np.random.default_rng(0).uniform(-1, 1, (7, 3))
@@ -490,5 +538,5 @@ class TestSchemes:
         gain = _least_squares_gain(design)
         assert _least_squares_gain(SCHEMES[label].design(second)) is gain
         assert _least_squares_gain(design.copy()) is gain
-        shared = [design, _stack_joints(first), gain]
+        shared = [design, _stack_joints(first, 2), gain]
         assert not any(a.flags.writeable for a in shared)

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from orthocal import (
     Geometry,
+    direct_kinematics,
     double_deviation_array,
     prediction_jacobian,
     reduced_deviation_array,
     single_deviation_array,
 )
 from orthocal.errors import DomainError, SingularError
-from orthocal.kinematics import _dk_roots, _dk_select
+from orthocal.kinematics import SINGULARITY_TOL, _dk_point, _dk_roots
 from orthocal.measurement import _stack_joints
 
 GEOM = Geometry.prototype()
@@ -32,11 +33,22 @@ _MODELS = (
 @settings(max_examples=60, deadline=None)
 @given(offsets=_batches)
 def test_batch_row_equals_scalar_call(offsets):
+    grid = np.stack([offsets, offsets[::-1]], axis=1)  # an N-d batch, (k, 2, 3)
     for model in _MODELS:
         batch = model(offsets, GEOM)
         assert batch.shape[0] == len(offsets)
         for i, dr in enumerate(offsets):
             assert np.array_equal(batch[i], model(dr, GEOM))
+        batch = model(grid, GEOM)
+        assert batch.shape[:2] == grid.shape[:2]
+        for i, j in np.ndindex(grid.shape[:2]):
+            assert np.array_equal(batch[i, j], model(grid[i, j], GEOM))
+    rho = np.full(3, GEOM.L)
+    p, roots = direct_kinematics(rho, grid, GEOM)
+    for i, j in np.ndindex(grid.shape[:2]):
+        p_ij, roots_ij = direct_kinematics(rho, grid[i, j], GEOM)
+        assert np.array_equal(p[i, j], p_ij)
+        assert all(getattr(roots, f)[i, j] == v for f, v in vars(roots_ij).items())
 
 
 def _brute_force_select(eff, t_minus, t_plus):
@@ -54,28 +66,38 @@ def _brute_force_select(eff, t_minus, t_plus):
     return np.where(take_hi[..., None], p_hi, p_lo)
 
 
+def _roots(e, L):
+    """Both roots ``(t_minus, t_plus)`` for component-major joints ``e``,
+    behind the same guards as ``_dk_point``."""
+    if (np.abs(e) < SINGULARITY_TOL).any():
+        raise DomainError("effective joint value is zero")
+    A, B, C, _, q = _dk_roots(e, L)
+    return q / A, (B * C) / q
+
+
 def _check_root_rule(eff, L):
-    """``_dk_select`` equals the oracle on every row whose roots exist, or
-    raises where the oracle raises, and on the batch of admissible rows."""
+    """``_dk_point`` equals the oracle on every row ``(3,)`` of ``eff`` whose
+    roots exist, or raises where the oracle raises, and on the batch of
+    admissible rows."""
     admissible = []
     for row in eff:
+        e = row[:, None]  # component-major, one column
         try:
-            t_minus, t_plus = _dk_roots(row, L)[:2]
+            t_minus, t_plus = _roots(e, L)
         except DomainError:
             continue
         try:
-            expected = _brute_force_select(row, t_minus, t_plus)
+            expected = _brute_force_select(row, t_minus[0], t_plus[0])
         except SingularError:
             with pytest.raises(SingularError):
-                _dk_select(row, t_minus, t_plus)
+                _dk_point(e, L)
             continue
-        assert np.array_equal(_dk_select(row, t_minus, t_plus), expected)
+        assert np.array_equal(_dk_point(e, L)[:, 0], expected)
         admissible.append(row)
     if admissible:
         batch = np.array(admissible)
-        t_minus, t_plus = _dk_roots(batch, L)[:2]
         assert np.array_equal(
-            _dk_select(batch, t_minus, t_plus), _brute_force_select(batch, t_minus, t_plus)
+            _dk_point(batch.T, L).T, _brute_force_select(batch, *_roots(batch.T, L))
         )
 
 
@@ -93,7 +115,8 @@ def test_root_rule_on_posture_stack(geom, data):
     # (a) the seven stack postures of a random geometry, offsets up to L/10
     coord = st.floats(-geom.L / 10, geom.L / 10)
     offsets = np.array(data.draw(st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=8)))
-    _check_root_rule((offsets[:, None, :] + _stack_joints(geom)).reshape(-1, 3), geom.L)
+    joints = offsets.T[:, None] + _stack_joints(geom, 2)  # component-major, (3, 7, n)
+    _check_root_rule(joints.reshape(3, -1).T, geom.L)
 
 
 @settings(max_examples=100, deadline=None)
