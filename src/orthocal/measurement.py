@@ -410,7 +410,7 @@ def prediction_jacobian(offsets, geom: Geometry, label: str = SYSTEM_TWELVE) -> 
     dr = _offsets_array(offsets, geom)
     joints, p, num, den = _gauge_lines(dr, geom)
     # the chain rule runs on row-major views: joints and TCPs (..., 7, 3)
-    joints, p = (np.moveaxis(a, (0, 1), (-1, -2)) for a in (joints, p))
+    joints, p = (a.transpose(*range(2, a.ndim), 1, 0) for a in (joints, p))
     D = np.linalg.inv(inverse_jacobian(p, joints))  # dp/drho at each posture
     D0 = D[..., 0, :, :]
     # gradient of the gauge-line parameter of each displacement posture on
