@@ -197,7 +197,7 @@ def direct_kinematics(
     eff = _vec3(rho, "rho") + _vec3(offsets, "offsets")
     e = eff.reshape(-1, 3).T  # component-major, one column per joint triple
     p = _dk_point(e, geom.L)
-    A, B, C, disc, q = _dk_roots(e, geom.L)  # its guards passed in _dk_point
+    A, B, C, disc, q = _dk_roots(e, geom.L)  # again, for the roots reported
     shape = eff.shape[:-1]
     roots = QuadraticRoots(
         *(v.reshape(shape) if shape else float(v[0]) for v in (A, B, C, (B * C) / q, q / A, disc))
