@@ -10,13 +10,15 @@ where ``drho`` are the encoder offsets.  All public functions broadcast over
 leading array dimensions: points and joint vectors may be shape ``(3,)`` or
 ``(..., 3)``.  The direct-kinematics kernel :func:`_dk_point` works on joints
 laid out component-major, ``(3, ...)``, so that each of its ops runs over
-long contiguous planes instead of a length-3 inner axis.
+long contiguous planes instead of a length-3 inner axis, and writes every
+intermediate into scratch planes that a caller may reuse across calls.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,10 +123,50 @@ def inverse_kinematics(
     return rho
 
 
-def _dk_roots(e: np.ndarray, L: float):
+class _DKScratch(NamedTuple):
+    """Scratch planes of the direct-kinematics kernel, each of the joints'
+    plane shape: the squares ``s0, s1, s2`` (also as ``squares``, three
+    planes), a ``spare``, the coefficients ``A, B, C, disc, q``, and the flag
+    planes ``marks`` (three), ``positive``, ``rest`` and ``admissible``."""
+
+    squares: np.ndarray
+    s0: np.ndarray
+    s1: np.ndarray
+    s2: np.ndarray
+    spare: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    disc: np.ndarray
+    q: np.ndarray
+    marks: np.ndarray
+    positive: np.ndarray
+    rest: np.ndarray
+    admissible: np.ndarray
+
+
+# Float and flag planes of a _DKScratch.
+_DK_FLOATS = 9
+_DK_FLAGS = 6
+
+
+def _dk_scratch(shape: tuple, floats=None, flags=None) -> _DKScratch:
+    """Scratch of the direct-kinematics kernel for joints ``(3, *shape)``, as
+    views of the flat buffers ``floats`` and ``flags`` (at least
+    ``_DK_FLOATS`` resp. ``_DK_FLAGS`` planes; new ones if None)."""
+    m = int(np.prod(shape))
+    floats = np.empty(_DK_FLOATS * m) if floats is None else floats
+    flags = np.empty(_DK_FLAGS * m, dtype=bool) if flags is None else flags
+    planes = floats[: _DK_FLOATS * m].reshape((_DK_FLOATS,) + shape)
+    marks = flags[: _DK_FLAGS * m].reshape((_DK_FLAGS,) + shape)
+    return _DKScratch(planes[:3], *planes, marks[:3], *marks[3:])
+
+
+def _dk_roots(e: np.ndarray, L: float, ws: _DKScratch | None = None):
     """Coefficients of the direct-kinematics quadratic ``A t^2 + B t + B C``
     for effective joints ``e`` laid out component-major, ``(3, ...)``, and
-    its stable root term ``q``.
+    its stable root term ``q``, as planes of the scratch ``ws``
+    (:func:`_dk_scratch`; new if None).
 
     Coefficients follow from substituting ``p_i = e_i/2 + t/e_i`` into the
     sphere constraints:
@@ -137,19 +179,34 @@ def _dk_roots(e: np.ndarray, L: float):
     a product of squares and therefore positive.  The roots are
     ``t_minus = q / A`` and ``t_plus = (B C) / q``.
     """
-    s0, s1, s2 = e * e
-    A = s1 * s2 + s0 * s2 + s0 * s1
-    B = s0 * s1 * s2
-    C = (s0 + s1 + s2 - 4.0 * L * L) / 4.0
-    disc = B * B - 4.0 * A * B * C
-    if (disc < 0).any():
+    ws = ws or _dk_scratch(e.shape[1:])
+    s0, s1, s2, x, A, B, C, disc, q = ws[1:10]  # s0 .. q
+    np.multiply(e, e, out=ws.squares)
+    np.multiply(s1, s2, out=A)
+    A += np.multiply(s0, s2, out=x)
+    A += np.multiply(s0, s1, out=x)
+    np.multiply(x, s2, out=B)  # (s0 s1) s2
+    np.add(s0, s1, out=C)
+    C += s2
+    C -= 4.0 * L * L
+    C /= 4.0
+    np.multiply(A, 4.0, out=disc)
+    disc *= B
+    disc *= C
+    np.subtract(np.multiply(B, B, out=x), disc, out=disc)
+    if np.count_nonzero(np.less(disc, 0.0, out=ws.positive)):  # a free flag plane
         raise DomainError("joint set unreachable: negative discriminant")
-    return A, B, C, disc, (B + np.sqrt(disc)) / -2.0
+    np.sqrt(disc, out=q)
+    q += B
+    q /= -2.0
+    return A, B, C, disc, q
 
 
-def _dk_point(e: np.ndarray, L: float) -> np.ndarray:
+def _dk_point(e: np.ndarray, L: float, p=None, ws: _DKScratch | None = None) -> np.ndarray:
     """TCP positions ``(3, ...)`` for effective joints ``e`` laid out
-    component-major, ``(3, ...)``.
+    component-major, ``(3, ...)``, written into ``p`` (new if None) through
+    the scratch ``ws`` (:func:`_dk_scratch`; new if None), which holds the
+    quadratic's coefficients afterwards.
 
     Of the two roots the admissible one (configuration indices
     ``sign(e_i - p_i)`` all +1, matching the prototype assembly) of minimal
@@ -159,21 +216,30 @@ def _dk_point(e: np.ndarray, L: float) -> np.ndarray:
     admissible exactly when every effective joint is positive; the other
     rows can only take ``t_plus``.
     """
-    if (np.abs(e) < SINGULARITY_TOL).any():
+    ws = ws or _dk_scratch(e.shape[1:])
+    s, t, x = ws.squares, ws.s0, ws.spare  # the squares are free once A, B, C are
+    marks, positive, rest, admissible = ws[10:]
+    if np.count_nonzero(np.less(np.abs(e, out=s), SINGULARITY_TOL, out=marks)):
         raise DomainError("effective joint value is zero")
-    A, B, C, _, q = _dk_roots(e, L)
-    t = q / A
-    rest = ~(e > 0).all(axis=0)
-    mixed = rest.any()
+    A, B, C, _, q = _dk_roots(e, L, ws)
+    np.divide(q, A, out=t)
+    np.greater(e, 0.0, out=marks)
+    mixed = np.count_nonzero(marks) != marks.size
     if mixed:
-        t[rest] = (B[rest] * C[rest]) / q[rest]
-    p = t / e
-    p += e / 2.0
-    if mixed and not (e[:, rest] - p[:, rest] > 0).all():
-        raise SingularError(
-            "no admissible direct-kinematics branch: both roots violate the "
-            "+1 configuration indices"
-        )
+        np.logical_and.reduce(marks, axis=0, out=positive)
+        np.logical_not(positive, out=rest)
+        np.multiply(B, C, out=x, where=rest)
+        np.divide(x, q, out=t, where=rest)
+    p = np.divide(t, e, out=p)
+    p += np.divide(e, 2.0, out=s)
+    if mixed:
+        np.greater(np.subtract(e, p, out=s), 0.0, out=marks)
+        np.logical_and.reduce(marks, axis=0, out=admissible)
+        if np.count_nonzero(np.logical_or(admissible, positive, out=admissible)) != admissible.size:
+            raise SingularError(
+                "no admissible direct-kinematics branch: both roots violate the "
+                "+1 configuration indices"
+            )
     return p
 
 
@@ -196,8 +262,9 @@ def direct_kinematics(
     """
     eff = _vec3(rho, "rho") + _vec3(offsets, "offsets")
     e = eff.reshape(-1, 3).T  # component-major, one column per joint triple
-    p = _dk_point(e, geom.L)
-    A, B, C, disc, q = _dk_roots(e, geom.L)  # again, for the roots reported
+    ws = _dk_scratch(e.shape[1:])
+    p = _dk_point(e, geom.L, None, ws)
+    A, B, C, disc, q = ws.A, ws.B, ws.C, ws.disc, ws.q  # the kernel's coefficients
     shape = eff.shape[:-1]
     roots = QuadraticRoots(
         *(v.reshape(shape) if shape else float(v[0]) for v in (A, B, C, (B * C) / q, q / A, disc))

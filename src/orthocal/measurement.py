@@ -14,9 +14,11 @@ Predictors accept offset arrays of shape ``(3,)`` or ``(..., 3)``; the
 ``*_array`` variants return plain arrays in the canonical equation order.
 Inside, offsets, joints and TCPs are laid out component-major, ``(3, ...)``
 and ``(3, 7, ...)`` for the posture stack, so that every op runs over
-contiguous planes; each predictor returns the layout the row-major model
-returned (strides and data ownership), on which the solver's summation
-order depends.
+contiguous planes.  A batch runs in strips of at most ``_STRIP_ROWS`` rows,
+each through a scratch buffer that every thread allocates once, so that a
+call allocates little more than its result; each predictor writes that
+result in the layout the row-major model returned (strides and data
+ownership), on which the solver's summation order depends.
 :data:`SCHEMES` maps each scheme label to its measurement type, wire keys,
 predictor, linear design and noise model.
 """
@@ -26,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import threading
 from dataclasses import dataclass, fields
 from types import MappingProxyType
 from typing import Callable
@@ -34,7 +37,14 @@ import numpy as np
 
 from .errors import DomainError, SingularError
 from .geometry import Axis, Geometry, Posture, PostureKind, check_offsets
-from .kinematics import _dk_point, inverse_jacobian, posture_commanded_joints
+from .kinematics import (
+    _DK_FLAGS,
+    _DK_FLOATS,
+    _dk_point,
+    _dk_scratch,
+    inverse_jacobian,
+    posture_commanded_joints,
+)
 
 __all__ = [
     "SYSTEM_SINGLE",
@@ -314,6 +324,12 @@ def _rm(a: np.ndarray) -> np.ndarray:
     return a.transpose(*range(1, a.ndim), 0) if a.ndim > 1 else a
 
 
+def _columns(a: np.ndarray) -> np.ndarray:
+    """A component-major array ``(k, ...)`` as ``(k, n)``, one column per
+    batch row; a view wherever the batch axes merge."""
+    return a.reshape(a.shape[0], -1)
+
+
 def _offsets_array(offsets, geom: Geometry) -> np.ndarray:
     """Checked offsets ``(..., 3)`` as a component-major view ``(3, ...)``."""
     arr = np.asarray(offsets, dtype=float)
@@ -321,45 +337,218 @@ def _offsets_array(offsets, geom: Geometry) -> np.ndarray:
     return _cm(arr)
 
 
-def _posture_stack(dr: np.ndarray, geom: Geometry, rows=slice(None)):
-    """Effective joints and TCPs of the stack postures ``rows`` under offsets
-    ``dr``, ``(3, ...)``, each ``(3, k, ...)``, from one direct-kinematics
-    call."""
-    joints = dr[:, None] + _stack_joints(geom, dr.ndim)[:, rows]
-    try:
-        return joints, _dk_point(joints, geom.L)
-    except (DomainError, SingularError):
-        # error path only: find the first failing posture to name it
-        for i, row in enumerate(np.arange(len(_STACK))[rows]):
-            try:
-                _dk_point(joints[:, i : i + 1], geom.L)
-            except (DomainError, SingularError) as exc:
-                raise type(exc)(f"{_STACK[row].label()} posture: {exc}") from None
-        raise
+def _channel_output(k: int, batch: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """A new prediction ``(*batch, k)`` and its channel planes ``(k, n)``.
+
+    The prediction owns its data and is laid out as numpy lays out the
+    product of two row-major views of ``(k, *batch)`` planes, the layout the
+    row-major model returned (F-ordered for a 2-d batch of two or more rows):
+    the solver's summation order depends on it."""
+    if not batch:  # one offset triple
+        out = np.empty(k)
+        return out, out[:, None]
+    out = np.empty_like(_rm(np.empty((k,) + batch)))
+    return out, _columns(_cm(out))
 
 
-def _gauge_station(p0: np.ndarray, dr: np.ndarray, L: float, shift=None) -> np.ndarray:
+# The forward model runs a batch in strips of at most this many rows, each in
+# the calling thread's scratch; a 400-700-row Gauss-Newton call takes one.
+_STRIP_ROWS = 1024
+
+
+def _line_take(n_rows: int, line_row, line_leg) -> np.ndarray:
+    """Rows of a strip's source block (:class:`_Strip`) that give, for the
+    leg lines ``(line_row, line_leg)`` of a stack of ``n_rows`` postures, the
+    effective joint, the gauge station and the TCP coordinate on the leg
+    axis."""
+    flat = np.asarray(line_leg) * n_rows + np.asarray(line_row)
+    return np.concatenate([flat, 6 * n_rows + np.asarray(line_leg), 3 * n_rows + flat])
+
+
+def _channel_take(order) -> np.ndarray:
+    """Rows of a full-stack strip's source block that give, for the
+    double-posture channels ``order``: mu of the channel's line, mu of its
+    leg's isotropic line, then the TCP coordinate on the gauge axis at the
+    channel's posture and at the isotropic one."""
+    R, gauge = len(_STACK), _GAUGE_12[order]
+    mu, p = 6 * R + 3, 3 * R + gauge * R
+    return np.concatenate([mu + _LINE_12[order], mu + _LEG_12[order], p + _ROW_12[order], p])
+
+
+_ALL_ROWS = slice(None)
+_GAUGED_LINES = _line_take(len(_STACK), _LINE_ROW, _LINE_LEG)
+_TAKE_12 = _channel_take(np.arange(12))
+# plus channels, then minus channels: the reduced rows are their differences
+_TAKE_PLUS_MINUS = _channel_take(np.concatenate([_REDUCTION_PLUS, _REDUCTION_MINUS]))
+# the isotropic and X/Y postures, and the source row of the TCP z-coordinate
+# at each single-posture channel's posture: 3 R (the joints) + 2 R
+_SINGLE_ROWS = slice(_ROW_SINGLE.max() + 1)
+_SINGLE_TAKE = 5 * (_ROW_SINGLE.max() + 1) + _ROW_SINGLE
+
+
+class _Strip:
+    """Views of the calling thread's scratch for one strip of ``w`` columns,
+    ``n_rows`` stack postures and ``n_lines`` gauged leg lines.
+
+    ``src`` stacks, as rows of ``w`` columns, the effective joints and the
+    TCPs ``(3, n_rows, w)``, the three gauge stations and the lines' mu: the
+    rows that the gauge-line and channel gathers take.  ``dk`` is the
+    direct-kinematics scratch.  Once the TCPs are solved, its planes hold
+    those gathers: ``joint, num, den`` of each line, then the channel
+    products ``left * right`` (the ``line`` and ``iso`` terms) and, for the
+    reduced rows, the twelve channels as ``plus, minus``."""
+
+    __slots__ = (
+        "src", "joints", "p", "p0", "station", "mu", "dk", "take", "joint", "ends",
+        "num", "den", "parallel", "products", "left", "right", "line", "iso",
+        "full", "plus", "minus",
+    )
+
+    def __init__(self, floats, flags, n_rows, w, n_lines):
+        R, n_src = n_rows, 6 * n_rows + 3 + n_lines
+        self.src = floats[: n_src * w].reshape(n_src, w)
+        self.joints = self.src[: 3 * R].reshape(3, R, w)
+        self.p = self.src[3 * R : 6 * R].reshape(3, R, w)
+        self.p0 = self.p[:, 0]
+        self.station = self.src[6 * R : 6 * R + 3]
+        self.mu = self.src[6 * R + 3 :]
+        spare = floats[n_src * w :]
+        self.dk = _dk_scratch((R, w), spare, flags)
+        self.take = spare[: 3 * n_lines * w].reshape(3 * n_lines, w)
+        self.joint, self.num, self.den = lines = self.take.reshape(3, n_lines, w)
+        self.ends = lines[1:]
+        self.parallel = flags[: n_lines * w].reshape(n_lines, w)
+        if R == len(_STACK):
+            self.products = spare[: 48 * w].reshape(48, w)
+            self.left, self.right = self.products[:24], self.products[24:]
+            self.line, self.iso = self.left[:12], self.left[12:]
+            self.full = spare[48 * w : 60 * w].reshape(12, w)
+            self.plus, self.minus = self.full[:6], self.full[6:]
+
+
+# Scratch of one strip of the whole stack: the source block with nine lines,
+# then the direct-kinematics planes, which also hold the sixty rows of the
+# channel gathers.
+_STRIP_FLOATS = (6 * len(_STACK) + 3 + len(_LINE_ROW) + _DK_FLOATS * len(_STACK)) * _STRIP_ROWS
+_STRIP_FLAGS = _DK_FLAGS * len(_STACK) * _STRIP_ROWS
+# Strip views kept per thread, by shape, so that a repeated call shape (the
+# N = 1 solves and their halving blocks) does not rebuild them.
+_STRIPS_KEPT = 32
+
+
+class _Scratch(threading.local):
+    """The forward model's scratch, about 1 MB: allocated once per thread,
+    on its first call, and reused by every later call of that thread, so
+    that a call that does not fail allocates little more than its result."""
+
+    def __init__(self) -> None:
+        self.floats = np.empty(_STRIP_FLOATS)
+        self.flags = np.empty(_STRIP_FLAGS, dtype=bool)
+        self.strips = {}
+
+    def strip(self, n_rows: int, w: int, n_lines: int) -> _Strip:
+        key = (n_rows, w, n_lines)
+        strip = self.strips.get(key)
+        if strip is None:
+            if len(self.strips) >= _STRIPS_KEPT:
+                self.strips.clear()
+            strip = self.strips[key] = _Strip(self.floats, self.flags, n_rows, w, n_lines)
+        return strip
+
+
+_SCRATCH = _Scratch()
+
+
+def _gauge_station(p0: np.ndarray, dr: np.ndarray, L: float, shift=None, out=None) -> np.ndarray:
     """Along-axis coordinates of the three gauge stations, ``(3, ...)``: the
     leg midpoints at the isotropic posture ``p0``, displaced by ``shift`` if
     given."""
-    station = L / 2 + (p0 + dr) / 2
-    return station if shift is None else station + shift
+    station = np.add(p0, dr, out=out)
+    station /= 2.0
+    station += L / 2
+    if shift is not None:
+        station += shift
+    return station
 
 
-def _gauge_lines(dr, geom: Geometry, shift=None, rows=slice(None), lines=(_LINE_ROW, _LINE_LEG)):
-    """Effective joints and TCPs of the stack postures ``rows`` under offsets
-    ``dr``, and the parameter ``mu = num / den`` of the gauge station on the
-    leg lines ``lines``, ``(row in rows, leg)`` pairs; by default the nine
-    gauged lines of the whole stack.  The leg runs from the prismatic joint
-    centre (``mu = 0``) to the TCP (``mu = 1``)."""
-    joints, p = _posture_stack(dr, geom, rows)
-    line_row, line_leg = lines
-    joint = joints[line_leg, line_row]
-    num = joint - _gauge_station(p[:, 0], dr, geom.L, shift)[line_leg]
-    den = joint - p[line_leg, line_row]
-    if (np.abs(den) < 1e-9).any():
+def _posture_stack(dr: np.ndarray, geom: Geometry, rows, shift, lines):
+    """The forward model of offsets ``dr``, ``(3, n)``, at the stack
+    postures ``rows``, in strips of at most ``_STRIP_ROWS`` columns.
+
+    Yields each strip's columns and its views (:class:`_Strip`): the
+    effective joints and TCPs ``(3, len(rows), w)`` from one direct-kinematics
+    call and, for the leg lines ``lines`` (:func:`_line_take`; none if None),
+    the gauge stations displaced by ``shift`` (``(3, n)`` or None) and
+    ``num``, ``den`` of the parameter ``mu = num / den`` of each station on
+    its line.  The leg runs from the prismatic joint centre (``mu = 0``) to
+    the TCP (``mu = 1``).  The views are the thread's scratch, valid until
+    the next strip.
+
+    A failure raises the error the whole batch raises: that of the first
+    posture in ``rows`` whose direct kinematics fails on any column, named
+    after it, else the leg-line error."""
+    stack = _stack_joints(geom, 2)
+    if rows is not _ALL_ROWS:
+        stack = stack[:, rows]
+    n_rows, n_lines = stack.shape[1], 0 if lines is None else len(lines) // 3
+    for start in range(0, dr.shape[1], _STRIP_ROWS):
+        cols = slice(start, start + _STRIP_ROWS)
+        d = dr[:, cols]
+        strip = _SCRATCH.strip(n_rows, d.shape[1], n_lines)
+        np.add(d[:, None], stack, out=strip.joints)
+        try:
+            _dk_point(strip.joints, geom.L, strip.p, strip.dk)
+            if lines is not None:
+                _gauge_lines(strip, d, geom.L, None if shift is None else shift[:, cols], lines)
+        except (DomainError, SingularError):
+            _name_failing_posture(dr, geom, rows)
+            raise
+        yield cols, strip
+
+
+def _gauge_lines(strip: _Strip, dr: np.ndarray, L: float, shift, lines) -> None:
+    """Gauge stations and ``num``, ``den`` of the strip's leg lines."""
+    _gauge_station(strip.p0, dr, L, shift, strip.station)
+    np.take(strip.src, lines, axis=0, out=strip.take, mode="wrap")
+    np.subtract(strip.joint, strip.ends, out=strip.ends)  # joint - station, joint - TCP
+    if np.count_nonzero(np.less(np.abs(strip.den, out=strip.joint), 1e-9, out=strip.parallel)):
         raise SingularError("leg line parallel to the gauge station plane")
-    return joints, p, num, den
+
+
+def _name_failing_posture(dr: np.ndarray, geom: Geometry, rows) -> None:
+    """Error path only: raise the error of the first posture in ``rows``
+    whose direct kinematics fails on any column of ``dr``, named after it."""
+    joints = dr[:, None] + _stack_joints(geom, 2)[:, rows]
+    for i, row in enumerate(np.arange(len(_STACK))[rows]):
+        try:
+            _dk_point(joints[:, i], geom.L)
+        except (DomainError, SingularError) as exc:
+            raise type(exc)(f"{_STACK[row].label()} posture: {exc}") from None
+
+
+def _channels(strip: _Strip, take: np.ndarray, out: np.ndarray) -> None:
+    """The double-posture channels gathered by ``take`` (:func:`_channel_take`)
+    from the strip's mu and TCPs, ``(k, w)``, into ``out``."""
+    np.take(strip.src, take, axis=0, out=strip.products, mode="wrap")
+    np.multiply(strip.left, strip.right, out=strip.left)
+    np.subtract(strip.line, strip.iso, out=out)
+
+
+def _double_posture(offsets, geom: Geometry, gauge_shift, reduced: bool) -> np.ndarray:
+    """The twelve double-posture channels, or their max-minus-min
+    differences if ``reduced``, written strip by strip into the result."""
+    dr = _offsets_array(offsets, geom)
+    if gauge_shift is not None:
+        gauge_shift = _columns(_cm(np.broadcast_to(gauge_shift, _rm(dr).shape)))
+    out, planes = _channel_output(6 if reduced else 12, dr.shape[1:])
+    for cols, strip in _posture_stack(_columns(dr), geom, _ALL_ROWS, gauge_shift, _GAUGED_LINES):
+        np.divide(strip.num, strip.den, out=strip.mu)
+        if reduced:
+            _channels(strip, _TAKE_PLUS_MINUS, strip.full)
+            np.subtract(strip.plus, strip.minus, out=planes[:, cols])
+        else:
+            _channels(strip, _TAKE_12, planes[:, cols])
+    return out
 
 
 def double_deviation_array(offsets, geom: Geometry, gauge_shift=None) -> np.ndarray:
@@ -369,19 +558,12 @@ def double_deviation_array(offsets, geom: Geometry, gauge_shift=None) -> np.ndar
     leg axis (mm, one value per leg); the nominal placement is the leg
     midpoint at the isotropic posture.
     """
-    dr = _offsets_array(offsets, geom)
-    if gauge_shift is not None:
-        gauge_shift = _cm(np.broadcast_to(gauge_shift, _rm(dr).shape))
-    _, p, num, den = _gauge_lines(dr, geom, gauge_shift)
-    mu = num / den
-    # from row-major views of the operands: the result owns its data, laid
-    # out as the row-major model laid it out
-    return _rm(mu[_LINE_12]) * _rm(p[_GAUGE_12, _ROW_12]) - _rm(mu[_LEG_12]) * _rm(p[_GAUGE_12, 0])
+    return _double_posture(offsets, geom, gauge_shift, False)
 
 
 def reduced_deviation_array(offsets, geom: Geometry, gauge_shift=None) -> np.ndarray:
     """Exact max-minus-min deviations, shape ``(..., 6)`` in reduced order."""
-    return _reduce_channels(double_deviation_array(offsets, geom, gauge_shift))
+    return _double_posture(offsets, geom, gauge_shift, True)
 
 
 def single_deviation_array(offsets, geom: Geometry) -> np.ndarray:
@@ -391,8 +573,11 @@ def single_deviation_array(offsets, geom: Geometry) -> np.ndarray:
     deviation is the TCP z-coordinate at the posture.
     """
     dr = _offsets_array(offsets, geom)
-    rows = slice(_ROW_SINGLE.max() + 1)  # the isotropic and X/Y postures
-    return _rm(_posture_stack(dr, geom, rows)[1][2, _ROW_SINGLE])
+    out = np.empty((6,) + dr.shape[1:])
+    planes = _columns(out)
+    for cols, strip in _posture_stack(_columns(dr), geom, _SINGLE_ROWS, None, None):
+        np.take(strip.src, _SINGLE_TAKE, axis=0, out=planes[:, cols], mode="wrap")
+    return _rm(out)
 
 
 def prediction_jacobian(offsets, geom: Geometry, label: str = SYSTEM_TWELVE) -> np.ndarray:
@@ -408,23 +593,26 @@ def prediction_jacobian(offsets, geom: Geometry, label: str = SYSTEM_TWELVE) -> 
     if scheme is None or scheme.from_full is None:
         raise ValueError(f"prediction_jacobian supports {SYSTEM_TWELVE!r} or {SYSTEM_SIX!r}")
     dr = _offsets_array(offsets, geom)
-    joints, p, num, den = _gauge_lines(dr, geom)
-    # the chain rule runs on row-major views: joints and TCPs (..., 7, 3)
-    joints, p = (a.transpose(*range(2, a.ndim), 1, 0) for a in (joints, p))
-    D = np.linalg.inv(inverse_jacobian(p, joints))  # dp/drho at each posture
-    D0 = D[..., 0, :, :]
-    # gradient of the gauge-line parameter of each displacement posture on
-    # its own leg; at the isotropic posture mu is 1/2
-    num, den = _rm(num[3:]), _rm(den[3:])
-    d_num = _DISP_UNIT / 2 - D0[..., _DISP_LEG, :] / 2
-    d_den = _DISP_UNIT - D[..., _DISP_ROW, _DISP_LEG, :]
-    d_mu = (d_num * den[..., None] - num[..., None] * d_den) / (den * den)[..., None]
-    full = (
-        d_mu[..., _DISP_12, :] * p[..., _ROW_12, _GAUGE_12, None]
-        + (num / den)[..., _DISP_12, None] * D[..., _ROW_12, _GAUGE_12, :]
-        - D0[..., _GAUGE_12, :] / 2
-    )
-    return np.ascontiguousarray(np.swapaxes(scheme.from_full(np.swapaxes(full, -1, -2)), -1, -2))
+    out = np.empty(dr.shape[1:] + (len(scheme.wire_keys), 3))
+    rows = out.reshape(-1, *out.shape[-2:])
+    for cols, strip in _posture_stack(_columns(dr), geom, _ALL_ROWS, None, _GAUGED_LINES):
+        # the chain rule runs on row-major views: joints and TCPs (w, 7, 3)
+        joints, p = strip.joints.T, strip.p.T
+        D = np.linalg.inv(inverse_jacobian(p, joints))  # dp/drho at each posture
+        D0 = D[:, 0]
+        # gradient of the gauge-line parameter of each displacement posture on
+        # its own leg; at the isotropic posture mu is 1/2
+        num, den = strip.num[3:].T, strip.den[3:].T
+        d_num = _DISP_UNIT / 2 - D0[:, _DISP_LEG, :] / 2
+        d_den = _DISP_UNIT - D[:, _DISP_ROW, _DISP_LEG, :]
+        d_mu = (d_num * den[..., None] - num[..., None] * d_den) / (den * den)[..., None]
+        full = (
+            d_mu[:, _DISP_12, :] * p[:, _ROW_12, _GAUGE_12, None]
+            + (num / den)[:, _DISP_12, None] * D[:, _ROW_12, _GAUGE_12, :]
+            - D0[:, _GAUGE_12, :] / 2
+        )
+        rows[cols] = np.swapaxes(scheme.from_full(np.swapaxes(full, -1, -2)), -1, -2)
+    return out
 
 
 def predict_double_posture(
@@ -466,7 +654,8 @@ def gauge_locations(offsets, geom: Geometry) -> tuple[GaugeLocation, GaugeLocati
     dr = _offsets_array(offsets, geom)
     if dr.ndim != 1:
         raise ValueError("gauge_locations expects a single offset triple")
-    p0 = _posture_stack(dr, geom, slice(1))[1][:, 0]
+    for _, strip in _posture_stack(dr[:, None], geom, slice(1), None, None):
+        p0 = strip.p0[:, 0].copy()
     station = _gauge_station(p0, dr, geom.L)
     return tuple(
         GaugeLocation(leg=leg, position=np.where(np.arange(3) == leg, station, p0 / 2.0))
@@ -494,8 +683,9 @@ def leg_line_scaling(
     if dr.ndim != 1:
         raise ValueError("leg_line_scaling expects a single offset triple")
     # only the two postures involved, so an unrelated posture cannot fail
-    _, _, num, den = _gauge_lines(dr, geom, gauge_shift, [0, _STACK.index(posture)], (1, leg))
-    return float(num / den)
+    rows, shift = [0, _STACK.index(posture)], np.full((3, 1), gauge_shift, dtype=float)
+    for _, strip in _posture_stack(dr[:, None], geom, rows, shift, _line_take(2, [1], [leg])):
+        return float(strip.num[0, 0] / strip.den[0, 0])
 
 
 @dataclass(frozen=True)

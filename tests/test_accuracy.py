@@ -211,6 +211,22 @@ class TestMonteCarlo:
             np.sqrt((rep.per_axis_std**2).mean()), rel=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "method, offset, pooled",
+        [
+            ("nonlinear-six", 0.1, 0.01993843752383986),
+            ("nonlinear-six", 1.0, 0.019983018314432194),
+            ("nonlinear-twelve", 0.1, 0.02074367468131482),
+            ("nonlinear-twelve", 1.0, 0.020781894223511115),
+        ],
+    )
+    def test_table3_pass_pinned(self, geom, method, offset, pooled):
+        # the benchmark's gated table3 pass (seed 0, 1000 runs, sigma 0.01),
+        # bit for bit: the forward model may change only in speed
+        rep = monte_carlo([offset] * 3, 0.01, 1000, 1, method, 0, geom)
+        assert rep.failed_runs == 0
+        assert rep.pooled_std == pooled
+
     def test_single_replication_has_no_spread(self, geom):
         rep = monte_carlo([0.1] * 3, 0.01, 100, 1, "six", seed=6)
         assert rep.std_of_std is None

@@ -1,4 +1,6 @@
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -34,9 +36,21 @@ from orthocal import (
     reduced_deviation_array,
     single_deviation_array,
 )
-from orthocal.errors import SingularError
+from orthocal.errors import DomainError, SingularError
 from orthocal.identification import _least_squares_gain
-from orthocal.measurement import _stack_joints
+from orthocal.kinematics import SINGULARITY_TOL, posture_commanded_joints
+from orthocal.measurement import (
+    _ALL_ROWS,
+    _GAUGED_LINES,
+    _LINE_LEG,
+    _LINE_ROW,
+    _SCRATCH,
+    _STACK,
+    _STRIP_ROWS,
+    _gauge_lines,
+    _posture_stack,
+    _stack_joints,
+)
 
 
 class TestPredictors:
@@ -319,6 +333,172 @@ class TestPredictors:
         geom = Geometry(L=100, rho_min=-99, rho_max=60)
         with pytest.raises(SingularError, match="^min X-displacement posture: "):
             fn([-10.0, -10.0, -10.0], geom)
+
+
+_PREDICTORS = (
+    double_deviation_array,
+    reduced_deviation_array,
+    single_deviation_array,
+    lambda dr, geom: prediction_jacobian(dr, geom, "double-full"),
+    lambda dr, geom: prediction_jacobian(dr, geom, "double-reduced"),
+)
+
+
+def _allocating_dk(e, L):
+    """The guards of the direct kinematics as the model that allocated its
+    temporaries evaluated them, on component-major joints ``(3, ...)``."""
+    if (np.abs(e) < SINGULARITY_TOL).any():
+        raise DomainError("effective joint value is zero")
+    s0, s1, s2 = e * e
+    A = s1 * s2 + s0 * s2 + s0 * s1
+    B = s0 * s1 * s2
+    C = (s0 + s1 + s2 - 4.0 * L * L) / 4.0
+    disc = B * B - 4.0 * A * B * C
+    if (disc < 0).any():
+        raise DomainError("joint set unreachable: negative discriminant")
+    q = (B + np.sqrt(disc)) / -2.0
+    t = q / A
+    rest = ~(e > 0).all(axis=0)
+    if rest.any():
+        t[rest] = (B[rest] * C[rest]) / q[rest]
+    p = t / e + e / 2.0
+    if rest.any() and not (e[:, rest] - p[:, rest] > 0).all():
+        raise SingularError(
+            "no admissible direct-kinematics branch: both roots violate the "
+            "+1 configuration indices"
+        )
+    return p
+
+
+def _allocating_error(dr, geom):
+    """Class and message of the error the allocating model raised for the
+    offsets ``dr``, ``(n, 3)``, on the whole stack, or None."""
+    joints = dr.T[:, None] + _stack_joints(geom, 2)
+    try:
+        p = _allocating_dk(joints, geom.L)
+    except (DomainError, SingularError):
+        # the whole batch, one posture at a time, in stack order
+        for i, posture in enumerate(_STACK):
+            try:
+                _allocating_dk(joints[:, i], geom.L)
+            except (DomainError, SingularError) as exc:
+                return type(exc), f"{posture.label()} posture: {exc}"
+        raise
+    den = joints[_LINE_LEG, _LINE_ROW] - p[_LINE_LEG, _LINE_ROW]
+    if (np.abs(den) < 1e-9).any():
+        return SingularError, "leg line parallel to the gauge station plane"
+    return None
+
+
+# Failing offsets on a geometry whose min X posture has joint x = 1 mm: a
+# zero effective joint and an inadmissible root at min X, a negative
+# discriminant at max X (before min X in stack order), and NaN.
+_GUARD_GEOM = Geometry(L=100, rho_min=-99, rho_max=60)
+_BAD = {
+    "zero": [-posture_commanded_joints(Posture.min(Axis.X), _GUARD_GEOM)[0], 0.0, 0.0],
+    "inadmissible": [-9.669, 6.265, 8.255],
+    "discriminant": [7.273, 9.624, 9.144],
+    "nan": [np.nan, 0.0, 0.0],
+}
+
+
+class TestStrips:
+    """The forward model evaluates a batch in strips of ``_STRIP_ROWS``
+    columns through one scratch buffer per thread."""
+
+    @pytest.mark.parametrize("shape", [(3,), (5, 3), (2 * _STRIP_ROWS + 3, 3)])
+    def test_results_share_no_memory(self, geom, shape):
+        rng = np.random.default_rng(12)
+        first, second = rng.uniform(-1.0, 1.0, (2,) + shape)
+        scratch = (_SCRATCH.floats, _SCRATCH.flags)
+        for model in _PREDICTORS:
+            a = model(first, geom)
+            kept = a.copy()
+            b = model(second, geom)
+            assert not np.shares_memory(a, b)
+            assert not any(np.shares_memory(out, buf) for out in (a, b) for buf in scratch)
+            assert np.array_equal(a, kept)
+
+    def test_threads_match_serial(self, geom):
+        rng = np.random.default_rng(13)
+        inputs = [rng.uniform(-1.0, 1.0, shape) for shape in [(3,), (40, 3), (1500, 3)] * 4]
+        serial = [[model(dr, geom) for model in _PREDICTORS] for dr in inputs]
+        results, scratches = {}, {}
+        start = threading.Barrier(2)
+
+        def work(name, order):
+            start.wait()
+            scratches[name] = _SCRATCH.floats
+            for _ in range(3):
+                for i in order:
+                    results[name, i] = [model(inputs[i], geom) for model in _PREDICTORS]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads inside the forward calls
+        try:
+            threads = [
+                threading.Thread(target=work, args=(name, order))
+                for name, order in (("a", range(len(inputs))), ("b", range(len(inputs))[::-1]))
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert scratches["a"] is not scratches["b"]
+        for (_, i), outs in results.items():
+            assert all(np.array_equal(o, s) for o, s in zip(outs, serial[i]))
+
+    def test_long_batch_rows_equal_scalar_calls(self, geom):
+        # three strips, the last one partial
+        offsets = np.random.default_rng(14).uniform(-geom.L / 10, geom.L / 10, (2 * _STRIP_ROWS + 5, 3))
+        shift = np.array([0.3, -0.1, 0.2])
+        models = _PREDICTORS + (lambda dr, g: double_deviation_array(dr, g, shift),)
+        for model in models:
+            batch = model(offsets, geom)
+            assert all(np.array_equal(batch[i], model(dr, geom)) for i, dr in enumerate(offsets))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            {0: "zero"}, {1500: "zero"},
+            {0: "discriminant"}, {2500: "discriminant"},
+            {0: "inadmissible"}, {1500: "inadmissible"},
+            {0: "nan"}, {2500: "nan"},
+            # a later strip's earlier posture, or earlier guard, decides
+            {0: "inadmissible", 1500: "discriminant"},
+            {0: "zero", 2500: "discriminant"},
+            {0: "inadmissible", 1500: "zero"},
+            {0: "discriminant", 2500: "nan"},
+        ],
+        ids=lambda rows: "-".join(f"{kind}@{row}" for row, kind in rows.items()),
+    )
+    def test_guards_match_allocating_model(self, rows):
+        offsets = np.zeros((2 * _STRIP_ROWS + 600, 3))
+        assert _allocating_error(offsets, _GUARD_GEOM) is None
+        for row, kind in rows.items():
+            offsets[row] = _BAD[kind]
+        want = _allocating_error(offsets, _GUARD_GEOM)
+        assert want is not None
+        # check_offsets rejects NaN before the forward model, so the strip
+        # driver is called directly
+        with pytest.raises(want[0]) as exc:
+            for _ in _posture_stack(offsets.T, _GUARD_GEOM, _ALL_ROWS, None, _GAUGED_LINES):
+                pass
+        assert str(exc.value) == want[1]
+        if "nan" not in rows.values():
+            with pytest.raises(want[0]) as exc:
+                double_deviation_array(offsets, _GUARD_GEOM)
+            assert str(exc.value) == want[1]
+
+    def test_leg_line_guard(self, geom):
+        # a TCP on its joint leaves the leg line without a direction
+        strip = _SCRATCH.strip(len(_STACK), 4, len(_LINE_ROW))
+        strip.joints[...] = geom.L
+        strip.p[...] = strip.joints
+        with pytest.raises(SingularError, match="^leg line parallel to the gauge station plane$"):
+            _gauge_lines(strip, np.zeros((3, 4)), geom.L, None, _GAUGED_LINES)
 
 
 class TestReduce:
