@@ -487,9 +487,7 @@ def _posture_stack(dr: np.ndarray, geom: Geometry, rows, shift, lines):
     A failure raises the error the whole batch raises: that of the first
     posture in ``rows`` whose direct kinematics fails on any column, named
     after it, else the leg-line error."""
-    stack = _stack_joints(geom, 2)
-    if rows is not _ALL_ROWS:
-        stack = stack[:, rows]
+    stack = _stack_joints(geom, 2)[:, rows]
     n_rows, n_lines = stack.shape[1], 0 if lines is None else len(lines) // 3
     for start in range(0, dr.shape[1], _STRIP_ROWS):
         cols = slice(start, start + _STRIP_ROWS)
