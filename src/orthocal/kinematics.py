@@ -17,8 +17,8 @@ intermediate into scratch planes that a caller may reuse across calls.
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -123,31 +123,13 @@ def inverse_kinematics(
     return rho
 
 
-class _DKScratch(NamedTuple):
-    """Scratch planes of the direct-kinematics kernel, each of the joints'
-    plane shape: the squares ``s0, s1, s2`` (also as ``squares``, three
-    planes), a ``spare``, the coefficients ``A, B, C, disc, q``, and the flag
-    planes ``marks`` (three), ``positive``, ``rest`` and ``admissible``."""
-
-    squares: np.ndarray
-    s0: np.ndarray
-    s1: np.ndarray
-    s2: np.ndarray
-    spare: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    disc: np.ndarray
-    q: np.ndarray
-    marks: np.ndarray
-    positive: np.ndarray
-    rest: np.ndarray
-    admissible: np.ndarray
-
-
-# Float and flag planes of a _DKScratch.
-_DK_FLOATS = 9
-_DK_FLAGS = 6
+# Scratch planes of the direct-kinematics kernel, each of the joints' plane
+# shape: the squares (as one array of three planes and as s0, s1, s2), a
+# spare, the coefficients; then flag planes: three marks and three row masks.
+_DKScratch = namedtuple(
+    "_DKScratch", "squares s0 s1 s2 spare A B C disc q marks positive rest admissible"
+)
+_DK_FLOATS, _DK_FLAGS = 9, 6
 
 
 def _dk_scratch(shape: tuple, floats=None, flags=None) -> _DKScratch:

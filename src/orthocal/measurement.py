@@ -339,11 +339,9 @@ def _offsets_array(offsets, geom: Geometry) -> np.ndarray:
 
 def _channel_output(k: int, batch: tuple) -> tuple[np.ndarray, np.ndarray]:
     """A new prediction ``(*batch, k)`` and its channel planes ``(k, n)``.
-
-    The prediction owns its data and is laid out as numpy lays out the
-    product of two row-major views of ``(k, *batch)`` planes, the layout the
-    row-major model returned (F-ordered for a 2-d batch of two or more rows):
-    the solver's summation order depends on it."""
+    It owns its data, laid out as numpy lays out a product of row-major
+    views of ``(k, *batch)`` planes, as the row-major model returned it: the
+    solver's summation order depends on it."""
     if not batch:  # one offset triple
         out = np.empty(k)
         return out, out[:, None]
@@ -387,16 +385,13 @@ _SINGLE_TAKE = 5 * (_ROW_SINGLE.max() + 1) + _ROW_SINGLE
 
 
 class _Strip:
-    """Views of the calling thread's scratch for one strip of ``w`` columns,
-    ``n_rows`` stack postures and ``n_lines`` gauged leg lines.
-
-    ``src`` stacks, as rows of ``w`` columns, the effective joints and the
-    TCPs ``(3, n_rows, w)``, the three gauge stations and the lines' mu: the
-    rows that the gauge-line and channel gathers take.  ``dk`` is the
-    direct-kinematics scratch.  Once the TCPs are solved, its planes hold
-    those gathers: ``joint, num, den`` of each line, then the channel
-    products ``left * right`` (the ``line`` and ``iso`` terms) and, for the
-    reduced rows, the twelve channels as ``plus, minus``."""
+    """Views of the calling thread's scratch for a strip of ``w`` columns,
+    ``n_rows`` stack postures and ``n_lines`` gauged leg lines.  ``src``
+    stacks the rows that the gathers take: the effective joints and TCPs
+    ``(3, n_rows, w)``, the gauge stations and the lines' mu.  The
+    direct-kinematics planes ``dk`` hold the gathers once the TCPs are
+    solved: ``joint, num, den`` of each line, then the channel products
+    ``left * right`` and, for the reduced rows, the twelve channels."""
 
     __slots__ = (
         "src", "joints", "p", "p0", "station", "mu", "dk", "take", "joint", "ends",
@@ -475,18 +470,15 @@ def _posture_stack(dr: np.ndarray, geom: Geometry, rows, shift, lines):
     """The forward model of offsets ``dr``, ``(3, n)``, at the stack
     postures ``rows``, in strips of at most ``_STRIP_ROWS`` columns.
 
-    Yields each strip's columns and its views (:class:`_Strip`): the
-    effective joints and TCPs ``(3, len(rows), w)`` from one direct-kinematics
-    call and, for the leg lines ``lines`` (:func:`_line_take`; none if None),
-    the gauge stations displaced by ``shift`` (``(3, n)`` or None) and
-    ``num``, ``den`` of the parameter ``mu = num / den`` of each station on
-    its line.  The leg runs from the prismatic joint centre (``mu = 0``) to
-    the TCP (``mu = 1``).  The views are the thread's scratch, valid until
-    the next strip.
-
-    A failure raises the error the whole batch raises: that of the first
-    posture in ``rows`` whose direct kinematics fails on any column, named
-    after it, else the leg-line error."""
+    Yields each strip's columns and views (:class:`_Strip`), valid until the
+    next strip: the effective joints and TCPs ``(3, len(rows), w)`` and, for
+    the leg lines ``lines`` (:func:`_line_take`; none if None), the gauge
+    stations displaced by ``shift`` (``(3, n)`` or None) and ``num, den`` of
+    each station's parameter ``mu = num / den`` on its line, which runs from
+    the prismatic joint centre (``mu = 0``) to the TCP (``mu = 1``).  A
+    failure raises the whole batch's error: that of the first posture in
+    ``rows`` whose direct kinematics fails on any column, else the leg-line
+    error."""
     stack = _stack_joints(geom, 2)[:, rows]
     n_rows, n_lines = stack.shape[1], 0 if lines is None else len(lines) // 3
     for start in range(0, dr.shape[1], _STRIP_ROWS):
