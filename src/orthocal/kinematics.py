@@ -16,6 +16,7 @@ intermediate into scratch planes that a caller may reuse across calls.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
@@ -136,7 +137,7 @@ def _dk_scratch(shape: tuple, floats=None, flags=None) -> _DKScratch:
     """Scratch of the direct-kinematics kernel for joints ``(3, *shape)``, as
     views of the flat buffers ``floats`` and ``flags`` (at least
     ``_DK_FLOATS`` resp. ``_DK_FLAGS`` planes; new ones if None)."""
-    m = int(np.prod(shape))
+    m = math.prod(shape)
     floats = np.empty(_DK_FLOATS * m) if floats is None else floats
     flags = np.empty(_DK_FLAGS * m, dtype=bool) if flags is None else flags
     planes = floats[: _DK_FLOATS * m].reshape((_DK_FLOATS,) + shape)
