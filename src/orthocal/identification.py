@@ -244,12 +244,13 @@ def least_squares_solve(
 # Rows a damping round aims to fill in one forward-model call: about the
 # break-even where a call's per-row cost equals its fixed cost.  Measured on a
 # 2-vCPU Xeon VM (numpy 2.4.6, one BLAS thread), a twelve-channel predictor
-# call costs about 65-85 us plus 0.3-0.35 us per row at 128-512 rows, some
-# 14 us more when its strip shape is not among those kept (90-115 us plus
-# 0.31-0.37 us when each call allocated its temporaries).  A 1000-run Table 3
-# pass at seed 0 then makes 119 calls on 57.5k rows (128 here: 186 calls on
-# 55.1k rows; 768: 89 calls on 60.6k rows, slower).  At most 1365: a block of k > 1 levels then has fewer
-# than 2731 rows.  From 2731 twelve-channel rows (256 KiB) numpy computes
+# call costs about 65-85 us plus 0.3-0.35 us per row at 128-512 rows, 10-20
+# us more when its strip shape is not among those kept (90-115 us plus
+# 0.31-0.37 us when each call allocated its temporaries, the costs this value
+# was chosen under).  A 1000-run Table 3 pass at seed 0 then makes 119 calls
+# on 57.5k rows (128 here: 186 calls on 55.1k rows; 768: 89 calls on 60.6k
+# rows, slower).  At most 1365: a block of k > 1 levels then has fewer than
+# 2731 rows.  From 2731 twelve-channel rows (256 KiB) numpy computes
 # ``predict - obs`` in place into the predictor's F-ordered output, below it
 # into a new C-ordered array, and the objective's summation order follows
 # that layout; so a block keeps the layout one level per call would give.
