@@ -447,12 +447,14 @@ class TestStrips:
         finally:
             sys.setswitchinterval(interval)
         assert scratches["a"] is not scratches["b"]
+        assert len(results) == 2 * len(inputs)  # neither thread died
         for (_, i), outs in results.items():
             assert all(np.array_equal(o, s) for o, s in zip(outs, serial[i]))
 
     def test_long_batch_rows_equal_scalar_calls(self, geom):
         # three strips, the last one partial
-        offsets = np.random.default_rng(14).uniform(-geom.L / 10, geom.L / 10, (2 * _STRIP_ROWS + 5, 3))
+        bound = geom.L / 10
+        offsets = np.random.default_rng(14).uniform(-bound, bound, (2 * _STRIP_ROWS + 5, 3))
         shift = np.array([0.3, -0.1, 0.2])
         models = _PREDICTORS + (lambda dr, g: double_deviation_array(dr, g, shift),)
         for model in models:
