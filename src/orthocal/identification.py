@@ -241,19 +241,15 @@ def least_squares_solve(
     )
 
 
-# Rows a damping round aims to fill in one forward-model call: about the
-# break-even where a call's per-row cost equals its fixed cost.  Measured on a
-# 2-vCPU Xeon VM (numpy 2.4.6, one BLAS thread), a twelve-channel predictor
-# call costs about 65-85 us plus 0.3-0.35 us per row at 128-512 rows, 10-20
-# us more when its strip shape is not among those kept (90-115 us plus
-# 0.31-0.37 us when each call allocated its temporaries, the costs this value
-# was chosen under).  A 1000-run Table 3 pass at seed 0 then makes 119 calls
-# on 57.5k rows (128 here: 186 calls on 55.1k rows; 768: 89 calls on 60.6k
-# rows, slower).  At most 1365: a block of k > 1 levels then has fewer than
-# 2731 rows.  From 2731 twelve-channel rows (256 KiB) numpy computes
-# ``predict - obs`` in place into the predictor's F-ordered output, below it
-# into a new C-ordered array, and the objective's summation order follows
-# that layout; so a block keeps the layout one level per call would give.
+# Rows a halving block aims to fill in one forward-model call, about where a
+# call's per-row cost equals its fixed cost (twelve channels: 65-85 us plus
+# 0.3-0.35 us per row on a 2-vCPU Xeon VM, numpy 2.4.6, one BLAS thread).  A
+# 1000-run Table 3 pass at seed 0 makes 119 calls on 57.5k rows, 87 of them
+# halving blocks on 40.0k rows; in-process it took 1.06x the time at 256, 0.98x
+# at 512 and 0.96x at 768 (768 lost 3 of 3 benchmark pairs before).  At most
+# 1365: below 2731 twelve-channel rows numpy computes ``predict - obs`` into a
+# new C-ordered array, not in place into the predictor's F-ordered output, and
+# the objective's summation order follows that layout.
 _HALVING_BLOCK_ROWS = 384
 
 
@@ -296,6 +292,7 @@ def _gauss_newton(
     if not callable(jacobian):
         jacobian, K = jacobian  # (n, 3), (3, n)
     x = np.array(x0, dtype=float, copy=True)
+    ladder = np.ldexp(1.0, -np.arange(max_halvings + 1))  # damping 2**-level by level
     r = predict_fn(x) - obs
     F = np.einsum("ij,ij->i", r, r)
     if objective_history is not None:
@@ -327,32 +324,35 @@ def _gauss_newton(
             step = -np.einsum("kin,kn->ki", gains, ra)
         else:
             step = -(ra @ K.T)
-        alpha = np.ones(idx.size)
         x_try = xa + step
         r_try = predict_fn(x_try) - obs[idx]
         F_try = np.einsum("ij,ij->i", r_try, r_try)
         # strict decrease required: accepting equal-objective steps can cycle
         worse = ~(F_try < F[idx])
-        level = 0  # halvings tried so far, the same for every still-worse row
-        while level < max_halvings and worse.any():
-            # the next k halving levels of every still-worse row in one call;
-            # each row keeps its first level that lowers the objective, the
-            # level a one-level-per-call loop would stop at
-            sub = worse.nonzero()[0]
-            k = min(max_halvings - level, -(-_HALVING_BLOCK_ROWS // sub.size))
-            rows = np.repeat(sub, k)
-            a = np.tile(np.ldexp(1.0, -np.arange(level + 1, level + k + 1)), sub.size)
-            xt = x[idx[rows]] + a[:, None] * step[rows]
-            # obs is gathered by one fancy index as for a single level: the
-            # objective's summation order follows the residuals' memory layout
-            rt = predict_fn(xt) - obs[idx[rows]]
-            Ft = np.einsum("ij,ij->i", rt, rt)
-            better = (Ft < F[idx[rows]]).reshape(sub.size, k)
-            found = better.any(axis=1)
-            take = np.arange(sub.size) * k + np.where(found, better.argmax(axis=1), k - 1)
-            x_try[sub], r_try[sub], F_try[sub], alpha[sub] = xt[take], rt[take], Ft[take], a[take]
-            worse[sub] = ~found
-            level += k
+        alpha = np.where(worse, ladder[-1], 1.0)  # the deepest factor if no level lowers F
+        if worse.any():
+            # the still-worse rows, gathered once, try k halving levels per call;
+            # each keeps its first level that lowers the objective, the level a
+            # one-level-per-call loop would stop at
+            sub, level = worse.nonzero()[0], 0  # level: halvings tried by every row
+            xs, ss, ob, Fs = x[idx[sub]], step[sub], obs[idx[sub]], F[idx[sub]]
+            while level < max_halvings and sub.size:
+                k = min(max_halvings - level, -(-_HALVING_BLOCK_ROWS // sub.size))
+                a = ladder[level + 1:level + k + 1]
+                xt = (xs[:, None] + a[:, None] * ss[:, None]).reshape(-1, 3)
+                # readings stay C-ordered, as one fancy index gathers them: the
+                # objective's summation order follows the residuals' layout
+                rt = predict_fn(xt) - (np.repeat(ob, k, axis=0) if k > 1 else ob)
+                Ft = np.einsum("ij,ij->i", rt, rt)
+                better = Ft.reshape(-1, k) < Fs[:, None]
+                found = better.any(axis=1)
+                level += k
+                if found.any():
+                    got, lv, keep = sub[found], better.argmax(axis=1)[found], ~found
+                    take = found.nonzero()[0] * k + lv
+                    x_try[got], r_try[got], F_try[got] = xt[take], rt[take], Ft[take]
+                    alpha[got], worse[got] = a[lv], False
+                    sub, xs, ss, ob, Fs = sub[keep], xs[keep], ss[keep], ob[keep], Fs[keep]
         accepted = ~worse
         acc = idx[accepted]
         x[acc] = x_try[accepted]

@@ -172,7 +172,7 @@ def _dk_roots(e: np.ndarray, L: float, ws: _DKScratch | None = None):
     np.add(s0, s1, out=C)
     C += s2
     C -= 4.0 * L * L
-    C /= 4.0
+    C *= 0.25
     np.multiply(A, 4.0, out=disc)
     disc *= B
     disc *= C
@@ -181,7 +181,7 @@ def _dk_roots(e: np.ndarray, L: float, ws: _DKScratch | None = None):
         raise DomainError("joint set unreachable: negative discriminant")
     np.sqrt(disc, out=q)
     q += B
-    q /= -2.0
+    q *= -0.5
     return A, B, C, disc, q
 
 
@@ -214,7 +214,7 @@ def _dk_point(e: np.ndarray, L: float, p=None, ws: _DKScratch | None = None) -> 
         np.multiply(B, C, out=x, where=rest)
         np.divide(x, q, out=t, where=rest)
     p = np.divide(t, e, out=p)
-    p += np.divide(e, 2.0, out=s)
+    p += np.multiply(e, 0.5, out=s)
     if mixed:
         np.greater(np.subtract(e, p, out=s), 0.0, out=marks)
         np.logical_and.reduce(marks, axis=0, out=admissible)

@@ -459,7 +459,7 @@ def _gauge_station(p0: np.ndarray, dr: np.ndarray, L: float, shift=None, out=Non
     leg midpoints at the isotropic posture ``p0``, displaced by ``shift`` if
     given."""
     station = np.add(p0, dr, out=out)
-    station /= 2.0
+    station *= 0.5
     station += L / 2
     if shift is not None:
         station += shift

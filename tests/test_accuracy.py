@@ -227,6 +227,24 @@ class TestMonteCarlo:
         assert rep.failed_runs == 0
         assert rep.pooled_std == pooled
 
+    @pytest.mark.parametrize(
+        "method, pooled, mean",
+        [
+            ("nonlinear-six", 0.01995611819736123,
+             [-0.0002460881461463737, 0.0002473711910346799, 0.00024765876093661856]),
+            ("nonlinear-twelve", 0.020785271871616367,
+             [-0.00019918749262639153, 0.00010586669673366517, 0.0003139212964013068]),
+        ],
+    )
+    def test_in_place_residual_regime_pinned(self, geom, method, pooled, mean):
+        # 6000 runs, bit for bit: from 256 KiB of readings (2731 twelve- or
+        # 5462 six-channel rows) numpy subtracts the readings in place into the
+        # predictor's F-ordered output, and the objective sums in that layout
+        rep = monte_carlo([1.0] * 3, 0.01, 6000, 1, method, 0, geom)
+        assert rep.failed_runs == 0
+        assert rep.pooled_std == pooled
+        assert rep.per_axis_mean.tolist() == mean
+
     def test_single_replication_has_no_spread(self, geom):
         rep = monte_carlo([0.1] * 3, 0.01, 100, 1, "six", seed=6)
         assert rep.std_of_std is None

@@ -18,6 +18,7 @@ from orthocal import (
     coefficients,
     least_squares_solve,
     measurement,
+    monte_carlo,
     nonlinear_identify,
     prediction_jacobian,
     predict_double_posture,
@@ -27,7 +28,12 @@ from orthocal import (
     residual_report,
     solve_single_posture_closed_form,
 )
-from orthocal.identification import LinearSystem, _gauss_newton, _least_squares_gain
+from orthocal.identification import (
+    _HALVING_BLOCK_ROWS,
+    LinearSystem,
+    _gauss_newton,
+    _least_squares_gain,
+)
 
 from conftest import EXPECTED_IMPROVEMENT, REFERENCE_OFFSETS, reduced_from_table
 
@@ -444,14 +450,18 @@ class TestResidualReport:
 
 
 def _one_level_per_call(obs, jacobian, predict_fn, x0, max_iter=100, step_tol=1e-9,
-                        grad_tol=1e-12, max_halvings=20):
+                        grad_tol=1e-12, max_halvings=20, objective_history=None, levels=None):
     """Reference damped Gauss-Newton that makes one forward-model call per
-    halving level: the loop whose results the batched solver must keep."""
+    halving level: the loop whose results the batched solver must keep.
+    ``levels``, if given, receives for every sweep that halves the halving
+    level each still-worse row stopped at, 0 where none lowered the objective."""
     if not callable(jacobian):
         jacobian, P = jacobian
     x = np.array(x0, dtype=float, copy=True)
     r = predict_fn(x) - obs
     F = np.einsum("ij,ij->i", r, r)
+    if objective_history is not None:
+        objective_history.append(F.copy())
     n_run = x.shape[0]
     converged = np.zeros(n_run, dtype=bool)
     iterations = np.zeros(n_run, dtype=int)
@@ -482,7 +492,8 @@ def _one_level_per_call(obs, jacobian, predict_fn, x0, max_iter=100, step_tol=1e
         r_try = predict_fn(x_try) - obs[idx]
         F_try = np.einsum("ij,ij->i", r_try, r_try)
         worse = ~(F_try < F[idx])
-        for _h in range(max_halvings):
+        halved, stop = np.flatnonzero(worse), np.zeros(idx.size, dtype=int)
+        for h in range(max_halvings):
             if not worse.any():
                 break
             alpha[worse] *= 0.5
@@ -492,6 +503,9 @@ def _one_level_per_call(obs, jacobian, predict_fn, x0, max_iter=100, step_tol=1e
             Ft = np.einsum("ij,ij->i", rt, rt)
             x_try[sub], r_try[sub], F_try[sub] = xt, rt, Ft
             worse[sub] = ~(Ft < F[idx[sub]])
+            stop[sub[~worse[sub]]] = h + 1
+        if levels is not None and halved.size and max_halvings:
+            levels.append(stop[halved])
         accepted = ~worse
         acc = idx[accepted]
         x[acc] = x_try[accepted]
@@ -502,6 +516,8 @@ def _one_level_per_call(obs, jacobian, predict_fn, x0, max_iter=100, step_tol=1e
         done = (accepted & tiny) | (worse & tiny)
         converged[idx[done]] = True
         active[idx[done | (worse & ~tiny)]] = False
+        if objective_history is not None:
+            objective_history.append(F.copy())
     return x, converged, iterations, r
 
 
@@ -514,10 +530,10 @@ class TestBlockHalving:
     every result must equal the one-level-per-call loop's bit for bit."""
 
     @staticmethod
-    def _problem(geom, label, jacobian, n):
+    def _problem(geom, label, jacobian, n, spread=5.0):
         scheme = SCHEMES[label]
         rng = np.random.default_rng([n, len(label), jacobian == "exact"])
-        truth = rng.uniform(-5.0, 5.0, (n, 3))
+        truth = rng.uniform(-spread, spread, (n, 3))
         obs = scheme.predict(truth, geom) + scheme.sample_noise(rng, 0.02, (n,))
         x0 = obs @ np.linalg.pinv(scheme.design(geom)).T
         if jacobian == "exact":
@@ -533,6 +549,31 @@ class TestBlockHalving:
         args = self._problem(geom, label, jacobian, n)
         for got, want in zip(_gauss_newton(*args), _one_level_per_call(*args)):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("max_halvings", [0, 1, 20])
+    @pytest.mark.parametrize("jacobian", ["linear", "exact"])
+    @pytest.mark.parametrize("label", [SYSTEM_SIX, SYSTEM_TWELVE])
+    def test_exhausted_and_deep_levels_equal_one_level_per_call(
+        self, geom, label, jacobian, max_halvings
+    ):
+        # offsets up to 20 mm: in one sweep some rows find no level that lowers
+        # the objective while others stop deep inside blocks of k > 1 levels
+        args = self._problem(geom, label, jacobian, 1000, spread=20.0)
+        got_history, want_history, levels = [], [], []
+        got = _gauss_newton(*args, max_halvings=max_halvings, objective_history=got_history)
+        want = _one_level_per_call(
+            *args, max_halvings=max_halvings, objective_history=want_history, levels=levels
+        )
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        assert len(got_history) == len(want_history)
+        for a, b in zip(got_history, want_history):
+            assert np.array_equal(a, b)
+        if max_halvings == 20:
+            assert any(
+                stop.size < _HALVING_BLOCK_ROWS // 2 and (stop == 0).any() and stop.max() >= 10
+                for stop in levels
+            )
 
     @pytest.mark.parametrize("n", [1, 7])
     def test_stiff_cubic_equals_one_level_per_call(self, n):
@@ -564,3 +605,19 @@ class TestBlockHalving:
             calls.clear()
             res = nonlinear_identify(m, geom)
             assert len(calls) <= 2 * res.iterations + 3
+
+    @pytest.mark.parametrize(
+        "method, calls, rows",
+        [("nonlinear-six", 26, 13206), ("nonlinear-twelve", 41, 21129)],
+    )
+    def test_table3_cell_model_calls_pinned(self, geom, monkeypatch, method, calls, rows):
+        # a 1000-run Table 3 cell at 1 mm, seed 0: the forward-model calls and
+        # the rows they evaluate, the work the halving blocks are sized by
+        widths = []
+        stack = measurement._posture_stack
+        monkeypatch.setattr(
+            measurement, "_posture_stack",
+            lambda dr, *a: widths.append(dr.shape[-1]) or stack(dr, *a),
+        )
+        monte_carlo([1.0] * 3, 0.01, 1000, 1, method, 0, geom)
+        assert (len(widths), sum(widths)) == (calls, rows)
