@@ -292,7 +292,7 @@ def _gauss_newton(
     if not callable(jacobian):
         jacobian, K = jacobian  # (n, 3), (3, n)
     x = np.array(x0, dtype=float, copy=True)
-    ladder = np.ldexp(1.0, -np.arange(max_halvings + 1))  # damping 2**-level by level
+    ladder = np.ldexp(1.0, -np.arange(max_halvings + 1))  # 2**-h: the damping of h halvings
     r = predict_fn(x) - obs
     F = np.einsum("ij,ij->i", r, r)
     if objective_history is not None:

@@ -571,7 +571,7 @@ class TestBlockHalving:
             assert np.array_equal(a, b)
         if max_halvings == 20:
             assert any(
-                stop.size < _HALVING_BLOCK_ROWS // 2 and (stop == 0).any() and stop.max() >= 10
+                stop.size < _HALVING_BLOCK_ROWS and (stop == 0).any() and stop.max() >= 10
                 for stop in levels
             )
 
