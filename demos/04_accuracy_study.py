@@ -7,20 +7,20 @@ import numpy as np
 
 from orthocal import (
     ESTIMATORS,
+    SYSTEM_TWELVE,
     Geometry,
-    build_twelve_eq_system,
+    build_system,
     monte_carlo,
-    noise_covariance_twelve,
-    offset_covariance_six,
-    offset_covariance_twelve,
+    noise_covariance,
+    offset_covariance,
     propagate_covariance,
 )
 
 geom = Geometry.prototype()
 sigma = 0.01
 
-six = offset_covariance_six(geom, sigma)
-twelve = offset_covariance_twelve(geom, sigma)
+six = offset_covariance("six", geom, sigma)
+twelve = offset_covariance("twelve", geom, sigma)
 print(f"gauge noise sigma = {sigma} mm")
 print(f"analytic offset accuracy, six equations:    sigma_rho = {six.sigma_rho:.5f} mm "
       f"({six.sigma_rho / sigma:.3f} * sigma)")
@@ -31,24 +31,24 @@ print("per-axis standard deviations, six equations:",
 
 # Ignoring the shared-isotropic-reading correlation would misstate the
 # twelve-equation accuracy substantially.
-J12 = build_twelve_eq_system(geom).design_matrix
+J12 = build_system(SYSTEM_TWELVE, geom).design_matrix
 V_naive = propagate_covariance(J12, 2.0 * sigma**2 * np.eye(12))
 naive = np.sqrt(np.trace(V_naive) / 3)
 print(f"\ntwelve equations with correlation ignored (2 sigma^2 I): {naive:.5f} mm")
 print(f"with the true block covariance:                          {twelve.sigma_rho:.5f} mm")
 print("correlation block (one plane pair):")
-print(noise_covariance_twelve(1.0).matrix[:4, :4])
+print(noise_covariance(SYSTEM_TWELVE, 1.0)[:4, :4])
 
 # Monte-Carlo cross-check of every estimator in the table against its
-# analytic sigma_rho = sigma sqrt(trace(K S K')/3), closed form included; for
-# the nonlinear estimators that is the first-order value of their start K.
+# analytic sigma_rho = sqrt(trace(K S K')/3) with S the reading-error
+# covariance, closed form included; for the nonlinear estimators that is the
+# first-order value of their start K.
 # Full benchmark size is 10000 runs x 20 replications; a reduced size keeps
 # this demo quick.
 runs, reps = 4000, 5
 print(f"\nMonte-Carlo with {runs} runs x {reps} replications (true offsets 0.1 mm):")
-for name, est in ESTIMATORS.items():
-    K = est.gain(geom)
-    analytic = sigma * np.sqrt(np.trace(K @ est.scheme.noise_covariance @ K.T) / 3)
+for name in ESTIMATORS:
+    analytic = offset_covariance(name, geom, sigma).sigma_rho
     start = time.perf_counter()
     rep = monte_carlo([0.1] * 3, sigma, runs, reps, name, seed=7)
     elapsed = time.perf_counter() - start

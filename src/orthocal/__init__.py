@@ -69,7 +69,6 @@ from .identification import (
     Estimator,
     LinearSystem,
     ResidualReport,
-    build_single_posture_system,
     build_six_eq_system,
     build_system,
     build_twelve_eq_system,
@@ -82,14 +81,11 @@ from .identification import (
 )
 from .accuracy import (
     GAUGE_CORRELATION_BLOCK,
-    CovarianceStructure,
     MonteCarloReport,
-    NoiseCovariance,
     OffsetCovariance,
     monte_carlo,
-    noise_covariance_six,
-    noise_covariance_twelve,
-    offset_covariance_closed_form,
+    noise_covariance,
+    offset_covariance,
     offset_covariance_six,
     offset_covariance_twelve,
     propagate_covariance,

@@ -15,45 +15,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import ConvergenceError
 from .geometry import Geometry, check_offsets
 from .identification import ESTIMATORS, _gauss_newton, _least_squares_gain
-from .measurement import GAUGE_CORRELATION_BLOCK, SCHEMES, SYSTEM_SIX, SYSTEM_TWELVE
+from .measurement import GAUGE_CORRELATION_BLOCK, SCHEMES
 
 __all__ = [
-    "CovarianceStructure",
-    "NoiseCovariance",
     "GAUGE_CORRELATION_BLOCK",
-    "noise_covariance_six",
-    "noise_covariance_twelve",
+    "noise_covariance",
     "propagate_covariance",
     "OffsetCovariance",
+    "offset_covariance",
     "offset_covariance_six",
     "offset_covariance_twelve",
-    "offset_covariance_closed_form",
     "MonteCarloReport",
     "monte_carlo",
 ]
 
 
-class CovarianceStructure(Enum):
-    SCALED_IDENTITY = "scaled-identity"
-    BLOCK_G = "block-g"
-
-
-@dataclass(frozen=True, eq=False)
-class NoiseCovariance:
-    """Covariance of the measurement-error vector (mm^2)."""
-
-    matrix: np.ndarray
-    structure: CovarianceStructure
-
-
-def _noise_matrix(label: str, sigma: float) -> np.ndarray:
+def noise_covariance(label: str, sigma: float) -> np.ndarray:
     """Reading-error covariance ``sigma^2 S`` of scheme ``label``; ValueError
     for a sigma that is negative, not finite or overflows it."""
     if not (math.isfinite(sigma) and sigma >= 0):
@@ -63,18 +46,6 @@ def _noise_matrix(label: str, sigma: float) -> np.ndarray:
     if not np.isfinite(S).all():
         raise ValueError(f"sigma {sigma:g} overflows the noise covariance")
     return S
-
-
-def noise_covariance_six(sigma: float) -> NoiseCovariance:
-    """Reduced-system error covariance ``2 sigma^2 I``: each difference of
-    two independent raw readings, independent across channels."""
-    return NoiseCovariance(_noise_matrix(SYSTEM_SIX, sigma), CovarianceStructure.SCALED_IDENTITY)
-
-
-def noise_covariance_twelve(sigma: float) -> NoiseCovariance:
-    """Full-system error covariance ``sigma^2 G`` with one correlation block
-    per plane-pair group of four deviations."""
-    return NoiseCovariance(_noise_matrix(SYSTEM_TWELVE, sigma), CovarianceStructure.BLOCK_G)
 
 
 def propagate_covariance(design: np.ndarray, noise_matrix: np.ndarray) -> np.ndarray:
@@ -94,11 +65,11 @@ class OffsetCovariance:
     method: str
 
 
-def _offset_covariance(name: str, geom: Geometry, sigma: float) -> OffsetCovariance:
+def offset_covariance(name: str, geom: Geometry, sigma: float) -> OffsetCovariance:
     """Offset covariance ``K S K'`` of the linear map ``K`` of estimator
     ``name`` on its scheme's readings."""
     est = ESTIMATORS[name]
-    S = _noise_matrix(est.scheme.label, sigma)
+    S = noise_covariance(est.scheme.label, sigma)
     gain = est.gain(geom)
     with np.errstate(over="ignore", invalid="ignore"):
         V = gain @ S @ gain.T
@@ -109,21 +80,13 @@ def _offset_covariance(name: str, geom: Geometry, sigma: float) -> OffsetCovaria
 
 
 def offset_covariance_six(geom: Geometry, sigma: float) -> OffsetCovariance:
-    """Analytic offset covariance of the six-equation estimator,
-    ``V = 2 (J'J)^-1 sigma^2``."""
-    return _offset_covariance("six", geom, sigma)
+    """``offset_covariance("six", geom, sigma)``."""
+    return offset_covariance("six", geom, sigma)
 
 
 def offset_covariance_twelve(geom: Geometry, sigma: float) -> OffsetCovariance:
-    """Analytic offset covariance of the twelve-equation estimator with the
-    block-correlated error covariance."""
-    return _offset_covariance("twelve", geom, sigma)
-
-
-def offset_covariance_closed_form(geom: Geometry, sigma: float) -> OffsetCovariance:
-    """Analytic offset covariance of the sequential single-posture solution,
-    ``V = 2 sigma^2 K K'`` with ``K`` its own 3x6 map (not the pseudoinverse)."""
-    return _offset_covariance("closed-form", geom, sigma)
+    """``offset_covariance("twelve", geom, sigma)``."""
+    return offset_covariance("twelve", geom, sigma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,7 +137,7 @@ def monte_carlo(
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
     geom = geom or Geometry.prototype()
-    _offset_covariance(method, geom, sigma)
+    offset_covariance(method, geom, sigma)
     truth = np.asarray(true_offsets, dtype=float)
     check_offsets(truth, geom)
 

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .accuracy import _offset_covariance, monte_carlo
+from .accuracy import monte_carlo, offset_covariance
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -136,7 +136,7 @@ def cmd_calibrate(args) -> int:
         residuals={k: residuals[k] for k in scheme.wire_keys},
         residual_rms=result.residual_rms,
         sigma_hat=result.sigma_hat,
-        sigma_rho=_offset_covariance(name, geom, result.sigma_hat).sigma_rho,
+        sigma_rho=offset_covariance(name, geom, result.sigma_hat).sigma_rho,
         iterations=result.iterations,
         converged=result.converged,
         gradient_norm=result.gradient_norm,
@@ -194,10 +194,10 @@ def cmd_simulate(args) -> int:
 def cmd_accuracy(args) -> int:
     _check_sigma(args.sigma)
     geom = _load_geometry(args.geometry) or Geometry.prototype()
-    six = _offset_covariance("six", geom, args.sigma)
-    twelve = _offset_covariance("twelve", geom, args.sigma)
-    unit_six = _offset_covariance("six", geom, 1.0).sigma_rho
-    unit_twelve = _offset_covariance("twelve", geom, 1.0).sigma_rho
+    six = offset_covariance("six", geom, args.sigma)
+    twelve = offset_covariance("twelve", geom, args.sigma)
+    unit_six = offset_covariance("six", geom, 1.0).sigma_rho
+    unit_twelve = offset_covariance("twelve", geom, 1.0).sigma_rho
     doc = {
         "sigma": args.sigma,
         "six_equation": {"sigma_rho": six.sigma_rho, "factor": unit_six},

@@ -58,6 +58,13 @@ class MeasurementFile:
         return SCHEMES[self.method].measurement(**self.values)
 
 
+def _number(v) -> float:
+    """``float(v)``, but TypeError for a JSON boolean, which float reads as 0 or 1."""
+    if isinstance(v, bool):
+        raise TypeError(f"{v!r} is not a number")
+    return float(v)
+
+
 def geometry_from_dict(d: dict) -> Geometry:
     """Geometry from its serialized form; raises :class:`InputError` naming
     missing or invalid keys (``r`` and ``d`` fall back to prototype values)."""
@@ -68,11 +75,8 @@ def geometry_from_dict(d: dict) -> Geometry:
         raise InputError(f"geometry override missing keys: {', '.join(missing)}")
     try:
         return Geometry(
-            L=float(d["L"]),
-            rho_min=float(d["rho_min"]),
-            rho_max=float(d["rho_max"]),
-            r=float(d.get("r", 31.0)),
-            d=float(d.get("d", 80.0)),
+            L=_number(d["L"]), rho_min=_number(d["rho_min"]), rho_max=_number(d["rho_max"]),
+            r=_number(d.get("r", 31.0)), d=_number(d.get("d", 80.0)),
         )
     except (TypeError, ValueError) as exc:
         raise InputError(f"invalid geometry override: {exc}") from None
@@ -92,7 +96,7 @@ def parse_measurement(doc: dict) -> MeasurementFile:
     """
     if not isinstance(doc, dict):
         raise InputError("measurement file must contain a JSON object")
-    if doc.get("schema_version") != SCHEMA_VERSION:
+    if isinstance(doc.get("schema_version"), bool) or doc.get("schema_version") != SCHEMA_VERSION:
         raise InputError(
             f"unsupported schema_version {doc.get('schema_version')!r}; "
             f"expected {SCHEMA_VERSION}"
@@ -116,7 +120,7 @@ def parse_measurement(doc: dict) -> MeasurementFile:
         if not isinstance(arr, (list, tuple)) or not arr:
             raise InputError(f"repetitions entry {key!r} must be a non-empty array")
         try:
-            values[key] = float(np.mean([float(v) for v in arr]))
+            values[key] = float(np.mean([_number(v) for v in arr]))
         except (TypeError, ValueError):
             raise InputError(f"repetitions entry {key!r} holds a non-number") from None
     missing = sorted(set(required) - set(values))
@@ -128,13 +132,13 @@ def parse_measurement(doc: dict) -> MeasurementFile:
     clean = {}
     for key in required:
         try:
-            v = float(values[key])
+            v = _number(values[key])
         except (TypeError, ValueError):
             raise InputError(f"measurement value {key!r} is not a number") from None
         if not np.isfinite(v):
             raise InputError(f"measurement value {key!r} is not finite")
         clean[key] = v
-    geometry = geometry_from_dict(doc["geometry"]) if doc.get("geometry") else None
+    geometry = None if doc.get("geometry") is None else geometry_from_dict(doc["geometry"])
     return MeasurementFile(
         method=method,
         values=clean,

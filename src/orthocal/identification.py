@@ -44,7 +44,6 @@ __all__ = [
     "coefficients",
     "LinearSystem",
     "build_system",
-    "build_single_posture_system",
     "build_twelve_eq_system",
     "build_six_eq_system",
     "CalibrationResult",
@@ -81,19 +80,13 @@ def build_system(label: str, geom: Geometry) -> LinearSystem:
     return LinearSystem(SCHEMES[label].design(geom), label)
 
 
-def build_single_posture_system(geom: Geometry) -> LinearSystem:
-    """Six-row single-posture system: two isotropic z-rows then the X and Y
-    displacement rows."""
-    return build_system(SYSTEM_SINGLE, geom)
-
-
 def build_twelve_eq_system(geom: Geometry) -> LinearSystem:
-    """Twelve-row double-posture system, grouped in fours per plane pair."""
+    """``build_system(SYSTEM_TWELVE, geom)``."""
     return build_system(SYSTEM_TWELVE, geom)
 
 
 def build_six_eq_system(geom: Geometry) -> LinearSystem:
-    """Six-row reduced system on the max-minus-min differences."""
+    """``build_system(SYSTEM_SIX, geom)``."""
     return build_system(SYSTEM_SIX, geom)
 
 
@@ -218,7 +211,7 @@ def solve_single_posture_closed_form(
     displacement rows conditioned on it.  Computationally convenient, but it
     may leave slightly higher residuals than the full pseudoinverse.
     """
-    sys = build_single_posture_system(geom).with_measurements(m)
+    sys = build_system(SYSTEM_SINGLE, geom).with_measurements(m)
     return _linear_result(sys, _closed_form_gain(geom), "closed-form")
 
 

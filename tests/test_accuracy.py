@@ -5,21 +5,19 @@ from orthocal import (
     ESTIMATORS,
     GAUGE_CORRELATION_BLOCK,
     SCHEMES,
+    SYSTEM_SINGLE,
     SYSTEM_SIX,
     SYSTEM_TWELVE,
-    CovarianceStructure,
     Geometry,
     RankError,
-    build_single_posture_system,
     build_system,
     build_twelve_eq_system,
     coefficients,
     least_squares_solve,
     monte_carlo,
-    noise_covariance_six,
-    noise_covariance_twelve,
+    noise_covariance,
     nonlinear_identify,
-    offset_covariance_closed_form,
+    offset_covariance,
     offset_covariance_six,
     offset_covariance_twelve,
     propagate_covariance,
@@ -29,18 +27,16 @@ from orthocal import (
 
 class TestNoiseCovariance:
     def test_six_is_scaled_identity(self):
-        cov = noise_covariance_six(0.5)
-        assert cov.structure is CovarianceStructure.SCALED_IDENTITY
-        np.testing.assert_allclose(cov.matrix, 2 * 0.25 * np.eye(6), atol=0)
+        cov = noise_covariance(SYSTEM_SIX, 0.5)
+        np.testing.assert_allclose(cov, 2 * 0.25 * np.eye(6), atol=0)
 
     def test_twelve_is_block_g(self):
-        cov = noise_covariance_twelve(2.0)
-        assert cov.structure is CovarianceStructure.BLOCK_G
+        cov = noise_covariance(SYSTEM_TWELVE, 2.0)
         expected = 4.0 * np.kron(np.eye(3), GAUGE_CORRELATION_BLOCK)
-        np.testing.assert_allclose(cov.matrix, expected, atol=0)
+        np.testing.assert_allclose(cov, expected, atol=0)
         # symmetric positive semidefinite
-        np.testing.assert_allclose(cov.matrix, cov.matrix.T, atol=0)
-        assert np.linalg.eigvalsh(cov.matrix).min() >= 0
+        np.testing.assert_allclose(cov, cov.T, atol=0)
+        assert np.linalg.eigvalsh(cov).min() >= 0
 
 
 class TestAnalyticPropagation:
@@ -97,17 +93,26 @@ class TestAnalyticPropagation:
             assert np.linalg.eigvalsh(V).min() > 0
             assert cov.sigma_rho == pytest.approx(np.sqrt(np.trace(V) / 3), rel=1e-15)
 
-    @pytest.mark.parametrize(
-        "fn, label",
-        [(offset_covariance_six, SYSTEM_SIX), (offset_covariance_twelve, SYSTEM_TWELVE)],
-    )
-    def test_cached_maps_give_propagated_covariance(self, fn, label):
-        # the per-Geometry maps must not move a bit of V
+    @pytest.mark.parametrize("name", list(ESTIMATORS))
+    def test_cached_maps_give_propagated_covariance(self, name):
+        # the per-Geometry maps must not move a bit of V: V = K S K' with the
+        # estimator's own gain, pinv(D) for least squares; the per-scheme
+        # aliases give the same bits
+        est = ESTIMATORS[name]
+        label = est.scheme.label
+        alias = {"six": offset_covariance_six, "twelve": offset_covariance_twelve}.get(name)
         for geom in (Geometry.prototype(), Geometry(L=250.0, rho_min=-80.0, rho_max=70.0)):
             design = SCHEMES[label].design(geom)
+            K = est.gain(geom)
             for sigma in (0.0, 0.01, 0.037, 1.0):
                 noise = sigma**2 * SCHEMES[label].noise_covariance
-                assert np.array_equal(fn(geom, sigma).V, propagate_covariance(design, noise))
+                assert np.array_equal(noise_covariance(label, sigma), noise)
+                V = offset_covariance(name, geom, sigma).V
+                assert np.array_equal(V, K @ noise @ K.T)
+                if name != "closed-form":
+                    assert np.array_equal(V, propagate_covariance(design, noise))
+                if alias is not None:
+                    assert np.array_equal(alias(geom, sigma).V, V)
 
     def test_rank_error(self):
         with pytest.raises(RankError):
@@ -119,18 +124,18 @@ class TestAnalyticPropagation:
             with pytest.raises(ValueError, match="sigma"):
                 offset_covariance_six(geom, sigma)
 
-    @pytest.mark.parametrize("fn", [noise_covariance_six, noise_covariance_twelve])
-    def test_noise_covariance_rejects_bad_sigma(self, fn):
+    @pytest.mark.parametrize("label", list(SCHEMES))
+    def test_noise_covariance_rejects_bad_sigma(self, label):
         # 1e154 squares to a finite 1e308 that the unit covariance overflows
         for sigma in (-1.0, np.nan, 1e154, 1e200):
             with pytest.raises(ValueError, match="sigma"):
-                fn(sigma)
+                noise_covariance(label, sigma)
 
 
 class TestClosedFormCovariance:
     def test_own_map_not_pseudoinverse(self, geom):
         sigma = 0.01
-        cov = offset_covariance_closed_form(geom, sigma)
+        cov = offset_covariance("closed-form", geom, sigma)
         # the map of the sequential solution, written out from its formulas
         k = coefficients(geom)
         den = k.a1**2 + k.a2**2
@@ -143,7 +148,7 @@ class TestClosedFormCovariance:
         np.testing.assert_allclose(cov.V, 2 * sigma**2 * K @ K.T, rtol=1e-12, atol=1e-20)
         assert cov.sigma_rho == pytest.approx(3.0853223 * sigma, rel=1e-7)
         pinv_V = propagate_covariance(
-            build_single_posture_system(geom).design_matrix, 2 * sigma**2 * np.eye(6)
+            build_system(SYSTEM_SINGLE, geom).design_matrix, 2 * sigma**2 * np.eye(6)
         )
         pinv_sigma_rho = np.sqrt(np.trace(pinv_V) / 3)
 

@@ -84,10 +84,11 @@ class TestCalibrate:
             ({"repetitions": [1]}, None),
             ({"geometry": 5}, None),
             ({"method": ["x"]}, None),
+            ({"values": {**TABLE4[2], "dx_y": True}}, None),
             ({}, 5),
             ({}, {"L": float("inf"), "rho_min": -100.0, "rho_max": 60.0}),
         ],
-        ids=["values-list", "repetitions-list", "geometry-number", "method-list",
+        ids=["values-list", "repetitions-list", "geometry-number", "method-list", "values-bool",
              "geometry-file-number", "geometry-file-infinite-L"],
     )
     def test_malformed_file_exit_1(self, capsys, tmp_path, overrides, geometry):

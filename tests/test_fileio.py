@@ -107,9 +107,19 @@ class TestParsing:
             {"repetitions": {"dq_w": [[1]]}},
             {"geometry": 5},
             {"method": ["x"]},
+            # JSON booleans are not numbers, although float() reads them as 0 or 1
+            {"values": {**TABLE4[2], "dx_y": True}},
+            {"values": {k: v for k, v in TABLE4[2].items() if k != "dx_y"},
+             "repetitions": {"dx_y": [-0.43, True]}},
+            {"schema_version": True},
+            # a geometry that is present must be one
+            {"geometry": {}},
+            {"geometry": []},
+            {"geometry": {"L": True, "rho_min": -0.5, "rho_max": 0.5}},
         ],
         ids=["values-list", "repetitions-list", "repetition-not-number", "geometry-number",
-             "method-list"],
+             "method-list", "values-bool", "repetition-bool", "schema-bool",
+             "geometry-empty-object", "geometry-empty-list", "geometry-L-bool"],
     )
     def test_malformed_types_rejected(self, overrides):
         doc = _reduced_doc()

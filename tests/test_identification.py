@@ -4,6 +4,7 @@ from scipy.optimize import least_squares as scipy_least_squares
 
 from orthocal import (
     SCHEMES,
+    SYSTEM_SINGLE,
     SYSTEM_SIX,
     SYSTEM_TWELVE,
     ConvergenceError,
@@ -12,7 +13,7 @@ from orthocal import (
     ReducedMeasurements,
     SinglePostureMeasurements,
     add_noise,
-    build_single_posture_system,
+    build_system,
     build_six_eq_system,
     build_twelve_eq_system,
     coefficients,
@@ -72,7 +73,7 @@ class TestCoefficients:
 class TestSystems:
     def test_single_posture_rows(self, geom):
         k = coefficients(geom)
-        sys = build_single_posture_system(geom)
+        sys = build_system(SYSTEM_SINGLE, geom)
         expected = [
             [0, 0, 1], [0, 0, 1],
             [k.a1, 0, 1], [k.a2, 0, 1],
@@ -103,8 +104,8 @@ class TestSystems:
         np.testing.assert_allclose(J[11], [k.c2, 0, k.b2], atol=0)
 
     def test_all_rank_three(self, geom):
-        for builder in (build_single_posture_system, build_six_eq_system, build_twelve_eq_system):
-            assert np.linalg.matrix_rank(builder(geom).design_matrix) == 3
+        for label in SCHEMES:
+            assert np.linalg.matrix_rank(build_system(label, geom).design_matrix) == 3
 
 
 class TestClosedForm:
@@ -126,7 +127,7 @@ class TestClosedForm:
         # full pseudoinverse (identical offsets and residuals)
         m = SinglePostureMeasurements(0, 2, 1, 1, 1, 1)
         cf = solve_single_posture_closed_form(m, geom)
-        ls = least_squares_solve(build_single_posture_system(geom), m)
+        ls = least_squares_solve(build_system(SYSTEM_SINGLE, geom), m)
         np.testing.assert_allclose(cf.offsets, [0, 0, 1], atol=1e-12)
         np.testing.assert_allclose(ls.offsets, cf.offsets, atol=1e-12)
         np.testing.assert_allclose(ls.residuals, cf.residuals, atol=1e-12)
@@ -135,7 +136,7 @@ class TestClosedForm:
         # generic data: the sequential solution leaves a larger residual sum
         m = SinglePostureMeasurements(0, 0, 1, 1, 1, 1)
         cf = solve_single_posture_closed_form(m, geom)
-        ls = least_squares_solve(build_single_posture_system(geom), m)
+        ls = least_squares_solve(build_system(SYSTEM_SINGLE, geom), m)
         np.testing.assert_allclose(
             cf.offsets, [-0.9262865707144143, -0.9262865707144143, 0.0], rtol=1e-12, atol=1e-15
         )
@@ -151,7 +152,7 @@ class TestClosedForm:
             solve_single_posture_closed_form(reduced_from_table(1), geom)
 
     def test_never_beats_pseudoinverse(self, geom):
-        sys = build_single_posture_system(geom)
+        sys = build_system(SYSTEM_SINGLE, geom)
         rng = np.random.default_rng(17)
         for _ in range(50):
             m = SinglePostureMeasurements(*rng.uniform(-2, 2, 6))

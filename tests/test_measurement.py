@@ -7,6 +7,9 @@ import pytest
 
 from orthocal import (
     SCHEMES,
+    SYSTEM_SINGLE,
+    SYSTEM_SIX,
+    SYSTEM_TWELVE,
     Axis,
     DoublePostureMeasurements,
     Geometry,
@@ -16,7 +19,6 @@ from orthocal import (
     SinglePostureMeasurements,
     add_noise,
     build_six_eq_system,
-    build_single_posture_system,
     build_system,
     build_twelve_eq_system,
     check_offsets,
@@ -88,15 +90,15 @@ class TestPredictors:
         assert np.abs(nonlinear - linear).max() > 1e-4
 
     @pytest.mark.parametrize(
-        "deviation_fn, builder",
+        "deviation_fn, label",
         [
-            (single_deviation_array, build_single_posture_system),
-            (double_deviation_array, build_twelve_eq_system),
-            (reduced_deviation_array, build_six_eq_system),
+            (single_deviation_array, SYSTEM_SINGLE),
+            (double_deviation_array, SYSTEM_TWELVE),
+            (reduced_deviation_array, SYSTEM_SIX),
         ],
     )
-    def test_linear_consistency_at_small_offsets(self, geom, deviation_fn, builder):
-        design = builder(geom).design_matrix
+    def test_linear_consistency_at_small_offsets(self, geom, deviation_fn, label):
+        design = build_system(label, geom).design_matrix
         rng = np.random.default_rng(21)
         for _ in range(10):
             dr = rng.uniform(-0.1, 0.1, 3)
@@ -700,6 +702,12 @@ class TestSchemes:
         assert design.shape == (n, 3)
         np.testing.assert_allclose(fd, design, atol=1e-7)
 
+        # the per-scheme predictor aliases return the entry's predictions
+        alias = {SYSTEM_SINGLE: predict_single_posture, SYSTEM_TWELVE: predict_double_posture}
+        if label in alias:
+            dr = np.array([0.3, -0.2, 0.5])
+            assert np.array_equal(alias[label](dr, geom).as_array(), scheme.predict(dr, geom))
+
         # wire keys: the row keys in file order, round-tripping through a document
         assert sorted(scheme.wire_keys) == sorted(scheme.row_keys)
         m = scheme.measurement.from_array(np.arange(n) / 7.0)
@@ -715,6 +723,9 @@ class TestSchemes:
         design = SCHEMES[label].design(first)
         assert SCHEMES[label].design(second) is design
         assert build_system(label, second).design_matrix is design
+        alias = {SYSTEM_SIX: build_six_eq_system, SYSTEM_TWELVE: build_twelve_eq_system}
+        if label in alias:
+            assert alias[label](second).design_matrix is design
         with pytest.raises(ValueError):
             design[0, 0] = 1.0
         gain = _least_squares_gain(design)
