@@ -86,13 +86,13 @@ def _load_geometry(path: str | None) -> Geometry | None:
 def _emit(args, doc: dict) -> None:
     text = json.dumps(doc, indent=2, allow_nan=False)
     print(text)
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
 
 
 def _note(args, message: str) -> None:
-    if getattr(args, "verbose", False):
+    if args.verbose:
         print(message, file=sys.stderr)
 
 
@@ -128,11 +128,7 @@ def cmd_calibrate(args) -> int:
     report = CalibrationReport(
         input_digest=digest,
         method=args.method,
-        offsets={
-            "d_rho_x": float(result.offsets[0]),
-            "d_rho_y": float(result.offsets[1]),
-            "d_rho_z": float(result.offsets[2]),
-        },
+        offsets=dict(zip(("d_rho_x", "d_rho_y", "d_rho_z"), result.offsets.tolist())),
         residuals={k: residuals[k] for k in scheme.wire_keys},
         residual_rms=result.residual_rms,
         sigma_hat=result.sigma_hat,
@@ -146,14 +142,7 @@ def cmd_calibrate(args) -> int:
         args,
         "offsets (mm): x=%+.4f y=%+.4f z=%+.4f | residual rms %.4f mm, "
         "sigma_hat %.4f mm, %d iterations"
-        % (
-            result.offsets[0],
-            result.offsets[1],
-            result.offsets[2],
-            result.residual_rms,
-            result.sigma_hat,
-            result.iterations,
-        ),
+        % (*result.offsets, result.residual_rms, result.sigma_hat, result.iterations),
     )
     return 0
 
@@ -296,7 +285,7 @@ def cmd_sensitivity(args) -> int:
         ],
     }
     _emit(args, doc)
-    if getattr(args, "verbose", False):
+    if args.verbose:
         print(f"{'posture':<26} {'leg':<4} {'plane':<6} {'at max':>9} {'at min':>9}", file=sys.stderr)
         for r in rows:
             print(
@@ -310,16 +299,21 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="orthocal", description=__doc__)
     parser.add_argument("--version", action="version", version=f"orthocal {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)  # the options every subcommand takes
+    common.add_argument("--geometry", help="JSON geometry override file")
+    common.add_argument("--out", help="also write the JSON output to this path")
+    common.add_argument("--verbose", action="store_true")
 
-    p = sub.add_parser("calibrate", help="identify joint offsets from a measurement file")
+    def command(name: str, func, help: str) -> _Parser:
+        p = sub.add_parser(name, help=help, parents=[common])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("calibrate", cmd_calibrate, "identify joint offsets from a measurement file")
     p.add_argument("file", help="measurement file path or bundled fixture name")
     p.add_argument("--method", required=True, choices=sorted(CALIBRATE_METHODS))
-    p.add_argument("--geometry", help="JSON geometry override file")
-    p.add_argument("--out", help="also write the report to this path")
-    p.add_argument("--verbose", action="store_true")
-    p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("simulate", help="generate a measurement file for known offsets")
+    p = command("simulate", cmd_simulate, "generate a measurement file for known offsets")
     p.add_argument("--offsets", required=True, help="true offsets, mm: x,y,z")
     p.add_argument("--sigma", type=float, default=0.0, help="gauge noise std, mm")
     p.add_argument("--seed", type=int, default=0)
@@ -332,19 +326,11 @@ def build_parser() -> _Parser:
     p.add_argument("--repetitions", type=int, default=1, help="readings averaged per gauge")
     p.add_argument("--quantize", type=float, help="round values to this indicator resolution, mm")
     p.add_argument("--comment", help="free-text comment stored in the file")
-    p.add_argument("--geometry", help="JSON geometry override file")
-    p.add_argument("--out", help="also write the file to this path")
-    p.add_argument("--verbose", action="store_true")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("accuracy", help="analytic noise-propagation factors")
+    p = command("accuracy", cmd_accuracy, "analytic noise-propagation factors")
     p.add_argument("--sigma", type=float, required=True, help="gauge noise std, mm")
-    p.add_argument("--geometry", help="JSON geometry override file")
-    p.add_argument("--out", help="also write the report to this path")
-    p.add_argument("--verbose", action="store_true")
-    p.set_defaults(func=cmd_accuracy)
 
-    p = sub.add_parser("montecarlo", help="empirical estimator accuracy under noise")
+    p = command("montecarlo", cmd_montecarlo, "empirical estimator accuracy under noise")
     p.add_argument("--offsets", default="0,0,0", help="true offsets, mm: x,y,z")
     p.add_argument("--sigma", type=float, default=0.01)
     p.add_argument("--runs", type=int, default=10000)
@@ -352,17 +338,9 @@ def build_parser() -> _Parser:
     p.add_argument("--method", default="nonlinear-six", choices=list(ESTIMATORS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reproduce", choices=["table3"], help="run the standard benchmark preset")
-    p.add_argument("--geometry", help="JSON geometry override file")
-    p.add_argument("--out", help="also write the report to this path")
-    p.add_argument("--verbose", action="store_true")
-    p.set_defaults(func=cmd_montecarlo)
 
-    p = sub.add_parser("sensitivity", help="posture sensitivity table for given offsets")
+    p = command("sensitivity", cmd_sensitivity, "posture sensitivity table for given offsets")
     p.add_argument("--offsets", required=True, help="offsets, mm: x,y,z")
-    p.add_argument("--geometry", help="JSON geometry override file")
-    p.add_argument("--out", help="also write the table to this path")
-    p.add_argument("--verbose", action="store_true")
-    p.set_defaults(func=cmd_sensitivity)
     return parser
 
 

@@ -190,6 +190,22 @@ def write_measurement_file(path, doc: dict) -> None:
         fh.write(json.dumps(doc, indent=2) + "\n")
 
 
+_REPORT_TYPES = {"str": str, "int": int, "bool": bool, "dict": dict}
+
+
+def _report_value(field, v):
+    """Report value ``v`` checked against its field's annotation: a number
+    through :func:`_number`, a dict of numbers, else the exact type."""
+    try:
+        if field.type == "float":
+            return _number(v)
+        if type(v) is not _REPORT_TYPES[field.type]:  # exact: a bool is no int
+            raise TypeError(f"{v!r} is not of type {field.type}")
+        return {k: _number(x) for k, x in v.items()} if field.type == "dict" else v
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"report value {field.name!r} is invalid: {exc}") from None
+
+
 @dataclass(frozen=True)
 class CalibrationReport:
     """Serializable calibration outcome; round-trips through JSON exactly."""
@@ -212,10 +228,11 @@ class CalibrationReport:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CalibrationReport":
-        if doc.get("schema_version") != SCHEMA_VERSION:
-            raise InputError(
-                f"unsupported report schema_version {doc.get('schema_version')!r}"
-            )
+        if not isinstance(doc, dict):
+            raise InputError("report must be a JSON object")
+        version = doc.get("schema_version")
+        if isinstance(version, bool) or version != SCHEMA_VERSION:
+            raise InputError(f"unsupported report schema_version {version!r}")
         names = {f.name for f in fields(cls)}
         unknown = sorted(set(doc) - names)
         if unknown:
@@ -223,7 +240,7 @@ class CalibrationReport:
         missing = sorted(names - set(doc))
         if missing:
             raise InputError(f"missing report keys: {', '.join(missing)}")
-        return cls(**doc)
+        return cls(**{f.name: _report_value(f, doc[f.name]) for f in fields(cls)})
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)

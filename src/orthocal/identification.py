@@ -239,10 +239,7 @@ def least_squares_solve(
 # 0.3-0.35 us per row on a 2-vCPU Xeon VM, numpy 2.4.6, one BLAS thread).  A
 # 1000-run Table 3 pass at seed 0 makes 119 calls on 57.5k rows, 87 of them
 # halving blocks on 40.0k rows; in-process it took 1.06x the time at 256, 0.98x
-# at 512 and 0.96x at 768 (768 lost 3 of 3 benchmark pairs before).  At most
-# 1365: below 2731 twelve-channel rows numpy computes ``predict - obs`` into a
-# new C-ordered array, not in place into the predictor's F-ordered output, and
-# the objective's summation order follows that layout.
+# at 512 and 0.96x at 768 (768 lost 3 of 3 benchmark pairs before).
 _HALVING_BLOCK_ROWS = 384
 
 
@@ -280,13 +277,22 @@ def _gauss_newton(
     given the per-run objective is appended after every sweep.
 
     Returns ``(x, converged, iterations, residuals)`` where ``residuals`` is
-    predicted minus observed at the final iterate.
+    predicted minus observed at the final iterate.  An iterate beyond the
+    model's validity bound raises :class:`ConvergenceError`.
     """
     if not callable(jacobian):
         jacobian, K = jacobian  # (n, 3), (3, n)
+
+    def residual(x, ob):  # C-ordered: einsum's summation order follows the layout
+        try:
+            predicted = predict_fn(x)
+        except ValueError as exc:  # check_offsets on an iterate
+            raise ConvergenceError(f"Gauss-Newton iterate out of domain: {exc}") from None
+        return np.subtract(predicted, ob, order="C")
+
     x = np.array(x0, dtype=float, copy=True)
     ladder = np.ldexp(1.0, -np.arange(max_halvings + 1))  # 2**-h: the damping of h halvings
-    r = predict_fn(x) - obs
+    r = residual(x, obs)
     F = np.einsum("ij,ij->i", r, r)
     if objective_history is not None:
         objective_history.append(F.copy())
@@ -318,7 +324,7 @@ def _gauss_newton(
         else:
             step = -(ra @ K.T)
         x_try = xa + step
-        r_try = predict_fn(x_try) - obs[idx]
+        r_try = residual(x_try, obs[idx])
         F_try = np.einsum("ij,ij->i", r_try, r_try)
         # strict decrease required: accepting equal-objective steps can cycle
         worse = ~(F_try < F[idx])
@@ -332,10 +338,8 @@ def _gauss_newton(
             while level < max_halvings and sub.size:
                 k = min(max_halvings - level, -(-_HALVING_BLOCK_ROWS // sub.size))
                 a = ladder[level + 1:level + k + 1]
-                xt = (xs[:, None] + a[:, None] * ss[:, None]).reshape(-1, 3)
-                # readings stay C-ordered, as one fancy index gathers them: the
-                # objective's summation order follows the residuals' layout
-                rt = predict_fn(xt) - (np.repeat(ob, k, axis=0) if k > 1 else ob)
+                xt = xs[:, None] + a[:, None] * ss[:, None]  # (rows, k, 3)
+                rt = residual(xt, ob[:, None]).reshape(-1, ob.shape[1])
                 Ft = np.einsum("ij,ij->i", rt, rt)
                 better = Ft.reshape(-1, k) < Fs[:, None]
                 found = better.any(axis=1)
@@ -343,7 +347,7 @@ def _gauss_newton(
                 if found.any():
                     got, lv, keep = sub[found], better.argmax(axis=1)[found], ~found
                     take = found.nonzero()[0] * k + lv
-                    x_try[got], r_try[got], F_try[got] = xt[take], rt[take], Ft[take]
+                    x_try[got], r_try[got], F_try[got] = xt.reshape(-1, 3)[take], rt[take], Ft[take]
                     alpha[got], worse[got] = a[lv], False
                     sub, xs, ss, ob, Fs = sub[keep], xs[keep], ss[keep], ob[keep], Fs[keep]
         accepted = ~worse

@@ -16,11 +16,9 @@ Inside, offsets, joints and TCPs are laid out component-major, ``(3, ...)``
 and ``(3, 7, ...)`` for the posture stack, so that every op runs over
 contiguous planes.  A batch runs in strips of at most ``_STRIP_ROWS`` rows,
 each through a scratch buffer that every thread allocates once, so that a
-call allocates little more than its result; each predictor writes that
-result in the layout the row-major model returned (strides and data
-ownership), on which the solver's summation order depends.
-:data:`SCHEMES` maps each scheme label to its measurement type, wire keys,
-predictor, linear design and noise model.
+call allocates little more than its result.  :data:`SCHEMES` maps each
+scheme label to its measurement type, wire keys, predictor, linear design
+and noise model.
 """
 
 from __future__ import annotations
@@ -337,18 +335,6 @@ def _offsets_array(offsets, geom: Geometry) -> np.ndarray:
     return _cm(arr)
 
 
-def _channel_output(k: int, batch: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """A new prediction ``(*batch, k)`` and its channel planes ``(k, n)``.
-    It owns its data, laid out as numpy lays out a product of row-major
-    views of ``(k, *batch)`` planes, as the row-major model returned it: the
-    solver's summation order depends on it."""
-    if not batch:  # one offset triple
-        out = np.empty(k)
-        return out, out[:, None]
-    out = np.empty_like(_rm(np.empty((k,) + batch)))
-    return out, _columns(_cm(out))
-
-
 # The forward model runs a batch in strips of at most this many rows, each in
 # the calling thread's scratch; a 400-700-row Gauss-Newton call takes one.
 _STRIP_ROWS = 1024
@@ -530,7 +516,8 @@ def _double_posture(offsets, geom: Geometry, gauge_shift, reduced: bool) -> np.n
     dr = _offsets_array(offsets, geom)
     if gauge_shift is not None:
         gauge_shift = _columns(_cm(np.broadcast_to(gauge_shift, _rm(dr).shape)))
-    out, planes = _channel_output(6 if reduced else 12, dr.shape[1:])
+    out = np.empty((6 if reduced else 12,) + dr.shape[1:])
+    planes = _columns(out)
     for cols, strip in _posture_stack(_columns(dr), geom, _ALL_ROWS, gauge_shift, _GAUGED_LINES):
         np.divide(strip.num, strip.den, out=strip.mu)
         if reduced:
@@ -538,7 +525,7 @@ def _double_posture(offsets, geom: Geometry, gauge_shift, reduced: bool) -> np.n
             np.subtract(strip.plus, strip.minus, out=planes[:, cols])
         else:
             _channels(strip, _TAKE_12, planes[:, cols])
-    return out
+    return _rm(out)
 
 
 def double_deviation_array(offsets, geom: Geometry, gauge_shift=None) -> np.ndarray:

@@ -131,6 +131,13 @@ class TestCalibrate:
         rc, _, err = run_cli(capsys, "calibrate", "experiment2", "--method", "nonlinear6")
         assert rc == 2
         assert "converge" in err
+        # true offsets inside L/10 = 31.02 mm, Gauss-Newton iterates beyond it
+        rc, _, err = run_cli(
+            capsys, "montecarlo", "--offsets", "30,30,30", "--sigma", "0.5", "--runs", "2000",
+            "--replications", "1",
+        )
+        assert rc == 2
+        assert "iterate out of domain" in err and "validity bound L/10 = 31.02 mm" in err
 
     def test_out_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"

@@ -236,11 +236,27 @@ class TestCalibrationReport:
         del doc["sigma_rho"]
         with pytest.raises(InputError, match="sigma_rho"):
             CalibrationReport.from_dict(doc)
+        with pytest.raises(InputError, match="JSON object"):
+            CalibrationReport.from_dict([doc])
 
-    def test_future_schema_rejected(self):
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("schema_version", 99),
+            ("schema_version", True),
+            ("sigma_rho", True),
+            ("converged", "yes"),
+            ("iterations", 2.5),
+            ("offsets", [-0.52, 0.6, -1.76]),
+            ("residuals", {"a": "x"}),
+        ],
+        ids=["future-schema", "bool-schema", "bool-number", "str-bool", "float-int",
+             "list-dict", "str-in-dict"],
+    )
+    def test_bad_value_rejected(self, key, value):
         doc = self._report().to_dict()
-        doc["schema_version"] = 99
-        with pytest.raises(InputError, match="schema_version"):
+        doc[key] = value
+        with pytest.raises(InputError, match=key):
             CalibrationReport.from_dict(doc)
 
 

@@ -459,7 +459,7 @@ def _one_level_per_call(obs, jacobian, predict_fn, x0, max_iter=100, step_tol=1e
     if not callable(jacobian):
         jacobian, P = jacobian
     x = np.array(x0, dtype=float, copy=True)
-    r = predict_fn(x) - obs
+    r = np.subtract(predict_fn(x), obs, order="C")
     F = np.einsum("ij,ij->i", r, r)
     if objective_history is not None:
         objective_history.append(F.copy())
@@ -490,7 +490,7 @@ def _one_level_per_call(obs, jacobian, predict_fn, x0, max_iter=100, step_tol=1e
             step = -(r[idx] @ P.T)
         alpha = np.ones(idx.size)
         x_try = x[idx] + step
-        r_try = predict_fn(x_try) - obs[idx]
+        r_try = np.subtract(predict_fn(x_try), obs[idx], order="C")
         F_try = np.einsum("ij,ij->i", r_try, r_try)
         worse = ~(F_try < F[idx])
         halved, stop = np.flatnonzero(worse), np.zeros(idx.size, dtype=int)
@@ -500,7 +500,7 @@ def _one_level_per_call(obs, jacobian, predict_fn, x0, max_iter=100, step_tol=1e
             alpha[worse] *= 0.5
             sub = np.flatnonzero(worse)
             xt = x[idx[sub]] + alpha[sub, None] * step[sub]
-            rt = predict_fn(xt) - obs[idx[sub]]
+            rt = np.subtract(predict_fn(xt), obs[idx[sub]], order="C")
             Ft = np.einsum("ij,ij->i", rt, rt)
             x_try[sub], r_try[sub], F_try[sub] = xt, rt, Ft
             worse[sub] = ~(Ft < F[idx[sub]])
@@ -622,3 +622,39 @@ class TestBlockHalving:
         )
         monte_carlo([1.0] * 3, 0.01, 1000, 1, method, 0, geom)
         assert (len(widths), sum(widths)) == (calls, rows)
+
+
+class TestResidualLayout:
+    """The solver's bits depend on neither the layout of the readings nor
+    that of the predictions: each residual row is summed contiguously."""
+
+    @pytest.mark.parametrize(
+        "label, jacobian, n",
+        [(SYSTEM_SIX, "linear", 7), (SYSTEM_SIX, "linear", 3000), (SYSTEM_SIX, "exact", 7),
+         (SYSTEM_TWELVE, "linear", 7), (SYSTEM_TWELVE, "linear", 3000),
+         (SYSTEM_TWELVE, "exact", 7)],
+    )
+    def test_bits_independent_of_layout(self, geom, label, jacobian, n):
+        # 3000 rows: above the 2731-row regime in which numpy subtracted the
+        # readings in place into an F-ordered prediction of 256 KiB or more
+        obs, jac, predict, x0 = TestBlockHalving._problem(geom, label, jacobian, n, spread=20.0)
+        predictions = (
+            lambda x: np.asfortranarray(predict(x)),
+            lambda x: np.ascontiguousarray(predict(x)),
+            # a C-ordered (channels, ...) array seen as (..., channels)
+            lambda x: np.moveaxis(np.ascontiguousarray(np.moveaxis(predict(x), -1, 0)), 0, -1),
+        )
+        runs = []
+        for readings in (np.asfortranarray(obs), np.ascontiguousarray(obs)):
+            for prediction in predictions:
+                history = []
+                got = _gauss_newton(readings, jac, prediction, x0, objective_history=history)
+                runs.append((got, history))
+        (want, want_history), *others = runs
+        assert len(want_history) > 2
+        for got, history in others:
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+            assert len(history) == len(want_history)
+            for a, b in zip(history, want_history):
+                assert np.array_equal(a, b)

@@ -162,34 +162,6 @@ class TestPredictors:
         with pytest.raises(ValueError, match=r"^offsets must have 3 components, got shape \(\)$"):
             call(geom)
 
-    @pytest.mark.parametrize(
-        "shape, strides",
-        [
-            ((1, 3), [(96, 8), (48, 8), (8, 8)]),
-            ((7, 3), [(8, 56)] * 3),
-            ((1000, 3), [(8, 8000)] * 3),
-            ((3000, 3), [(8, 24000)] * 3),
-            ((6000, 3), [(8, 48000)] * 3),
-            ((4, 5, 3), [(40, 8, 160)] * 3),
-        ],
-        ids=["1", "7", "1000", "3000", "6000", "4x5"],
-    )
-    def test_output_layout_pinned(self, geom, shape, strides):
-        # strides and data ownership of the twelve, six and single-posture
-        # predictions as recorded from the row-major (..., 7, 3) model.  The
-        # solver's objective sums each residual row in an order that follows
-        # its memory layout, and numpy computes ``predict - obs`` in place into
-        # an output it owns from 256 KiB on (temporary elision), F-ordered,
-        # else into a new C-ordered array; a failure here on a new numpy
-        # release points at those internals.
-        dr = np.random.default_rng(0).uniform(-1.0, 1.0, shape)
-        models = (double_deviation_array, reduced_deviation_array, single_deviation_array)
-        for model, want, owns in zip(models, strides, (True, True, False)):
-            out = model(dr, geom)
-            assert (out.strides, out.flags.owndata) == (want, owns)
-            residual = model(dr, geom) - np.zeros(out.shape)[np.arange(shape[0])]
-            assert residual.flags.c_contiguous == (not owns or out.nbytes < 2**18)
-
     def test_batch_shape(self, geom):
         drs = np.random.default_rng(0).uniform(-1, 1, (7, 3))
         batch = double_deviation_array(drs, geom)
