@@ -193,15 +193,22 @@ def write_measurement_file(path, doc: dict) -> None:
 _REPORT_TYPES = {"str": str, "int": int, "bool": bool, "dict": dict}
 
 
+def _finite(v) -> float:
+    """:func:`_number`, but ValueError for NaN or infinity, which JSON lacks."""
+    if not np.isfinite(x := _number(v)):
+        raise ValueError(f"{v!r} is not finite")
+    return x
+
+
 def _report_value(field, v):
-    """Report value ``v`` checked against its field's annotation: a number
-    through :func:`_number`, a dict of numbers, else the exact type."""
+    """Report value ``v`` checked against its field's annotation: a finite
+    number, a dict of finite numbers, else the exact type."""
     try:
         if field.type == "float":
-            return _number(v)
+            return _finite(v)
         if type(v) is not _REPORT_TYPES[field.type]:  # exact: a bool is no int
             raise TypeError(f"{v!r} is not of type {field.type}")
-        return {k: _number(x) for k, x in v.items()} if field.type == "dict" else v
+        return {k: _finite(x) for k, x in v.items()} if field.type == "dict" else v
     except (TypeError, ValueError) as exc:
         raise InputError(f"report value {field.name!r} is invalid: {exc}") from None
 
@@ -243,7 +250,7 @@ class CalibrationReport:
         return cls(**{f.name: _report_value(f, doc[f.name]) for f in fields(cls)})
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
 
 def fixture_path(name: str):

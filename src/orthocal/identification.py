@@ -30,6 +30,7 @@ from .measurement import (
     ReducedMeasurements,
     Scheme,
     SinglePostureMeasurements,
+    _STRIP_ROWS,
     _geometry_constant,
     coefficients,
     prediction_jacobian,
@@ -234,15 +235,6 @@ def least_squares_solve(
     )
 
 
-# Rows a halving block aims to fill in one forward-model call, about where a
-# call's per-row cost equals its fixed cost (twelve channels: 65-85 us plus
-# 0.3-0.35 us per row on a 2-vCPU Xeon VM, numpy 2.4.6, one BLAS thread).  A
-# 1000-run Table 3 pass at seed 0 makes 119 calls on 57.5k rows, 87 of them
-# halving blocks on 40.0k rows; in-process it took 1.06x the time at 256, 0.98x
-# at 512 and 0.96x at 768 (768 lost 3 of 3 benchmark pairs before).
-_HALVING_BLOCK_ROWS = 384
-
-
 def _row_norm(v: np.ndarray) -> np.ndarray:
     """``np.linalg.norm(v, axis=1)``: the computation it makes, without the
     overhead of its dispatch."""
@@ -323,8 +315,7 @@ def _gauss_newton(
             step = -np.einsum("kin,kn->ki", gains, ra)
         else:
             step = -(ra @ K.T)
-        x_try = xa + step
-        r_try = residual(x_try, obs[idx])
+        r_try = residual(xa + step, obs[idx])
         F_try = np.einsum("ij,ij->i", r_try, r_try)
         # strict decrease required: accepting equal-objective steps can cycle
         worse = ~(F_try < F[idx])
@@ -334,9 +325,10 @@ def _gauss_newton(
             # each keeps its first level that lowers the objective, the level a
             # one-level-per-call loop would stop at
             sub, level = worse.nonzero()[0], 0  # level: halvings tried by every row
-            xs, ss, ob, Fs = x[idx[sub]], step[sub], obs[idx[sub]], F[idx[sub]]
+            xs, ss, ob, Fs = xa[sub], step[sub], obs[idx[sub]], F[idx[sub]]
             while level < max_halvings and sub.size:
-                k = min(max_halvings - level, -(-_HALVING_BLOCK_ROWS // sub.size))
+                # as many levels as fill one forward strip, at least one
+                k = min(max_halvings - level, max(1, _STRIP_ROWS // sub.size))
                 a = ladder[level + 1:level + k + 1]
                 xt = xs[:, None] + a[:, None] * ss[:, None]  # (rows, k, 3)
                 rt = residual(xt, ob[:, None]).reshape(-1, ob.shape[1])
@@ -347,18 +339,19 @@ def _gauss_newton(
                 if found.any():
                     got, lv, keep = sub[found], better.argmax(axis=1)[found], ~found
                     take = found.nonzero()[0] * k + lv
-                    x_try[got], r_try[got], F_try[got] = xt.reshape(-1, 3)[take], rt[take], Ft[take]
+                    r_try[got], F_try[got] = rt[take], Ft[take]
                     alpha[got], worse[got] = a[lv], False
                     sub, xs, ss, ob, Fs = sub[keep], xs[keep], ss[keep], ob[keep], Fs[keep]
         accepted = ~worse
         acc = idx[accepted]
-        x[acc] = x_try[accepted]
+        damped = alpha[:, None] * step  # the products the accepted trial point was formed with
+        x[acc] = (xa + damped)[accepted]
         r[acc] = r_try[accepted]
         F[acc] = F_try[accepted]
         iterations[acc] += 1
         # a tiny damped step ends the row as converged, accepted or with the
         # damping exhausted; the damping exhausted on a larger one, as failed
-        tiny = _row_norm(alpha[:, None] * step) < step_tol
+        tiny = _row_norm(damped) < step_tol
         converged[idx[tiny]] = True
         active[idx[tiny | worse]] = False
         if objective_history is not None:

@@ -202,12 +202,13 @@ def _dk_point(e: np.ndarray, L: float, p=None, ws: _DKScratch | None = None) -> 
     ws = ws or _dk_scratch(e.shape[1:])
     s, t, x = ws.squares, ws.s0, ws.spare  # the squares are free once A, B, C are
     marks, positive, rest, admissible = ws[10:]
-    if np.count_nonzero(np.less(np.abs(e, out=s), SINGULARITY_TOL, out=marks)):
+    # joints all above the guard pass the zero-joint and sign guards at once
+    checked = np.count_nonzero(np.greater(e, SINGULARITY_TOL, out=marks)) == marks.size
+    if not checked and np.count_nonzero(np.less(np.abs(e, out=s), SINGULARITY_TOL, out=marks)):
         raise DomainError("effective joint value is zero")
     A, B, C, _, q = _dk_roots(e, L, ws)
     np.divide(q, A, out=t)
-    np.greater(e, 0.0, out=marks)
-    mixed = np.count_nonzero(marks) != marks.size
+    mixed = not checked and np.count_nonzero(np.greater(e, 0.0, out=marks)) != marks.size
     if mixed:
         np.logical_and.reduce(marks, axis=0, out=positive)
         np.logical_not(positive, out=rest)

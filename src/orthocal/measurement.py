@@ -184,12 +184,13 @@ def _stack_row(leg: Axis, sign: int) -> int:
 
 
 # Per-channel index arrays: leg, gauge axis, stack row of the displacement
-# posture, gauge slot (0 or 1: a leg's two gauges in axis order) and reading
-# (0 isotropic, 1 max, 2 min) in the raw-noise layout.
+# posture, and the flat indices of the channel's isotropic and posture reading
+# in the raw-noise layout (leg, gauge slot 0 or 1: a leg's two gauges in axis
+# order, reading 0 isotropic, 1 max, 2 min).
 _LEG_12, _GAUGE_12, _SIGN_12 = (np.array(column) for column in zip(*_CHANNELS_12))
 _ROW_12 = np.array([_stack_row(leg, sign) for leg, _, sign in _CHANNELS_12])
-_SLOT_12 = _GAUGE_12 - (_GAUGE_12 > _LEG_12)
-_READING_12 = np.where(_SIGN_12 > 0, 1, 2)
+_NOISE_ISO = 6 * _LEG_12 + 3 * (_GAUGE_12 - (_GAUGE_12 > _LEG_12))
+_NOISE_READING = _NOISE_ISO + np.where(_SIGN_12 > 0, 1, 2)
 
 # Stack rows of the single-posture channels: the isotropic z-rows, then the
 # X and Y displacement postures.
@@ -412,15 +413,14 @@ class _Strip:
 # channel gathers.
 _STRIP_FLOATS = (6 * len(_STACK) + 3 + len(_LINE_ROW) + _DK_FLOATS * len(_STACK)) * _STRIP_ROWS
 _STRIP_FLAGS = _DK_FLAGS * len(_STACK) * _STRIP_ROWS
-# Strip views kept per thread, by shape, so that a repeated call shape (the
-# N = 1 solves and their halving blocks) does not rebuild them.
-_STRIPS_KEPT = 32
 
 
 class _Scratch(threading.local):
     """The forward model's scratch, about 1 MB: allocated once per thread,
     on its first call, and reused by every later call of that thread, so
-    that a call that does not fail allocates little more than its result."""
+    that a call that does not fail allocates little more than its result.
+    The views of every strip shape are kept, about 4.9 KB a shape; widths
+    are at most ``_STRIP_ROWS``, so the shapes are bounded."""
 
     def __init__(self) -> None:
         self.floats = np.empty(_STRIP_FLOATS)
@@ -431,8 +431,6 @@ class _Scratch(threading.local):
         key = (n_rows, w, n_lines)
         strip = self.strips.get(key)
         if strip is None:
-            if len(self.strips) >= _STRIPS_KEPT:
-                self.strips.clear()
             strip = self.strips[key] = _Strip(self.floats, self.flags, n_rows, w, n_lines)
         return strip
 
@@ -698,8 +696,8 @@ def _noise_double(rng: np.random.Generator, sigma: float, shape: tuple = ()) -> 
     min postures; a deviation is the posture reading minus the isotropic one,
     so the max and min deviations of a gauge share the isotropic noise term.
     """
-    xi = rng.standard_normal(shape + (3, 2, 3)) * sigma  # (leg, gauge slot, reading)
-    return xi[..., _LEG_12, _SLOT_12, _READING_12] - xi[..., _LEG_12, _SLOT_12, 0]
+    xi = rng.standard_normal(shape + (18,)) * sigma  # (leg, gauge slot, reading), flat
+    return np.take(xi, _NOISE_READING, axis=-1) - np.take(xi, _NOISE_ISO, axis=-1)
 
 
 @dataclass(frozen=True, eq=False)

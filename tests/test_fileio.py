@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -249,15 +250,25 @@ class TestCalibrationReport:
             ("iterations", 2.5),
             ("offsets", [-0.52, 0.6, -1.76]),
             ("residuals", {"a": "x"}),
+            ("sigma_hat", "nan"),
+            ("sigma_hat", "inf"),
+            ("residual_rms", float("nan")),
+            ("offsets", {"d_rho_x": "-inf", "d_rho_y": 0.6, "d_rho_z": -1.76}),
         ],
         ids=["future-schema", "bool-schema", "bool-number", "str-bool", "float-int",
-             "list-dict", "str-in-dict"],
+             "list-dict", "str-in-dict", "str-nan", "str-inf", "nan", "inf-in-dict"],
     )
     def test_bad_value_rejected(self, key, value):
         doc = self._report().to_dict()
         doc[key] = value
         with pytest.raises(InputError, match=key):
             CalibrationReport.from_dict(doc)
+
+    def test_non_finite_not_written(self):
+        # JSON has no NaN: a report built in code with one cannot be written
+        rep = dataclasses.replace(self._report(), sigma_hat=float("nan"))
+        with pytest.raises(ValueError, match="JSON compliant"):
+            rep.to_json()
 
 
 class TestMeasurementDictLayout:

@@ -30,11 +30,11 @@ from orthocal import (
     solve_single_posture_closed_form,
 )
 from orthocal.identification import (
-    _HALVING_BLOCK_ROWS,
     LinearSystem,
     _gauss_newton,
     _least_squares_gain,
 )
+from orthocal.measurement import _STRIP_ROWS
 
 from conftest import EXPECTED_IMPROVEMENT, REFERENCE_OFFSETS, reduced_from_table
 
@@ -572,7 +572,8 @@ class TestBlockHalving:
             assert np.array_equal(a, b)
         if max_halvings == 20:
             assert any(
-                stop.size < _HALVING_BLOCK_ROWS and (stop == 0).any() and stop.max() >= 10
+                # k > 1: the sweep's first block tries two or more levels
+                2 * stop.size <= _STRIP_ROWS and (stop == 0).any() and stop.max() >= 10
                 for stop in levels
             )
 
@@ -609,7 +610,7 @@ class TestBlockHalving:
 
     @pytest.mark.parametrize(
         "method, calls, rows",
-        [("nonlinear-six", 26, 13206), ("nonlinear-twelve", 41, 21129)],
+        [("nonlinear-six", 21, 14184), ("nonlinear-twelve", 35, 21673)],
     )
     def test_table3_cell_model_calls_pinned(self, geom, monkeypatch, method, calls, rows):
         # a 1000-run Table 3 cell at 1 mm, seed 0: the forward-model calls and
@@ -622,6 +623,23 @@ class TestBlockHalving:
         )
         monte_carlo([1.0] * 3, 0.01, 1000, 1, method, 0, geom)
         assert (len(widths), sum(widths)) == (calls, rows)
+
+    @pytest.mark.parametrize("label", [SYSTEM_SIX, SYSTEM_TWELVE])
+    def test_halving_blocks_fill_one_strip(self, geom, label):
+        # a block's trial points (rows, k, 3) take one forward strip when its
+        # rows fit; a block with room for one more level is its sweep's last
+        obs, jac, predict, x0 = self._problem(geom, label, "linear", 3000, spread=20.0)
+        shapes = []
+        _gauss_newton(obs, jac, lambda x: shapes.append(x.shape) or predict(x), x0)
+        blocks = [(i, s[0], s[1]) for i, s in enumerate(shapes) if len(s) == 3]
+        assert any(k > 1 for _, _, k in blocks)
+        for i, rows, k in blocks:
+            if rows > _STRIP_ROWS:
+                assert k == 1
+                continue
+            assert rows * k <= _STRIP_ROWS
+            if rows * (k + 1) <= _STRIP_ROWS and i + 1 < len(shapes):
+                assert len(shapes[i + 1]) == 2
 
 
 class TestResidualLayout:

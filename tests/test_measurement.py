@@ -40,7 +40,8 @@ from orthocal import (
 )
 from orthocal.errors import DomainError, SingularError
 from orthocal.identification import _least_squares_gain
-from orthocal.kinematics import SINGULARITY_TOL, posture_commanded_joints
+from orthocal import measurement
+from orthocal.kinematics import SINGULARITY_TOL, _dk_point, posture_commanded_joints
 from orthocal.measurement import (
     _ALL_ROWS,
     _GAUGED_LINES,
@@ -344,6 +345,14 @@ def _allocating_dk(e, L):
     return p
 
 
+def _outcome(run):
+    """``run()``, or the class and message of the kernel error it raised."""
+    try:
+        return run()
+    except (DomainError, SingularError) as exc:
+        return type(exc), str(exc)
+
+
 def _allocating_error(dr, geom):
     """Class and message of the error the allocating model raised for the
     offsets ``dr``, ``(n, 3)``, on the whole stack, or None."""
@@ -467,6 +476,55 @@ class TestStrips:
             with pytest.raises(want[0]) as exc:
                 double_deviation_array(offsets, _GUARD_GEOM)
             assert str(exc.value) == want[1]
+
+    @pytest.mark.parametrize("strip", [0, 2], ids=["first-strip", "later-strip"])
+    @pytest.mark.parametrize(
+        "value",
+        [SINGULARITY_TOL, -SINGULARITY_TOL, SINGULARITY_TOL / 2,
+         np.nextafter(SINGULARITY_TOL, 0.0), 1e-300, 0.0, -0.0, np.nan],
+        ids=["tol", "-tol", "half-tol", "below-tol", "tiny", "zero", "-0.0", "nan"],
+    )
+    def test_guards_at_tolerance_match_allocating_model(self, value, strip):
+        # joint values at and below the guard, which offsets added to the
+        # stack joints cannot hit exactly, run through the kernel strip by
+        # strip in one thread's scratch, as the strip driver runs them
+        joints = np.repeat(_stack_joints(_GUARD_GEOM, 2), 2 * _STRIP_ROWS + 600, axis=2)
+        joints[0, 3, strip * _STRIP_ROWS + 7] = value
+        L = _GUARD_GEOM.L
+        want = _outcome(lambda: _allocating_dk(joints, L))
+        parts = []
+
+        def strips():
+            for start in range(0, joints.shape[2], _STRIP_ROWS):
+                part = joints[..., start:start + _STRIP_ROWS]
+                view = _SCRATCH.strip(len(_STACK), part.shape[2], len(_LINE_ROW))
+                view.joints[...] = part
+                parts.append(_dk_point(view.joints, L, view.p, view.dk).copy())
+            return np.concatenate(parts, axis=2)
+
+        got = _outcome(strips)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert np.array_equal(got, want, equal_nan=True)
+
+    def test_strip_views_built_once_per_shape(self, geom, monkeypatch):
+        builds = []
+
+        class Counted(measurement._Strip):
+            __slots__ = ()
+
+            def __init__(self, floats, flags, *shape):
+                builds.append(shape)
+                super().__init__(floats, flags, *shape)
+
+        monkeypatch.setattr(measurement, "_Strip", Counted)
+        monkeypatch.setattr(measurement, "_SCRATCH", measurement._Scratch())
+        for _ in range(2):  # two table3 passes
+            for method in ("nonlinear-six", "nonlinear-twelve"):
+                for offset in (0.1, 1.0):
+                    monte_carlo([offset] * 3, 0.01, 1000, 1, method, 0, geom)
+        assert len(builds) == len(set(builds)) == len(measurement._SCRATCH.strips) > 32
 
     def test_leg_line_guard(self, geom):
         # a TCP on its joint leaves the leg line without a direction
