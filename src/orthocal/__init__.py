@@ -73,6 +73,7 @@ from .identification import (
     build_system,
     build_twelve_eq_system,
     coefficients,
+    identify,
     least_squares_solve,
     nonlinear_identify,
     prediction_jacobian,

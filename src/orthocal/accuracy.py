@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .geometry import Geometry, check_offsets
-from .identification import ESTIMATORS, _gauss_newton, _least_squares_gain
+from .identification import ESTIMATORS, _estimate, _least_squares_gain
 from .measurement import GAUGE_CORRELATION_BLOCK, SCHEMES
 
 __all__ = [
@@ -144,8 +144,6 @@ def monte_carlo(
     est = ESTIMATORS[method]
     scheme = est.scheme
     d_true = scheme.predict(truth, geom)
-    gain = est.gain(geom)
-    predict_fn = lambda x: scheme.predict(x, geom)  # noqa: E731
 
     rep_mean = np.empty((replications, 3))
     rep_std = np.empty((replications, 3))
@@ -154,15 +152,11 @@ def monte_carlo(
     for rep in range(replications):
         rng = np.random.default_rng(seed + rep)
         obs = d_true[None, :] + scheme.sample_noise(rng, sigma, (runs,))
-        x = obs @ gain.T
-        if est.nonlinear:
-            x, conv, _, _ = _gauss_newton(obs, (scheme.design(geom), gain), predict_fn, x)
-            failed += int((~conv).sum())
-            x = x[conv]
-            if x.shape[0] == 0:
-                raise ConvergenceError(
-                    f"all {runs} runs of replication {rep} failed to converge"
-                )
+        x, conv, _, _ = _estimate(est, obs, geom)
+        failed += int((~conv).sum())
+        x = x[conv]
+        if x.shape[0] == 0:
+            raise ConvergenceError(f"all {runs} runs of replication {rep} failed to converge")
         err = x - truth[None, :]
         ddof = 1 if err.shape[0] > 1 else 0
         with np.errstate(over="ignore", invalid="ignore"):

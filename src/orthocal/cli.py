@@ -18,14 +18,7 @@ import numpy as np
 
 from . import __version__
 from .accuracy import monte_carlo, offset_covariance
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    InputError,
-    OrthoglideError,
-    RankError,
-    SingularError,
-)
+from .errors import InputError, OrthoglideError
 from .fileio import (
     FIXTURE_NAMES,
     CalibrationReport,
@@ -35,7 +28,7 @@ from .fileio import (
     measurement_to_dict,
 )
 from .geometry import Geometry
-from .identification import ESTIMATORS, _linear_result, build_system, nonlinear_identify
+from .identification import ESTIMATORS, identify
 from .kinematics import sensitivity_table
 from .measurement import (
     GENERATOR_ALGORITHM,
@@ -85,10 +78,13 @@ def _load_geometry(path: str | None) -> Geometry | None:
 
 def _emit(args, doc: dict) -> None:
     text = json.dumps(doc, indent=2, allow_nan=False)
-    print(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}") from None
+    print(text)
 
 
 def _note(args, message: str) -> None:
@@ -109,8 +105,7 @@ def cmd_calibrate(args) -> int:
         raise InputError(f"no such file or fixture: {args.file}")
     geom = _load_geometry(args.geometry) or mf.geometry or Geometry.prototype()
     name = CALIBRATE_METHODS[args.method]
-    est = ESTIMATORS[name]
-    scheme = est.scheme
+    scheme = ESTIMATORS[name].scheme
     m = mf.measurement()
     if mf.method == SYSTEM_TWELVE and scheme.label == SYSTEM_SIX:
         _note(args, "reducing double-full measurements to max-minus-min differences")
@@ -119,11 +114,7 @@ def cmd_calibrate(args) -> int:
         raise InputError(
             f"method {args.method} requires {scheme.label} measurements, file has {mf.method}"
         )
-    if est.nonlinear:
-        result = nonlinear_identify(m, geom)
-    else:
-        system = build_system(scheme.label, geom).with_measurements(m)
-        result = _linear_result(system, est.gain(geom), name)
+    result = identify(name, m, geom)
     residuals = dict(zip(scheme.row_keys, result.residuals.tolist()))
     report = CalibrationReport(
         input_digest=digest,
@@ -356,10 +347,7 @@ def main(argv=None) -> int:
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConvergenceError, DomainError, SingularError, RankError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OrthoglideError as exc:  # pragma: no cover - safety net
+    except OrthoglideError as exc:  # numerical: domain, singular, rank, convergence
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -186,8 +186,10 @@ def measurement_to_dict(
 
 
 def write_measurement_file(path, doc: dict) -> None:
+    """Write ``doc`` as JSON; ValueError, and no file, for a non-finite value."""
+    text = json.dumps(doc, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2) + "\n")
+        fh.write(text + "\n")
 
 
 _REPORT_TYPES = {"str": str, "int": int, "bool": bool, "dict": dict}

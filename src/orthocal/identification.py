@@ -3,9 +3,11 @@
 The table :data:`ESTIMATORS` holds the five estimators: the closed-form
 single-posture solution, linear least squares on the six- and
 twelve-equation systems, and Gauss-Newton refinement of either on the exact
-nonlinear deviation model.  Following the calibration procedure, the
-Gauss-Newton step uses the constant linear-system matrix as its Jacobian; the
-exact analytic Jacobian is available to ``nonlinear_identify`` for verification.
+nonlinear deviation model.  :func:`identify` runs one on a measurement set;
+it, ``nonlinear_identify`` and the Monte-Carlo share one batched solve.
+Following the calibration procedure, the Gauss-Newton step uses the constant
+linear-system matrix as its Jacobian; the exact analytic Jacobian is available
+to ``nonlinear_identify`` for verification.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ __all__ = [
     "CalibrationResult",
     "solve_single_posture_closed_form",
     "least_squares_solve",
+    "identify",
     "nonlinear_identify",
     "prediction_jacobian",
     "Estimator",
@@ -195,30 +198,7 @@ ESTIMATORS = MappingProxyType(
 )
 
 
-def _linear_result(sys: LinearSystem, gain: np.ndarray, method: str) -> CalibrationResult:
-    """The linear estimator ``gain`` applied to the readings of ``sys``."""
-    offsets = gain @ sys.rhs
-    residuals = sys.rhs - sys.design_matrix @ offsets
-    grad = np.linalg.norm(2.0 * sys.design_matrix.T @ residuals)
-    return _result(offsets, residuals, method, 0, True, grad)
-
-
-def solve_single_posture_closed_form(
-    m: SinglePostureMeasurements, geom: Geometry
-) -> CalibrationResult:
-    """Sequential closed-form solution of the single-posture system.
-
-    The z-offset is the isotropic average; the x/y offsets follow from the
-    displacement rows conditioned on it.  Computationally convenient, but it
-    may leave slightly higher residuals than the full pseudoinverse.
-    """
-    sys = build_system(SYSTEM_SINGLE, geom).with_measurements(m)
-    return _linear_result(sys, _closed_form_gain(geom), "closed-form")
-
-
-def least_squares_solve(
-    sys: LinearSystem, m: MeasurementSet | None = None
-) -> CalibrationResult:
+def least_squares_solve(sys: LinearSystem, m: MeasurementSet | None = None) -> CalibrationResult:
     """Minimum-residual solution of a linear calibration system.
 
     The readings are mapped by the design's least-squares gain ``pinv(D)``
@@ -230,9 +210,11 @@ def least_squares_solve(
         sys = sys.with_measurements(m)
     if sys.rhs is None:
         raise ValueError("linear system has no right-hand side; pass measurements")
-    return _linear_result(
-        sys, _least_squares_gain(sys.design_matrix), f"least-squares({sys.label})"
-    )
+    D = sys.design_matrix
+    offsets = _least_squares_gain(D) @ sys.rhs
+    residuals = sys.rhs - D @ offsets
+    grad = np.linalg.norm(2.0 * D.T @ residuals)
+    return _result(offsets, residuals, f"least-squares({sys.label})", 0, True, grad)
 
 
 def _row_norm(v: np.ndarray) -> np.ndarray:
@@ -359,15 +341,70 @@ def _gauss_newton(
     return x, converged, iterations, r
 
 
+def _estimate(est: Estimator, obs: np.ndarray, geom: Geometry, x0=None,
+              jacobian: str = "linear", max_iter: int = 100):
+    """The estimator ``est`` on a batch of readings ``obs`` ``(N, n)``: from
+    ``x0`` ``(N, 3)`` or ``obs @ K.T``, refined for a nonlinear entry by
+    :func:`_gauss_newton` with the constant design or, for ``jacobian="exact"``,
+    the model Jacobian.  Returns ``(x, converged, iterations, residuals)``, the
+    residuals predicted minus observed; a linear entry converges on every row
+    in 0 iterations."""
+    scheme = est.scheme
+    gain = est.gain(geom)
+    x = obs @ gain.T if x0 is None else x0
+    if not est.nonlinear:  # negated, so that -r has the signed zeros of obs - x D'
+        r = -(obs - x @ scheme.design(geom).T)
+        return x, np.ones(len(x), dtype=bool), np.zeros(len(x), dtype=int), r
+    if jacobian == "linear":
+        jac = (scheme.design(geom), gain)
+    elif jacobian == "exact":
+        jac = lambda x: prediction_jacobian(x, geom, scheme.label)  # noqa: E731
+    else:
+        raise ValueError(f"jacobian must be 'linear' or 'exact', got {jacobian!r}")
+    return _gauss_newton(obs, jac, lambda x: scheme.predict(x, geom), x, max_iter=max_iter)
+
+
+def _identify(est: Estimator, obs: np.ndarray, geom: Geometry, method: str,
+              x0=None, jacobian: str = "linear", max_iter: int = 100) -> CalibrationResult:
+    """``est`` on the readings ``obs`` of one set; ConvergenceError if it fails."""
+    x, conv, iters, r = _estimate(est, obs[None, :], geom, x0, jacobian, max_iter)
+    x, conv, iters, r = x[0], bool(conv[0]), int(iters[0]), r[0]
+    if not conv:
+        # short of the budget, only a step that no halving made descend stops a row
+        raise ConvergenceError(
+            f"Gauss-Newton did not converge within {max_iter} iterations"
+            if iters == max_iter
+            else f"Gauss-Newton step halving exhausted after {iters} of {max_iter} "
+            "iterations: no damped step lowered the objective"
+        )
+    label = est.scheme.label
+    J = prediction_jacobian(x, geom, label) if jacobian == "exact" else est.scheme.design(geom)
+    return _result(x, -r, method, iters, conv, np.linalg.norm(2.0 * J.T @ r))
+
+
+def identify(name: str, m: MeasurementSet, geom: Geometry) -> CalibrationResult:
+    """The estimator ``ESTIMATORS[name]`` on one measurement set of its scheme:
+    TypeError for a set of another scheme, ConvergenceError if it fails."""
+    est = ESTIMATORS[name]
+    obs = build_system(est.scheme.label, geom).with_measurements(m).rhs
+    return _identify(est, obs, geom, name)
+
+
+def solve_single_posture_closed_form(
+    m: SinglePostureMeasurements, geom: Geometry
+) -> CalibrationResult:
+    """Sequential closed-form solution of the single-posture system.
+
+    The z-offset is the isotropic average; the x/y offsets follow from the
+    displacement rows conditioned on it.  Computationally convenient, but it
+    may leave slightly higher residuals than the full pseudoinverse.
+    """
+    return identify("closed-form", m, geom)
+
+
 def nonlinear_identify(
-    m: ReducedMeasurements | DoublePostureMeasurements,
-    geom: Geometry,
-    initial=None,
-    *,
-    jacobian: str = "linear",
-    max_iter: int = 100,
-    step_tol: float = 1e-9,
-    grad_tol: float = 1e-12,
+    m: ReducedMeasurements | DoublePostureMeasurements, geom: Geometry, initial=None, *,
+    jacobian: str = "linear", max_iter: int = 100,
 ) -> CalibrationResult:
     """Minimize the squared mismatch between the nonlinear deviation model
     and the observations.
@@ -384,43 +421,18 @@ def nonlinear_identify(
         tolerance is met, or if no halving of a step lowers the objective
         while the step is not below the tolerance.
     """
-    scheme = scheme_of(m)
-    if scheme.from_full is None:
+    label = scheme_of(m).label
+    if label not in (SYSTEM_SIX, SYSTEM_TWELVE):
         raise TypeError(
             "nonlinear_identify accepts ReducedMeasurements or DoublePostureMeasurements"
         )
-    label = scheme.label
-    design = scheme.design(geom)
-    gain = _least_squares_gain(design)
-    predict_fn = lambda x: scheme.predict(x, geom)  # noqa: E731
-    obs = m.as_array()
-    if initial is None:
-        x0 = gain @ obs
-    else:
-        x0 = np.asarray(initial, dtype=float)
-        check_offsets(x0, geom)
-    if jacobian == "linear":
-        jac = (design, gain)
-    elif jacobian == "exact":
-        jac = lambda x: prediction_jacobian(x, geom, label)  # noqa: E731
-    else:
-        raise ValueError(f"jacobian must be 'linear' or 'exact', got {jacobian!r}")
-    x, conv, iters, r = _gauss_newton(
-        obs[None, :], jac, predict_fn, x0[None, :],
-        max_iter=max_iter, step_tol=step_tol, grad_tol=grad_tol,
+    if initial is not None:
+        check_offsets(initial, geom)
+        initial = np.asarray(initial, dtype=float)[None, :]
+    est = ESTIMATORS["nonlinear-six" if label == SYSTEM_SIX else "nonlinear-twelve"]
+    return _identify(
+        est, m.as_array(), geom, f"gauss-newton({label})", initial, jacobian, max_iter
     )
-    x, conv, iters, r = x[0], bool(conv[0]), int(iters[0]), r[0]
-    J = jac(x) if callable(jac) else jac[0]
-    grad_norm = float(np.linalg.norm(2.0 * J.T @ r))
-    if not conv:
-        # short of the budget, only a step that no halving made descend stops a row
-        raise ConvergenceError(
-            f"Gauss-Newton did not converge within {max_iter} iterations"
-            if iters == max_iter
-            else f"Gauss-Newton step halving exhausted after {iters} of {max_iter} "
-            "iterations: no damped step lowered the objective"
-        )
-    return _result(x, -r, f"gauss-newton({label})", iters, conv, grad_norm)
 
 
 @dataclass(frozen=True, eq=False)

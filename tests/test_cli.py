@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import subprocess
 import sys
 
@@ -10,6 +11,9 @@ from orthocal import ESTIMATORS, ConvergenceError
 from orthocal.cli import build_parser, main
 
 from conftest import REFERENCE_OFFSETS, TABLE4
+
+TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
+NOT_A_DIR = os.path.join(os.path.abspath(__file__), "x.json")  # under a file: cannot be written
 
 
 def _reject_constant(name):
@@ -127,7 +131,7 @@ class TestCalibrate:
         def boom(*args, **kwargs):
             raise ConvergenceError("did not converge")
 
-        monkeypatch.setattr(cli_mod, "nonlinear_identify", boom)
+        monkeypatch.setattr(cli_mod, "identify", boom)
         rc, _, err = run_cli(capsys, "calibrate", "experiment2", "--method", "nonlinear6")
         assert rc == 2
         assert "converge" in err
@@ -369,13 +373,18 @@ class TestParsingAndProcess:
             (("montecarlo", "--sigma", "1e200", "--runs", "10", "--method", "nonlinear-six"),
              "sigma"),
             (("montecarlo", "--sigma", "1e152", "--runs", "10000", "--method", "six"), "sigma"),
+            (("accuracy", "--sigma", "0.01", "--out", NOT_A_DIR), f"cannot write {NOT_A_DIR}"),
+            (("accuracy", "--sigma", "0.01", "--geometry", TESTS_DIR), TESTS_DIR),
+            (("montecarlo", "--replications", "0"), "--replications"),
+            (("simulate", "--offsets", "0,0,0", "--repetitions", "0"), "--repetitions"),
         ],
         ids=[
             "accuracy-sigma", "simulate-quantize", "montecarlo-sigma", "accuracy-sigma-inf",
             "simulate-sigma-inf", "simulate-quantize-inf", "montecarlo-sigma-inf",
             "montecarlo-sigma-minus-inf", "accuracy-sigma-1e154", "accuracy-sigma-1e200",
             "montecarlo-six-sigma-1e200", "montecarlo-nonlinear-six-sigma-1e200",
-            "montecarlo-six-sigma-1e152-runs-10000",
+            "montecarlo-six-sigma-1e152-runs-10000", "out-not-writable", "geometry-directory",
+            "montecarlo-replications-0", "simulate-repetitions-0",
         ],
     )
     def test_nan_option_exit_1(self, capsys, argv, option):
@@ -384,12 +393,18 @@ class TestParsingAndProcess:
         assert out == ""
         assert err.startswith("error: ") and option in err
 
-    def test_verbose_summary_on_stderr(self, capsys):
-        rc, out, err = run_cli(
-            capsys, "calibrate", "experiment2", "--method", "linear6", "--verbose"
-        )
+    @pytest.mark.parametrize(
+        "argv, summary",
+        [
+            (("calibrate", "experiment2", "--method", "linear6"), "offsets (mm)"),
+            (("sensitivity", "--offsets", "1,1,1"), "isotropic"),
+        ],
+        ids=["calibrate", "sensitivity"],
+    )
+    def test_verbose_summary_on_stderr(self, capsys, argv, summary):
+        rc, out, err = run_cli(capsys, *argv, "--verbose")
         assert rc == 0
-        assert "offsets (mm)" in err
+        assert summary in err
         json.loads(out)  # stdout stays pure JSON
 
     def test_module_entry_point(self):

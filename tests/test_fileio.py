@@ -193,6 +193,14 @@ class TestSerialization:
         write_measurement_file(b, doc)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_non_finite_not_written(self, tmp_path):
+        # JSON has no NaN, and parse_measurement rejects one: no file is left
+        path = tmp_path / "nan.json"
+        doc = measurement_to_dict(ReducedMeasurements(float("nan"), 0, 0, 0, 0, 0))
+        with pytest.raises(ValueError, match="JSON compliant"):
+            write_measurement_file(path, doc)
+        assert not path.exists()
+
     def test_corrupt_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")

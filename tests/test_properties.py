@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthocal import (
+    SCHEMES,
     Geometry,
     direct_kinematics,
     double_deviation_array,
@@ -102,10 +103,10 @@ def _check_root_rule(eff, L):
 
 
 @st.composite
-def _geometries(draw):
+def _geometries(draw, reach=0.95):
     L = draw(st.floats(50.0, 1000.0))
-    rho_min = -draw(st.floats(0.01, 0.95)) * L
-    rho_max = draw(st.floats(0.01, 0.95)) * L
+    rho_min = -draw(st.floats(0.01, reach)) * L
+    rho_max = draw(st.floats(0.01, reach)) * L
     return Geometry(L=L, rho_min=rho_min, rho_max=rho_max)
 
 
@@ -126,3 +127,26 @@ def test_root_rule_on_mixed_sign_joints(L, data):
     joint = st.floats(-1.5 * L, 1.5 * L).filter(lambda v: abs(v) >= 1e-6 * L)
     eff = np.array(data.draw(st.lists(st.tuples(joint, joint, joint), min_size=1, max_size=40)))
     _check_root_rule(eff, L)
+
+
+@pytest.mark.parametrize("label", ["double-full", "double-reduced"])
+@settings(max_examples=100, deadline=None)
+@given(geom=_geometries(reach=0.9), data=st.data())
+def test_jacobian_matches_central_differences(label, geom, data):
+    # the exact Jacobian the "exact" Gauss-Newton steps with, on a random
+    # geometry; an unreachable or singular posture is a typed failure
+    coord = st.floats(-0.95 * geom.L / 10, 0.95 * geom.L / 10)
+    dr = np.array(data.draw(st.tuples(coord, coord, coord)))
+    scheme = SCHEMES[label]
+    try:
+        J = prediction_jacobian(dr, geom, label)
+        h = 1e-7 * geom.L
+        step = h * np.eye(3)
+        fd = (scheme.predict(dr + step, geom) - scheme.predict(dr - step, geom)).T / (2 * h)
+        J0 = prediction_jacobian(np.zeros(3), geom, label)
+    except (DomainError, SingularError):
+        return
+    scale = max(1.0, np.abs(J).max())
+    assert np.abs(J - fd).max() <= 1e-7 * scale
+    D = scheme.design(geom)
+    assert np.abs(J0 - D).max() <= 1e-12 * max(1.0, np.abs(D).max())
