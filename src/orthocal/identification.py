@@ -223,14 +223,16 @@ def _row_norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(v * v, axis=1))
 
 
+# a Gauss-Newton row converges once its damped step (mm) or its gradient is below these
+_STEP_TOL, _GRAD_TOL = 1e-9, 1e-12
+
+
 def _gauss_newton(
     obs: np.ndarray,
     jacobian,
     predict_fn,
     x0: np.ndarray,
     max_iter: int = 100,
-    step_tol: float = 1e-9,
-    grad_tol: float = 1e-12,
     max_halvings: int = 20,
     objective_history: list | None = None,
 ):
@@ -284,7 +286,7 @@ def _gauss_newton(
             grad = 2.0 * np.einsum("kn,kni->ki", ra, J)
         else:
             grad = 2.0 * ra @ jacobian  # (na, 3)
-        flat = _row_norm(grad) < grad_tol
+        flat = _row_norm(grad) < _GRAD_TOL
         if flat.any():
             converged[idx[flat]] = True
             active[idx[flat]] = False
@@ -333,7 +335,7 @@ def _gauss_newton(
         iterations[acc] += 1
         # a tiny damped step ends the row as converged, accepted or with the
         # damping exhausted; the damping exhausted on a larger one, as failed
-        tiny = _row_norm(damped) < step_tol
+        tiny = _row_norm(damped) < _STEP_TOL
         converged[idx[tiny]] = True
         active[idx[tiny | worse]] = False
         if objective_history is not None:
@@ -348,13 +350,12 @@ def _estimate(est: Estimator, obs: np.ndarray, geom: Geometry, x0=None,
     :func:`_gauss_newton` with the constant design or, for ``jacobian="exact"``,
     the model Jacobian.  Returns ``(x, converged, iterations, residuals)``, the
     residuals predicted minus observed; a linear entry converges on every row
-    in 0 iterations."""
+    in 0 iterations, with residuals None: only :func:`_identify` reports them."""
     scheme = est.scheme
     gain = est.gain(geom)
     x = obs @ gain.T if x0 is None else x0
-    if not est.nonlinear:  # negated, so that -r has the signed zeros of obs - x D'
-        r = -(obs - x @ scheme.design(geom).T)
-        return x, np.ones(len(x), dtype=bool), np.zeros(len(x), dtype=int), r
+    if not est.nonlinear:
+        return x, np.ones(len(x), dtype=bool), np.zeros(len(x), dtype=int), None
     if jacobian == "linear":
         jac = (scheme.design(geom), gain)
     elif jacobian == "exact":
@@ -368,6 +369,8 @@ def _identify(est: Estimator, obs: np.ndarray, geom: Geometry, method: str,
               x0=None, jacobian: str = "linear", max_iter: int = 100) -> CalibrationResult:
     """``est`` on the readings ``obs`` of one set; ConvergenceError if it fails."""
     x, conv, iters, r = _estimate(est, obs[None, :], geom, x0, jacobian, max_iter)
+    if r is None:  # negated, so that -r has the signed zeros of obs - x D'
+        r = -(obs - x @ est.scheme.design(geom).T)
     x, conv, iters, r = x[0], bool(conv[0]), int(iters[0]), r[0]
     if not conv:
         # short of the budget, only a step that no halving made descend stops a row

@@ -32,6 +32,7 @@ from .geometry import (
     Posture,
     PostureAngles,
     PostureKind,
+    check_offsets,
 )
 
 __all__ = [
@@ -356,9 +357,10 @@ def sensitivity_table(geom: Geometry, offsets) -> list[SensitivityRow]:
 
     Isotropic rows evaluate the single perpendicular offset; displacement
     rows evaluate ``tan(alpha) drho_leg + drho_perp`` at both the max and the
-    min posture angle.
+    min posture angle, for offsets within the validity bound L/10.
     """
     off = _vec3(offsets, "offsets")
+    check_offsets(off, geom)
     if off.ndim != 1:
         raise ValueError("sensitivity_table expects a single offset triple")
     t1 = geom.angle_max().t_alpha

@@ -276,12 +276,12 @@ def _geometry_constant(fn):
 
 
 @_geometry_constant
-def _stack_joints(geom: Geometry, ndim: int) -> np.ndarray:
+def _stack_joints(geom: Geometry) -> np.ndarray:
     """Effective joints of the posture stack at zero offsets, the commanded
-    joints of each stack posture, component-major: ``(3, 7, 1, ...)`` with
-    one unit axis per batch axis of ``ndim``-dimensional offsets."""
+    joints of each stack posture, component-major: ``(3, 7, 1)``, broadcast
+    over the batch columns."""
     joints = np.array([posture_commanded_joints(posture, geom) for posture in _STACK]).T
-    return np.ascontiguousarray(joints).reshape((3, len(_STACK)) + (1,) * (ndim - 1))
+    return np.ascontiguousarray(joints)[..., None]
 
 
 @_geometry_constant
@@ -341,44 +341,38 @@ def _offsets_array(offsets, geom: Geometry) -> np.ndarray:
 _STRIP_ROWS = 1024
 
 
-def _line_take(n_rows: int, line_row, line_leg) -> np.ndarray:
-    """Rows of a strip's source block (:class:`_Strip`) that give, for the
-    leg lines ``(line_row, line_leg)`` of a stack of ``n_rows`` postures, the
-    effective joint, the gauge station and the TCP coordinate on the leg
-    axis."""
-    flat = np.asarray(line_leg) * n_rows + np.asarray(line_row)
-    return np.concatenate([flat, 6 * n_rows + np.asarray(line_leg), 3 * n_rows + flat])
-
-
-def _channel_take(order) -> np.ndarray:
-    """Rows of a full-stack strip's source block that give, for the
-    double-posture channels ``order``: mu of the channel's line, mu of its
-    leg's isotropic line, then the TCP coordinate on the gauge axis at the
-    channel's posture and at the isotropic one."""
-    R, gauge = len(_STACK), _GAUGE_12[order]
-    mu, p = 6 * R + 3, 3 * R + gauge * R
-    return np.concatenate([mu + _LINE_12[order], mu + _LEG_12[order], p + _ROW_12[order], p])
-
-
+# The two stacks the forward model solves: the whole stack, gauged on the nine
+# leg lines, and the single-posture rows (the isotropic and X/Y postures); and
+# the source row of each single-posture channel's TCP z-coordinate, 3 R + 2 R.
 _ALL_ROWS = slice(None)
-_GAUGED_LINES = _line_take(len(_STACK), _LINE_ROW, _LINE_LEG)
-_TAKE_12 = _channel_take(np.arange(12))
-# plus channels, then minus channels: the reduced rows are their differences
-_TAKE_PLUS_MINUS = _channel_take(np.concatenate([_REDUCTION_PLUS, _REDUCTION_MINUS]))
-# the isotropic and X/Y postures, and the source row of the TCP z-coordinate
-# at each single-posture channel's posture: 3 R (the joints) + 2 R
 _SINGLE_ROWS = slice(_ROW_SINGLE.max() + 1)
 _SINGLE_TAKE = 5 * (_ROW_SINGLE.max() + 1) + _ROW_SINGLE
 
 
+def _gauged_take() -> tuple[np.ndarray, np.ndarray]:
+    """Rows of a whole-stack strip's source block (:class:`_Strip`) that the
+    gathers take: each leg line's effective joint, gauge station and TCP
+    coordinate on the leg axis; each channel's mu on its line and on its
+    leg's isotropic line, then its TCP coordinate on the gauge axis at its
+    posture and at the isotropic one."""
+    R = len(_STACK)
+    line, mu, p = _LINE_LEG * R + _LINE_ROW, 6 * R + 3, 3 * R + _GAUGE_12 * R
+    lines = np.concatenate([line, 6 * R + _LINE_LEG, 3 * R + line])
+    return lines, np.concatenate([mu + _LINE_12, mu + _LEG_12, p + _ROW_12, p])
+
+
+_GAUGED_LINES, _TAKE_12 = _gauged_take()
+
+
 class _Strip:
-    """Views of the calling thread's scratch for a strip of ``w`` columns,
-    ``n_rows`` stack postures and ``n_lines`` gauged leg lines.  ``src``
-    stacks the rows that the gathers take: the effective joints and TCPs
-    ``(3, n_rows, w)``, the gauge stations and the lines' mu.  The
+    """Views of the calling thread's scratch for a strip of ``w`` columns and
+    ``n_rows`` stack postures.  ``src`` stacks the rows that the gathers
+    take: the effective joints and TCPs ``(3, n_rows, w)`` and, on the whole
+    stack, the gauge stations and the nine leg lines' mu.  There the
     direct-kinematics planes ``dk`` hold the gathers once the TCPs are
     solved: ``joint, num, den`` of each line, then the channel products
-    ``left * right`` and, for the reduced rows, the twelve channels."""
+    ``left * right`` and the twelve channels ``full``, whose max and min
+    halves ``plus`` and ``minus``, ``(3, 2, w)``, give the reduced rows."""
 
     __slots__ = (
         "src", "joints", "p", "p0", "station", "mu", "dk", "take", "joint", "ends",
@@ -386,8 +380,9 @@ class _Strip:
         "full", "plus", "minus",
     )
 
-    def __init__(self, floats, flags, n_rows, w, n_lines):
-        R, n_src = n_rows, 6 * n_rows + 3 + n_lines
+    def __init__(self, floats, flags, n_rows, w):
+        G = len(_LINE_ROW) if n_rows == len(_STACK) else 0  # only the whole stack is gauged
+        R, n_src = n_rows, 6 * n_rows + 3 + G
         self.src = floats[: n_src * w].reshape(n_src, w)
         self.joints = self.src[: 3 * R].reshape(3, R, w)
         self.p = self.src[3 * R : 6 * R].reshape(3, R, w)
@@ -396,16 +391,17 @@ class _Strip:
         self.mu = self.src[6 * R + 3 :]
         spare = floats[n_src * w :]
         self.dk = _dk_scratch((R, w), spare, flags)
-        self.take = spare[: 3 * n_lines * w].reshape(3 * n_lines, w)
-        self.joint, self.num, self.den = lines = self.take.reshape(3, n_lines, w)
-        self.ends = lines[1:]
-        self.parallel = flags[: n_lines * w].reshape(n_lines, w)
-        if R == len(_STACK):
+        if G:
+            self.take = spare[: 3 * G * w].reshape(3 * G, w)
+            self.joint, self.num, self.den = lines = self.take.reshape(3, G, w)
+            self.ends = lines[1:]
+            self.parallel = flags[: G * w].reshape(G, w)
             self.products = spare[: 48 * w].reshape(48, w)
             self.left, self.right = self.products[:24], self.products[24:]
             self.line, self.iso = self.left[:12], self.left[12:]
             self.full = spare[48 * w : 60 * w].reshape(12, w)
-            self.plus, self.minus = self.full[:6], self.full[6:]
+            # by gauged plane pair, max or min, leg
+            self.plus, self.minus = self.full.reshape(3, 2, 2, w).swapaxes(0, 1)
 
 
 # Scratch of one strip of the whole stack: the source block with nine lines,
@@ -427,63 +423,54 @@ class _Scratch(threading.local):
         self.flags = np.empty(_STRIP_FLAGS, dtype=bool)
         self.strips = {}
 
-    def strip(self, n_rows: int, w: int, n_lines: int) -> _Strip:
-        key = (n_rows, w, n_lines)
+    def strip(self, n_rows: int, w: int) -> _Strip:
+        key = (n_rows, w)
         strip = self.strips.get(key)
         if strip is None:
-            strip = self.strips[key] = _Strip(self.floats, self.flags, n_rows, w, n_lines)
+            strip = self.strips[key] = _Strip(self.floats, self.flags, n_rows, w)
         return strip
 
 
 _SCRATCH = _Scratch()
 
 
-def _gauge_station(p0: np.ndarray, dr: np.ndarray, L: float, shift=None, out=None) -> np.ndarray:
-    """Along-axis coordinates of the three gauge stations, ``(3, ...)``: the
-    leg midpoints at the isotropic posture ``p0``, displaced by ``shift`` if
-    given."""
-    station = np.add(p0, dr, out=out)
-    station *= 0.5
-    station += L / 2
-    if shift is not None:
-        station += shift
-    return station
-
-
-def _posture_stack(dr: np.ndarray, geom: Geometry, rows, shift, lines):
-    """The forward model of offsets ``dr``, ``(3, n)``, at the stack
-    postures ``rows``, in strips of at most ``_STRIP_ROWS`` columns.
+def _posture_stack(dr: np.ndarray, geom: Geometry, rows):
+    """The forward model of offsets ``dr``, ``(3, n)``, on the stack ``rows``,
+    ``_ALL_ROWS`` or ``_SINGLE_ROWS``, in strips of at most ``_STRIP_ROWS``
+    columns.
 
     Yields each strip's columns and views (:class:`_Strip`), valid until the
-    next strip: the effective joints and TCPs ``(3, len(rows), w)`` and, for
-    the leg lines ``lines`` (:func:`_line_take`; none if None), the gauge
-    stations displaced by ``shift`` (``(3, n)`` or None) and ``num, den`` of
-    each station's parameter ``mu = num / den`` on its line, which runs from
+    next strip: the effective joints and TCPs ``(3, len(rows), w)`` and, on
+    the whole stack, the gauge stations and ``num, den`` of each station's
+    parameter ``mu = num / den`` on the nine gauged leg lines, which run from
     the prismatic joint centre (``mu = 0``) to the TCP (``mu = 1``).  A
     failure raises the whole batch's error: that of the first posture in
     ``rows`` whose direct kinematics fails on any column, else the leg-line
     error."""
-    stack = _stack_joints(geom, 2)[:, rows]
-    n_rows, n_lines = stack.shape[1], 0 if lines is None else len(lines) // 3
+    stack = _stack_joints(geom)[:, rows]
     for start in range(0, dr.shape[1], _STRIP_ROWS):
         cols = slice(start, start + _STRIP_ROWS)
         d = dr[:, cols]
-        strip = _SCRATCH.strip(n_rows, d.shape[1], n_lines)
+        strip = _SCRATCH.strip(stack.shape[1], d.shape[1])
         np.add(d[:, None], stack, out=strip.joints)
         try:
             _dk_point(strip.joints, geom.L, strip.p, strip.dk)
-            if lines is not None:
-                _gauge_lines(strip, d, geom.L, None if shift is None else shift[:, cols], lines)
+            if rows is _ALL_ROWS:
+                _gauge_lines(strip, d, geom.L)
         except (DomainError, SingularError):
             _name_failing_posture(dr, geom, rows)
             raise
         yield cols, strip
 
 
-def _gauge_lines(strip: _Strip, dr: np.ndarray, L: float, shift, lines) -> None:
-    """Gauge stations and ``num``, ``den`` of the strip's leg lines."""
-    _gauge_station(strip.p0, dr, L, shift, strip.station)
-    np.take(strip.src, lines, axis=0, out=strip.take, mode="wrap")
+def _gauge_lines(strip: _Strip, dr: np.ndarray, L: float) -> None:
+    """Gauge stations, the along-axis coordinates ``L/2 + (p0_i + dr_i)/2`` of
+    the leg midpoints at the isotropic posture, and ``num``, ``den`` of the
+    strip's leg lines."""
+    station = np.add(strip.p0, dr, out=strip.station)
+    station *= 0.5
+    station += L / 2
+    np.take(strip.src, _GAUGED_LINES, axis=0, out=strip.take, mode="wrap")
     np.subtract(strip.joint, strip.ends, out=strip.ends)  # joint - station, joint - TCP
     if np.count_nonzero(np.less(np.abs(strip.den, out=strip.joint), 1e-9, out=strip.parallel)):
         raise SingularError("leg line parallel to the gauge station plane")
@@ -492,7 +479,7 @@ def _gauge_lines(strip: _Strip, dr: np.ndarray, L: float, shift, lines) -> None:
 def _name_failing_posture(dr: np.ndarray, geom: Geometry, rows) -> None:
     """Error path only: raise the error of the first posture in ``rows``
     whose direct kinematics fails on any column of ``dr``, named after it."""
-    joints = dr[:, None] + _stack_joints(geom, 2)[:, rows]
+    joints = dr[:, None] + _stack_joints(geom)[:, rows]
     for i, row in enumerate(np.arange(len(_STACK))[rows]):
         try:
             _dk_point(joints[:, i], geom.L)
@@ -500,45 +487,31 @@ def _name_failing_posture(dr: np.ndarray, geom: Geometry, rows) -> None:
             raise type(exc)(f"{_STACK[row].label()} posture: {exc}") from None
 
 
-def _channels(strip: _Strip, take: np.ndarray, out: np.ndarray) -> None:
-    """The double-posture channels gathered by ``take`` (:func:`_channel_take`)
-    from the strip's mu and TCPs, ``(k, w)``, into ``out``."""
-    np.take(strip.src, take, axis=0, out=strip.products, mode="wrap")
-    np.multiply(strip.left, strip.right, out=strip.left)
-    np.subtract(strip.line, strip.iso, out=out)
-
-
-def _double_posture(offsets, geom: Geometry, gauge_shift, reduced: bool) -> np.ndarray:
+def _double_posture(offsets, geom: Geometry, reduced: bool) -> np.ndarray:
     """The twelve double-posture channels, or their max-minus-min
     differences if ``reduced``, written strip by strip into the result."""
     dr = _offsets_array(offsets, geom)
-    if gauge_shift is not None:
-        gauge_shift = _columns(_cm(np.broadcast_to(gauge_shift, _rm(dr).shape)))
     out = np.empty((6 if reduced else 12,) + dr.shape[1:])
     planes = _columns(out)
-    for cols, strip in _posture_stack(_columns(dr), geom, _ALL_ROWS, gauge_shift, _GAUGED_LINES):
+    for cols, strip in _posture_stack(_columns(dr), geom, _ALL_ROWS):
         np.divide(strip.num, strip.den, out=strip.mu)
-        if reduced:
-            _channels(strip, _TAKE_PLUS_MINUS, strip.full)
-            np.subtract(strip.plus, strip.minus, out=planes[:, cols])
-        else:
-            _channels(strip, _TAKE_12, planes[:, cols])
+        np.take(strip.src, _TAKE_12, axis=0, out=strip.products, mode="wrap")
+        np.multiply(strip.left, strip.right, out=strip.left)
+        np.subtract(strip.line, strip.iso, out=strip.full if reduced else planes[:, cols])
+        if reduced:  # the reduced rows by gauged plane pair: (3, 2, w)
+            np.subtract(strip.plus, strip.minus, out=planes[:, cols].reshape(3, 2, -1))
     return _rm(out)
 
 
-def double_deviation_array(offsets, geom: Geometry, gauge_shift=None) -> np.ndarray:
-    """Exact double-posture deviations, shape ``(..., 12)`` in canonical order.
-
-    ``gauge_shift`` optionally displaces each leg's gauge station along the
-    leg axis (mm, one value per leg); the nominal placement is the leg
-    midpoint at the isotropic posture.
-    """
-    return _double_posture(offsets, geom, gauge_shift, False)
+def double_deviation_array(offsets, geom: Geometry) -> np.ndarray:
+    """Exact double-posture deviations, shape ``(..., 12)`` in canonical order,
+    with each leg's gauge at its midpoint at the isotropic posture."""
+    return _double_posture(offsets, geom, False)
 
 
-def reduced_deviation_array(offsets, geom: Geometry, gauge_shift=None) -> np.ndarray:
+def reduced_deviation_array(offsets, geom: Geometry) -> np.ndarray:
     """Exact max-minus-min deviations, shape ``(..., 6)`` in reduced order."""
-    return _double_posture(offsets, geom, gauge_shift, True)
+    return _double_posture(offsets, geom, True)
 
 
 def single_deviation_array(offsets, geom: Geometry) -> np.ndarray:
@@ -550,7 +523,7 @@ def single_deviation_array(offsets, geom: Geometry) -> np.ndarray:
     dr = _offsets_array(offsets, geom)
     out = np.empty((6,) + dr.shape[1:])
     planes = _columns(out)
-    for cols, strip in _posture_stack(_columns(dr), geom, _SINGLE_ROWS, None, None):
+    for cols, strip in _posture_stack(_columns(dr), geom, _SINGLE_ROWS):
         np.take(strip.src, _SINGLE_TAKE, axis=0, out=planes[:, cols], mode="wrap")
     return _rm(out)
 
@@ -570,7 +543,7 @@ def prediction_jacobian(offsets, geom: Geometry, label: str = SYSTEM_TWELVE) -> 
     dr = _offsets_array(offsets, geom)
     out = np.empty(dr.shape[1:] + (len(scheme.wire_keys), 3))
     rows = out.reshape(-1, *out.shape[-2:])
-    for cols, strip in _posture_stack(_columns(dr), geom, _ALL_ROWS, None, _GAUGED_LINES):
+    for cols, strip in _posture_stack(_columns(dr), geom, _ALL_ROWS):
         # the chain rule runs on row-major views: joints and TCPs (w, 7, 3)
         joints, p = strip.joints.T, strip.p.T
         D = np.linalg.inv(inverse_jacobian(p, joints))  # dp/drho at each posture
@@ -590,13 +563,9 @@ def prediction_jacobian(offsets, geom: Geometry, label: str = SYSTEM_TWELVE) -> 
     return out
 
 
-def predict_double_posture(
-    offsets, geom: Geometry, gauge_shift=None
-) -> DoublePostureMeasurements:
+def predict_double_posture(offsets, geom: Geometry) -> DoublePostureMeasurements:
     """Noise-free double-posture measurement set for true offsets."""
-    return DoublePostureMeasurements.from_array(
-        double_deviation_array(offsets, geom, gauge_shift)
-    )
+    return DoublePostureMeasurements.from_array(double_deviation_array(offsets, geom))
 
 
 def predict_single_posture(offsets, geom: Geometry) -> SinglePostureMeasurements:
@@ -625,28 +594,26 @@ def gauge_locations(offsets, geom: Geometry) -> tuple[GaugeLocation, GaugeLocati
 
     The along-axis coordinate of leg ``i`` is ``L/2 + (p0_i + drho_i)/2``
     and the cross-axis coordinates are half the isotropic TCP coordinates.
+    It fails wherever the double-posture predictor fails.
     """
     dr = _offsets_array(offsets, geom)
     if dr.ndim != 1:
         raise ValueError("gauge_locations expects a single offset triple")
-    for _, strip in _posture_stack(dr[:, None], geom, slice(1), None, None):
-        p0 = strip.p0[:, 0].copy()
-    station = _gauge_station(p0, dr, geom.L)
-    return tuple(
-        GaugeLocation(leg=leg, position=np.where(np.arange(3) == leg, station, p0 / 2.0))
-        for leg in Axis
-    )
+    for _, strip in _posture_stack(dr[:, None], geom, _ALL_ROWS):
+        station, p0 = strip.station[:, 0], strip.p0[:, 0]
+        return tuple(
+            GaugeLocation(leg=leg, position=np.where(np.arange(3) == leg, station, p0 / 2.0))
+            for leg in Axis
+        )
 
 
-def leg_line_scaling(
-    posture: Posture, leg: Axis, offsets, geom: Geometry, gauge_shift: float = 0.0
-) -> float:
+def leg_line_scaling(posture: Posture, leg: Axis, offsets, geom: Geometry) -> float:
     """Line parameter locating the gauge station on the leg at a posture.
 
     The leg is the segment from the prismatic joint centre (parameter 0) to
     the TCP (parameter 1); the returned value parameterizes the point whose
     along-axis coordinate equals the gauge station.  Exactly 0.5 at the
-    isotropic posture with nominal gauge placement.
+    isotropic posture.  It fails wherever the double-posture predictor fails.
     """
     leg = Axis.parse(leg)
     if posture.kind is not PostureKind.ISOTROPIC and posture.axis != leg:
@@ -657,10 +624,10 @@ def leg_line_scaling(
     dr = _offsets_array(offsets, geom)
     if dr.ndim != 1:
         raise ValueError("leg_line_scaling expects a single offset triple")
-    # only the two postures involved, so an unrelated posture cannot fail
-    rows, shift = [0, _STACK.index(posture)], np.full((3, 1), gauge_shift, dtype=float)
-    for _, strip in _posture_stack(dr[:, None], geom, rows, shift, _line_take(2, [1], [leg])):
-        return float(strip.num[0, 0] / strip.den[0, 0])
+    # the isotropic lines come first, one per leg, then one per displacement posture
+    line = leg if posture.kind is PostureKind.ISOTROPIC else _STACK.index(posture) + 2
+    for _, strip in _posture_stack(dr[:, None], geom, _ALL_ROWS):
+        return float(strip.num[line, 0] / strip.den[line, 0])
 
 
 @dataclass(frozen=True)

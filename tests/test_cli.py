@@ -377,6 +377,9 @@ class TestParsingAndProcess:
             (("accuracy", "--sigma", "0.01", "--geometry", TESTS_DIR), TESTS_DIR),
             (("montecarlo", "--replications", "0"), "--replications"),
             (("simulate", "--offsets", "0,0,0", "--repetitions", "0"), "--repetitions"),
+            (("sensitivity", "--offsets", "nan,0,0"), "offsets"),
+            # the bound's message reads "offset magnitude exceeds ..."
+            (("sensitivity", "--offsets", "1e9,0,0"), "offset"),
         ],
         ids=[
             "accuracy-sigma", "simulate-quantize", "montecarlo-sigma", "accuracy-sigma-inf",
@@ -384,7 +387,8 @@ class TestParsingAndProcess:
             "montecarlo-sigma-minus-inf", "accuracy-sigma-1e154", "accuracy-sigma-1e200",
             "montecarlo-six-sigma-1e200", "montecarlo-nonlinear-six-sigma-1e200",
             "montecarlo-six-sigma-1e152-runs-10000", "out-not-writable", "geometry-directory",
-            "montecarlo-replications-0", "simulate-repetitions-0",
+            "montecarlo-replications-0", "simulate-repetitions-0", "sensitivity-offsets-nan",
+            "sensitivity-offsets-1e9",
         ],
     )
     def test_nan_option_exit_1(self, capsys, argv, option):

@@ -44,7 +44,6 @@ from orthocal import measurement
 from orthocal.kinematics import SINGULARITY_TOL, _dk_point, posture_commanded_joints
 from orthocal.measurement import (
     _ALL_ROWS,
-    _GAUGED_LINES,
     _LINE_LEG,
     _LINE_ROW,
     _SCRATCH,
@@ -173,7 +172,8 @@ class TestPredictors:
     # predictions at these offsets, recorded before the seven postures were
     # solved as one stack (one posture per direct-kinematics call)
     PINNED_OFFSETS = [[0.5, -0.3, 0.2], [-20.0, 25.0, -15.0]]
-    PINNED_SHIFT = [0.4, -0.2, 0.1]
+    # keyed (predictor, gauge shifted): only the nominal, unshifted gauge is
+    # modelled, and the keys keep the test ids
     PINNED = {
         ("double", False): [
             [0.05576464604168879, 0.010513430053907785, -0.1431020419225683,
@@ -185,27 +185,11 @@ class TestPredictors:
              -7.614369403989021, 2.844532550764918, -5.570010166693445,
              -5.3145395497971695, 6.926118834888529, 5.561097116785804],
         ],
-        ("double", True): [
-            [0.05572655446191127, 0.010386172484574768, -0.14303627818569437,
-             0.06649576960746198, -0.03047073749625917, -0.0022616058923063537,
-             0.08442335615292952, -0.0464270754986195, 0.12411802393810328,
-             0.10698680079749423, -0.17331993022860692, -0.09463844829916036],
-            [-0.20394446563937052, 2.620062685596098, 4.510354970023654,
-             -7.295204857806776, 3.337289959437303, 0.7588523458473064,
-             -7.615771422942508, 2.8391458671200085, -5.569101436235881,
-             -5.30946683752778, 6.924482656008788, 5.552015576870305],
-        ],
         ("reduced", False): [
             [0.1988666879642571, -0.05576269806278379, -0.11485929422646106,
              0.044269437425841746, 0.29747266331757016, 0.20197156145740014],
             [-4.7229796877991355, 9.902837735927427, 10.950871262608779,
              -2.088797494030479, -12.496129001581973, -10.875636666582974],
-        ],
-        ("reduced", True): [
-            [0.19876283264760564, -0.05610959712288721, -0.11489409364918869,
-             0.044165469606313144, 0.2974379541667102, 0.20162524909665458],
-            [-4.714299435663024, 9.915267543402873, 10.953061382379811,
-             -2.080293521272702, -12.493584092244669, -10.861482414398086],
         ],
         ("single", False): [
             [0.2005478310057356, 0.2005478310057356, 0.2990914242131453,
@@ -222,8 +206,7 @@ class TestPredictors:
             "reduced": reduced_deviation_array,
             "single": single_deviation_array,
         }[predictor]
-        args = (self.PINNED_SHIFT,) if shifted else ()
-        out = fn(np.array(self.PINNED_OFFSETS), geom, *args)
+        out = fn(np.array(self.PINNED_OFFSETS), geom)
         assert np.array_equal(out, np.array(self.PINNED[predictor, shifted]))
 
     # the exact Jacobian at PINNED_OFFSETS, recorded before the forward model's
@@ -300,11 +283,23 @@ class TestPredictors:
         digest = hashlib.sha256(np.ascontiguousarray(out, dtype="<f8").tobytes()).hexdigest()
         assert digest == self.PINNED_JACOBIAN_BATCH[label]
 
-    @pytest.mark.parametrize("fn", [double_deviation_array, single_deviation_array])
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            double_deviation_array,
+            single_deviation_array,
+            pytest.param(
+                lambda dr, g: leg_line_scaling(Posture.max(Axis.Y), Axis.Y, dr, g),
+                id="leg_line_scaling",
+            ),
+            gauge_locations,
+        ],
+    )
     def test_failing_posture_named(self, fn):
         # the isotropic and max X postures solve; min X is the first posture
         # of the stack order (isotropic, X max/min, Y max/min, Z max/min)
-        # whose direct kinematics fails
+        # whose direct kinematics fails; the gauge functions solve the whole
+        # stack as the double-posture predictor does
         geom = Geometry(L=100, rho_min=-99, rho_max=60)
         with pytest.raises(SingularError, match="^min X-displacement posture: "):
             fn([-10.0, -10.0, -10.0], geom)
@@ -356,7 +351,7 @@ def _outcome(run):
 def _allocating_error(dr, geom):
     """Class and message of the error the allocating model raised for the
     offsets ``dr``, ``(n, 3)``, on the whole stack, or None."""
-    joints = dr.T[:, None] + _stack_joints(geom, 2)
+    joints = dr.T[:, None] + _stack_joints(geom)
     try:
         p = _allocating_dk(joints, geom.L)
     except (DomainError, SingularError):
@@ -438,9 +433,7 @@ class TestStrips:
         # three strips, the last one partial
         bound = geom.L / 10
         offsets = np.random.default_rng(14).uniform(-bound, bound, (2 * _STRIP_ROWS + 5, 3))
-        shift = np.array([0.3, -0.1, 0.2])
-        models = _PREDICTORS + (lambda dr, g: double_deviation_array(dr, g, shift),)
-        for model in models:
+        for model in _PREDICTORS:
             batch = model(offsets, geom)
             assert all(np.array_equal(batch[i], model(dr, geom)) for i, dr in enumerate(offsets))
 
@@ -469,7 +462,7 @@ class TestStrips:
         # check_offsets rejects NaN before the forward model, so the strip
         # driver is called directly
         with pytest.raises(want[0]) as exc:
-            for _ in _posture_stack(offsets.T, _GUARD_GEOM, _ALL_ROWS, None, _GAUGED_LINES):
+            for _ in _posture_stack(offsets.T, _GUARD_GEOM, _ALL_ROWS):
                 pass
         assert str(exc.value) == want[1]
         if "nan" not in rows.values():
@@ -488,7 +481,7 @@ class TestStrips:
         # joint values at and below the guard, which offsets added to the
         # stack joints cannot hit exactly, run through the kernel strip by
         # strip in one thread's scratch, as the strip driver runs them
-        joints = np.repeat(_stack_joints(_GUARD_GEOM, 2), 2 * _STRIP_ROWS + 600, axis=2)
+        joints = np.repeat(_stack_joints(_GUARD_GEOM), 2 * _STRIP_ROWS + 600, axis=2)
         joints[0, 3, strip * _STRIP_ROWS + 7] = value
         L = _GUARD_GEOM.L
         want = _outcome(lambda: _allocating_dk(joints, L))
@@ -497,7 +490,7 @@ class TestStrips:
         def strips():
             for start in range(0, joints.shape[2], _STRIP_ROWS):
                 part = joints[..., start:start + _STRIP_ROWS]
-                view = _SCRATCH.strip(len(_STACK), part.shape[2], len(_LINE_ROW))
+                view = _SCRATCH.strip(len(_STACK), part.shape[2])
                 view.joints[...] = part
                 parts.append(_dk_point(view.joints, L, view.p, view.dk).copy())
             return np.concatenate(parts, axis=2)
@@ -528,11 +521,11 @@ class TestStrips:
 
     def test_leg_line_guard(self, geom):
         # a TCP on its joint leaves the leg line without a direction
-        strip = _SCRATCH.strip(len(_STACK), 4, len(_LINE_ROW))
+        strip = _SCRATCH.strip(len(_STACK), 4)
         strip.joints[...] = geom.L
         strip.p[...] = strip.joints
         with pytest.raises(SingularError, match="^leg line parallel to the gauge station plane$"):
-            _gauge_lines(strip, np.zeros((3, 4)), geom.L, None, _GAUGED_LINES)
+            _gauge_lines(strip, np.zeros((3, 4)), geom.L)
 
 
 class TestReduce:
@@ -602,16 +595,6 @@ class TestGauges:
     def test_mismatched_leg_rejected(self, geom):
         with pytest.raises(ValueError):
             leg_line_scaling(Posture.max(Axis.X), Axis.Y, [0, 0, 0], geom)
-
-    def test_gauge_shift_hook_default_zero(self, geom):
-        dr = [0.4, -0.2, 0.6]
-        base = double_deviation_array(dr, geom)
-        shifted = double_deviation_array(dr, geom, gauge_shift=[0.0, 0.0, 0.0])
-        np.testing.assert_allclose(base, shifted, atol=0)
-        perturbed = double_deviation_array(dr, geom, gauge_shift=[1.0, 0.0, 0.0])
-        assert np.abs(perturbed - base).max() > 0
-        # placement errors barely matter compared to the signal
-        assert np.abs(perturbed - base).max() < 1e-2 * np.abs(base).max()
 
 
 class TestNoise:
@@ -761,5 +744,5 @@ class TestSchemes:
         gain = _least_squares_gain(design)
         assert _least_squares_gain(SCHEMES[label].design(second)) is gain
         assert _least_squares_gain(design.copy()) is gain
-        shared = [design, _stack_joints(first, 2), gain]
+        shared = [design, _stack_joints(first), gain]
         assert not any(a.flags.writeable for a in shared)

@@ -8,15 +8,21 @@ from hypothesis import strategies as st
 from orthocal import (
     SCHEMES,
     Geometry,
+    OrthoglideError,
     direct_kinematics,
     double_deviation_array,
+    inverse_kinematics,
+    nonlinear_identify,
+    posture_commanded_joints,
+    predict_double_posture,
     prediction_jacobian,
+    reduce,
     reduced_deviation_array,
     single_deviation_array,
 )
 from orthocal.errors import DomainError, SingularError
 from orthocal.kinematics import SINGULARITY_TOL, _dk_point, _dk_roots
-from orthocal.measurement import _stack_joints
+from orthocal.measurement import _STACK, _stack_joints
 
 GEOM = Geometry.prototype()
 _coord = st.floats(-GEOM.L / 10, GEOM.L / 10, allow_nan=False)
@@ -116,7 +122,7 @@ def test_root_rule_on_posture_stack(geom, data):
     # (a) the seven stack postures of a random geometry, offsets up to L/10
     coord = st.floats(-geom.L / 10, geom.L / 10)
     offsets = np.array(data.draw(st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=8)))
-    joints = offsets.T[:, None] + _stack_joints(geom, 2)  # component-major, (3, 7, n)
+    joints = offsets.T[:, None] + _stack_joints(geom)  # component-major, (3, 7, n)
     _check_root_rule(joints.reshape(3, -1).T, geom.L)
 
 
@@ -150,3 +156,37 @@ def test_jacobian_matches_central_differences(label, geom, data):
     assert np.abs(J - fd).max() <= 1e-7 * scale
     D = scheme.design(geom)
     assert np.abs(J0 - D).max() <= 1e-12 * max(1.0, np.abs(D).max())
+
+
+@pytest.mark.filterwarnings("ignore::orthocal.JointLimitWarning")
+@settings(max_examples=300, deadline=None)
+@given(geom=_geometries(reach=0.9), data=st.data())
+def test_dk_ik_round_trip_at_calibration_postures(geom, data):
+    # the commanded joints of each calibration posture come back from the
+    # TCP the direct kinematics puts them at; an unreachable or singular
+    # posture is a typed failure
+    coord = st.floats(-0.95 * geom.L / 10, 0.95 * geom.L / 10)
+    dr = np.array(data.draw(st.tuples(coord, coord, coord)))
+    for posture in _STACK:
+        rho = posture_commanded_joints(posture, geom)
+        try:
+            p, _ = direct_kinematics(rho, dr, geom)
+            back = inverse_kinematics(p, dr, geom)
+        except OrthoglideError:
+            continue
+        assert np.abs(back - rho).max() <= 1e-12 * geom.L
+
+
+_recovery_coord = st.floats(-0.8 * GEOM.L / 10, 0.8 * GEOM.L / 10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dr=st.tuples(_recovery_coord, _recovery_coord, _recovery_coord).map(np.array))
+def test_noise_free_recovery(dr):
+    # both double-posture schemes, with the constant and the exact Jacobian,
+    # recover offsets within 0.8 L/10 from their exact readings
+    full = predict_double_posture(dr, GEOM)
+    for m in (full, reduce(full)):
+        for jacobian in ("linear", "exact"):
+            x = nonlinear_identify(m, GEOM, jacobian=jacobian).offsets
+            assert np.abs(x - dr).max() <= 1e-8
