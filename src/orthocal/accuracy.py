@@ -14,14 +14,14 @@ factors empirically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .errors import ConvergenceError
 from .geometry import Geometry, check_offsets
 from .identification import ESTIMATORS, _estimate, _least_squares_gain
-from .measurement import GAUGE_CORRELATION_BLOCK, SCHEMES
+from .measurement import GAUGE_CORRELATION_BLOCK, SCHEMES, _check_seed, _lookup
 
 __all__ = [
     "GAUGE_CORRELATION_BLOCK",
@@ -42,7 +42,7 @@ def noise_covariance(label: str, sigma: float) -> np.ndarray:
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError("sigma must be finite and non-negative")
     with np.errstate(over="ignore", invalid="ignore"):
-        S = sigma * sigma * SCHEMES[label].noise_covariance
+        S = sigma * sigma * _lookup(SCHEMES, label, "scheme").noise_covariance
     if not np.isfinite(S).all():
         raise ValueError(f"sigma {sigma:g} overflows the noise covariance")
     return S
@@ -55,8 +55,7 @@ def propagate_covariance(design: np.ndarray, noise_matrix: np.ndarray) -> np.nda
     return gain @ np.asarray(noise_matrix) @ gain.T
 
 
-@dataclass(frozen=True, eq=False)
-class OffsetCovariance:
+class OffsetCovariance(Record, eq=False):
     """3x3 covariance of the identified offsets and its scalar summary
     ``sigma_rho = sqrt(trace(V)/3)``."""
 
@@ -68,7 +67,7 @@ class OffsetCovariance:
 def offset_covariance(name: str, geom: Geometry, sigma: float) -> OffsetCovariance:
     """Offset covariance ``K S K'`` of the linear map ``K`` of estimator
     ``name`` on its scheme's readings."""
-    est = ESTIMATORS[name]
+    est = _lookup(ESTIMATORS, name, "estimator")
     S = noise_covariance(est.scheme.label, sigma)
     gain = est.gain(geom)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -89,8 +88,7 @@ def offset_covariance_twelve(geom: Geometry, sigma: float) -> OffsetCovariance:
     return offset_covariance("twelve", geom, sigma)
 
 
-@dataclass(frozen=True, eq=False)
-class MonteCarloReport:
+class MonteCarloReport(Record, eq=False):
     """Aggregated estimation-error statistics over replications.
 
     Per-axis statistics are replication means; ``pooled_std`` is the
@@ -127,11 +125,12 @@ def monte_carlo(
     Each run simulates noisy raw gauge readings (realizing the correct error
     correlation), identifies the offsets, and records the estimation error
     against the truth.  Non-converged runs are excluded and counted; a
-    failure rate above 0.1% aborts the report, a sigma that overflows the
-    covariance or the statistics raises ValueError.
+    failure rate above 0.1% aborts the report.  An unknown method, a seed
+    that is not a non-negative integer and a sigma that overflows the
+    covariance or the statistics raise ValueError.
     """
-    if method not in ESTIMATORS:
-        raise ValueError(f"method must be one of {tuple(ESTIMATORS)}, got {method!r}")
+    est = _lookup(ESTIMATORS, method, "estimator")
+    _check_seed(seed)
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     if replications < 1:
@@ -141,7 +140,6 @@ def monte_carlo(
     truth = np.asarray(true_offsets, dtype=float)
     check_offsets(truth, geom)
 
-    est = ESTIMATORS[method]
     scheme = est.scheme
     d_true = scheme.predict(truth, geom)
 

@@ -15,9 +15,10 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
+from ._record import Record
 from .errors import InputError
 from .geometry import Geometry
-from .measurement import SCHEMES, MeasurementSet, scheme_of
+from .measurement import SCHEMES, MeasurementSet, _lookup, scheme_of
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -44,8 +45,7 @@ def sha256_digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@dataclass(frozen=True)
-class MeasurementFile:
+class MeasurementFile(Record):
     """Parsed content of a measurement file."""
 
     method: str
@@ -55,7 +55,7 @@ class MeasurementFile:
     simulation: dict | None = None
 
     def measurement(self) -> MeasurementSet:
-        return SCHEMES[self.method].measurement(**self.values)
+        return _lookup(SCHEMES, self.method, "scheme").measurement(**self.values)
 
 
 def _number(v) -> float:

@@ -9,10 +9,11 @@ radians.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 import numpy as np
+
+from ._record import Record
 
 __all__ = [
     "Axis",
@@ -43,8 +44,7 @@ class Axis(IntEnum):
         return self.name
 
 
-@dataclass(frozen=True)
-class Geometry:
+class Geometry(Record):
     """Nominal leg geometry and software joint limits.
 
     ``r`` (tool offset, eliminated by a fixed coordinate shift) and ``d``
@@ -87,8 +87,7 @@ class Geometry:
         return (self.L + self.rho_min, self.L + self.rho_max)
 
 
-@dataclass(frozen=True)
-class ConfigurationIndices:
+class ConfigurationIndices(Record):
     """Branch signs of the inverse kinematics, fixed to +1 by the prototype
     assembly."""
 
@@ -114,8 +113,7 @@ class PostureKind(Enum):
     MIN_DISPLACEMENT = "min"
 
 
-@dataclass(frozen=True)
-class Posture:
+class Posture(Record):
     """One of the seven calibration postures: the isotropic posture or a
     max/min displacement along a Cartesian axis."""
 
@@ -155,8 +153,7 @@ def calibration_postures() -> tuple[Posture, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class PostureAngles:
+class PostureAngles(Record):
     """Leg inclination angle at a displacement posture with its cached
     trigonometric values."""
 

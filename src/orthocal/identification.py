@@ -13,12 +13,12 @@ to ``nonlinear_identify`` for verification.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
 
+from ._record import Record
 from .errors import ConvergenceError, RankError
 from .geometry import Geometry, check_offsets
 from .measurement import (
@@ -34,6 +34,7 @@ from .measurement import (
     SinglePostureMeasurements,
     _STRIP_ROWS,
     _geometry_constant,
+    _lookup,
     coefficients,
     prediction_jacobian,
     scheme_of,
@@ -62,8 +63,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class LinearSystem:
+class LinearSystem(Record, eq=False):
     """A calibration design matrix with an optional right-hand side (mm)."""
 
     design_matrix: np.ndarray
@@ -72,16 +72,14 @@ class LinearSystem:
 
     def with_measurements(self, m: MeasurementSet) -> "LinearSystem":
         if scheme_of(m).label != self.label:
-            raise TypeError(
-                f"{self.label} system requires {SCHEMES[self.label].measurement.__name__}, "
-                f"got {type(m).__name__}"
-            )
-        return replace(self, rhs=m.as_array())
+            required = _lookup(SCHEMES, self.label, "scheme").measurement.__name__
+            raise TypeError(f"{self.label} system requires {required}, got {type(m).__name__}")
+        return LinearSystem(self.design_matrix, self.label, m.as_array())
 
 
 def build_system(label: str, geom: Geometry) -> LinearSystem:
     """Linear calibration system of the measurement scheme ``label``."""
-    return LinearSystem(SCHEMES[label].design(geom), label)
+    return LinearSystem(_lookup(SCHEMES, label, "scheme").design(geom), label)
 
 
 def build_twelve_eq_system(geom: Geometry) -> LinearSystem:
@@ -94,8 +92,7 @@ def build_six_eq_system(geom: Geometry) -> LinearSystem:
     return build_system(SYSTEM_SIX, geom)
 
 
-@dataclass(frozen=True, eq=False)
-class CalibrationResult:
+class CalibrationResult(Record, eq=False):
     """Identified offsets with residual diagnostics.
 
     ``residuals`` are observed minus predicted, in the row order of the
@@ -168,8 +165,7 @@ def _closed_form_gain(geom: Geometry) -> np.ndarray:
     ])
 
 
-@dataclass(frozen=True, eq=False)
-class Estimator:
+class Estimator(Record, eq=False):
     """An offset estimator on the readings of ``scheme``: the read-only map
     ``K = gain(geom)``, refined from ``K @ readings`` by constant-Jacobian
     Gauss-Newton when ``nonlinear``; ``cli`` is its ``calibrate --method``."""
@@ -388,7 +384,7 @@ def _identify(est: Estimator, obs: np.ndarray, geom: Geometry, method: str,
 def identify(name: str, m: MeasurementSet, geom: Geometry) -> CalibrationResult:
     """The estimator ``ESTIMATORS[name]`` on one measurement set of its scheme:
     TypeError for a set of another scheme, ConvergenceError if it fails."""
-    est = ESTIMATORS[name]
+    est = _lookup(ESTIMATORS, name, "estimator")
     obs = build_system(est.scheme.label, geom).with_measurements(m).rhs
     return _identify(est, obs, geom, name)
 
@@ -438,8 +434,7 @@ def nonlinear_identify(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class ResidualReport:
+class ResidualReport(Record, eq=False):
     """Observed-minus-predicted residuals with their scale statistics."""
 
     residuals: np.ndarray

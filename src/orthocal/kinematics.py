@@ -19,10 +19,10 @@ from __future__ import annotations
 import math
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .errors import DomainError, JointLimitWarning, SingularError
 from .geometry import (
     POSITIVE_BRANCH,
@@ -58,8 +58,7 @@ def _vec3(x, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class QuadraticRoots:
+class QuadraticRoots(Record):
     """Coefficients and both roots of the direct-kinematics quadratic
     ``A t^2 + B t + B C = 0``.
 
@@ -324,8 +323,7 @@ def posture_jacobian(posture: Posture, geom: Geometry) -> np.ndarray:
     return J
 
 
-@dataclass(frozen=True)
-class SensitivityRow:
+class SensitivityRow(Record):
     """One row of the posture sensitivity table.
 
     ``at_max`` and ``at_min`` evaluate the deviation at the max- and

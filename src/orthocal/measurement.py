@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import threading
-from dataclasses import dataclass, fields
 from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
 
+from ._record import Record
 from .errors import DomainError, SingularError
 from .geometry import Axis, Geometry, Posture, PostureKind, check_offsets
 from .kinematics import (
@@ -82,12 +81,16 @@ SYSTEM_TWELVE = "double-full"
 SYSTEM_SIX = "double-reduced"
 
 
-class MeasurementSet:
-    """Base of the measurement dataclasses: their fields, in declaration
-    order, are the rows of the scheme's calibration system."""
+class MeasurementSet(Record):
+    """Base of the measurement sets.  A subclass names its ``rows``: one float
+    field per row of the scheme's calibration system, in row order."""
+
+    def __init_subclass__(cls, rows: str) -> None:
+        cls.__annotations__ = dict.fromkeys(rows.split(), "float")
+        super().__init_subclass__()
 
     def as_array(self) -> np.ndarray:
-        return np.array(_row_values(type(self))(self), dtype=float)
+        return np.array(self._values(self), dtype=float)
 
     @classmethod
     def from_array(cls, values):
@@ -97,54 +100,24 @@ class MeasurementSet:
         return cls(*arr.tolist())
 
 
-@functools.cache
-def _row_values(cls: type) -> Callable:
-    """Getter of the field values of a measurement class, in field order."""
-    return operator.attrgetter(*(f.name for f in fields(cls)))
-
-
-@dataclass(frozen=True)
-class SinglePostureMeasurements(MeasurementSet):
+class SinglePostureMeasurements(
+    MeasurementSet, rows="dz_x0 dz_y0 dz_x_plus dz_x_minus dz_y_plus dz_y_minus"
+):
     """Six z-deviations of the single-posture scheme, in calibration-system
     row order: isotropic X/Y legs, then X-leg max/min, then Y-leg max/min."""
 
-    dz_x0: float
-    dz_y0: float
-    dz_x_plus: float
-    dz_x_minus: float
-    dz_y_plus: float
-    dz_y_minus: float
 
-
-@dataclass(frozen=True)
-class DoublePostureMeasurements(MeasurementSet):
+class DoublePostureMeasurements(
+    MeasurementSet,
+    rows="dx_y_plus dy_x_plus dx_y_minus dy_x_minus dy_z_plus dz_y_plus dy_z_minus dz_y_minus "
+    "dx_z_plus dz_x_plus dx_z_minus dz_x_minus",
+):
     """Twelve double-posture deviations in the row order of the full linear
     system: the legs are grouped by gauged plane pair, max before min."""
 
-    dx_y_plus: float
-    dy_x_plus: float
-    dx_y_minus: float
-    dy_x_minus: float
-    dy_z_plus: float
-    dz_y_plus: float
-    dy_z_minus: float
-    dz_y_minus: float
-    dx_z_plus: float
-    dz_x_plus: float
-    dx_z_minus: float
-    dz_x_minus: float
 
-
-@dataclass(frozen=True)
-class ReducedMeasurements(MeasurementSet):
+class ReducedMeasurements(MeasurementSet, rows="dx_y dy_x dy_z dz_y dx_z dz_x"):
     """Max-minus-min deviation differences, in reduced-system row order."""
-
-    dx_y: float
-    dy_x: float
-    dy_z: float
-    dz_y: float
-    dx_z: float
-    dz_x: float
 
 
 # Canonical 12-vector channels in slot order: (leg, gauge axis, +1 max / -1 min).
@@ -228,8 +201,7 @@ def _reduce_channels(full: np.ndarray) -> np.ndarray:
     return full[..., _REDUCTION_PLUS] - full[..., _REDUCTION_MINUS]
 
 
-@dataclass(frozen=True)
-class CalibrationCoefficients:
+class CalibrationCoefficients(Record):
     """Dimensionless coefficients of the linear calibration systems.
 
     ``a_i = tan(alpha_i)`` (single posture), ``b_i = sin(alpha_i)`` and
@@ -578,8 +550,7 @@ def reduce(m: DoublePostureMeasurements) -> ReducedMeasurements:
     return ReducedMeasurements.from_array(_reduce_channels(m.as_array()))
 
 
-@dataclass(frozen=True)
-class GaugeLocation:
+class GaugeLocation(Record):
     """Gauge position for one leg: the leg midpoint at the isotropic posture."""
 
     leg: Axis
@@ -630,12 +601,18 @@ def leg_line_scaling(posture: Posture, leg: Axis, offsets, geom: Geometry) -> fl
         return float(strip.num[line, 0] / strip.den[line, 0])
 
 
-@dataclass(frozen=True)
-class NoiseModel:
+def _check_seed(seed) -> None:
+    """ValueError unless ``seed`` is a non-negative integer; a bool is none."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+class NoiseModel(Record):
     """Seeded i.i.d. Gaussian noise on individual gauge readings.
 
     The generator algorithm is fixed (:data:`GENERATOR_ALGORITHM`), so a given
-    ``(sigma, seed)`` pair reproduces the same perturbations bit for bit.
+    ``(sigma, seed)`` pair reproduces the same perturbations bit for bit.  The
+    seed is a non-negative integer.
     """
 
     sigma: float
@@ -644,6 +621,7 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValueError(f"sigma must be finite and non-negative, got {self.sigma}")
+        _check_seed(self.seed)
 
     def make_rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
@@ -667,8 +645,7 @@ def _noise_double(rng: np.random.Generator, sigma: float, shape: tuple = ()) -> 
     return np.take(xi, _NOISE_READING, axis=-1) - np.take(xi, _NOISE_ISO, axis=-1)
 
 
-@dataclass(frozen=True, eq=False)
-class Scheme:
+class Scheme(Record, eq=False):
     """Everything the toolkit knows about one measurement scheme.
 
     ``predict(offsets, geom)`` is the exact deviation model and
@@ -694,7 +671,7 @@ class Scheme:
 
     @property
     def row_keys(self) -> tuple[str, ...]:
-        return tuple(f.name for f in fields(self.measurement))
+        return self.measurement._fields
 
 
 #: The measurement schemes by label.
@@ -744,6 +721,15 @@ SCHEMES = MappingProxyType(
 )
 
 _SCHEME_OF_CLASS = {s.measurement: s for s in SCHEMES.values()}
+
+
+def _lookup(table, name, kind: str):
+    """``table[name]``, or ValueError naming the valid keys of the ``kind``
+    table (:data:`SCHEMES` or ``ESTIMATORS``)."""
+    try:
+        return table[name]
+    except KeyError:
+        raise ValueError(f"unknown {kind} {name!r}; expected one of {', '.join(table)}") from None
 
 
 def scheme_of(m: MeasurementSet) -> Scheme:

@@ -380,6 +380,8 @@ class TestParsingAndProcess:
             (("sensitivity", "--offsets", "nan,0,0"), "offsets"),
             # the bound's message reads "offset magnitude exceeds ..."
             (("sensitivity", "--offsets", "1e9,0,0"), "offset"),
+            (("simulate", "--offsets", "0,0,0", "--seed", "-1"), "seed"),
+            (("montecarlo", "--seed", "-1"), "seed"),
         ],
         ids=[
             "accuracy-sigma", "simulate-quantize", "montecarlo-sigma", "accuracy-sigma-inf",
@@ -388,7 +390,7 @@ class TestParsingAndProcess:
             "montecarlo-six-sigma-1e200", "montecarlo-nonlinear-six-sigma-1e200",
             "montecarlo-six-sigma-1e152-runs-10000", "out-not-writable", "geometry-directory",
             "montecarlo-replications-0", "simulate-repetitions-0", "sensitivity-offsets-nan",
-            "sensitivity-offsets-1e9",
+            "sensitivity-offsets-1e9", "simulate-seed-minus-1", "montecarlo-seed-minus-1",
         ],
     )
     def test_nan_option_exit_1(self, capsys, argv, option):

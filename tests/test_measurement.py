@@ -13,6 +13,7 @@ from orthocal import (
     Axis,
     DoublePostureMeasurements,
     Geometry,
+    MeasurementFile,
     NoiseModel,
     Posture,
     ReducedMeasurements,
@@ -26,10 +27,13 @@ from orthocal import (
     direct_kinematics,
     double_deviation_array,
     gauge_locations,
+    identify,
     leg_line_scaling,
     measurement_to_dict,
     monte_carlo,
+    noise_covariance,
     nonlinear_identify,
+    offset_covariance,
     parse_measurement,
     predict_double_posture,
     predict_single_posture,
@@ -39,7 +43,7 @@ from orthocal import (
     single_deviation_array,
 )
 from orthocal.errors import DomainError, SingularError
-from orthocal.identification import _least_squares_gain
+from orthocal.identification import LinearSystem, _least_squares_gain
 from orthocal import measurement
 from orthocal.kinematics import SINGULARITY_TOL, _dk_point, posture_commanded_joints
 from orthocal.measurement import (
@@ -680,6 +684,16 @@ class TestNoise:
         with pytest.raises(ValueError):
             add_noise(ReducedMeasurements(0, 0, 0, 0, 0, 0), NoiseModel(0.1, 0), repetitions=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None, np.float64(2.0)])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            NoiseModel(0.01, seed)
+        with pytest.raises(ValueError, match="seed"):
+            monte_carlo([0.0, 0.0, 0.0], 0.01, 10, 1, "six", seed)
+
+    def test_numpy_integer_seed(self):
+        assert NoiseModel(0.01, np.int64(3)).make_rng().random() == np.random.default_rng(3).random()
+
 
 class TestMeasurementTypes:
     def test_array_round_trip(self):
@@ -728,6 +742,25 @@ class TestSchemes:
         assert doc["method"] == label
         assert tuple(doc["values"]) == scheme.wire_keys
         assert parse_measurement(doc).measurement() == m
+
+    @pytest.mark.parametrize(
+        "call, valid",
+        [
+            (lambda g: identify("foo", ReducedMeasurements(0, 0, 0, 0, 0, 0), g), "nonlinear-six"),
+            (lambda g: offset_covariance("foo", g, 0.01), "closed-form"),
+            (lambda g: monte_carlo([0.0, 0.0, 0.0], 0.01, 10, 1, "foo"), "twelve"),
+            (lambda g: noise_covariance("foo", 0.01), "double-reduced"),
+            (lambda g: build_system("foo", g), "single-posture"),
+            (lambda g: MeasurementFile("foo", {}).measurement(), "double-full"),
+            (lambda g: LinearSystem(np.eye(3), "foo").with_measurements(
+                ReducedMeasurements(0, 0, 0, 0, 0, 0)), "double-reduced"),
+        ],
+        ids=["identify", "offset_covariance", "monte_carlo", "noise_covariance", "build_system",
+             "MeasurementFile", "LinearSystem"],
+    )
+    def test_unknown_name_names_the_valid_ones(self, geom, call, valid):
+        with pytest.raises(ValueError, match=f"unknown .* 'foo'; expected one of .*{valid}"):
+            call(geom)
 
     @pytest.mark.parametrize("label", list(SCHEMES))
     def test_geometry_constants_cached_read_only(self, label):
