@@ -39,10 +39,15 @@ __all__ = [
 def noise_covariance(label: str, sigma: float) -> np.ndarray:
     """Reading-error covariance ``sigma^2 S`` of scheme ``label``; ValueError
     for a sigma that is negative, not finite or overflows it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _noise(label, sigma)
+
+
+def _noise(label: str, sigma: float) -> np.ndarray:
+    """:func:`noise_covariance`, under the caller's ``np.errstate``."""
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError("sigma must be finite and non-negative")
-    with np.errstate(over="ignore", invalid="ignore"):
-        S = sigma * sigma * _lookup(SCHEMES, label, "scheme").noise_covariance
+    S = sigma * sigma * _lookup(SCHEMES, label, "scheme").noise_covariance
     if not np.isfinite(S).all():
         raise ValueError(f"sigma {sigma:g} overflows the noise covariance")
     return S
@@ -68,14 +73,14 @@ def offset_covariance(name: str, geom: Geometry, sigma: float) -> OffsetCovarian
     """Offset covariance ``K S K'`` of the linear map ``K`` of estimator
     ``name`` on its scheme's readings."""
     est = _lookup(ESTIMATORS, name, "estimator")
-    S = noise_covariance(est.scheme.label, sigma)
-    gain = est.gain(geom)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # entered once: it costs a microsecond
+        S = _noise(est.scheme.label, sigma)
+        gain = est.gain(geom)
         V = gain @ S @ gain.T
-        sigma_rho = float(np.sqrt(V.trace() / 3.0))
-    if not (np.isfinite(V).all() and math.isfinite(sigma_rho)):
+        mean_variance = V.trace() / 3.0
+    if not (np.isfinite(V).all() and math.isfinite(mean_variance)):
         raise ValueError(f"sigma {sigma:g} overflows the offset covariance")
-    return OffsetCovariance(V=V, sigma_rho=sigma_rho, method=name)
+    return OffsetCovariance(V=V, sigma_rho=math.sqrt(mean_variance), method=name)
 
 
 def offset_covariance_six(geom: Geometry, sigma: float) -> OffsetCovariance:
@@ -137,8 +142,7 @@ def monte_carlo(
         raise ValueError(f"replications must be >= 1, got {replications}")
     geom = geom or Geometry.prototype()
     offset_covariance(method, geom, sigma)
-    truth = np.asarray(true_offsets, dtype=float)
-    check_offsets(truth, geom)
+    truth = check_offsets(true_offsets, geom)
 
     scheme = est.scheme
     d_true = scheme.predict(truth, geom)

@@ -170,11 +170,12 @@ class PostureAngles(Record):
         return cls(alpha=math.asin(sine), s_alpha=sine, c_alpha=cos, t_alpha=sine / cos)
 
 
-def check_offsets(offsets, geom: Geometry) -> None:
+def check_offsets(offsets, geom: Geometry) -> np.ndarray:
     """Sanity bound on encoder offsets: finite and |offset| <= L/10.
 
     Larger values void the simplified kinematic model, so they are rejected
-    before any prediction or identification is attempted.
+    before any prediction or identification is attempted.  Returns the
+    offsets as the float array that was checked.
     """
     arr = np.asarray(offsets, dtype=float)
     if arr.shape[-1:] != (3,):
@@ -188,3 +189,4 @@ def check_offsets(offsets, geom: Geometry) -> None:
         raise ValueError(
             f"offset magnitude exceeds the model validity bound L/10 = {bound:.2f} mm"
         )
+    return arr

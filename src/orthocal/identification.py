@@ -118,11 +118,10 @@ def _residual_scale(r: np.ndarray) -> tuple[float, float]:
 
 
 def _result(offsets, residuals, method, iterations, converged, gradient_norm) -> CalibrationResult:
-    r = np.asarray(residuals, dtype=float)
-    rms, sigma_hat = _residual_scale(r)
+    rms, sigma_hat = _residual_scale(residuals)  # both callers pass float arrays
     return CalibrationResult(
-        offsets=np.asarray(offsets, dtype=float),
-        residuals=r,
+        offsets=offsets,
+        residuals=residuals,
         residual_rms=rms,
         sigma_hat=sigma_hat,
         method=method,
@@ -271,71 +270,81 @@ def _gauss_newton(
     n_run = x.shape[0]
     converged = np.zeros(n_run, dtype=bool)
     iterations = np.zeros(n_run, dtype=int)
-    active = np.ones(n_run, dtype=bool)
-    for _ in range(max_iter):
-        idx = active.nonzero()[0]
-        if idx.size == 0:
+    # the active rows, compacted: ids, iterates, residuals, objectives and
+    # readings.  Each was accepted at every sweep so far, so its iteration
+    # count is the sweep's; its results are written out once, when it leaves
+    ids, xa, ra, Fa, ob = np.arange(n_run), x, r, F, obs
+    for sweep in range(max_iter):
+        if ids.size == 0:
             break
-        xa, ra = x[idx], r[idx]  # the active rows
         if callable(jacobian):
             J = jacobian(xa)
             grad = 2.0 * np.einsum("kn,kni->ki", ra, J)
         else:
             grad = 2.0 * ra @ jacobian  # (na, 3)
         flat = _row_norm(grad) < _GRAD_TOL
-        if flat.any():
-            converged[idx[flat]] = True
-            active[idx[flat]] = False
-            keep = ~flat
-            idx, xa, ra = idx[keep], xa[keep], ra[keep]
-            if idx.size == 0:
-                continue
-        if callable(jacobian):
+        if np.count_nonzero(flat):  # count_nonzero: the cheapest test of a small mask
+            out, keep = ids[flat], ~flat
+            x[out], r[out], iterations[out], converged[out] = xa[flat], ra[flat], sweep, True
+            ids, xa, ra, Fa, ob = (v[keep] for v in (ids, xa, ra, Fa, ob))
+            if ids.size == 0:
+                break
+        if callable(jacobian):  # after the flat test: an exact solve often ends there
             gains = np.linalg.pinv(J[~flat], rcond=np.finfo(float).eps * max(J.shape[1:]))
             step = -np.einsum("kin,kn->ki", gains, ra)
         else:
             step = -(ra @ K.T)
-        r_try = residual(xa + step, obs[idx])
+        x_try = xa + step
+        r_try = residual(x_try, ob)
         F_try = np.einsum("ij,ij->i", r_try, r_try)
         # strict decrease required: accepting equal-objective steps can cycle
-        worse = ~(F_try < F[idx])
-        alpha = np.where(worse, ladder[-1], 1.0)  # the deepest factor if no level lowers F
-        if worse.any():
-            # the still-worse rows, gathered once, try k halving levels per call;
-            # each keeps its first level that lowers the objective, the level a
-            # one-level-per-call loop would stop at
+        worse = ~(F_try < Fa)
+        if np.count_nonzero(worse):
+            alpha = np.where(worse, ladder[-1], 1.0)  # the deepest factor if no level lowers F
+            # the still-worse rows try k halving levels per call, packed as
+            # (iterate, step, objective, readings) so that one gather per block
+            # compacts them; each keeps its first level that lowers the
+            # objective, the level a one-level-per-call loop would stop at
             sub, level = worse.nonzero()[0], 0  # level: halvings tried by every row
-            xs, ss, ob, Fs = xa[sub], step[sub], obs[idx[sub]], F[idx[sub]]
+            pack = np.concatenate((xa[sub], step[sub], Fa[sub, None], ob[sub]), axis=1)
             while level < max_halvings and sub.size:
                 # as many levels as fill one forward strip, at least one
                 k = min(max_halvings - level, max(1, _STRIP_ROWS // sub.size))
                 a = ladder[level + 1:level + k + 1]
-                xt = xs[:, None] + a[:, None] * ss[:, None]  # (rows, k, 3)
-                rt = residual(xt, ob[:, None]).reshape(-1, ob.shape[1])
+                xt = pack[:, None, :3] + a[:, None] * pack[:, None, 3:6]  # (rows, k, 3)
+                rt = residual(xt, pack[:, None, 7:]).reshape(-1, ob.shape[1])
                 Ft = np.einsum("ij,ij->i", rt, rt)
-                better = Ft.reshape(-1, k) < Fs[:, None]
+                better = Ft.reshape(-1, k) < pack[:, 6, None]
                 found = better.any(axis=1)
                 level += k
-                if found.any():
+                if np.count_nonzero(found):
                     got, lv, keep = sub[found], better.argmax(axis=1)[found], ~found
                     take = found.nonzero()[0] * k + lv
                     r_try[got], F_try[got] = rt[take], Ft[take]
                     alpha[got], worse[got] = a[lv], False
-                    sub, xs, ss, ob, Fs = sub[keep], xs[keep], ss[keep], ob[keep], Fs[keep]
-        accepted = ~worse
-        acc = idx[accepted]
-        damped = alpha[:, None] * step  # the products the accepted trial point was formed with
-        x[acc] = (xa + damped)[accepted]
-        r[acc] = r_try[accepted]
-        F[acc] = F_try[accepted]
-        iterations[acc] += 1
+                    sub, pack = sub[keep], pack[keep]
+            step = alpha[:, None] * step  # the products the accepted trial points were formed with
+            x_try = xa + step
         # a tiny damped step ends the row as converged, accepted or with the
         # damping exhausted; the damping exhausted on a larger one, as failed
-        tiny = _row_norm(damped) < _STEP_TOL
-        converged[idx[tiny]] = True
-        active[idx[tiny | worse]] = False
-        if objective_history is not None:
+        tiny = _row_norm(step) < _STEP_TOL
+        if np.count_nonzero(worse):  # rows that no level lowered keep their iterate
+            x_try[worse], r_try[worse], F_try[worse] = xa[worse], ra[worse], Fa[worse]
+        if objective_history is not None:  # F holds each row's objective
+            F[ids] = F_try
             objective_history.append(F.copy())
+        leave = tiny | worse
+        n_leave = np.count_nonzero(leave)
+        if n_leave:
+            out, keep = ids[leave], ~leave
+            x[out], r[out], iterations[out] = x_try[leave], r_try[leave], sweep + 1 - worse[leave]
+            converged[ids[tiny]] = True
+            if n_leave == ids.size:  # no row remains to compact
+                break
+            ids, x_try, r_try, F_try, ob = (v[keep] for v in (ids, x_try, r_try, F_try, ob))
+        xa, ra, Fa = x_try, r_try, F_try
+    else:  # the budget ran out on the rows still active
+        x[ids], r[ids], iterations[ids] = xa, ra, max_iter
     return x, converged, iterations, r
 
 
@@ -426,8 +435,7 @@ def nonlinear_identify(
             "nonlinear_identify accepts ReducedMeasurements or DoublePostureMeasurements"
         )
     if initial is not None:
-        check_offsets(initial, geom)
-        initial = np.asarray(initial, dtype=float)[None, :]
+        initial = check_offsets(initial, geom)[None, :]
     est = ESTIMATORS["nonlinear-six" if label == SYSTEM_SIX else "nonlinear-twelve"]
     return _identify(
         est, m.as_array(), geom, f"gauss-newton({label})", initial, jacobian, max_iter
@@ -450,8 +458,7 @@ def residual_report(
     ``model="linear"`` predicts with the corresponding linear system,
     ``"nonlinear"`` with the exact deviation model.
     """
-    dr = np.asarray(offsets, dtype=float)
-    check_offsets(dr, geom)
+    dr = check_offsets(offsets, geom)
     scheme = scheme_of(m)
     if model == "linear":
         predicted = scheme.design(geom) @ dr

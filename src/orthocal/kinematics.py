@@ -273,11 +273,10 @@ def inverse_jacobian(p, rho) -> np.ndarray:
     """
     p = _vec3(p, "p")
     denom = p - _vec3(rho, "rho")
-    if (np.abs(denom) < SINGULARITY_TOL).any():
+    if np.count_nonzero(np.abs(denom) < SINGULARITY_TOL):
         raise SingularError("singular configuration: p_i - rho_i vanishes")
-    M = p[..., None, :] / denom[..., :, None]
-    diag = np.arange(3)
-    M[..., diag, diag] = 1.0
+    M = np.divide(p[..., None, :], denom[..., :, None], order="C")
+    M.reshape(M.shape[:-2] + (9,))[..., ::4] = 1.0  # the unit diagonal, via a view of C-ordered M
     return M
 
 
@@ -357,8 +356,7 @@ def sensitivity_table(geom: Geometry, offsets) -> list[SensitivityRow]:
     rows evaluate ``tan(alpha) drho_leg + drho_perp`` at both the max and the
     min posture angle, for offsets within the validity bound L/10.
     """
-    off = _vec3(offsets, "offsets")
-    check_offsets(off, geom)
+    off = check_offsets(offsets, geom)
     if off.ndim != 1:
         raise ValueError("sensitivity_table expects a single offset triple")
     t1 = geom.angle_max().t_alpha

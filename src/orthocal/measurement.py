@@ -184,21 +184,15 @@ _DISP_ROW, _DISP_LEG = _LINE_ROW[3:], _LINE_LEG[3:]
 _DISP_UNIT = np.eye(3)[_DISP_LEG]
 _DISP_12 = _ROW_12 - 1
 
-#: Correlation pattern of one leg's four double-posture deviations
-#: (max/min deviations of a gauge share the isotropic reading noise).
-GAUGE_CORRELATION_BLOCK = np.array(
-    [
-        [2.0, 0.0, 1.0, 0.0],
-        [0.0, 2.0, 0.0, 1.0],
-        [1.0, 0.0, 2.0, 0.0],
-        [0.0, 1.0, 0.0, 2.0],
-    ]
-)
+#: Correlation pattern of the four double-posture deviations of a gauged
+#: plane pair, two gauges' max then min: each is the difference of two
+#: readings, and the max and min of a gauge share its isotropic reading.
+GAUGE_CORRELATION_BLOCK = np.kron([[2.0, 1.0], [1.0, 2.0]], np.eye(2))
 
 
 def _reduce_channels(full: np.ndarray) -> np.ndarray:
     """Max-minus-min differences of the twelve channels on the last axis."""
-    return full[..., _REDUCTION_PLUS] - full[..., _REDUCTION_MINUS]
+    return full.take(_REDUCTION_PLUS, axis=-1) - full.take(_REDUCTION_MINUS, axis=-1)
 
 
 class CalibrationCoefficients(Record):
@@ -303,9 +297,7 @@ def _columns(a: np.ndarray) -> np.ndarray:
 
 def _offsets_array(offsets, geom: Geometry) -> np.ndarray:
     """Checked offsets ``(..., 3)`` as a component-major view ``(3, ...)``."""
-    arr = np.asarray(offsets, dtype=float)
-    check_offsets(arr, geom)
-    return _cm(arr)
+    return _cm(check_offsets(offsets, geom))
 
 
 # The forward model runs a batch in strips of at most this many rows, each in
@@ -442,7 +434,7 @@ def _gauge_lines(strip: _Strip, dr: np.ndarray, L: float) -> None:
     station = np.add(strip.p0, dr, out=strip.station)
     station *= 0.5
     station += L / 2
-    np.take(strip.src, _GAUGED_LINES, axis=0, out=strip.take, mode="wrap")
+    strip.src.take(_GAUGED_LINES, axis=0, out=strip.take, mode="wrap")
     np.subtract(strip.joint, strip.ends, out=strip.ends)  # joint - station, joint - TCP
     if np.count_nonzero(np.less(np.abs(strip.den, out=strip.joint), 1e-9, out=strip.parallel)):
         raise SingularError("leg line parallel to the gauge station plane")
@@ -467,7 +459,7 @@ def _double_posture(offsets, geom: Geometry, reduced: bool) -> np.ndarray:
     planes = _columns(out)
     for cols, strip in _posture_stack(_columns(dr), geom, _ALL_ROWS):
         np.divide(strip.num, strip.den, out=strip.mu)
-        np.take(strip.src, _TAKE_12, axis=0, out=strip.products, mode="wrap")
+        strip.src.take(_TAKE_12, axis=0, out=strip.products, mode="wrap")
         np.multiply(strip.left, strip.right, out=strip.left)
         np.subtract(strip.line, strip.iso, out=strip.full if reduced else planes[:, cols])
         if reduced:  # the reduced rows by gauged plane pair: (3, 2, w)
@@ -496,7 +488,7 @@ def single_deviation_array(offsets, geom: Geometry) -> np.ndarray:
     out = np.empty((6,) + dr.shape[1:])
     planes = _columns(out)
     for cols, strip in _posture_stack(_columns(dr), geom, _SINGLE_ROWS):
-        np.take(strip.src, _SINGLE_TAKE, axis=0, out=planes[:, cols], mode="wrap")
+        strip.src.take(_SINGLE_TAKE, axis=0, out=planes[:, cols], mode="wrap")
     return _rm(out)
 
 
@@ -523,13 +515,13 @@ def prediction_jacobian(offsets, geom: Geometry, label: str = SYSTEM_TWELVE) -> 
         # gradient of the gauge-line parameter of each displacement posture on
         # its own leg; at the isotropic posture mu is 1/2
         num, den = strip.num[3:].T, strip.den[3:].T
-        d_num = _DISP_UNIT / 2 - D0[:, _DISP_LEG, :] / 2
+        d_num = _DISP_UNIT / 2 - D0.take(_DISP_LEG, axis=1) / 2
         d_den = _DISP_UNIT - D[:, _DISP_ROW, _DISP_LEG, :]
         d_mu = (d_num * den[..., None] - num[..., None] * d_den) / (den * den)[..., None]
         full = (
-            d_mu[:, _DISP_12, :] * p[:, _ROW_12, _GAUGE_12, None]
-            + (num / den)[:, _DISP_12, None] * D[:, _ROW_12, _GAUGE_12, :]
-            - D0[:, _GAUGE_12, :] / 2
+            d_mu.take(_DISP_12, axis=1) * p[:, _ROW_12, _GAUGE_12, None]
+            + (num / den).take(_DISP_12, axis=1)[..., None] * D[:, _ROW_12, _GAUGE_12, :]
+            - D0.take(_GAUGE_12, axis=1) / 2
         )
         rows[cols] = np.swapaxes(scheme.from_full(np.swapaxes(full, -1, -2)), -1, -2)
     return out
@@ -551,13 +543,23 @@ def reduce(m: DoublePostureMeasurements) -> ReducedMeasurements:
 
 
 class GaugeLocation(Record):
-    """Gauge position for one leg: the leg midpoint at the isotropic posture."""
+    """Gauge position for one leg: the leg midpoint at the isotropic posture.
+    ``position`` is a read-only copy, compared and hashed by value."""
 
     leg: Axis
     position: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
+        object.__setattr__(self, "position", np.array(self.position, dtype=float))
+        self.position.setflags(write=False)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.leg == other.leg and np.array_equal(self.position, other.position)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.leg, (self.position + 0.0).tobytes()))  # + 0.0: -0.0 hashes as 0.0
 
 
 def gauge_locations(offsets, geom: Geometry) -> tuple[GaugeLocation, GaugeLocation, GaugeLocation]:
@@ -642,7 +644,7 @@ def _noise_double(rng: np.random.Generator, sigma: float, shape: tuple = ()) -> 
     so the max and min deviations of a gauge share the isotropic noise term.
     """
     xi = rng.standard_normal(shape + (18,)) * sigma  # (leg, gauge slot, reading), flat
-    return np.take(xi, _NOISE_READING, axis=-1) - np.take(xi, _NOISE_ISO, axis=-1)
+    return xi.take(_NOISE_READING, axis=-1) - xi.take(_NOISE_ISO, axis=-1)
 
 
 class Scheme(Record, eq=False):
@@ -680,9 +682,7 @@ SCHEMES = MappingProxyType(
         SYSTEM_SINGLE: Scheme(
             label=SYSTEM_SINGLE,
             measurement=SinglePostureMeasurements,
-            wire_keys=(
-                "dz_x0", "dz_y0", "dz_x_plus", "dz_x_minus", "dz_y_plus", "dz_y_minus",
-            ),
+            wire_keys=SinglePostureMeasurements._fields,  # files keep the row order
             predict=single_deviation_array,
             design=_single_design,
             sample_noise=_noise_pairs,

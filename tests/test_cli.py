@@ -47,6 +47,14 @@ class TestCalibrate:
         offsets = [doc["offsets"][k] for k in ("d_rho_x", "d_rho_y", "d_rho_z")]
         np.testing.assert_allclose(offsets, [2.27, 1.66, -1.40], atol=0.02)
 
+    def test_input_digest_pinned(self, capsys):
+        # the SHA-256 of the bundled experiment1 file
+        rc, out, _ = run_cli(capsys, "calibrate", "experiment1", "--method", "linear6")
+        assert rc == 0
+        assert json.loads(out)["input_digest"] == (
+            "85a0b91f4b0871cbd8d9e9e4e562d80f37b74c3e239326acb832dbc750b061b1"
+        )
+
     def test_experiment3_regression(self, capsys):
         rc, out, _ = run_cli(capsys, "calibrate", "experiment3", "--method", "linear6")
         assert rc == 0
@@ -412,6 +420,13 @@ class TestParsingAndProcess:
         assert rc == 0
         assert summary in err
         json.loads(out)  # stdout stays pure JSON
+
+    def test_import_leaves_hashlib_out(self):
+        # only calibrate digests its input; the other commands do not load hashlib
+        code = "import sys, orthocal.cli; print({'hashlib', '_hashlib'} & set(sys.modules))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "set()"
 
     def test_module_entry_point(self):
         proc = subprocess.run(

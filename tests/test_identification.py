@@ -21,6 +21,7 @@ from orthocal import (
     measurement,
     monte_carlo,
     nonlinear_identify,
+    offset_covariance,
     prediction_jacobian,
     predict_double_posture,
     predict_single_posture,
@@ -543,13 +544,19 @@ class TestBlockHalving:
             jac = (scheme.design(geom), _least_squares_gain(scheme.design(geom)))
         return obs, jac, lambda x: scheme.predict(x, geom), x0
 
+    @pytest.mark.parametrize("max_iter", [1, 2, 100])
     @pytest.mark.parametrize("n", [1, 7, 1000])
     @pytest.mark.parametrize("jacobian", ["linear", "exact"])
     @pytest.mark.parametrize("label", [SYSTEM_SIX, SYSTEM_TWELVE])
-    def test_equals_one_level_per_call(self, geom, label, jacobian, n):
+    def test_equals_one_level_per_call(self, geom, label, jacobian, n, max_iter):
         args = self._problem(geom, label, jacobian, n)
-        for got, want in zip(_gauss_newton(*args), _one_level_per_call(*args)):
-            assert np.array_equal(got, want)
+        got = _gauss_newton(*args, max_iter=max_iter)
+        for a, b in zip(got, _one_level_per_call(*args, max_iter=max_iter)):
+            assert np.array_equal(a, b)
+        if n == 1000 and max_iter < 100:
+            # rows still active when the budget runs out are written back too
+            _, converged, iterations, _ = got
+            assert (~converged & (iterations == max_iter)).any()
 
     @pytest.mark.parametrize("max_halvings", [0, 1, 20])
     @pytest.mark.parametrize("jacobian", ["linear", "exact"])
@@ -676,3 +683,70 @@ class TestResidualLayout:
             assert len(history) == len(want_history)
             for a, b in zip(history, want_history):
                 assert np.array_equal(a, b)
+
+
+# Two seeded N = 1 calibration jobs per method at |offset| <= 1 mm, sigma 0.01:
+# simulate, add noise, identify, then sigma_rho at the estimated noise.  Values
+# (offsets, iterations, sigma_hat, gradient_norm, sigma_rho) recorded before
+# the solver kept its active rows compacted; every one must keep its bits.
+SINGLE_JOB_PINNED = {
+    ("linear6", 0): (
+        [0.12300558940881424, -0.17250930937532255, 0.16290717408349054],
+        0, 0.010928003790784398, 9.057660850705256e-17, 0.021684607614755876,
+    ),
+    ("linear6", 1): (
+        [0.5276404416476377, -0.40874342293959764, 0.0652513065085213],
+        0, 0.016109273841686807, 4.3177748948827115e-16, 0.031965882232783835,
+    ),
+    ("linear12", 0): (
+        [0.2308091627115882, 0.8972768429281992, -0.0186122350502025],
+        0, 0.016335005494022874, 2.2936593568692175e-16, 0.03374442451480091,
+    ),
+    ("linear12", 1): (
+        [-0.39203661090941155, 0.34261037770201763, 0.8566567254671631],
+        0, 0.016182313230425287, 4.876671469464644e-16, 0.03342899685456241,
+    ),
+    ("nonlinear6", 0): (
+        [0.426588892897911, -0.27264753323530744, -0.2898468416113871],
+        4, 0.013561923048763696, 1.180764450804493e-12, 0.02691113449850345,
+    ),
+    ("nonlinear6", 1): (
+        [0.3629500314860306, -0.3063442811840771, 0.7313349096056656],
+        2, 0.008118554222539608, 2.6927422555522156e-06, 0.016109773210671113,
+    ),
+    ("nonlinear12", 0): (
+        [0.41935722703139394, 0.48512685497991975, -0.8454440138843202],
+        3, 0.013156136053295162, 1.52846188357204e-08, 0.027177599672024193,
+    ),
+    ("nonlinear12", 1): (
+        [0.5606102569835134, 0.5191912188664749, -0.8143058883354474],
+        2, 0.00504365389662903, 2.7731942817469224e-06, 0.010419047502362687,
+    ),
+    ("nonlinear6-exact", 0): (
+        [0.16559614486848384, -0.5967676063428469, -0.7836659546784194],
+        2, 0.002110075728232176, 2.9281601833677966e-14, 0.004187056033300541,
+    ),
+    ("nonlinear6-exact", 1): (
+        [0.5149631601579214, 0.2718235355688434, -0.6694486848463174],
+        2, 0.02297248627181182, 6.261118819710901e-14, 0.04558466123151381,
+    ),
+}
+
+
+@pytest.mark.parametrize("name, job", list(SINGLE_JOB_PINNED))
+def test_single_job_pinned(geom, name, job):
+    six = "6" in name
+    rng = np.random.default_rng([19, job, len(name)])
+    truth = rng.uniform(-1.0, 1.0, 3)
+    m = predict_double_posture(truth, geom)
+    if six:
+        m = reduce(m)
+    m = add_noise(m, NoiseModel(0.01, int(rng.integers(2**31))))
+    if name.startswith("linear"):
+        res = least_squares_solve(build_system(SYSTEM_SIX if six else SYSTEM_TWELVE, geom), m)
+    else:
+        res = nonlinear_identify(m, geom, jacobian="exact" if name.endswith("exact") else "linear")
+    sigma_rho = offset_covariance("six" if six else "twelve", geom, res.sigma_hat).sigma_rho
+    offsets, *scalars = SINGLE_JOB_PINNED[name, job]
+    assert res.offsets.tolist() == offsets
+    assert [res.iterations, res.sigma_hat, res.gradient_norm, sigma_rho] == scalars

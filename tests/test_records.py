@@ -199,14 +199,28 @@ def test_value_records_compare_by_value(cls, names, args, other):
     assert a == b and not a != b
     assert a != cls(*other)
     assert a != args and a != object()
-    try:
-        hash(args)
-    except TypeError:  # an array or dict field: unhashable, as the field is
+    if any(isinstance(value, dict) for value in args):  # unhashable, as the field is
         with pytest.raises(TypeError):
             hash(a)
     else:
         assert hash(a) == hash(b)
         assert {a: 1}[b] == 1
+
+
+def test_gauge_location_compares_positions_by_value():
+    position = _POS.copy()
+    a = GaugeLocation(Axis.X, position)
+    b = GaugeLocation(Axis.X, _POS.copy())
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert a != GaugeLocation(Axis.X, _POS + 1.0)
+    assert a != GaugeLocation(Axis.X, _POS[:2])
+    # the position is a read-only copy: the caller's array can change
+    position[0] = 1.0
+    assert a == b and a.position[0] == _POS[0]
+    assert not a.position.flags.writeable
+    # equal values hash alike, signed zeros too
+    zero, negative = (GaugeLocation(Axis.Y, [z, 1.0, 0.0]) for z in (0.0, -0.0))
+    assert zero == negative and hash(zero) == hash(negative)
 
 
 def test_value_equality_needs_the_same_class():
@@ -244,7 +258,7 @@ def test_copy_and_pickle(cls, names, args, round_trip):
     obj = cls(*args)
     back = round_trip(obj)
     _same_fields(obj, back, names)
-    if cls in VALUE_CLASSES and cls is not GaugeLocation:  # an array has no truth value
+    if cls in VALUE_CLASSES:
         assert back == obj
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(back, names.split()[0], args[0])
