@@ -213,9 +213,10 @@ def least_squares_solve(sys: LinearSystem, m: MeasurementSet | None = None) -> C
 
 
 def _row_norm(v: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(v, axis=1)``: the computation it makes, without the
-    overhead of its dispatch."""
-    return np.sqrt(np.add.reduce(v * v, axis=1))
+    """``np.linalg.norm(v, axis=1)`` of rows ``(n, 3)``: its squares summed
+    as columns, in the order its row reduction takes, ``(s0 + s1) + s2``."""
+    s = (v * v).T
+    return np.sqrt((s[0] + s[1]) + s[2])
 
 
 # a Gauss-Newton row converges once its damped step (mm) or its gradient is below these
@@ -274,9 +275,9 @@ def _gauss_newton(
     # readings.  Each was accepted at every sweep so far, so its iteration
     # count is the sweep's; its results are written out once, when it leaves
     ids, xa, ra, Fa, ob = np.arange(n_run), x, r, F, obs
-    for sweep in range(max_iter):
-        if ids.size == 0:
-            break
+    # every gather and scatter below reaches its rows through the indices of
+    # their mask: a take runs several times faster than a boolean-mask gather
+    for sweep in range(max_iter if n_run else 0):  # an empty batch runs no sweep
         if callable(jacobian):
             J = jacobian(xa)
             grad = 2.0 * np.einsum("kn,kni->ki", ra, J)
@@ -284,13 +285,17 @@ def _gauss_newton(
             grad = 2.0 * ra @ jacobian  # (na, 3)
         flat = _row_norm(grad) < _GRAD_TOL
         if np.count_nonzero(flat):  # count_nonzero: the cheapest test of a small mask
-            out, keep = ids[flat], ~flat
-            x[out], r[out], iterations[out], converged[out] = xa[flat], ra[flat], sweep, True
-            ids, xa, ra, Fa, ob = (v[keep] for v in (ids, xa, ra, Fa, ob))
+            gone, keep = flat.nonzero()[0], (~flat).nonzero()[0]
+            out = ids.take(gone)
+            x[out], r[out], iterations[out] = xa.take(gone, 0), ra.take(gone, 0), sweep
+            converged[out] = True
+            ids, xa, ra, Fa, ob = (v.take(keep, 0) for v in (ids, xa, ra, Fa, ob))
             if ids.size == 0:
                 break
+            if callable(jacobian):
+                J = J.take(keep, 0)
         if callable(jacobian):  # after the flat test: an exact solve often ends there
-            gains = np.linalg.pinv(J[~flat], rcond=np.finfo(float).eps * max(J.shape[1:]))
+            gains = np.linalg.pinv(J, rcond=np.finfo(float).eps * max(J.shape[1:]))
             step = -np.einsum("kin,kn->ki", gains, ra)
         else:
             step = -(ra @ K.T)
@@ -299,49 +304,56 @@ def _gauss_newton(
         F_try = np.einsum("ij,ij->i", r_try, r_try)
         # strict decrease required: accepting equal-objective steps can cycle
         worse = ~(F_try < Fa)
-        if np.count_nonzero(worse):
+        sub, level = worse.nonzero()[0], 0  # the still-worse rows, the halvings they tried
+        if sub.size:
             alpha = np.where(worse, ladder[-1], 1.0)  # the deepest factor if no level lowers F
             # the still-worse rows try k halving levels per call, packed as
             # (iterate, step, objective, readings) so that one gather per block
             # compacts them; each keeps its first level that lowers the
             # objective, the level a one-level-per-call loop would stop at
-            sub, level = worse.nonzero()[0], 0  # level: halvings tried by every row
-            pack = np.concatenate((xa[sub], step[sub], Fa[sub, None], ob[sub]), axis=1)
+            pack = np.concatenate([v.take(sub, 0) for v in (xa, step, Fa[:, None], ob)], axis=1)
             while level < max_halvings and sub.size:
                 # as many levels as fill one forward strip, at least one
                 k = min(max_halvings - level, max(1, _STRIP_ROWS // sub.size))
                 a = ladder[level + 1:level + k + 1]
-                xt = pack[:, None, :3] + a[:, None] * pack[:, None, 3:6]  # (rows, k, 3)
-                rt = residual(xt, pack[:, None, 7:]).reshape(-1, ob.shape[1])
+                # the trial points component-major, (3, rows, k): long inner
+                # loops, and the columns the forward model reads, uncopied
+                xt = np.multiply(a, pack.T[3:6, :, None], out=np.empty((3, sub.size, k)))
+                xt += pack.T[:3, :, None]
+                rt = residual(xt.transpose(1, 2, 0), pack[:, None, 7:]).reshape(-1, ob.shape[1])
                 Ft = np.einsum("ij,ij->i", rt, rt)
                 better = Ft.reshape(-1, k) < pack[:, 6, None]
-                found = better.any(axis=1)
+                # each row's first level that lowers F, or its first level
+                at = better.argmax(axis=1) + np.arange(0, Ft.size, k)
+                found = better.ravel().take(at)
                 level += k
-                if np.count_nonzero(found):
-                    got, lv, keep = sub[found], better.argmax(axis=1)[found], ~found
-                    take = found.nonzero()[0] * k + lv
-                    r_try[got], F_try[got] = rt[take], Ft[take]
-                    alpha[got], worse[got] = a[lv], False
-                    sub, pack = sub[keep], pack[keep]
+                hit = found.nonzero()[0]
+                if hit.size:
+                    got, at = sub.take(hit), at.take(hit)
+                    r_try[got], F_try[got] = rt.take(at, 0), Ft.take(at)
+                    alpha[got], worse[got] = a.take(at % k), False
+                    keep = (~found).nonzero()[0]
+                    sub, pack = sub.take(keep), pack.take(keep, 0)
             step = alpha[:, None] * step  # the products the accepted trial points were formed with
             x_try = xa + step
         # a tiny damped step ends the row as converged, accepted or with the
         # damping exhausted; the damping exhausted on a larger one, as failed
         tiny = _row_norm(step) < _STEP_TOL
-        if np.count_nonzero(worse):  # rows that no level lowered keep their iterate
-            x_try[worse], r_try[worse], F_try[worse] = xa[worse], ra[worse], Fa[worse]
+        if sub.size:  # rows that no level lowered keep their iterate
+            x_try[sub], r_try[sub], F_try[sub] = xa.take(sub, 0), ra.take(sub, 0), Fa.take(sub)
         if objective_history is not None:  # F holds each row's objective
             F[ids] = F_try
             objective_history.append(F.copy())
         leave = tiny | worse
-        n_leave = np.count_nonzero(leave)
-        if n_leave:
-            out, keep = ids[leave], ~leave
-            x[out], r[out], iterations[out] = x_try[leave], r_try[leave], sweep + 1 - worse[leave]
-            converged[ids[tiny]] = True
-            if n_leave == ids.size:  # no row remains to compact
+        gone = leave.nonzero()[0]
+        if gone.size:
+            out = ids.take(gone)
+            x[out], r[out] = x_try.take(gone, 0), r_try.take(gone, 0)
+            iterations[out], converged[out] = sweep + 1 - worse.take(gone), tiny.take(gone)
+            if gone.size == ids.size:  # no row remains to compact
                 break
-            ids, x_try, r_try, F_try, ob = (v[keep] for v in (ids, x_try, r_try, F_try, ob))
+            keep = (~leave).nonzero()[0]
+            ids, x_try, r_try, F_try, ob = (v.take(keep, 0) for v in (ids, x_try, r_try, F_try, ob))
         xa, ra, Fa = x_try, r_try, F_try
     else:  # the budget ran out on the rows still active
         x[ids], r[ids], iterations[ids] = xa, ra, max_iter

@@ -561,6 +561,9 @@ class GaugeLocation(Record):
     def __hash__(self) -> int:
         return hash((self.leg, (self.position + 0.0).tobytes()))  # + 0.0: -0.0 hashes as 0.0
 
+    def __reduce__(self):  # copies and pickles are rebuilt through __post_init__
+        return type(self), (self.leg, self.position)
+
 
 def gauge_locations(offsets, geom: Geometry) -> tuple[GaugeLocation, GaugeLocation, GaugeLocation]:
     """Leg midpoints at the isotropic posture under the true offsets.

@@ -34,6 +34,7 @@ from orthocal.identification import (
     LinearSystem,
     _gauss_newton,
     _least_squares_gain,
+    _row_norm,
 )
 from orthocal.measurement import _STRIP_ROWS
 
@@ -544,16 +545,30 @@ class TestBlockHalving:
             jac = (scheme.design(geom), _least_squares_gain(scheme.design(geom)))
         return obs, jac, lambda x: scheme.predict(x, geom), x0
 
-    @pytest.mark.parametrize("max_iter", [1, 2, 100])
-    @pytest.mark.parametrize("n", [1, 7, 1000])
-    @pytest.mark.parametrize("jacobian", ["linear", "exact"])
-    @pytest.mark.parametrize("label", [SYSTEM_SIX, SYSTEM_TWELVE])
+    @pytest.mark.parametrize(
+        "label, jacobian, n, max_iter",
+        [
+            (label, jacobian, n, max_iter)
+            for label in (SYSTEM_SIX, SYSTEM_TWELVE)
+            for jacobian in ("linear", "exact")
+            for n in (1, 7, 1000, 2500)
+            for max_iter in (1, 2, 100)
+            # 2500 rows: the full-step calls span three forward strips, and
+            # the rows that leave or halve are compacted across their bounds
+            if n < 2500 or (jacobian == "linear" and max_iter > 1)
+        ],
+    )
     def test_equals_one_level_per_call(self, geom, label, jacobian, n, max_iter):
         args = self._problem(geom, label, jacobian, n)
-        got = _gauss_newton(*args, max_iter=max_iter)
-        for a, b in zip(got, _one_level_per_call(*args, max_iter=max_iter)):
+        got_history, want_history = [], []
+        got = _gauss_newton(*args, max_iter=max_iter, objective_history=got_history)
+        want = _one_level_per_call(*args, max_iter=max_iter, objective_history=want_history)
+        for a, b in zip(got, want):
             assert np.array_equal(a, b)
-        if n == 1000 and max_iter < 100:
+        assert len(got_history) == len(want_history)
+        for a, b in zip(got_history, want_history):
+            assert np.array_equal(a, b)
+        if n >= 1000 and max_iter < 100:
             # rows still active when the budget runs out are written back too
             _, converged, iterations, _ = got
             assert (~converged & (iterations == max_iter)).any()
@@ -647,6 +662,20 @@ class TestBlockHalving:
             assert rows * k <= _STRIP_ROWS
             if rows * (k + 1) <= _STRIP_ROWS and i + 1 < len(shapes):
                 assert len(shapes[i + 1]) == 2
+
+
+def test_row_norm_equals_linalg_norm():
+    # bit for bit, over magnitudes whose squares underflow or overflow and on
+    # signed zeros, infinities and NaNs: this pins the order in which numpy's
+    # row reduction sums three squares, (s0 + s1) + s2
+    rng = np.random.default_rng(20)
+    v = rng.standard_normal((10**5, 3)) * 10.0 ** rng.uniform(-150.0, 150.0, (10**5, 3))
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -2.5e-160, 3.0e160])
+    v = np.concatenate([v, np.stack(np.meshgrid(special, special, special), -1).reshape(-1, 3)])
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        got, want = _row_norm(v), np.linalg.norm(v, axis=1)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 class TestResidualLayout:
