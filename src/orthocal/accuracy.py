@@ -154,7 +154,7 @@ def monte_carlo(
     for rep in range(replications):
         rng = np.random.default_rng(seed + rep)
         obs = d_true[None, :] + scheme.sample_noise(rng, sigma, (runs,))
-        x, conv, _, _ = _estimate(est, obs, geom)
+        x, conv, *_ = _estimate(est, obs, geom)
         failed += int((~conv).sum())
         x = x[conv]
         if x.shape[0] == 0:

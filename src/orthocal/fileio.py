@@ -60,10 +60,15 @@ class MeasurementFile(Record):
 
 
 def _number(v) -> float:
-    """``float(v)``, but TypeError for a JSON boolean, which float reads as 0 or 1."""
+    """``float(v)``, but TypeError for a JSON boolean, which float reads as 0
+    or 1, and ValueError for a JSON integer beyond the float range, for which
+    float raises OverflowError."""
     if isinstance(v, bool):
         raise TypeError(f"{v!r} is not a number")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError("integer too large for a float") from None
 
 
 def geometry_from_dict(d: dict) -> Geometry:
@@ -74,12 +79,16 @@ def geometry_from_dict(d: dict) -> Geometry:
     missing = [k for k in ("L", "rho_min", "rho_max") if k not in d]
     if missing:
         raise InputError(f"geometry override missing keys: {', '.join(missing)}")
+    values = {}
+    for key in ("L", "rho_min", "rho_max", "r", "d"):  # r and d have defaults
+        if key in d:
+            try:
+                values[key] = _number(d[key])
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"invalid geometry override: {key}: {exc}") from None
     try:
-        return Geometry(
-            L=_number(d["L"]), rho_min=_number(d["rho_min"]), rho_max=_number(d["rho_max"]),
-            r=_number(d.get("r", 31.0)), d=_number(d.get("d", 80.0)),
-        )
-    except (TypeError, ValueError) as exc:
+        return Geometry(**values)
+    except ValueError as exc:
         raise InputError(f"invalid geometry override: {exc}") from None
 
 
@@ -121,9 +130,11 @@ def parse_measurement(doc: dict) -> MeasurementFile:
         if not isinstance(arr, (list, tuple)) or not arr:
             raise InputError(f"repetitions entry {key!r} must be a non-empty array")
         try:
-            values[key] = float(np.mean([_number(v) for v in arr]))
+            numbers = [_number(v) for v in arr]
         except (TypeError, ValueError):
             raise InputError(f"repetitions entry {key!r} holds a non-number") from None
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean fails below
+            values[key] = float(np.mean(numbers))
     missing = sorted(set(required) - set(values))
     if missing:
         raise InputError(f"missing measurement keys: {', '.join(missing)}")

@@ -6,8 +6,10 @@ twelve-equation systems, and Gauss-Newton refinement of either on the exact
 nonlinear deviation model.  :func:`identify` runs one on a measurement set;
 it, ``nonlinear_identify`` and the Monte-Carlo share one batched solve.
 Following the calibration procedure, the Gauss-Newton step uses the constant
-linear-system matrix as its Jacobian; the exact analytic Jacobian is available
-to ``nonlinear_identify`` for verification.
+linear-system matrix as its Jacobian.  ``nonlinear_identify`` can step with the
+exact analytic Jacobian instead, which the forward model returns with the
+deviations from the same solve of the posture stack, so that an exact solve
+costs one forward solve per iterate, as the constant-design one does.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .measurement import (
     _geometry_constant,
     _lookup,
     coefficients,
+    deviations_and_jacobian,
     prediction_jacobian,
     scheme_of,
 )
@@ -225,8 +228,8 @@ _STEP_TOL, _GRAD_TOL = 1e-9, 1e-12
 
 def _gauss_newton(
     obs: np.ndarray,
-    jacobian,
-    predict_fn,
+    design,
+    model,
     x0: np.ndarray,
     max_iter: int = 100,
     max_halvings: int = 20,
@@ -235,72 +238,76 @@ def _gauss_newton(
     """Vectorized damped Gauss-Newton.
 
     Iterates a batch of problems simultaneously: ``obs`` is ``(N, n)`` and
-    ``x0`` is ``(N, 3)``.  ``jacobian`` is either a pair of a constant
+    ``x0`` is ``(N, 3)``.  ``design`` is either a pair of a constant
     ``(n, 3)`` matrix ``D`` and its least-squares gain ``K = pinv(D)`` (see
-    :func:`_least_squares_gain`), the step being ``-K r``, or a callback
-    mapping iterates ``(k, 3)`` to model Jacobians ``(k, n, 3)``, evaluated
-    at every sweep, whose step is the minimum-norm least-squares solution
-    ``-pinv(J) r`` with the singular-value cut-off of
-    :func:`numpy.linalg.lstsq`.  A step is halved (up to
-    ``max_halvings`` times) whenever it fails to decrease the residual sum of
-    squares, so the objective is non-increasing across accepted iterations;
-    the halving levels are evaluated in blocks, several per model call, with
-    the result of trying them one by one.  When ``objective_history`` is
-    given the per-run objective is appended after every sweep.
+    :func:`_least_squares_gain`), the step being ``-K r``, with ``model``
+    mapping iterates ``(..., 3)`` to predictions ``(..., n)``; or None, with
+    ``model`` returning the predictions and their model Jacobians
+    ``(..., n, 3)`` as a pair, so that every iterate's Jacobian comes from the
+    call that evaluated it.  Then the step is the minimum-norm least-squares
+    solution ``-pinv(J) r`` with the singular-value cut-off of
+    :func:`numpy.linalg.lstsq`.  A step is halved (up to ``max_halvings``
+    times) whenever it fails to decrease the residual sum of squares, so the
+    objective is non-increasing across accepted iterations; the halving
+    levels are evaluated in blocks, several per model call, with the result
+    of trying them one by one.  When ``objective_history`` is given the
+    per-run objective is appended after every sweep.
 
-    Returns ``(x, converged, iterations, residuals)`` where ``residuals`` is
-    predicted minus observed at the final iterate.  An iterate beyond the
-    model's validity bound raises :class:`ConvergenceError`.
+    Returns ``(x, converged, iterations, residuals, jacobians)`` where
+    ``residuals`` is predicted minus observed at the final iterate and
+    ``jacobians`` the model Jacobian there, None for a constant design.  An
+    iterate beyond the model's validity bound raises
+    :class:`ConvergenceError`.
     """
-    if not callable(jacobian):
-        jacobian, K = jacobian  # (n, 3), (3, n)
+    exact = design is None
+    if not exact:
+        D, K = design  # (n, 3), (3, n)
 
     def residual(x, ob):  # C-ordered: einsum's summation order follows the layout
         try:
-            predicted = predict_fn(x)
+            out = model(x)
         except ValueError as exc:  # check_offsets on an iterate
             raise ConvergenceError(f"Gauss-Newton iterate out of domain: {exc}") from None
-        return np.subtract(predicted, ob, order="C")
+        if exact:
+            return np.subtract(out[0], ob, order="C"), out[1]
+        return np.subtract(out, ob, order="C"), None
 
     x = np.array(x0, dtype=float, copy=True)
     ladder = np.ldexp(1.0, -np.arange(max_halvings + 1))  # 2**-h: the damping of h halvings
-    r = residual(x, obs)
+    r, J = residual(x, obs)
     F = np.einsum("ij,ij->i", r, r)
     if objective_history is not None:
         objective_history.append(F.copy())
     n_run = x.shape[0]
     converged = np.zeros(n_run, dtype=bool)
     iterations = np.zeros(n_run, dtype=int)
-    # the active rows, compacted: ids, iterates, residuals, objectives and
-    # readings.  Each was accepted at every sweep so far, so its iteration
-    # count is the sweep's; its results are written out once, when it leaves
-    ids, xa, ra, Fa, ob = np.arange(n_run), x, r, F, obs
+    # the active rows, compacted: ids, iterates, residuals, Jacobians,
+    # objectives and readings.  Each was accepted at every sweep so far, so
+    # its iteration count is the sweep's; its results are written out once,
+    # when it leaves
+    ids, xa, ra, Ja, Fa, ob = np.arange(n_run), x, r, J, F, obs
     # every gather and scatter below reaches its rows through the indices of
     # their mask: a take runs several times faster than a boolean-mask gather
     for sweep in range(max_iter if n_run else 0):  # an empty batch runs no sweep
-        if callable(jacobian):
-            J = jacobian(xa)
-            grad = 2.0 * np.einsum("kn,kni->ki", ra, J)
-        else:
-            grad = 2.0 * ra @ jacobian  # (na, 3)
+        grad = 2.0 * np.einsum("kn,kni->ki", ra, Ja) if exact else 2.0 * ra @ D  # (na, 3)
         flat = _row_norm(grad) < _GRAD_TOL
         if np.count_nonzero(flat):  # count_nonzero: the cheapest test of a small mask
             gone, keep = flat.nonzero()[0], (~flat).nonzero()[0]
             out = ids.take(gone)
             x[out], r[out], iterations[out] = xa.take(gone, 0), ra.take(gone, 0), sweep
             converged[out] = True
+            if exact:
+                J[out], Ja = Ja.take(gone, 0), Ja.take(keep, 0)
             ids, xa, ra, Fa, ob = (v.take(keep, 0) for v in (ids, xa, ra, Fa, ob))
             if ids.size == 0:
                 break
-            if callable(jacobian):
-                J = J.take(keep, 0)
-        if callable(jacobian):  # after the flat test: an exact solve often ends there
-            gains = np.linalg.pinv(J, rcond=np.finfo(float).eps * max(J.shape[1:]))
+        if exact:  # after the flat test: an exact solve often ends there
+            gains = np.linalg.pinv(Ja, rcond=np.finfo(float).eps * max(Ja.shape[1:]))
             step = -np.einsum("kin,kn->ki", gains, ra)
         else:
             step = -(ra @ K.T)
         x_try = xa + step
-        r_try = residual(x_try, ob)
+        r_try, J_try = residual(x_try, ob)
         F_try = np.einsum("ij,ij->i", r_try, r_try)
         # strict decrease required: accepting equal-objective steps can cycle
         worse = ~(F_try < Fa)
@@ -320,7 +327,8 @@ def _gauss_newton(
                 # loops, and the columns the forward model reads, uncopied
                 xt = np.multiply(a, pack.T[3:6, :, None], out=np.empty((3, sub.size, k)))
                 xt += pack.T[:3, :, None]
-                rt = residual(xt.transpose(1, 2, 0), pack[:, None, 7:]).reshape(-1, ob.shape[1])
+                rt, Jt = residual(xt.transpose(1, 2, 0), pack[:, None, 7:])
+                rt = rt.reshape(-1, ob.shape[1])
                 Ft = np.einsum("ij,ij->i", rt, rt)
                 better = Ft.reshape(-1, k) < pack[:, 6, None]
                 # each row's first level that lowers F, or its first level
@@ -331,6 +339,8 @@ def _gauss_newton(
                 if hit.size:
                     got, at = sub.take(hit), at.take(hit)
                     r_try[got], F_try[got] = rt.take(at, 0), Ft.take(at)
+                    if exact:
+                        J_try[got] = Jt.reshape(-1, ob.shape[1], 3).take(at, 0)
                     alpha[got], worse[got] = a.take(at % k), False
                     keep = (~found).nonzero()[0]
                     sub, pack = sub.take(keep), pack.take(keep, 0)
@@ -341,6 +351,8 @@ def _gauss_newton(
         tiny = _row_norm(step) < _STEP_TOL
         if sub.size:  # rows that no level lowered keep their iterate
             x_try[sub], r_try[sub], F_try[sub] = xa.take(sub, 0), ra.take(sub, 0), Fa.take(sub)
+            if exact:
+                J_try[sub] = Ja.take(sub, 0)
         if objective_history is not None:  # F holds each row's objective
             F[ids] = F_try
             objective_history.append(F.copy())
@@ -350,14 +362,20 @@ def _gauss_newton(
             out = ids.take(gone)
             x[out], r[out] = x_try.take(gone, 0), r_try.take(gone, 0)
             iterations[out], converged[out] = sweep + 1 - worse.take(gone), tiny.take(gone)
+            if exact:
+                J[out] = J_try.take(gone, 0)
             if gone.size == ids.size:  # no row remains to compact
                 break
             keep = (~leave).nonzero()[0]
             ids, x_try, r_try, F_try, ob = (v.take(keep, 0) for v in (ids, x_try, r_try, F_try, ob))
-        xa, ra, Fa = x_try, r_try, F_try
+            if exact:
+                J_try = J_try.take(keep, 0)
+        xa, ra, Ja, Fa = x_try, r_try, J_try, F_try
     else:  # the budget ran out on the rows still active
         x[ids], r[ids], iterations[ids] = xa, ra, max_iter
-    return x, converged, iterations, r
+        if exact:
+            J[ids] = Ja
+    return x, converged, iterations, r, J
 
 
 def _estimate(est: Estimator, obs: np.ndarray, geom: Geometry, x0=None,
@@ -365,27 +383,29 @@ def _estimate(est: Estimator, obs: np.ndarray, geom: Geometry, x0=None,
     """The estimator ``est`` on a batch of readings ``obs`` ``(N, n)``: from
     ``x0`` ``(N, 3)`` or ``obs @ K.T``, refined for a nonlinear entry by
     :func:`_gauss_newton` with the constant design or, for ``jacobian="exact"``,
-    the model Jacobian.  Returns ``(x, converged, iterations, residuals)``, the
-    residuals predicted minus observed; a linear entry converges on every row
-    in 0 iterations, with residuals None: only :func:`_identify` reports them."""
+    the model Jacobian.  Returns ``(x, converged, iterations, residuals,
+    jacobians)``, the residuals predicted minus observed and the model
+    Jacobians at ``x`` of an exact solve; a linear entry converges on every
+    row in 0 iterations, with residuals None: only :func:`_identify` reports
+    them."""
     scheme = est.scheme
     gain = est.gain(geom)
     x = obs @ gain.T if x0 is None else x0
     if not est.nonlinear:
-        return x, np.ones(len(x), dtype=bool), np.zeros(len(x), dtype=int), None
+        return x, np.ones(len(x), dtype=bool), np.zeros(len(x), dtype=int), None, None
     if jacobian == "linear":
-        jac = (scheme.design(geom), gain)
+        design, model = (scheme.design(geom), gain), lambda x: scheme.predict(x, geom)
     elif jacobian == "exact":
-        jac = lambda x: prediction_jacobian(x, geom, scheme.label)  # noqa: E731
+        design, model = None, lambda x: deviations_and_jacobian(x, geom, scheme.label)
     else:
         raise ValueError(f"jacobian must be 'linear' or 'exact', got {jacobian!r}")
-    return _gauss_newton(obs, jac, lambda x: scheme.predict(x, geom), x, max_iter=max_iter)
+    return _gauss_newton(obs, design, model, x, max_iter=max_iter)
 
 
 def _identify(est: Estimator, obs: np.ndarray, geom: Geometry, method: str,
               x0=None, jacobian: str = "linear", max_iter: int = 100) -> CalibrationResult:
     """``est`` on the readings ``obs`` of one set; ConvergenceError if it fails."""
-    x, conv, iters, r = _estimate(est, obs[None, :], geom, x0, jacobian, max_iter)
+    x, conv, iters, r, J = _estimate(est, obs[None, :], geom, x0, jacobian, max_iter)
     if r is None:  # negated, so that -r has the signed zeros of obs - x D'
         r = -(obs - x @ est.scheme.design(geom).T)
     x, conv, iters, r = x[0], bool(conv[0]), int(iters[0]), r[0]
@@ -397,8 +417,7 @@ def _identify(est: Estimator, obs: np.ndarray, geom: Geometry, method: str,
             else f"Gauss-Newton step halving exhausted after {iters} of {max_iter} "
             "iterations: no damped step lowered the objective"
         )
-    label = est.scheme.label
-    J = prediction_jacobian(x, geom, label) if jacobian == "exact" else est.scheme.design(geom)
+    J = est.scheme.design(geom) if J is None else J[0]
     return _result(x, -r, method, iters, conv, np.linalg.norm(2.0 * J.T @ r))
 
 
@@ -430,9 +449,10 @@ def nonlinear_identify(
     and the observations.
 
     ``jacobian="linear"`` uses the constant linear-system matrix as the
-    Gauss-Newton Jacobian; ``"exact"`` recomputes the analytic model Jacobian
-    every iteration.  The default initial guess is the linear least-squares
-    solution, the design's least-squares gain applied to the readings.
+    Gauss-Newton Jacobian; ``"exact"`` the analytic model Jacobian of each
+    iterate, from the forward call that evaluated the iterate.  The default
+    initial guess is the linear least-squares solution, the design's
+    least-squares gain applied to the readings.
 
     Raises
     ------

@@ -280,6 +280,42 @@ def inverse_jacobian(p, rho) -> np.ndarray:
     return M
 
 
+def _dk_jacobian(e: np.ndarray, p: np.ndarray, out=None) -> np.ndarray:
+    """The TCP Jacobian ``d(p)/d(rho)`` in closed form, for effective joints
+    ``e`` and their TCPs ``p``, both component-major ``(3, ...)``: planes
+    ``(3, 3, ...)``, entry ``[i, j]`` holding ``dp_i/drho_j``.
+
+    :func:`inverse_jacobian` is the diagonal matrix ``-e_i/(p_i - e_i)``
+    plus a rank-one term, which Sherman-Morrison inverts to
+
+        dp_i/drho_j = delta_ij a_i + g_i h_j,
+
+    ``r = p/e``, ``a = 1 - r``, ``s = 1 - sum_k r_k``, ``g = 1/(e s)`` and
+    ``h = p a``.  Where a joint is small next to its TCP coordinate,
+    ``|r_i| > 1``, the two terms of the diagonal cancel; there it is taken in
+    the equal form ``a_i (1 - sum_{k != i} r_k) / s``.  ``s`` vanishes where
+    the two roots of the direct kinematics meet.
+
+    Raises
+    ------
+    SingularError
+        If ``|s|`` falls below the guard on any column.
+    """
+    r = np.divide(p, e)
+    s = 1.0 - ((r[0] + r[1]) + r[2])
+    if np.count_nonzero(np.abs(s) < SINGULARITY_TOL):
+        raise SingularError("singular direct kinematics: the two roots meet")
+    a = 1.0 - r
+    g = np.divide(1.0, np.multiply(e, s))
+    D = np.multiply(g[:, None], np.multiply(p, a)[None], out=out)
+    diagonal = D.reshape((9,) + a.shape[1:])[::4]  # a view of C-ordered D
+    diagonal += a
+    small = np.abs(r) > 1.0
+    if np.count_nonzero(small):
+        np.copyto(diagonal, a * (1.0 - (r[[1, 0, 0]] + r[[2, 2, 1]])) / s, where=small)
+    return D
+
+
 def _posture_angle(posture: Posture, geom: Geometry) -> PostureAngles:
     if posture.kind is PostureKind.MAX_DISPLACEMENT:
         return geom.angle_max()

@@ -37,9 +37,9 @@ from .geometry import Axis, Geometry, Posture, PostureKind, check_offsets
 from .kinematics import (
     _DK_FLAGS,
     _DK_FLOATS,
+    _dk_jacobian,
     _dk_point,
     _dk_scratch,
-    inverse_jacobian,
     posture_commanded_joints,
 )
 
@@ -63,6 +63,7 @@ __all__ = [
     "gauge_locations",
     "leg_line_scaling",
     "prediction_jacobian",
+    "deviations_and_jacobian",
     "predict_single_posture",
     "predict_double_posture",
     "single_deviation_array",
@@ -178,10 +179,9 @@ _LINE_ROW, _LINE_LEG = np.array(
 ).T
 _LINE_12 = _ROW_12 + 2
 
-# The six displacement-posture lines alone, the unit vector of each one's
-# leg, and the displacement line of each channel.
+# The six displacement-posture lines alone, and the displacement line of
+# each channel.
 _DISP_ROW, _DISP_LEG = _LINE_ROW[3:], _LINE_LEG[3:]
-_DISP_UNIT = np.eye(3)[_DISP_LEG]
 _DISP_12 = _ROW_12 - 1
 
 #: Correlation pattern of the four double-posture deviations of a gauged
@@ -451,20 +451,83 @@ def _name_failing_posture(dr: np.ndarray, geom: Geometry, rows) -> None:
             raise type(exc)(f"{_STACK[row].label()} posture: {exc}") from None
 
 
-def _double_posture(offsets, geom: Geometry, reduced: bool) -> np.ndarray:
+def _double_posture(offsets, geom: Geometry, reduced: bool, jacobian: bool = False):
     """The twelve double-posture channels, or their max-minus-min
-    differences if ``reduced``, written strip by strip into the result."""
+    differences if ``reduced``, written strip by strip into the result; with
+    ``jacobian``, the pair of them and their Jacobian ``(..., n, 3)``."""
     dr = _offsets_array(offsets, geom)
-    out = np.empty((6 if reduced else 12,) + dr.shape[1:])
+    n = 6 if reduced else 12
+    out = np.empty((n,) + dr.shape[1:])
     planes = _columns(out)
+    if jacobian:
+        jac = np.empty(dr.shape[1:] + (n, 3))
+        jac_rows = jac.reshape(-1, n, 3)
     for cols, strip in _posture_stack(_columns(dr), geom, _ALL_ROWS):
         np.divide(strip.num, strip.den, out=strip.mu)
+        if jacobian:  # before the channel gathers overwrite num and den
+            _strip_jacobian(strip, jac_rows[cols], reduced)
         strip.src.take(_TAKE_12, axis=0, out=strip.products, mode="wrap")
         np.multiply(strip.left, strip.right, out=strip.left)
         np.subtract(strip.line, strip.iso, out=strip.full if reduced else planes[:, cols])
         if reduced:  # the reduced rows by gauged plane pair: (3, 2, w)
             np.subtract(strip.plus, strip.minus, out=planes[:, cols].reshape(3, 2, -1))
-    return _rm(out)
+    return (_rm(out), jac) if jacobian else _rm(out)
+
+
+def _chain_rule_take() -> np.ndarray:
+    """Rows ``(3, 36)`` of the TCP Jacobian planes ``(3, 3, 7)`` (``i``,
+    ``j``, stack row) flattened that the chain rule takes for offset
+    component ``j``: the isotropic row ``i`` of each displacement line's
+    leg, then that leg's row at the line's posture; each channel's
+    gauge-axis row at its posture, then at the isotropic one."""
+    R = len(_STACK)
+    axis = np.concatenate([_DISP_LEG, _DISP_LEG, _GAUGE_12, _GAUGE_12])
+    row = np.concatenate([0 * _DISP_ROW, _DISP_ROW, _ROW_12, 0 * _ROW_12])
+    return axis * 3 * R + np.arange(3)[:, None] * R + row
+
+
+_JACOBIAN_TAKE = _chain_rule_take()
+# source rows of each channel's TCP coordinate on its gauge axis at its posture
+_P_12 = 3 * len(_STACK) + _GAUGE_12 * len(_STACK) + _ROW_12
+# each displacement line's leg as a 0/1 mask (3, 6, 1) over the offsets, and its half
+_DISP_UNIT = np.eye(3)[_DISP_LEG].T[..., None]
+_DISP_HALF_UNIT = _DISP_UNIT / 2
+
+
+def _strip_jacobian(strip: _Strip, rows: np.ndarray, reduced: bool) -> None:
+    """The Jacobian of a whole-stack strip's twelve channels, or of their
+    max-minus-min differences if ``reduced``, written into ``rows``
+    ``(w, n, 3)``.  It is the chain rule through the closed-form TCP
+    Jacobian (:func:`_dk_jacobian`) and the gauge-line parameter
+    ``mu = num / den``; ``num``, ``den`` and ``mu`` must hold the strip's leg
+    lines.  The planes, component-major, are worked on in place."""
+    # one allocation for dp/drho (3, 3, 7, w) and the rows the chain rule
+    # takes of it (3, 36, w): as two, glibc gave the heap top back to the
+    # system after every large call, and the next call faulted it in again
+    R, w = len(_STACK), strip.p.shape[-1]
+    planes = np.empty((9 * R + _JACOBIAN_TAKE.size, w))
+    D = _dk_jacobian(strip.joints, strip.p, out=planes[: 9 * R].reshape(3, 3, R, w))
+    D[:, :, 0] *= 0.5  # the isotropic rows enter halved
+    D = planes[: 9 * R].take(_JACOBIAN_TAKE, 0, out=planes[9 * R :].reshape(3, 36, w))
+    half0_leg, d_leg, d_gauge, half0_gauge = D[:, :6], D[:, 6:12], D[:, 12:24], D[:, 24:]
+    # gradient of the gauge-line parameter of each displacement posture on
+    # its own leg, (d_num den - num d_den) / den^2; at the isotropic posture
+    # mu is 1/2
+    num, den = strip.num[3:], strip.den[3:]
+    d_num = np.subtract(_DISP_HALF_UNIT, half0_leg, out=half0_leg)
+    d_den = np.subtract(_DISP_UNIT, d_leg, out=d_leg)
+    d_num *= den
+    d_num -= np.multiply(num, d_den, out=d_den)
+    d_num /= den * den
+    full = d_num.take(_DISP_12, 1)
+    full *= strip.src.take(_P_12, 0)
+    full += np.multiply(strip.mu.take(_LINE_12, 0), d_gauge, out=d_gauge)
+    if not reduced:
+        np.subtract(full, half0_gauge, out=rows.transpose(2, 1, 0))
+        return
+    full -= half0_gauge  # by gauged plane pair, max or min, leg
+    full = full.reshape(3, 3, 2, 2, -1)
+    np.subtract(full[:, :, 0], full[:, :, 1], out=rows.reshape(-1, 3, 2, 3).transpose(3, 1, 2, 0))
 
 
 def double_deviation_array(offsets, geom: Geometry) -> np.ndarray:
@@ -492,39 +555,26 @@ def single_deviation_array(offsets, geom: Geometry) -> np.ndarray:
     return _rm(out)
 
 
+def deviations_and_jacobian(offsets, geom: Geometry, label: str) -> tuple[np.ndarray, np.ndarray]:
+    """The exact deviations ``(..., n)`` of the double-posture scheme
+    ``label`` and their Jacobian ``(..., n, 3)`` (:func:`prediction_jacobian`),
+    from one solve of the posture stack."""
+    if label not in (SYSTEM_TWELVE, SYSTEM_SIX):
+        raise ValueError(f"the exact Jacobian supports {SYSTEM_TWELVE!r} or {SYSTEM_SIX!r}")
+    return _double_posture(offsets, geom, label == SYSTEM_SIX, jacobian=True)
+
+
 def prediction_jacobian(offsets, geom: Geometry, label: str = SYSTEM_TWELVE) -> np.ndarray:
     """Exact analytic Jacobian of the nonlinear deviation model.
 
     Differentiates the leg-deviation predictions with respect to the offsets
-    by the chain rule through the direct kinematics and the gauge-line
-    parameter, for offsets ``(..., 3)``; shape ``(..., n, 3)`` with ``n``
-    the rows of scheme ``label``.  At zero offsets this reduces to the
-    constant linear-system matrix.  Nominal gauge placement is assumed.
+    by the chain rule through the direct kinematics, whose TCP Jacobian it
+    takes in closed form, and the gauge-line parameter, for offsets
+    ``(..., 3)``; shape ``(..., n, 3)`` with ``n`` the rows of scheme
+    ``label``.  At zero offsets this reduces to the constant linear-system
+    matrix.  Nominal gauge placement is assumed.
     """
-    scheme = SCHEMES.get(label)
-    if scheme is None or scheme.from_full is None:
-        raise ValueError(f"prediction_jacobian supports {SYSTEM_TWELVE!r} or {SYSTEM_SIX!r}")
-    dr = _offsets_array(offsets, geom)
-    out = np.empty(dr.shape[1:] + (len(scheme.wire_keys), 3))
-    rows = out.reshape(-1, *out.shape[-2:])
-    for cols, strip in _posture_stack(_columns(dr), geom, _ALL_ROWS):
-        # the chain rule runs on row-major views: joints and TCPs (w, 7, 3)
-        joints, p = strip.joints.T, strip.p.T
-        D = np.linalg.inv(inverse_jacobian(p, joints))  # dp/drho at each posture
-        D0 = D[:, 0]
-        # gradient of the gauge-line parameter of each displacement posture on
-        # its own leg; at the isotropic posture mu is 1/2
-        num, den = strip.num[3:].T, strip.den[3:].T
-        d_num = _DISP_UNIT / 2 - D0.take(_DISP_LEG, axis=1) / 2
-        d_den = _DISP_UNIT - D[:, _DISP_ROW, _DISP_LEG, :]
-        d_mu = (d_num * den[..., None] - num[..., None] * d_den) / (den * den)[..., None]
-        full = (
-            d_mu.take(_DISP_12, axis=1) * p[:, _ROW_12, _GAUGE_12, None]
-            + (num / den).take(_DISP_12, axis=1)[..., None] * D[:, _ROW_12, _GAUGE_12, :]
-            - D0.take(_GAUGE_12, axis=1) / 2
-        )
-        rows[cols] = np.swapaxes(scheme.from_full(np.swapaxes(full, -1, -2)), -1, -2)
-    return out
+    return deviations_and_jacobian(offsets, geom, label)[1]
 
 
 def predict_double_posture(offsets, geom: Geometry) -> DoublePostureMeasurements:
@@ -657,9 +707,7 @@ class Scheme(Record, eq=False):
     ``design(geom)`` its first-order expansion, both in row order;
     ``sample_noise(rng, sigma, shape)`` draws the reading errors, whose
     covariance is ``sigma**2 * noise_covariance``.  ``wire_keys`` is the key
-    order of files and reports.  ``from_full`` maps the twelve double-posture
-    channels (last axis) onto the rows; None for a scheme not read from the
-    double-posture gauges.
+    order of files and reports.
     """
 
     label: str
@@ -669,7 +717,6 @@ class Scheme(Record, eq=False):
     design: Callable
     sample_noise: Callable
     noise_covariance: np.ndarray
-    from_full: Callable | None
 
     def __post_init__(self) -> None:
         self.noise_covariance.setflags(write=False)
@@ -690,7 +737,6 @@ SCHEMES = MappingProxyType(
             design=_single_design,
             sample_noise=_noise_pairs,
             noise_covariance=2.0 * np.eye(6),
-            from_full=None,
         ),
         SYSTEM_TWELVE: Scheme(
             label=SYSTEM_TWELVE,
@@ -704,7 +750,6 @@ SCHEMES = MappingProxyType(
             design=_twelve_design,
             sample_noise=_noise_double,
             noise_covariance=np.kron(np.eye(3), GAUGE_CORRELATION_BLOCK),
-            from_full=lambda full: full,
         ),
         SYSTEM_SIX: Scheme(
             label=SYSTEM_SIX,
@@ -718,7 +763,6 @@ SCHEMES = MappingProxyType(
                 _noise_double(rng, sigma, shape)
             ),
             noise_covariance=2.0 * np.eye(6),
-            from_full=_reduce_channels,
         ),
     }
 )

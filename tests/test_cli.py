@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,39 @@ class TestCalibrate:
         assert rc == 1
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "overrides, geometry, key",
+        [
+            ({"values": {**TABLE4[2], "dx_y": 10**400}}, None, "'dx_y'"),
+            ({"repetitions": {"dx_y": [1, 10**400]}}, None, "'dx_y'"),
+            ({"repetitions": {"dx_y": [1e308, 1e308]}}, None, "'dx_y'"),
+            ({"geometry": {"L": 10**400, "rho_min": -100, "rho_max": 60}}, None, "L:"),
+            ({}, {"L": 310.25, "rho_min": -100, "rho_max": 60, "d": -(10**400)}, "d:"),
+        ],
+        ids=["value", "repetition", "repetition-mean", "geometry-key", "geometry-file-key"],
+    )
+    def test_out_of_float_range_exit_1(self, capsys, tmp_path, overrides, geometry, key):
+        # an integer beyond the float range, or a mean that overflows: one
+        # error line naming the key, and neither a traceback nor a warning
+        values = dict(TABLE4[2])
+        if "repetitions" in overrides:
+            del values["dx_y"]
+        doc = {"schema_version": 1, "units": "mm", "method": "double-reduced",
+               "values": values, **overrides}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["calibrate", str(path), "--method", "linear6"]
+        if geometry is not None:
+            geo = tmp_path / "g.json"
+            geo.write_text(json.dumps(geometry), encoding="utf-8")
+            argv += ["--geometry", str(geo)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, _, err = run_cli(capsys, *argv)
+        assert rc == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and key in err
 
     def test_directory_exit_1(self, capsys, tmp_path):
         rc, _, err = run_cli(capsys, "calibrate", str(tmp_path), "--method", "linear6")

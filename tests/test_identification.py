@@ -36,7 +36,7 @@ from orthocal.identification import (
     _least_squares_gain,
     _row_norm,
 )
-from orthocal.measurement import _STRIP_ROWS
+from orthocal.measurement import _STRIP_ROWS, deviations_and_jacobian
 
 from conftest import EXPECTED_IMPROVEMENT, REFERENCE_OFFSETS, reduced_from_table
 
@@ -342,7 +342,7 @@ class TestNonlinearIdentify:
 
         obs = predict(np.array([[0.5, 0.5, 0.5]]))
         history = []
-        x, conv, iters, _ = _gauss_newton(
+        x, conv, iters, *_ = _gauss_newton(
             obs, (np.eye(3), np.eye(3)), predict, np.array([[2.0, 2.0, 2.0]]),
             objective_history=history,
         )
@@ -456,6 +456,9 @@ def _one_level_per_call(obs, jacobian, predict_fn, x0, max_iter=100, step_tol=1e
                         grad_tol=1e-12, max_halvings=20, objective_history=None, levels=None):
     """Reference damped Gauss-Newton that makes one forward-model call per
     halving level: the loop whose results the batched solver must keep.
+    ``jacobian`` is a pair ``(D, P)`` or a callable giving the model
+    Jacobians, called apart from ``predict_fn`` at every sweep and, for the
+    returned Jacobians, at the final iterates (None with a constant design).
     ``levels``, if given, receives for every sweep that halves the halving
     level each still-worse row stopped at, 0 where none lowered the objective."""
     if not callable(jacobian):
@@ -521,7 +524,7 @@ def _one_level_per_call(obs, jacobian, predict_fn, x0, max_iter=100, step_tol=1e
         active[idx[done | (worse & ~tiny)]] = False
         if objective_history is not None:
             objective_history.append(F.copy())
-    return x, converged, iterations, r
+    return x, converged, iterations, r, jacobian(x) if callable(jacobian) else None
 
 
 def _stiff_cubic(x):
@@ -534,16 +537,22 @@ class TestBlockHalving:
 
     @staticmethod
     def _problem(geom, label, jacobian, n, spread=5.0):
+        """The solver's arguments and the reference loop's: with the exact
+        Jacobian the solver takes the model that returns the deviations and
+        their Jacobian from one call, the reference loop the predictor and
+        its own prediction_jacobian call."""
         scheme = SCHEMES[label]
         rng = np.random.default_rng([n, len(label), jacobian == "exact"])
         truth = rng.uniform(-spread, spread, (n, 3))
         obs = scheme.predict(truth, geom) + scheme.sample_noise(rng, 0.02, (n,))
         x0 = obs @ np.linalg.pinv(scheme.design(geom)).T
+        predict = lambda x: scheme.predict(x, geom)  # noqa: E731
         if jacobian == "exact":
+            model = lambda x: deviations_and_jacobian(x, geom, label)  # noqa: E731
             jac = lambda x: prediction_jacobian(x, geom, label)  # noqa: E731
-        else:
-            jac = (scheme.design(geom), _least_squares_gain(scheme.design(geom)))
-        return obs, jac, lambda x: scheme.predict(x, geom), x0
+            return (obs, None, model, x0), (obs, jac, predict, x0)
+        design = (scheme.design(geom), _least_squares_gain(scheme.design(geom)))
+        return (obs, design, predict, x0), (obs, design, predict, x0)
 
     @pytest.mark.parametrize(
         "label, jacobian, n, max_iter",
@@ -559,10 +568,10 @@ class TestBlockHalving:
         ],
     )
     def test_equals_one_level_per_call(self, geom, label, jacobian, n, max_iter):
-        args = self._problem(geom, label, jacobian, n)
+        args, oracle = self._problem(geom, label, jacobian, n)
         got_history, want_history = [], []
         got = _gauss_newton(*args, max_iter=max_iter, objective_history=got_history)
-        want = _one_level_per_call(*args, max_iter=max_iter, objective_history=want_history)
+        want = _one_level_per_call(*oracle, max_iter=max_iter, objective_history=want_history)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
         assert len(got_history) == len(want_history)
@@ -570,7 +579,7 @@ class TestBlockHalving:
             assert np.array_equal(a, b)
         if n >= 1000 and max_iter < 100:
             # rows still active when the budget runs out are written back too
-            _, converged, iterations, _ = got
+            converged, iterations = got[1:3]
             assert (~converged & (iterations == max_iter)).any()
 
     @pytest.mark.parametrize("max_halvings", [0, 1, 20])
@@ -581,11 +590,11 @@ class TestBlockHalving:
     ):
         # offsets up to 20 mm: in one sweep some rows find no level that lowers
         # the objective while others stop deep inside blocks of k > 1 levels
-        args = self._problem(geom, label, jacobian, 1000, spread=20.0)
+        args, oracle = self._problem(geom, label, jacobian, 1000, spread=20.0)
         got_history, want_history, levels = [], [], []
         got = _gauss_newton(*args, max_halvings=max_halvings, objective_history=got_history)
         want = _one_level_per_call(
-            *args, max_halvings=max_halvings, objective_history=want_history, levels=levels
+            *oracle, max_halvings=max_halvings, objective_history=want_history, levels=levels
         )
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
@@ -630,6 +639,34 @@ class TestBlockHalving:
             res = nonlinear_identify(m, geom)
             assert len(calls) <= 2 * res.iterations + 3
 
+    # forward-model calls of exact N = 1 solves, on test_call_budget's jobs
+    EXACT_CALLS = {
+        SYSTEM_SIX: [3, 3, 7, 3, 3, 3, 4, 3, 3, 4, 3, 3, 4, 3, 3, 3, 3, 10, 3, 3],
+        SYSTEM_TWELVE: [4, 4, 5, 4, 5, 4, 3, 5, 3, 5, 4, 5, 3, 7, 5, 5, 3, 4, 3, 6],
+    }
+
+    @pytest.mark.parametrize("label", [SYSTEM_SIX, SYSTEM_TWELVE])
+    def test_exact_call_budget_pinned(self, geom, monkeypatch, label):
+        # with the exact Jacobian too, one call for the start, then per sweep
+        # one for the full step and one for all its halving levels: each
+        # iterate's Jacobian comes from the call that evaluated it
+        calls, counts = [], []
+        stack = measurement._posture_stack
+        monkeypatch.setattr(
+            measurement, "_posture_stack", lambda *a: calls.append(1) or stack(*a)
+        )
+        rng = np.random.default_rng(4)
+        for seed in range(20):
+            m = predict_double_posture(rng.uniform(-1.0, 1.0, 3), geom)
+            if label == SYSTEM_SIX:
+                m = reduce(m)
+            m = add_noise(m, NoiseModel(0.01, seed))
+            calls.clear()
+            res = nonlinear_identify(m, geom, jacobian="exact")
+            assert len(calls) <= 2 * res.iterations + 1
+            counts.append(len(calls))
+        assert counts == self.EXACT_CALLS[label]
+
     @pytest.mark.parametrize(
         "method, calls, rows",
         [("nonlinear-six", 21, 14184), ("nonlinear-twelve", 35, 21673)],
@@ -650,7 +687,7 @@ class TestBlockHalving:
     def test_halving_blocks_fill_one_strip(self, geom, label):
         # a block's trial points (rows, k, 3) take one forward strip when its
         # rows fit; a block with room for one more level is its sweep's last
-        obs, jac, predict, x0 = self._problem(geom, label, "linear", 3000, spread=20.0)
+        (obs, jac, predict, x0), _ = self._problem(geom, label, "linear", 3000, spread=20.0)
         shapes = []
         _gauss_newton(obs, jac, lambda x: shapes.append(x.shape) or predict(x), x0)
         blocks = [(i, s[0], s[1]) for i, s in enumerate(shapes) if len(s) == 3]
@@ -691,13 +728,21 @@ class TestResidualLayout:
     def test_bits_independent_of_layout(self, geom, label, jacobian, n):
         # 3000 rows: above the 2731-row regime in which numpy subtracted the
         # readings in place into an F-ordered prediction of 256 KiB or more
-        obs, jac, predict, x0 = TestBlockHalving._problem(geom, label, jacobian, n, spread=20.0)
-        predictions = (
-            lambda x: np.asfortranarray(predict(x)),
-            lambda x: np.ascontiguousarray(predict(x)),
+        (obs, jac, model, x0), _ = TestBlockHalving._problem(geom, label, jacobian, n, spread=20.0)
+
+        def relaid(layout):  # the model with its predictions in another layout
+            def prediction(x):
+                out = model(x)  # the exact model's is (predictions, Jacobians)
+                return (layout(out[0]), out[1]) if jac is None else layout(out)
+
+            return prediction
+
+        predictions = [
+            relaid(np.asfortranarray),
+            relaid(np.ascontiguousarray),
             # a C-ordered (channels, ...) array seen as (..., channels)
-            lambda x: np.moveaxis(np.ascontiguousarray(np.moveaxis(predict(x), -1, 0)), 0, -1),
-        )
+            relaid(lambda p: np.moveaxis(np.ascontiguousarray(np.moveaxis(p, -1, 0)), 0, -1)),
+        ]
         runs = []
         for readings in (np.asfortranarray(obs), np.ascontiguousarray(obs)):
             for prediction in predictions:
@@ -718,6 +763,9 @@ class TestResidualLayout:
 # simulate, add noise, identify, then sigma_rho at the estimated noise.  Values
 # (offsets, iterations, sigma_hat, gradient_norm, sigma_rho) recorded before
 # the solver kept its active rows compacted; every one must keep its bits.
+# The exact jobs' gradient norms, at the rounding floor, were re-recorded when
+# dp/drho came in closed form instead of from LAPACK's inv; they stay within
+# 1e-18 of the values recorded with inv (LAPACK_GRADIENT_NORM).
 SINGLE_JOB_PINNED = {
     ("linear6", 0): (
         [0.12300558940881424, -0.17250930937532255, 0.16290717408349054],
@@ -753,12 +801,18 @@ SINGLE_JOB_PINNED = {
     ),
     ("nonlinear6-exact", 0): (
         [0.16559614486848384, -0.5967676063428469, -0.7836659546784194],
-        2, 0.002110075728232176, 2.9281601833677966e-14, 0.004187056033300541,
+        2, 0.002110075728232176, 2.92813733267151e-14, 0.004187056033300541,
     ),
     ("nonlinear6-exact", 1): (
         [0.5149631601579214, 0.2718235355688434, -0.6694486848463174],
-        2, 0.02297248627181182, 6.261118819710901e-14, 0.04558466123151381,
+        2, 0.02297248627181182, 6.261027441835379e-14, 0.04558466123151381,
     ),
+}
+
+
+LAPACK_GRADIENT_NORM = {
+    ("nonlinear6-exact", 0): 2.9281601833677966e-14,
+    ("nonlinear6-exact", 1): 6.261118819710901e-14,
 }
 
 
@@ -779,3 +833,5 @@ def test_single_job_pinned(geom, name, job):
     offsets, *scalars = SINGLE_JOB_PINNED[name, job]
     assert res.offsets.tolist() == offsets
     assert [res.iterations, res.sigma_hat, res.gradient_norm, sigma_rho] == scalars
+    if (name, job) in LAPACK_GRADIENT_NORM:
+        assert abs(scalars[2] - LAPACK_GRADIENT_NORM[name, job]) <= 1e-18

@@ -18,6 +18,8 @@ from orthocal import (
     sensitivity_table,
 )
 
+from orthocal.kinematics import _dk_jacobian, _dk_point
+
 from conftest import constraint_residuals_oracle
 
 L = 310.25
@@ -207,6 +209,25 @@ class TestJacobians:
     def test_singular_guard(self, geom):
         with pytest.raises(SingularError):
             inverse_jacobian([60, 0, 0], [60, 300, 300])
+
+    def test_closed_form_with_a_small_joint(self):
+        # a joint small next to its TCP coordinate, |p_0/e_0| ~ 2200: the two
+        # terms of a_0 + g_0 h_0 cancel to ~1e-12, the diagonal's other form
+        # keeps dp/drho within 1e-13 of LAPACK's inverse
+        e = np.array([[0.05], [400.0], [420.0]])
+        p = _dk_point(e, L)
+        want = np.linalg.inv(inverse_jacobian(p[:, 0], e[:, 0]))
+        got = _dk_jacobian(e, p)[..., 0]
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_closed_form_singular_guard(self):
+        # s = 1 - sum p_k/e_k vanishes in the second column, exactly as it
+        # does where the two roots of the direct kinematics meet
+        e = np.array([[310.0, 4.0], [300.0, 4.0], [290.0, 4.0]])
+        p = np.array([[5.0, 1.0], [-3.0, 2.0], [1.0, 1.0]])
+        _dk_jacobian(e[:, :1], p[:, :1])
+        with pytest.raises(SingularError, match="two roots meet"):
+            _dk_jacobian(e, p)
 
     def test_inverse_of_posture_jacobian_everywhere(self, geom):
         for posture in calibration_postures():

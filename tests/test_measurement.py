@@ -213,9 +213,10 @@ class TestPredictors:
         out = fn(np.array(self.PINNED_OFFSETS), geom)
         assert np.array_equal(out, np.array(self.PINNED[predictor, shifted]))
 
-    # the exact Jacobian at PINNED_OFFSETS, recorded before the forward model's
-    # numpy calls were cut down
-    PINNED_JACOBIAN = {
+    # the exact Jacobian at PINNED_OFFSETS while dp/drho came from LAPACK's inv,
+    # recorded before the forward model's numpy calls were cut down; the
+    # closed form must stay within 1e-15 of it
+    LAPACK_JACOBIAN = {
         "double-full": [
             [
                 [0.1935869987943899, 0.1365649941727915, 6.126808948362993e-05],
@@ -266,16 +267,69 @@ class TestPredictors:
         ],
     }
 
+    # the exact Jacobian at PINNED_OFFSETS with dp/drho in closed form
+    PINNED_JACOBIAN = {
+        "double-full": [
+            [
+                [0.1935869987943899, 0.1365649941727915, 6.126808948362993e-05],
+                [0.13719887900791108, 0.19330375499328423, 0.0004905435249327577],
+                [-0.3224392581937754, -0.0602199963907585, -0.00019934303350886733],
+                [-0.061002826844131705, -0.3222289240358518, -0.00031073607107396674],
+                [0.0006614662859568294, 0.19327762961378436, 0.13709576504685195],
+                [0.0003931428141731246, 0.13669924263166247, 0.19345487427439323],
+                [-0.0006287572637880278, -0.3222490723964899, -0.06077122526718757],
+                [-0.000559419707713345, -0.06028132392694815, -0.32238042809462786],
+                [0.19363096593558404, -0.00022431249845512153, 0.13673634431943646],
+                [0.13697370770094994, -6.336045228701149e-05, 0.19352496630441773],
+                [-0.3224059820149161, 0.00033249444321881686, -0.06060604841707339],
+                [-0.06089897793992577, 0.00029043831652377064, -0.3223270044373864],
+            ],
+            [
+                [0.18673826747106648, 0.14995008692984033, -0.0016855198550054865],
+                [0.1166042458414024, 0.20185101615761136, -0.02530523402100196],
+                [-0.3182011288196721, -0.08248215573811654, 0.012413222967570586],
+                [-0.04059880662173651, -0.3291786072076463, 0.019858424534595454],
+                [-0.02846960497637947, 0.20236607790190242, 0.11797608837521556],
+                [-0.007487576109987133, 0.14719456070760728, 0.18920317244864743],
+                [0.02587980462924711, -0.32896592514782963, -0.044473544537906064],
+                [0.018847470381217344, -0.08087164653736716, -0.31909328882696053],
+                [0.18457793880564288, 0.020364280645438215, 0.13660519755620887],
+                [0.13239868165663382, 0.01771943663018022, 0.18656565074169146],
+                [-0.3212730412776167, -0.02734732320364689, -0.051546793382757645],
+                [-0.04602909528407003, -0.02688488979866082, -0.32230994515881983],
+            ],
+        ],
+        "double-reduced": [
+            [
+                [0.5160262569881653, 0.19678499056355, 0.00026061112299249727],
+                [0.19820170585204278, 0.515532679029136, 0.0008012795960067245],
+                [0.0012902235497448573, 0.5155267020102743, 0.1978669903140395],
+                [0.0009525625218864696, 0.19698056655861063, 0.5158353023690211],
+                [0.5160369479505001, -0.0005568069416739384, 0.19734239273650986],
+                [0.1978726856408757, -0.00035379876881078213, 0.5158519707418041],
+            ],
+            [
+                [0.5049393962907386, 0.23243224266795687, -0.014098742822576072],
+                [0.15720305246313893, 0.5310296233652576, -0.04516365855559741],
+                [-0.05434940960562658, 0.531332003049732, 0.16244963291312162],
+                [-0.026335046491204477, 0.22806620724497445, 0.508296461275608],
+                [0.5058509800832596, 0.047711603849085106, 0.1881519909389665],
+                [0.17842777694070386, 0.04460432642884104, 0.5088755959005113],
+            ],
+        ],
+    }
+
     # sha256 of the little-endian bytes of the Jacobians of a seeded 7-row
     # batch (five rows up to L/10, then PINNED_OFFSETS), recorded with them
     PINNED_JACOBIAN_BATCH = {
-        "double-full": "569998f6e67b74cc246cdb51ea3588c0ac7cde3d1c0d995e3fd981f1286c73dc",
-        "double-reduced": "e074708e41313c0366982decebed567248efdd2bb6b43a4376c738b1b44884f2",
+        "double-full": "28de3db3289562bbca66ff840dd490218c58506b5e92fdd38d5937a2c3d52ed7",
+        "double-reduced": "07388ebc0a45733c4b17954f02a538c12582a6bab0946f67927fe48626ebd814",
     }
 
     @pytest.mark.parametrize("label", list(PINNED_JACOBIAN))
     def test_prediction_jacobian_pinned(self, geom, label):
         pinned = np.array(self.PINNED_JACOBIAN[label])
+        assert np.abs(pinned - np.array(self.LAPACK_JACOBIAN[label])).max() <= 1e-15
         offsets = np.array(self.PINNED_OFFSETS)
         assert np.array_equal(prediction_jacobian(offsets, geom, label), pinned)
         for dr, jac in zip(offsets, pinned):

@@ -21,7 +21,13 @@ from orthocal import (
     single_deviation_array,
 )
 from orthocal.errors import DomainError, SingularError
-from orthocal.kinematics import SINGULARITY_TOL, _dk_point, _dk_roots
+from orthocal.kinematics import (
+    SINGULARITY_TOL,
+    _dk_jacobian,
+    _dk_point,
+    _dk_roots,
+    inverse_jacobian,
+)
 from orthocal.measurement import _STACK, _stack_joints
 
 GEOM = Geometry.prototype()
@@ -124,6 +130,25 @@ def test_root_rule_on_posture_stack(geom, data):
     offsets = np.array(data.draw(st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=8)))
     joints = offsets.T[:, None] + _stack_joints(geom)  # component-major, (3, 7, n)
     _check_root_rule(joints.reshape(3, -1).T, geom.L)
+
+
+@settings(max_examples=100, deadline=None)
+@given(geom=_geometries(), data=st.data())
+def test_closed_form_tcp_jacobian_equals_inverse(geom, data):
+    # dp/drho in closed form against LAPACK's inverse of d(rho)/d(p), at the
+    # seven stack postures of a random geometry, offsets up to L/10, within
+    # 1e-13 of each matrix's largest entry
+    coord = st.floats(-geom.L / 10, geom.L / 10)
+    offsets = np.array(data.draw(st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=8)))
+    e = offsets.T[:, None] + _stack_joints(geom)  # component-major, (3, 7, n)
+    try:
+        p = _dk_point(e, geom.L)
+        want = np.linalg.inv(inverse_jacobian(p.T, e.T))  # (n, 7, 3, 3)
+    except (DomainError, SingularError):
+        return
+    got = _dk_jacobian(e, p).transpose(3, 2, 0, 1)
+    scale = np.abs(want).max(axis=(-2, -1))
+    assert (np.abs(got - want).max(axis=(-2, -1)) <= 1e-13 * scale).all()
 
 
 @settings(max_examples=100, deadline=None)

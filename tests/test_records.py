@@ -73,9 +73,9 @@ VALUE = [
 
 # the records that compare and hash by identity
 IDENTITY = [
-    (Scheme, "label measurement wire_keys predict design sample_noise noise_covariance from_full",
+    (Scheme, "label measurement wire_keys predict design sample_noise noise_covariance",
      (_SINGLE.label, _SINGLE.measurement, _SINGLE.wire_keys, _SINGLE.predict, _SINGLE.design,
-      _SINGLE.sample_noise, _SINGLE.noise_covariance, None)),
+      _SINGLE.sample_noise, _SINGLE.noise_covariance)),
     (LinearSystem, "design_matrix label rhs", (np.eye(3), "double-reduced", None)),
     (CalibrationResult,
      "offsets residuals residual_rms sigma_hat method iterations converged gradient_norm",
