@@ -13,7 +13,6 @@ from orthocal import (
     monte_carlo,
     noise_covariance,
     offset_covariance,
-    propagate_covariance,
 )
 
 geom = Geometry.prototype()
@@ -32,7 +31,8 @@ print("per-axis standard deviations, six equations:",
 # Ignoring the shared-isotropic-reading correlation would misstate the
 # twelve-equation accuracy substantially.
 J12 = build_system(SYSTEM_TWELVE, geom).design_matrix
-V_naive = propagate_covariance(J12, 2.0 * sigma**2 * np.eye(12))
+K12 = np.linalg.pinv(J12)  # the least-squares gain
+V_naive = K12 @ (2.0 * sigma**2 * np.eye(12)) @ K12.T
 naive = np.sqrt(np.trace(V_naive) / 3)
 print(f"\ntwelve equations with correlation ignored (2 sigma^2 I): {naive:.5f} mm")
 print(f"with the true block covariance:                          {twelve.sigma_rho:.5f} mm")

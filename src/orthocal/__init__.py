@@ -41,8 +41,13 @@ from .kinematics import (
     sensitivity_table,
 )
 from .measurement import (
+    GAUGE_CORRELATION_BLOCK,
     GENERATOR_ALGORITHM,
     SCHEMES,
+    SYSTEM_SINGLE,
+    SYSTEM_SIX,
+    SYSTEM_TWELVE,
+    CalibrationCoefficients,
     DoublePostureMeasurements,
     GaugeLocation,
     NoiseModel,
@@ -50,21 +55,19 @@ from .measurement import (
     Scheme,
     SinglePostureMeasurements,
     add_noise,
+    coefficients,
     double_deviation_array,
     gauge_locations,
     leg_line_scaling,
     predict_double_posture,
     predict_single_posture,
+    prediction_jacobian,
     reduce,
     reduced_deviation_array,
     single_deviation_array,
 )
 from .identification import (
-    SYSTEM_SINGLE,
-    SYSTEM_SIX,
-    SYSTEM_TWELVE,
     ESTIMATORS,
-    CalibrationCoefficients,
     CalibrationResult,
     Estimator,
     LinearSystem,
@@ -72,16 +75,13 @@ from .identification import (
     build_six_eq_system,
     build_system,
     build_twelve_eq_system,
-    coefficients,
     identify,
     least_squares_solve,
     nonlinear_identify,
-    prediction_jacobian,
     residual_report,
     solve_single_posture_closed_form,
 )
 from .accuracy import (
-    GAUGE_CORRELATION_BLOCK,
     MonteCarloReport,
     OffsetCovariance,
     monte_carlo,
@@ -89,7 +89,6 @@ from .accuracy import (
     offset_covariance,
     offset_covariance_six,
     offset_covariance_twelve,
-    propagate_covariance,
 )
 from .fileio import (
     FIXTURE_NAMES,

@@ -20,13 +20,11 @@ import numpy as np
 from ._record import Record
 from .errors import ConvergenceError
 from .geometry import Geometry, check_offsets
-from .identification import ESTIMATORS, _estimate, _least_squares_gain
-from .measurement import GAUGE_CORRELATION_BLOCK, SCHEMES, _check_seed, _lookup
+from .identification import ESTIMATORS, _estimate
+from .measurement import SCHEMES, _check_seed, _lookup
 
 __all__ = [
-    "GAUGE_CORRELATION_BLOCK",
     "noise_covariance",
-    "propagate_covariance",
     "OffsetCovariance",
     "offset_covariance",
     "offset_covariance_six",
@@ -51,13 +49,6 @@ def _noise(label: str, sigma: float) -> np.ndarray:
     if not np.isfinite(S).all():
         raise ValueError(f"sigma {sigma:g} overflows the noise covariance")
     return S
-
-
-def propagate_covariance(design: np.ndarray, noise_matrix: np.ndarray) -> np.ndarray:
-    """Covariance ``K S K'`` of the least-squares estimate ``K = pinv(J)`` for
-    a given error covariance ``S``."""
-    gain = _least_squares_gain(design)
-    return gain @ np.asarray(noise_matrix) @ gain.T
 
 
 class OffsetCovariance(Record, eq=False):

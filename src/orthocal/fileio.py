@@ -8,7 +8,6 @@ package and are addressable by fixture name.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
 from importlib import resources
 
 import numpy as np
@@ -71,6 +70,17 @@ def _number(v) -> float:
         raise ValueError("integer too large for a float") from None
 
 
+def _reading(v) -> float:
+    """:func:`_number`, but a JSON integer beyond the float range reads as the
+    infinity of its sign, as a JSON number such as ``1e400`` does."""
+    try:
+        return _number(v)
+    except ValueError:
+        if type(v) is not int:  # float fails on an int only by overflow
+            raise
+        return np.inf if v > 0 else -np.inf
+
+
 def geometry_from_dict(d: dict) -> Geometry:
     """Geometry from its serialized form; raises :class:`InputError` naming
     missing or invalid keys (``r`` and ``d`` fall back to prototype values)."""
@@ -101,8 +111,10 @@ def parse_measurement(doc: dict) -> MeasurementFile:
     """Validate and parse a measurement document.
 
     Raises :class:`InputError` naming every offending key: wrong schema or
-    units, unknown method, missing/unknown/non-finite values.  Raw replicate
-    arrays under ``repetitions`` are averaged into the corresponding values.
+    units, unknown method, missing/unknown/non-finite values, a ``comment``
+    that is not a string, a ``simulation`` that is not an object.  Raw
+    replicate arrays under ``repetitions`` are averaged into the
+    corresponding values.
     """
     if not isinstance(doc, dict):
         raise InputError("measurement file must contain a JSON object")
@@ -130,7 +142,7 @@ def parse_measurement(doc: dict) -> MeasurementFile:
         if not isinstance(arr, (list, tuple)) or not arr:
             raise InputError(f"repetitions entry {key!r} must be a non-empty array")
         try:
-            numbers = [_number(v) for v in arr]
+            numbers = [_reading(v) for v in arr]
         except (TypeError, ValueError):
             raise InputError(f"repetitions entry {key!r} holds a non-number") from None
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean fails below
@@ -144,12 +156,15 @@ def parse_measurement(doc: dict) -> MeasurementFile:
     clean = {}
     for key in required:
         try:
-            v = _number(values[key])
+            v = _reading(values[key])
         except (TypeError, ValueError):
             raise InputError(f"measurement value {key!r} is not a number") from None
         if not np.isfinite(v):
             raise InputError(f"measurement value {key!r} is not finite")
         clean[key] = v
+    for key, kind, name in (("comment", str, "a string"), ("simulation", dict, "a JSON object")):
+        if not isinstance(doc.get(key), (kind, type(None))):
+            raise InputError(f"{key} must be {name}, got {type(doc[key]).__name__}")
     geometry = None if doc.get("geometry") is None else geometry_from_dict(doc["geometry"])
     return MeasurementFile(
         method=method,
@@ -214,21 +229,20 @@ def _finite(v) -> float:
     return x
 
 
-def _report_value(field, v):
-    """Report value ``v`` checked against its field's annotation: a finite
-    number, a dict of finite numbers, else the exact type."""
+def _report_value(name: str, kind: str, v):
+    """Report value ``v`` of field ``name`` checked against its annotation
+    ``kind``: a finite number, a dict of finite numbers, else the exact type."""
     try:
-        if field.type == "float":
+        if kind == "float":
             return _finite(v)
-        if type(v) is not _REPORT_TYPES[field.type]:  # exact: a bool is no int
-            raise TypeError(f"{v!r} is not of type {field.type}")
-        return {k: _finite(x) for k, x in v.items()} if field.type == "dict" else v
+        if type(v) is not _REPORT_TYPES[kind]:  # exact: a bool is no int
+            raise TypeError(f"{v!r} is not of type {kind}")
+        return {k: _finite(x) for k, x in v.items()} if kind == "dict" else v
     except (TypeError, ValueError) as exc:
-        raise InputError(f"report value {field.name!r} is invalid: {exc}") from None
+        raise InputError(f"report value {name!r} is invalid: {exc}") from None
 
 
-@dataclass(frozen=True)
-class CalibrationReport:
+class CalibrationReport(Record):
     """Serializable calibration outcome; round-trips through JSON exactly."""
 
     input_digest: str
@@ -245,7 +259,9 @@ class CalibrationReport:
     toolkit_version: str = __version__
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields in order, each dict value copied."""
+        values = zip(self._fields, self._values(self))
+        return {n: dict(v) if type(v) is dict else v for n, v in values}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CalibrationReport":
@@ -254,14 +270,14 @@ class CalibrationReport:
         version = doc.get("schema_version")
         if isinstance(version, bool) or version != SCHEMA_VERSION:
             raise InputError(f"unsupported report schema_version {version!r}")
-        names = {f.name for f in fields(cls)}
-        unknown = sorted(set(doc) - names)
+        unknown = sorted(set(doc) - set(cls._fields))
         if unknown:
             raise InputError(f"unknown report keys: {', '.join(unknown)}")
-        missing = sorted(names - set(doc))
+        missing = sorted(set(cls._fields) - set(doc))
         if missing:
             raise InputError(f"missing report keys: {', '.join(missing)}")
-        return cls(**{f.name: _report_value(f, doc[f.name]) for f in fields(cls)})
+        kinds = cls.__annotations__
+        return cls(**{n: _report_value(n, kinds[n], doc[n]) for n in cls._fields})
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, allow_nan=False)

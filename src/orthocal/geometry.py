@@ -44,12 +44,19 @@ class Axis(IntEnum):
         return self.name
 
 
+# Longest leg (mm) a Geometry takes.  The direct kinematics squares terms of
+# order L**6, which overflow near L = 1e25; this bound keeps them far inside
+# the float range.
+_L_MAX = 1e6
+
+
 class Geometry(Record):
     """Nominal leg geometry and software joint limits.
 
     ``r`` (tool offset, eliminated by a fixed coordinate shift) and ``d``
     (parallelogram width, eliminated by the rigid-rod reduction) are carried
-    as inert metadata only; no computation depends on them.
+    as inert metadata only; no computation depends on them, but both must be
+    finite.  ``L`` is at most 1e6 mm.
     """
 
     L: float
@@ -59,8 +66,10 @@ class Geometry(Record):
     d: float = 80.0
 
     def __post_init__(self) -> None:
-        if not (0 < self.L < math.inf):
-            raise ValueError(f"leg length must be positive and finite, got L={self.L}")
+        if not (0 < self.L <= _L_MAX):
+            raise ValueError(f"leg length must be in (0, {_L_MAX:g}] mm, got L={self.L}")
+        if not (math.isfinite(self.r) and math.isfinite(self.d)):
+            raise ValueError(f"r and d must be finite, got r={self.r}, d={self.d}")
         if not (self.rho_min < 0 < self.rho_max):
             raise ValueError(
                 f"joint limits must straddle zero: rho_min={self.rho_min}, rho_max={self.rho_max}"

@@ -5,6 +5,10 @@ single-posture solution, linear least squares on the six- and
 twelve-equation systems, and Gauss-Newton refinement of either on the exact
 nonlinear deviation model.  :func:`identify` runs one on a measurement set;
 it, ``nonlinear_identify`` and the Monte-Carlo share one batched solve.
+Readings enter only as a measurement set of the estimator's scheme.  Every
+linear estimate of one set, ``least_squares_solve`` of a ``LinearSystem``
+included, is ``K @ readings`` with its residuals and gradient from one fit
+formula; its covariance ``K S K'`` is ``accuracy.offset_covariance``.
 Following the calibration procedure, the Gauss-Newton step uses the constant
 linear-system matrix as its Jacobian.  ``nonlinear_identify`` can step with the
 exact analytic Jacobian instead, which the forward model returns with the
@@ -28,7 +32,6 @@ from .measurement import (
     SYSTEM_SINGLE,
     SYSTEM_SIX,
     SYSTEM_TWELVE,
-    CalibrationCoefficients,
     DoublePostureMeasurements,
     MeasurementSet,
     ReducedMeasurements,
@@ -39,16 +42,10 @@ from .measurement import (
     _lookup,
     coefficients,
     deviations_and_jacobian,
-    prediction_jacobian,
     scheme_of,
 )
 
 __all__ = [
-    "SYSTEM_SINGLE",
-    "SYSTEM_TWELVE",
-    "SYSTEM_SIX",
-    "CalibrationCoefficients",
-    "coefficients",
     "LinearSystem",
     "build_system",
     "build_twelve_eq_system",
@@ -58,7 +55,6 @@ __all__ = [
     "least_squares_solve",
     "identify",
     "nonlinear_identify",
-    "prediction_jacobian",
     "Estimator",
     "ESTIMATORS",
     "ResidualReport",
@@ -67,17 +63,10 @@ __all__ = [
 
 
 class LinearSystem(Record, eq=False):
-    """A calibration design matrix with an optional right-hand side (mm)."""
+    """The calibration design matrix of the measurement scheme ``label``."""
 
     design_matrix: np.ndarray
     label: str
-    rhs: np.ndarray | None = None
-
-    def with_measurements(self, m: MeasurementSet) -> "LinearSystem":
-        if scheme_of(m).label != self.label:
-            required = _lookup(SCHEMES, self.label, "scheme").measurement.__name__
-            raise TypeError(f"{self.label} system requires {required}, got {type(m).__name__}")
-        return LinearSystem(self.design_matrix, self.label, m.as_array())
 
 
 def build_system(label: str, geom: Geometry) -> LinearSystem:
@@ -132,6 +121,22 @@ def _result(offsets, residuals, method, iterations, converged, gradient_norm) ->
         converged=bool(converged),
         gradient_norm=float(gradient_norm),
     )
+
+
+def _readings(m: MeasurementSet, *types: type) -> np.ndarray:
+    """The readings of ``m``: TypeError unless it is a set of one of ``types``."""
+    if type(m) not in types:
+        expected = " or ".join(t.__name__ for t in types)
+        raise TypeError(f"measurement set must be {expected}, got {type(m).__name__}")
+    return m.as_array()
+
+
+def _linear_fit(design: np.ndarray, gain: np.ndarray, obs: np.ndarray, method: str):
+    """The linear estimate ``x = K @ obs`` of the readings of design ``D``,
+    with residuals ``r = obs - D x`` and gradient norm ``|2 D' r|``."""
+    offsets = gain @ obs
+    residuals = obs - design @ offsets
+    return _result(offsets, residuals, method, 0, True, np.linalg.norm(2.0 * design.T @ residuals))
 
 
 def _least_squares_gain(design: np.ndarray) -> np.ndarray:
@@ -195,24 +200,22 @@ ESTIMATORS = MappingProxyType(
     }
 )
 
+#: The Gauss-Newton entry of :data:`ESTIMATORS` by the measurement type it takes.
+_GAUSS_NEWTON = {e.scheme.measurement: e for e in ESTIMATORS.values() if e.nonlinear}
 
-def least_squares_solve(sys: LinearSystem, m: MeasurementSet | None = None) -> CalibrationResult:
+
+def least_squares_solve(sys: LinearSystem, m: MeasurementSet) -> CalibrationResult:
     """Minimum-residual solution of a linear calibration system.
 
     The readings are mapped by the design's least-squares gain ``pinv(D)``
     (an SVD, not the explicit normal equations), the gain the Monte-Carlo
     and the Gauss-Newton step use too; the result is the unique
-    least-squares minimizer for a rank-3 design.
+    least-squares minimizer for a rank-3 design.  ``m`` is a measurement set
+    of the system's scheme: TypeError for another.
     """
-    if m is not None:
-        sys = sys.with_measurements(m)
-    if sys.rhs is None:
-        raise ValueError("linear system has no right-hand side; pass measurements")
+    obs = _readings(m, _lookup(SCHEMES, sys.label, "scheme").measurement)
     D = sys.design_matrix
-    offsets = _least_squares_gain(D) @ sys.rhs
-    residuals = sys.rhs - D @ offsets
-    grad = np.linalg.norm(2.0 * D.T @ residuals)
-    return _result(offsets, residuals, f"least-squares({sys.label})", 0, True, grad)
+    return _linear_fit(D, _least_squares_gain(D), obs, f"least-squares({sys.label})")
 
 
 def _row_norm(v: np.ndarray) -> np.ndarray:
@@ -386,8 +389,7 @@ def _estimate(est: Estimator, obs: np.ndarray, geom: Geometry, x0=None,
     the model Jacobian.  Returns ``(x, converged, iterations, residuals,
     jacobians)``, the residuals predicted minus observed and the model
     Jacobians at ``x`` of an exact solve; a linear entry converges on every
-    row in 0 iterations, with residuals None: only :func:`_identify` reports
-    them."""
+    row in 0 iterations, with residuals None."""
     scheme = est.scheme
     gain = est.gain(geom)
     x = obs @ gain.T if x0 is None else x0
@@ -405,9 +407,9 @@ def _estimate(est: Estimator, obs: np.ndarray, geom: Geometry, x0=None,
 def _identify(est: Estimator, obs: np.ndarray, geom: Geometry, method: str,
               x0=None, jacobian: str = "linear", max_iter: int = 100) -> CalibrationResult:
     """``est`` on the readings ``obs`` of one set; ConvergenceError if it fails."""
+    if not est.nonlinear:
+        return _linear_fit(est.scheme.design(geom), est.gain(geom), obs, method)
     x, conv, iters, r, J = _estimate(est, obs[None, :], geom, x0, jacobian, max_iter)
-    if r is None:  # negated, so that -r has the signed zeros of obs - x D'
-        r = -(obs - x @ est.scheme.design(geom).T)
     x, conv, iters, r = x[0], bool(conv[0]), int(iters[0]), r[0]
     if not conv:
         # short of the budget, only a step that no halving made descend stops a row
@@ -425,8 +427,7 @@ def identify(name: str, m: MeasurementSet, geom: Geometry) -> CalibrationResult:
     """The estimator ``ESTIMATORS[name]`` on one measurement set of its scheme:
     TypeError for a set of another scheme, ConvergenceError if it fails."""
     est = _lookup(ESTIMATORS, name, "estimator")
-    obs = build_system(est.scheme.label, geom).with_measurements(m).rhs
-    return _identify(est, obs, geom, name)
+    return _identify(est, _readings(m, est.scheme.measurement), geom, name)
 
 
 def solve_single_posture_closed_form(
@@ -461,16 +462,12 @@ def nonlinear_identify(
         tolerance is met, or if no halving of a step lowers the objective
         while the step is not below the tolerance.
     """
-    label = scheme_of(m).label
-    if label not in (SYSTEM_SIX, SYSTEM_TWELVE):
-        raise TypeError(
-            "nonlinear_identify accepts ReducedMeasurements or DoublePostureMeasurements"
-        )
+    obs = _readings(m, *_GAUSS_NEWTON)
     if initial is not None:
         initial = check_offsets(initial, geom)[None, :]
-    est = ESTIMATORS["nonlinear-six" if label == SYSTEM_SIX else "nonlinear-twelve"]
+    est = _GAUSS_NEWTON[type(m)]
     return _identify(
-        est, m.as_array(), geom, f"gauss-newton({label})", initial, jacobian, max_iter
+        est, obs, geom, f"gauss-newton({est.scheme.label})", initial, jacobian, max_iter
     )
 
 

@@ -21,9 +21,16 @@ from orthocal import (
     offset_covariance,
     offset_covariance_six,
     offset_covariance_twelve,
-    propagate_covariance,
     solve_single_posture_closed_form,
 )
+from orthocal.identification import _least_squares_gain
+
+
+def _sandwich(design, noise):
+    """The oracle ``pinv(D) S pinv(D)'``: the covariance of least squares on
+    design ``D`` under reading-error covariance ``S``."""
+    K = np.linalg.pinv(design)
+    return K @ noise @ K.T
 
 
 class TestNoiseCovariance:
@@ -43,7 +50,7 @@ class TestNoiseCovariance:
 class TestAnalyticPropagation:
     def test_identity_design(self):
         sigma = 0.3
-        V = propagate_covariance(np.eye(3), 2 * sigma**2 * np.eye(3))
+        V = _sandwich(np.eye(3), 2 * sigma**2 * np.eye(3))
         np.testing.assert_allclose(V, 2 * sigma**2 * np.eye(3), atol=1e-15)
         assert np.sqrt(np.trace(V) / 3) == pytest.approx(np.sqrt(2) * sigma, rel=1e-12)
 
@@ -72,7 +79,7 @@ class TestAnalyticPropagation:
     def test_sandwich_collapses_for_identity_correlation(self, geom):
         J = build_twelve_eq_system(geom).design_matrix
         sigma = 0.7
-        V = propagate_covariance(J, sigma**2 * np.eye(12))
+        V = _sandwich(J, sigma**2 * np.eye(12))
         np.testing.assert_allclose(
             V, np.linalg.inv(J.T @ J) * sigma**2, atol=1e-15
         )
@@ -81,7 +88,7 @@ class TestAnalyticPropagation:
         # dropping the true correlation (using 2I) shifts sigma_rho by far
         # more than 1%
         J = build_twelve_eq_system(geom).design_matrix
-        V_wrong = propagate_covariance(J, 2.0 * np.eye(12))
+        V_wrong = _sandwich(J, 2.0 * np.eye(12))
         wrong = np.sqrt(np.trace(V_wrong) / 3)
         true = offset_covariance_twelve(geom, 1.0).sigma_rho
         assert abs(wrong - true) / true > 0.01
@@ -111,13 +118,13 @@ class TestAnalyticPropagation:
                 V = offset_covariance(name, geom, sigma).V
                 assert np.array_equal(V, K @ noise @ K.T)
                 if name != "closed-form":
-                    assert np.array_equal(V, propagate_covariance(design, noise))
+                    assert np.array_equal(V, _sandwich(design, noise))
                 if alias is not None:
                     assert np.array_equal(alias(geom, sigma).V, V)
 
     def test_rank_error(self):
         with pytest.raises(RankError):
-            propagate_covariance(np.ones((6, 3)), np.eye(6))
+            _least_squares_gain(np.ones((6, 3)))
 
     def test_negative_sigma_rejected(self, geom):
         # a finite sigma whose covariance overflows is rejected as well
@@ -148,9 +155,7 @@ class TestClosedFormCovariance:
         ])
         np.testing.assert_allclose(cov.V, 2 * sigma**2 * K @ K.T, rtol=1e-12, atol=1e-20)
         assert cov.sigma_rho == pytest.approx(3.0853223 * sigma, rel=1e-7)
-        pinv_V = propagate_covariance(
-            build_system(SYSTEM_SINGLE, geom).design_matrix, 2 * sigma**2 * np.eye(6)
-        )
+        pinv_V = _sandwich(build_system(SYSTEM_SINGLE, geom).design_matrix, 2 * sigma**2 * np.eye(6))
         pinv_sigma_rho = np.sqrt(np.trace(pinv_V) / 3)
 
         # the two factors differ by 3%; 40000 runs resolve that to ~0.3%

@@ -152,6 +152,37 @@ class TestCalibrate:
         assert len(err.splitlines()) == 1
         assert err.startswith("error:") and key in err
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"values": {**TABLE4[2], "dx_y": 10**400}}, "value 'dx_y' is not finite"),
+            ({"values": {**TABLE4[2], "dx_y": -(10**400)}}, "value 'dx_y' is not finite"),
+            ({"repetitions": {"dx_y": [1, 10**400]}}, "value 'dx_y' is not finite"),
+            ({"comment": {"a": [1, 2]}}, "comment must be a string"),
+            ({"simulation": 5}, "simulation must be a JSON object"),
+            ({"comment": "ok", "simulation": [1]}, "simulation must be a JSON object"),
+        ],
+        ids=["huge-value", "huge-negative-value", "huge-repetition", "comment-object",
+             "simulation-number", "simulation-list"],
+    )
+    def test_bad_number_or_metadata_exit_1(self, capsys, tmp_path, overrides, message):
+        # an integer beyond the float range reads as 1e400 does, not finite;
+        # the metadata keys have a type too: one error line naming the key
+        values = dict(TABLE4[2])
+        if "repetitions" in overrides:
+            del values["dx_y"]
+        doc = {"schema_version": 1, "units": "mm", "method": "double-reduced",
+               "values": values, **overrides}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, _, err = run_cli(capsys, "calibrate", str(path), "--method", "linear6")
+        assert rc == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
+
     def test_directory_exit_1(self, capsys, tmp_path):
         rc, _, err = run_cli(capsys, "calibrate", str(tmp_path), "--method", "linear6")
         assert rc == 1
@@ -294,6 +325,53 @@ class TestSimulate:
     def test_unreachable_offsets_exit_1(self, capsys):
         rc, _, err = run_cli(capsys, "simulate", "--offsets", "40,0,0")
         assert rc == 1
+
+
+class TestGeometryFile:
+    L_MAX = 1e6  # the longest leg a Geometry takes, mm
+
+    def _geometry(self, tmp_path, **values):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(values), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("key", ["r", "d"])
+    def test_nan_metadata_exit_1(self, capsys, tmp_path, key):
+        geo = self._geometry(tmp_path, L=310.25, rho_min=-100, rho_max=60, **{key: float("nan")})
+        rc, _, err = run_cli(capsys, "simulate", "--offsets", "0,0,0", "--geometry", geo)
+        assert rc == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and f"{key}=nan" in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("simulate", "--sigma", "0.01", "--method", "double-full"),
+            ("montecarlo", "--runs", "50", "--replications", "2", "--method", "six"),
+            ("montecarlo", "--runs", "50", "--replications", "2"),
+        ],
+        ids=["simulate", "montecarlo-six", "montecarlo-nonlinear-six"],
+    )
+    def test_longest_leg_runs_clean(self, capsys, tmp_path, command):
+        L = self.L_MAX
+        geo = self._geometry(tmp_path, L=L, rho_min=-L / 4, rho_max=L / 5)
+        offsets = f"{L / 20},{-L / 30},{L / 40}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run_cli(capsys, *command, "--offsets", offsets, "--geometry", geo)
+        assert rc == 0 and err == ""
+
+    @pytest.mark.parametrize("L", [1.000001e6, 1e26])
+    @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
+    def test_longer_leg_exit_1(self, capsys, tmp_path, L, command):
+        # at L = 1e26 the posture solve overflowed: warnings, then exit 1 or 2
+        geo = self._geometry(tmp_path, L=L, rho_min=-L / 4, rho_max=L / 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, _, err = run_cli(capsys, command, "--offsets", "0,0,0", "--geometry", geo)
+        assert rc == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and "L=" in err
 
 
 class TestAccuracy:

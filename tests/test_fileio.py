@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -274,7 +273,7 @@ class TestCalibrationReport:
 
     def test_non_finite_not_written(self):
         # JSON has no NaN: a report built in code with one cannot be written
-        rep = dataclasses.replace(self._report(), sigma_hat=float("nan"))
+        rep = CalibrationReport(**{**self._report().to_dict(), "sigma_hat": float("nan")})
         with pytest.raises(ValueError, match="JSON compliant"):
             rep.to_json()
 

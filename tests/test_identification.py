@@ -205,9 +205,9 @@ class TestLeastSquares:
 
     def test_rank_error(self):
         design = np.array([[1.0, 1.0, 2.0]] * 6)
-        sys = LinearSystem(design, "double-reduced", rhs=np.ones(6))
+        sys = LinearSystem(design, "double-reduced")
         with pytest.raises(RankError):
-            least_squares_solve(sys)
+            least_squares_solve(sys, ReducedMeasurements.from_array(np.ones(6)))
 
     def test_perturbation_never_improves(self, geom):
         sys = build_six_eq_system(geom)

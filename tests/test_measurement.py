@@ -28,6 +28,7 @@ from orthocal import (
     double_deviation_array,
     gauge_locations,
     identify,
+    least_squares_solve,
     leg_line_scaling,
     measurement_to_dict,
     monte_carlo,
@@ -806,8 +807,9 @@ class TestSchemes:
             (lambda g: noise_covariance("foo", 0.01), "double-reduced"),
             (lambda g: build_system("foo", g), "single-posture"),
             (lambda g: MeasurementFile("foo", {}).measurement(), "double-full"),
-            (lambda g: LinearSystem(np.eye(3), "foo").with_measurements(
-                ReducedMeasurements(0, 0, 0, 0, 0, 0)), "double-reduced"),
+            (lambda g: least_squares_solve(
+                LinearSystem(np.eye(3), "foo"), ReducedMeasurements(0, 0, 0, 0, 0, 0)),
+             "double-reduced"),
         ],
         ids=["identify", "offset_covariance", "monte_carlo", "noise_covariance", "build_system",
              "MeasurementFile", "LinearSystem"],

@@ -76,7 +76,7 @@ IDENTITY = [
     (Scheme, "label measurement wire_keys predict design sample_noise noise_covariance",
      (_SINGLE.label, _SINGLE.measurement, _SINGLE.wire_keys, _SINGLE.predict, _SINGLE.design,
       _SINGLE.sample_noise, _SINGLE.noise_covariance)),
-    (LinearSystem, "design_matrix label rhs", (np.eye(3), "double-reduced", None)),
+    (LinearSystem, "design_matrix label", (np.eye(3), "double-reduced")),
     (CalibrationResult,
      "offsets residuals residual_rms sigma_hat method iterations converged gradient_norm",
      (np.zeros(3), np.zeros(6), 0.1, 0.2, "six", 0, True, 0.0)),
@@ -105,7 +105,7 @@ DEFAULTS = {
     ConfigurationIndices: {"s_x": 1, "s_y": 1, "s_z": 1},
     Posture: {"axis": None},
     MeasurementFile: {"geometry": None, "comment": None, "simulation": None},
-    LinearSystem: {"rhs": None},
+    LinearSystem: {},  # no defaults: the design and the label are required
     CalibrationReport: {"schema_version": 1, "toolkit_version": orthocal.__version__},
 }
 
@@ -154,6 +154,9 @@ def test_defaults(cls):
         lambda: Geometry(L=-1, rho_min=-100.0, rho_max=60.0),
         lambda: Geometry(310.25, 10.0, 60.0),
         lambda: Geometry(310.25, -400.0, 60.0),
+        lambda: Geometry(1.000001e6, -100.0, 60.0),
+        lambda: Geometry(310.25, -100.0, 60.0, r=float("nan")),
+        lambda: Geometry(310.25, -100.0, 60.0, d=float("inf")),
         lambda: Posture(PostureKind.ISOTROPIC, Axis.X),
         lambda: Posture(PostureKind.MAX_DISPLACEMENT),
         lambda: ConfigurationIndices(2),
@@ -161,7 +164,8 @@ def test_defaults(cls):
         lambda: NoiseModel(float("nan"), 0),
     ],
     ids=[
-        "geometry-L", "geometry-limits", "geometry-limit-beyond-L", "posture-isotropic-axis",
+        "geometry-L", "geometry-limits", "geometry-limit-beyond-L", "geometry-L-beyond-bound",
+        "geometry-r-nan", "geometry-d-inf", "posture-isotropic-axis",
         "posture-max-no-axis", "configuration-index", "noise-sigma", "noise-sigma-nan",
     ],
 )
@@ -282,5 +286,5 @@ def test_gauge_location_round_trip_stays_read_only(round_trip):
 
 
 @pytest.mark.parametrize("cls, names, args", RECORDS, ids=_ids(RECORDS))
-def test_only_the_report_is_a_dataclass(cls, names, args):
-    assert dataclasses.is_dataclass(cls) is (cls is CalibrationReport)
+def test_no_record_is_a_dataclass(cls, names, args):
+    assert not dataclasses.is_dataclass(cls)
