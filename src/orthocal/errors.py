@@ -1,5 +1,15 @@
 """Exception and warning types shared across the toolkit."""
 
+__all__ = [
+    "OrthoglideError",
+    "DomainError",
+    "SingularError",
+    "RankError",
+    "ConvergenceError",
+    "InputError",
+    "JointLimitWarning",
+]
+
 
 class OrthoglideError(Exception):
     """Base class for all toolkit errors."""

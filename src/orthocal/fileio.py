@@ -8,6 +8,7 @@ package and are addressable by fixture name.
 from __future__ import annotations
 
 import json
+import numbers
 from importlib import resources
 
 import numpy as np
@@ -59,10 +60,11 @@ class MeasurementFile(Record):
 
 
 def _number(v) -> float:
-    """``float(v)``, but TypeError for a JSON boolean, which float reads as 0
-    or 1, and ValueError for a JSON integer beyond the float range, for which
-    float raises OverflowError."""
-    if isinstance(v, bool):
+    """``float(v)`` of a real number: TypeError for anything else, such as a
+    string, which float would parse, or a JSON boolean, which it reads as 0 or
+    1; ValueError for a JSON integer beyond the float range, for which float
+    raises OverflowError."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
         raise TypeError(f"{v!r} is not a number")
     try:
         return float(v)

@@ -155,11 +155,11 @@ class Posture(Record):
 
 
 def calibration_postures() -> tuple[Posture, ...]:
-    """The full calibration set: isotropic plus max/min along each axis."""
-    out = [Posture.isotropic()]
-    out += [Posture.max(a) for a in Axis]
-    out += [Posture.min(a) for a in Axis]
-    return tuple(out)
+    """The seven calibration postures: the isotropic one, then the max and
+    min displacement postures along X, Y and Z."""
+    return (Posture.isotropic(),) + tuple(
+        make(axis) for axis in Axis for make in (Posture.max, Posture.min)
+    )
 
 
 class PostureAngles(Record):

@@ -211,10 +211,15 @@ def least_squares_solve(sys: LinearSystem, m: MeasurementSet) -> CalibrationResu
     (an SVD, not the explicit normal equations), the gain the Monte-Carlo
     and the Gauss-Newton step use too; the result is the unique
     least-squares minimizer for a rank-3 design.  ``m`` is a measurement set
-    of the system's scheme: TypeError for another.
+    of the system's scheme: TypeError for another; ValueError for a design
+    that is not one row per reading by three offsets.
     """
     obs = _readings(m, _lookup(SCHEMES, sys.label, "scheme").measurement)
     D = sys.design_matrix
+    if np.shape(D) != (obs.size, 3):
+        raise ValueError(
+            f"design matrix of {sys.label!r} must have shape ({obs.size}, 3), got {np.shape(D)}"
+        )
     return _linear_fit(D, _least_squares_gain(D), obs, f"least-squares({sys.label})")
 
 
@@ -289,6 +294,17 @@ def _gauss_newton(
     # its iteration count is the sweep's; its results are written out once,
     # when it leaves
     ids, xa, ra, Ja, Fa, ob = np.arange(n_run), x, r, J, F, obs
+
+    def leave(gone, xs, rs, Js, its, conv):
+        """Write out the results of the active rows ``gone``, taken from the
+        compacted iterates ``xs``, residuals ``rs`` and, on the exact path,
+        Jacobians ``Js``, with their iteration counts and convergence flags."""
+        out = ids.take(gone)
+        x[out], r[out] = xs.take(gone, 0), rs.take(gone, 0)
+        iterations[out], converged[out] = its, conv
+        if exact:
+            J[out] = Js.take(gone, 0)
+
     # every gather and scatter below reaches its rows through the indices of
     # their mask: a take runs several times faster than a boolean-mask gather
     for sweep in range(max_iter if n_run else 0):  # an empty batch runs no sweep
@@ -296,12 +312,10 @@ def _gauss_newton(
         flat = _row_norm(grad) < _GRAD_TOL
         if np.count_nonzero(flat):  # count_nonzero: the cheapest test of a small mask
             gone, keep = flat.nonzero()[0], (~flat).nonzero()[0]
-            out = ids.take(gone)
-            x[out], r[out], iterations[out] = xa.take(gone, 0), ra.take(gone, 0), sweep
-            converged[out] = True
-            if exact:
-                J[out], Ja = Ja.take(gone, 0), Ja.take(keep, 0)
+            leave(gone, xa, ra, Ja, sweep, True)
             ids, xa, ra, Fa, ob = (v.take(keep, 0) for v in (ids, xa, ra, Fa, ob))
+            if exact:
+                Ja = Ja.take(keep, 0)
             if ids.size == 0:
                 break
         if exact:  # after the flat test: an exact solve often ends there
@@ -359,25 +373,19 @@ def _gauss_newton(
         if objective_history is not None:  # F holds each row's objective
             F[ids] = F_try
             objective_history.append(F.copy())
-        leave = tiny | worse
-        gone = leave.nonzero()[0]
+        done = tiny | worse
+        gone = done.nonzero()[0]
         if gone.size:
-            out = ids.take(gone)
-            x[out], r[out] = x_try.take(gone, 0), r_try.take(gone, 0)
-            iterations[out], converged[out] = sweep + 1 - worse.take(gone), tiny.take(gone)
-            if exact:
-                J[out] = J_try.take(gone, 0)
+            leave(gone, x_try, r_try, J_try, sweep + 1 - worse.take(gone), tiny.take(gone))
             if gone.size == ids.size:  # no row remains to compact
                 break
-            keep = (~leave).nonzero()[0]
+            keep = (~done).nonzero()[0]
             ids, x_try, r_try, F_try, ob = (v.take(keep, 0) for v in (ids, x_try, r_try, F_try, ob))
             if exact:
                 J_try = J_try.take(keep, 0)
         xa, ra, Ja, Fa = x_try, r_try, J_try, F_try
     else:  # the budget ran out on the rows still active
-        x[ids], r[ids], iterations[ids] = xa, ra, max_iter
-        if exact:
-            J[ids] = Ja
+        leave(np.arange(ids.size), xa, ra, Ja, max_iter, False)
     return x, converged, iterations, r, J
 
 

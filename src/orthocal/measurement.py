@@ -33,7 +33,7 @@ import numpy as np
 
 from ._record import Record
 from .errors import DomainError, SingularError
-from .geometry import Axis, Geometry, Posture, PostureKind, check_offsets
+from .geometry import Axis, Geometry, Posture, PostureKind, calibration_postures, check_offsets
 from .kinematics import (
     _DK_FLAGS,
     _DK_FLOATS,
@@ -62,7 +62,6 @@ __all__ = [
     "GENERATOR_ALGORITHM",
     "gauge_locations",
     "leg_line_scaling",
-    "prediction_jacobian",
     "deviations_and_jacobian",
     "predict_single_posture",
     "predict_double_posture",
@@ -144,12 +143,9 @@ _CHANNELS_SINGLE = ((Axis.X, +1), (Axis.X, -1), (Axis.Y, +1), (Axis.Y, -1))
 # Plus/minus slots whose differences form the reduced 6-vector, in row order.
 _REDUCTION_PLUS, _REDUCTION_MINUS = np.array([[0, 1, 4, 5, 8, 9], [2, 3, 6, 7, 10, 11]])
 
-# The posture stack, solved in one direct-kinematics call: the isotropic
-# posture, then the max and min displacement postures along X, Y and Z.  A
-# kinematic failure names the first failing posture in this order.
-_STACK = (Posture.isotropic(),) + tuple(
-    make(axis) for axis in Axis for make in (Posture.max, Posture.min)
-)
+# The posture stack, solved in one direct-kinematics call.  A kinematic
+# failure names the first failing posture in this order.
+_STACK = calibration_postures()
 
 
 def _stack_row(leg: Axis, sign: int) -> int:
@@ -557,24 +553,17 @@ def single_deviation_array(offsets, geom: Geometry) -> np.ndarray:
 
 def deviations_and_jacobian(offsets, geom: Geometry, label: str) -> tuple[np.ndarray, np.ndarray]:
     """The exact deviations ``(..., n)`` of the double-posture scheme
-    ``label`` and their Jacobian ``(..., n, 3)`` (:func:`prediction_jacobian`),
-    from one solve of the posture stack."""
+    ``label`` and their exact analytic Jacobian ``(..., n, 3)`` with respect
+    to offsets ``(..., 3)``, from one solve of the posture stack.
+
+    The Jacobian differentiates the predictions by the chain rule through the
+    direct kinematics, whose TCP Jacobian it takes in closed form, and the
+    gauge-line parameter.  At zero offsets it reduces to the constant
+    linear-system matrix.  Nominal gauge placement is assumed.
+    """
     if label not in (SYSTEM_TWELVE, SYSTEM_SIX):
         raise ValueError(f"the exact Jacobian supports {SYSTEM_TWELVE!r} or {SYSTEM_SIX!r}")
     return _double_posture(offsets, geom, label == SYSTEM_SIX, jacobian=True)
-
-
-def prediction_jacobian(offsets, geom: Geometry, label: str = SYSTEM_TWELVE) -> np.ndarray:
-    """Exact analytic Jacobian of the nonlinear deviation model.
-
-    Differentiates the leg-deviation predictions with respect to the offsets
-    by the chain rule through the direct kinematics, whose TCP Jacobian it
-    takes in closed form, and the gauge-line parameter, for offsets
-    ``(..., 3)``; shape ``(..., n, 3)`` with ``n`` the rows of scheme
-    ``label``.  At zero offsets this reduces to the constant linear-system
-    matrix.  Nominal gauge placement is assumed.
-    """
-    return deviations_and_jacobian(offsets, geom, label)[1]
 
 
 def predict_double_posture(offsets, geom: Geometry) -> DoublePostureMeasurements:

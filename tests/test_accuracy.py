@@ -139,6 +139,12 @@ class TestAnalyticPropagation:
             with pytest.raises(ValueError, match="sigma"):
                 noise_covariance(label, sigma)
 
+    def test_offset_covariance_overflow_named(self, geom):
+        # the noise covariance of this sigma is finite; K S K' is not
+        assert np.isfinite(noise_covariance(SYSTEM_TWELVE, 9e153)).all()
+        with pytest.raises(ValueError, match=r"^sigma 9e\+153 overflows the offset covariance$"):
+            offset_covariance("twelve", geom, 9e153)
+
 
 class TestClosedFormCovariance:
     def test_own_map_not_pseudoinverse(self, geom):
@@ -292,3 +298,10 @@ class TestMonteCarlo:
         # offsets inside the validity bound whose Gauss-Newton iterates leave it
         with pytest.raises(ConvergenceError, match="iterate out of domain: .* validity bound"):
             monte_carlo([30.0] * 3, 0.5, 2000, 1, "nonlinear-six", 0)
+
+    def test_failure_rate_too_high(self):
+        # every iterate stays in the domain, but 106 of the runs end without
+        # converging: more than the Monte-Carlo tolerates
+        message = "^Monte-Carlo failure rate too high: 106 of 2000 runs$"
+        with pytest.raises(ConvergenceError, match=message):
+            monte_carlo([10.0] * 3, 0.01, 2000, 1, "nonlinear-twelve")

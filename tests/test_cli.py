@@ -183,6 +183,45 @@ class TestCalibrate:
         assert err.startswith("error:") and message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "overrides, geometry, message",
+        [
+            ({"values": {**TABLE4[2], "dz_y": "1_0"}}, None, "value 'dz_y' is not a number"),
+            ({"values": {**TABLE4[2], "dz_y": " 2.37 "}}, None, "value 'dz_y' is not a number"),
+            ({"repetitions": {"dz_y": [0.1, "0.2"]}}, None, "entry 'dz_y' holds a non-number"),
+            ({"geometry": {"L": "310.25", "rho_min": -100, "rho_max": 60}}, None,
+             "L: '310.25' is not a number"),
+            ({}, {"L": 310.25, "rho_min": "-100", "rho_max": 60}, "rho_min: '-100' is not a number"),
+        ],
+        ids=["value-underscore", "value-padded", "repetition", "geometry-key", "geometry-file-key"],
+    )
+    def test_string_number_exit_1(self, capsys, tmp_path, overrides, geometry, message):
+        # the schema's numbers are JSON numbers: a string that float() would
+        # parse is rejected with one error line naming the key
+        values = dict(TABLE4[2])
+        if "repetitions" in overrides:
+            del values["dz_y"]
+        doc = {"schema_version": 1, "units": "mm", "method": "double-reduced",
+               "values": values, **overrides}
+        path = tmp_path / "str.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["calibrate", str(path), "--method", "linear6"]
+        if geometry is not None:
+            geo = tmp_path / "g.json"
+            geo.write_text(json.dumps(geometry), encoding="utf-8")
+            argv += ["--geometry", str(geo)]
+        rc, _, err = run_cli(capsys, *argv)
+        assert rc == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and message in err
+
+    def test_json_list_file_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([dict(TABLE4[2])]), encoding="utf-8")
+        rc, _, err = run_cli(capsys, "calibrate", str(path), "--method", "linear6")
+        assert rc == 1
+        assert err == "error: measurement file must contain a JSON object\n"
+
     def test_directory_exit_1(self, capsys, tmp_path):
         rc, _, err = run_cli(capsys, "calibrate", str(tmp_path), "--method", "linear6")
         assert rc == 1

@@ -271,6 +271,14 @@ class TestCalibrationReport:
         with pytest.raises(InputError, match=key):
             CalibrationReport.from_dict(doc)
 
+    @pytest.mark.parametrize("key", ["residual_rms", "gradient_norm", "offsets"])
+    def test_string_float_rejected(self, key):
+        # a string that float() parses is no JSON number
+        doc = self._report().to_dict()
+        doc[key] = {**doc[key], "d_rho_y": "0.6"} if key == "offsets" else str(doc[key])
+        with pytest.raises(InputError, match=f"report value '{key}' is invalid: .* is not a number"):
+            CalibrationReport.from_dict(doc)
+
     def test_non_finite_not_written(self):
         # JSON has no NaN: a report built in code with one cannot be written
         rep = CalibrationReport(**{**self._report().to_dict(), "sigma_hat": float("nan")})

@@ -22,7 +22,6 @@ from orthocal import (
     monte_carlo,
     nonlinear_identify,
     offset_covariance,
-    prediction_jacobian,
     predict_double_posture,
     predict_single_posture,
     reduce,
@@ -232,6 +231,13 @@ class TestLeastSquares:
                 build_six_eq_system(geom), SinglePostureMeasurements(0, 0, 0, 0, 0, 0)
             )
 
+    @pytest.mark.parametrize("design", [np.eye(3), np.ones((6, 2)), np.ones((12, 3))])
+    def test_design_shape_checked(self, design):
+        # one design row per reading of the scheme, three offset columns
+        sys = LinearSystem(design, "double-reduced")
+        with pytest.raises(ValueError, match=r"'double-reduced' must have shape \(6, 3\)"):
+            least_squares_solve(sys, ReducedMeasurements(0, 0, 0, 0, 0, 0))
+
 
 def _scipy_oracle(obs_rows: np.ndarray, geom, x0) -> np.ndarray:
     """Independent nonlinear fit of the deviation model (scipy, numeric)."""
@@ -399,7 +405,7 @@ class TestNonlinearIdentify:
         ):
             for _ in range(10):
                 dr = rng.uniform(-2, 2, 3)
-                J = prediction_jacobian(dr, geom, label)
+                J = deviations_and_jacobian(dr, geom, label)[1]
                 fd = np.zeros_like(J)
                 for j in range(3):
                     e = np.zeros(3)
@@ -408,11 +414,11 @@ class TestNonlinearIdentify:
                 assert np.abs(J - fd).max() <= 1e-5 * np.abs(fd).max()
 
     def test_exact_jacobian_reduces_to_linear_at_zero(self, geom):
-        J = prediction_jacobian([0, 0, 0], geom, "double-full")
+        J = deviations_and_jacobian([0, 0, 0], geom, "double-full")[1]
         np.testing.assert_allclose(
             J, build_twelve_eq_system(geom).design_matrix, atol=1e-12
         )
-        J6 = prediction_jacobian([0, 0, 0], geom, "double-reduced")
+        J6 = deviations_and_jacobian([0, 0, 0], geom, "double-reduced")[1]
         np.testing.assert_allclose(J6, build_six_eq_system(geom).design_matrix, atol=1e-12)
 
 
@@ -540,7 +546,7 @@ class TestBlockHalving:
         """The solver's arguments and the reference loop's: with the exact
         Jacobian the solver takes the model that returns the deviations and
         their Jacobian from one call, the reference loop the predictor and
-        its own prediction_jacobian call."""
+        its own deviations_and_jacobian call."""
         scheme = SCHEMES[label]
         rng = np.random.default_rng([n, len(label), jacobian == "exact"])
         truth = rng.uniform(-spread, spread, (n, 3))
@@ -549,7 +555,7 @@ class TestBlockHalving:
         predict = lambda x: scheme.predict(x, geom)  # noqa: E731
         if jacobian == "exact":
             model = lambda x: deviations_and_jacobian(x, geom, label)  # noqa: E731
-            jac = lambda x: prediction_jacobian(x, geom, label)  # noqa: E731
+            jac = lambda x: deviations_and_jacobian(x, geom, label)[1]  # noqa: E731
             return (obs, None, model, x0), (obs, jac, predict, x0)
         design = (scheme.design(geom), _least_squares_gain(scheme.design(geom)))
         return (obs, design, predict, x0), (obs, design, predict, x0)

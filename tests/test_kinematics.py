@@ -8,6 +8,7 @@ from orthocal import (
     Geometry,
     JointLimitWarning,
     Posture,
+    PostureAngles,
     SingularError,
     calibration_postures,
     direct_kinematics,
@@ -307,6 +308,14 @@ class TestPostures:
         assert len(postures) == 7
         assert len(set(postures)) == 7
 
+    def test_posture_sine_in_range(self):
+        with pytest.raises(ValueError, match="sine of posture angle out of range: 1.0"):
+            PostureAngles.from_sine(1.0)
+
+    @pytest.mark.parametrize("value", [Axis.Y, 1, " y ", "Y"])
+    def test_axis_parse(self, value):
+        assert Axis.parse(value) is Axis.Y
+
     def test_sensitivity_linearization(self, geom):
         # TCP displacement from direct kinematics vs the linear posture model
         # for offsets up to 0.1 mm
@@ -350,6 +359,10 @@ class TestSensitivityTable:
     def test_zero_offsets(self, geom):
         for r in sensitivity_table(geom, [0, 0, 0]):
             assert r.at_max == 0.0 and r.at_min == 0.0
+
+    def test_batch_rejected(self, geom):
+        with pytest.raises(ValueError, match="^sensitivity_table expects a single offset triple"):
+            sensitivity_table(geom, np.zeros((2, 3)))
 
     def test_row_expressions(self, geom):
         # each deviation pairs the leg offset (through tan alpha) with the

@@ -22,8 +22,10 @@ from orthocal import (
     build_six_eq_system,
     build_system,
     build_twelve_eq_system,
+    calibration_postures,
     check_offsets,
     coefficients,
+    deviations_and_jacobian,
     direct_kinematics,
     double_deviation_array,
     gauge_locations,
@@ -38,7 +40,6 @@ from orthocal import (
     parse_measurement,
     predict_double_posture,
     predict_single_posture,
-    prediction_jacobian,
     reduce,
     reduced_deviation_array,
     single_deviation_array,
@@ -332,12 +333,12 @@ class TestPredictors:
         pinned = np.array(self.PINNED_JACOBIAN[label])
         assert np.abs(pinned - np.array(self.LAPACK_JACOBIAN[label])).max() <= 1e-15
         offsets = np.array(self.PINNED_OFFSETS)
-        assert np.array_equal(prediction_jacobian(offsets, geom, label), pinned)
+        assert np.array_equal(deviations_and_jacobian(offsets, geom, label)[1], pinned)
         for dr, jac in zip(offsets, pinned):
-            assert np.array_equal(prediction_jacobian(dr, geom, label), jac)
+            assert np.array_equal(deviations_and_jacobian(dr, geom, label)[1], jac)
         rng = np.random.default_rng(31)
         batch = np.vstack([rng.uniform(-geom.L / 10, geom.L / 10, (5, 3)), offsets])
-        out = prediction_jacobian(batch, geom, label)
+        out = deviations_and_jacobian(batch, geom, label)[1]
         assert np.array_equal(out[5:], pinned)
         digest = hashlib.sha256(np.ascontiguousarray(out, dtype="<f8").tobytes()).hexdigest()
         assert digest == self.PINNED_JACOBIAN_BATCH[label]
@@ -368,8 +369,8 @@ _PREDICTORS = (
     double_deviation_array,
     reduced_deviation_array,
     single_deviation_array,
-    lambda dr, geom: prediction_jacobian(dr, geom, "double-full"),
-    lambda dr, geom: prediction_jacobian(dr, geom, "double-reduced"),
+    lambda dr, geom: deviations_and_jacobian(dr, geom, "double-full")[1],
+    lambda dr, geom: deviations_and_jacobian(dr, geom, "double-reduced")[1],
 )
 
 
@@ -655,6 +656,13 @@ class TestGauges:
         with pytest.raises(ValueError):
             leg_line_scaling(Posture.max(Axis.X), Axis.Y, [0, 0, 0], geom)
 
+    def test_batch_rejected(self, geom):
+        batch = np.zeros((2, 3))
+        with pytest.raises(ValueError, match="^gauge_locations expects a single offset triple"):
+            gauge_locations(batch, geom)
+        with pytest.raises(ValueError, match="^leg_line_scaling expects a single offset triple"):
+            leg_line_scaling(Posture.isotropic(), Axis.X, batch, geom)
+
 
 class TestNoise:
     def test_zero_sigma_identity(self, geom):
@@ -758,6 +766,25 @@ class TestMeasurementTypes:
         arr6 = np.arange(6.0)
         assert SinglePostureMeasurements.from_array(arr6).as_array().tolist() == arr6.tolist()
         assert ReducedMeasurements.from_array(arr6).as_array().tolist() == arr6.tolist()
+
+    @pytest.mark.parametrize(
+        "cls", [SinglePostureMeasurements, DoublePostureMeasurements, ReducedMeasurements]
+    )
+    def test_from_array_takes_one_row(self, cls):
+        rows = np.zeros((2, len(cls._fields)))
+        with pytest.raises(TypeError, match=f"^{cls.__name__} takes one row of readings"):
+            cls.from_array(rows)
+
+    def test_add_noise_takes_a_set(self):
+        with pytest.raises(TypeError, match="^unsupported measurement set type: list"):
+            add_noise([0.0] * 6, NoiseModel(0.01, 0))
+
+    def test_exact_jacobian_is_double_posture_only(self, geom):
+        with pytest.raises(ValueError, match="exact Jacobian supports"):
+            deviations_and_jacobian([0, 0, 0], geom, SYSTEM_SINGLE)
+
+    def test_stack_is_the_calibration_postures(self):
+        assert _STACK == calibration_postures()
 
 
 class TestSchemes:

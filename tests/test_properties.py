@@ -9,13 +9,13 @@ from orthocal import (
     SCHEMES,
     Geometry,
     OrthoglideError,
+    deviations_and_jacobian,
     direct_kinematics,
     double_deviation_array,
     inverse_kinematics,
     nonlinear_identify,
     posture_commanded_joints,
     predict_double_posture,
-    prediction_jacobian,
     reduce,
     reduced_deviation_array,
     single_deviation_array,
@@ -38,8 +38,8 @@ _MODELS = (
     double_deviation_array,
     reduced_deviation_array,
     single_deviation_array,
-    lambda dr, geom: prediction_jacobian(dr, geom, "double-full"),
-    lambda dr, geom: prediction_jacobian(dr, geom, "double-reduced"),
+    lambda dr, geom: deviations_and_jacobian(dr, geom, "double-full")[1],
+    lambda dr, geom: deviations_and_jacobian(dr, geom, "double-reduced")[1],
 )
 
 
@@ -170,11 +170,11 @@ def test_jacobian_matches_central_differences(label, geom, data):
     dr = np.array(data.draw(st.tuples(coord, coord, coord)))
     scheme = SCHEMES[label]
     try:
-        J = prediction_jacobian(dr, geom, label)
+        J = deviations_and_jacobian(dr, geom, label)[1]
         h = 1e-7 * geom.L
         step = h * np.eye(3)
         fd = (scheme.predict(dr + step, geom) - scheme.predict(dr - step, geom)).T / (2 * h)
-        J0 = prediction_jacobian(np.zeros(3), geom, label)
+        J0 = deviations_and_jacobian(np.zeros(3), geom, label)[1]
     except (DomainError, SingularError):
         return
     scale = max(1.0, np.abs(J).max())
