@@ -34,11 +34,19 @@ class Axis(IntEnum):
 
     @classmethod
     def parse(cls, value: "Axis | int | str") -> "Axis":
-        if isinstance(value, Axis):
-            return value
-        if isinstance(value, int):
-            return cls(value)
-        return cls[value.strip().upper()]
+        """The axis ``value`` names: an Axis, an int 0-2 or a name in any case.
+        TypeError for any other type, a bool or a float among them;
+        ValueError for an unknown name or an int out of range."""
+        if isinstance(value, str):
+            name = value.strip().upper()
+            if name in cls.__members__:
+                return cls[name]
+        elif isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+            if 0 <= value < len(cls):
+                return cls(value)
+        else:
+            raise TypeError(f"an axis is an Axis, an int or a name, got {type(value).__name__}")
+        raise ValueError(f"unknown axis {value!r}; expected one of {', '.join(cls.__members__)}")
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.name
@@ -56,7 +64,7 @@ class Geometry(Record):
     ``r`` (tool offset, eliminated by a fixed coordinate shift) and ``d``
     (parallelogram width, eliminated by the rigid-rod reduction) are carried
     as inert metadata only; no computation depends on them, but both must be
-    finite.  ``L`` is at most 1e6 mm.
+    finite and non-negative.  ``L`` is at most 1e6 mm.
     """
 
     L: float
@@ -68,8 +76,10 @@ class Geometry(Record):
     def __post_init__(self) -> None:
         if not (0 < self.L <= _L_MAX):
             raise ValueError(f"leg length must be in (0, {_L_MAX:g}] mm, got L={self.L}")
-        if not (math.isfinite(self.r) and math.isfinite(self.d)):
-            raise ValueError(f"r and d must be finite, got r={self.r}, d={self.d}")
+        for name in ("r", "d"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {name}={value}")
         if not (self.rho_min < 0 < self.rho_max):
             raise ValueError(
                 f"joint limits must straddle zero: rho_min={self.rho_min}, rho_max={self.rho_max}"

@@ -83,7 +83,11 @@ SYSTEM_SIX = "double-reduced"
 
 class MeasurementSet(Record):
     """Base of the measurement sets.  A subclass names its ``rows``: one float
-    field per row of the scheme's calibration system, in row order."""
+    field per row of the scheme's calibration system, in row order.  A name
+    is the channel's only declaration: ``d<gauge>_<leg><posture>`` is the
+    reading on the gauge axis of the gauged leg at the posture, ``_plus``
+    (max), ``_minus`` (min) or ``0`` (isotropic); with no posture it is the
+    max-minus-min difference."""
 
     def __init_subclass__(cls, rows: str) -> None:
         cls.__annotations__ = dict.fromkeys(rows.split(), "float")
@@ -120,28 +124,31 @@ class ReducedMeasurements(MeasurementSet, rows="dx_y dy_x dy_z dz_y dx_z dz_x"):
     """Max-minus-min deviation differences, in reduced-system row order."""
 
 
-# Canonical 12-vector channels in slot order: (leg, gauge axis, +1 max / -1 min).
-_CHANNELS_12 = (
-    (Axis.Y, Axis.X, +1),
-    (Axis.X, Axis.Y, +1),
-    (Axis.Y, Axis.X, -1),
-    (Axis.X, Axis.Y, -1),
-    (Axis.Z, Axis.Y, +1),
-    (Axis.Y, Axis.Z, +1),
-    (Axis.Z, Axis.Y, -1),
-    (Axis.Y, Axis.Z, -1),
-    (Axis.Z, Axis.X, +1),
-    (Axis.X, Axis.Z, +1),
-    (Axis.Z, Axis.X, -1),
-    (Axis.X, Axis.Z, -1),
-)
+# The posture of a row name, as a sign: +1 max, -1 min, 0 isotropic.
+_SIGNS = {"_plus": +1, "_minus": -1, "0": 0}
 
-# Single-posture displacement channels after the two isotropic z-rows:
-# (gauged leg, +1 max / -1 min).
-_CHANNELS_SINGLE = ((Axis.X, +1), (Axis.X, -1), (Axis.Y, +1), (Axis.Y, -1))
 
-# Plus/minus slots whose differences form the reduced 6-vector, in row order.
-_REDUCTION_PLUS, _REDUCTION_MINUS = np.array([[0, 1, 4, 5, 8, 9], [2, 3, 6, 7, 10, 11]])
+def _channels(cls: type) -> tuple[tuple[Axis, Axis, int], ...]:
+    """(gauge axis, leg, sign) of each row of ``cls``, parsed from its name
+    ``d<gauge>_<leg><posture>`` (:class:`MeasurementSet`)."""
+    return tuple((Axis.parse(n[1]), Axis.parse(n[3]), _SIGNS[n[4:]]) for n in cls._fields)
+
+
+def _wire_order(cls: type) -> tuple[str, ...]:
+    """The row names of a double-posture record in file order: alphabetical,
+    each max before its min."""
+    return tuple(sorted(cls._fields, key=lambda name: (name[:4], name.endswith("_minus"))))
+
+
+_CHANNELS_12 = _channels(DoublePostureMeasurements)
+_CHANNELS_SINGLE = _channels(SinglePostureMeasurements)
+
+# The twelve slots whose differences form the reduced rows: ``dx_y`` is
+# ``dx_y_plus - dx_y_minus``.
+_REDUCTION_PLUS, _REDUCTION_MINUS = np.array([
+    [DoublePostureMeasurements._fields.index(name + half) for name in ReducedMeasurements._fields]
+    for half in ("_plus", "_minus")
+])
 
 # The posture stack, solved in one direct-kinematics call.  A kinematic
 # failure names the first failing posture in this order.
@@ -149,22 +156,22 @@ _STACK = calibration_postures()
 
 
 def _stack_row(leg: Axis, sign: int) -> int:
-    """Stack row of the max (+1) or min (-1) displacement posture of ``leg``."""
-    return _STACK.index(Posture.max(leg) if sign > 0 else Posture.min(leg))
+    """Stack row of the isotropic (0), max (+1) or min (-1) posture of ``leg``."""
+    posture = Posture.max(leg) if sign > 0 else Posture.min(leg) if sign else Posture.isotropic()
+    return _STACK.index(posture)
 
 
-# Per-channel index arrays: leg, gauge axis, stack row of the displacement
+# Per-channel index arrays: gauge axis, leg, stack row of the displacement
 # posture, and the flat indices of the channel's isotropic and posture reading
 # in the raw-noise layout (leg, gauge slot 0 or 1: a leg's two gauges in axis
 # order, reading 0 isotropic, 1 max, 2 min).
-_LEG_12, _GAUGE_12, _SIGN_12 = (np.array(column) for column in zip(*_CHANNELS_12))
-_ROW_12 = np.array([_stack_row(leg, sign) for leg, _, sign in _CHANNELS_12])
+_GAUGE_12, _LEG_12, _SIGN_12 = (np.array(column) for column in zip(*_CHANNELS_12))
+_ROW_12 = np.array([_stack_row(leg, sign) for _, leg, sign in _CHANNELS_12])
 _NOISE_ISO = 6 * _LEG_12 + 3 * (_GAUGE_12 - (_GAUGE_12 > _LEG_12))
 _NOISE_READING = _NOISE_ISO + np.where(_SIGN_12 > 0, 1, 2)
 
-# Stack rows of the single-posture channels: the isotropic z-rows, then the
-# X and Y displacement postures.
-_ROW_SINGLE = np.array([0, 0] + [_stack_row(leg, sign) for leg, sign in _CHANNELS_SINGLE])
+# Stack rows of the single-posture channels.
+_ROW_SINGLE = np.array([_stack_row(leg, sign) for _, leg, sign in _CHANNELS_SINGLE])
 
 # Gauged leg lines as (stack row, leg) pairs: each leg at the isotropic
 # posture, then each displacement posture on its own leg, so the line of
@@ -223,15 +230,13 @@ def coefficients(geom: Geometry) -> CalibrationCoefficients:
 
 def _geometry_constant(fn):
     """Compute ``fn(..., geom)`` once per argument tuple (``lru_cache``).  The
-    arrays it returns, alone or in a tuple, are shared by every caller and
-    therefore made read-only."""
+    array it returns is shared by every caller and therefore made read-only."""
 
     @functools.lru_cache(maxsize=16)
     @functools.wraps(fn)
     def cached(*args):
         out = fn(*args)
-        for a in out if isinstance(out, tuple) else (out,):
-            a.setflags(write=False)
+        out.setflags(write=False)
         return out
 
     return cached
@@ -246,27 +251,29 @@ def _stack_joints(geom: Geometry) -> np.ndarray:
     return np.ascontiguousarray(joints)[..., None]
 
 
+def _design(channels, by_sign: dict) -> np.ndarray:
+    """One design row per channel: the coefficient pair ``by_sign[sign]`` on
+    its gauge axis and on its leg axis."""
+    design = np.zeros((len(channels), 3))
+    for row, (gauge, leg, sign) in zip(design, channels):
+        row[gauge], row[leg] = by_sign[sign]
+    return design
+
+
 @_geometry_constant
 def _single_design(geom: Geometry) -> np.ndarray:
-    """Two isotropic z-rows, then the X and Y displacement rows with ``a``
-    on the leg axis."""
+    """The z-deviation rows: 1 on z and, at the max (1) or min (2)
+    displacement angle, ``a`` on the leg axis."""
     k = coefficients(geom)
-    design = np.zeros((6, 3))
-    design[:, 2] = 1.0
-    for slot, (leg, sign) in enumerate(_CHANNELS_SINGLE, start=2):
-        design[slot, leg] = k.a1 if sign > 0 else k.a2
-    return design
+    return _design(_CHANNELS_SINGLE, {0: (1.0, 0.0), +1: (1.0, k.a1), -1: (1.0, k.a2)})
 
 
 @_geometry_constant
 def _twelve_design(geom: Geometry) -> np.ndarray:
-    """Twelve double-posture rows: ``b`` on the gauge axis and ``c`` on the
-    leg axis, with the max (1) or min (2) displacement angle."""
+    """The double-posture rows: ``b`` on the gauge axis and ``c`` on the leg
+    axis, with the max (1) or min (2) displacement angle."""
     k = coefficients(geom)
-    design = np.zeros((12, 3))
-    for slot, (leg, gax, sign) in enumerate(_CHANNELS_12):
-        design[slot, gax], design[slot, leg] = (k.b1, k.c1) if sign > 0 else (k.b2, k.c2)
-    return design
+    return _design(_CHANNELS_12, {+1: (k.b1, k.c1), -1: (k.b2, k.c2)})
 
 
 @_geometry_constant
@@ -671,22 +678,30 @@ class NoiseModel(Record):
         return np.random.default_rng(self.seed)
 
 
+def _reading_noise(rng, sigma: float, shape: tuple, n: int, reading, reference) -> np.ndarray:
+    """The noise of channels that are each a raw reading minus its reference
+    reading: ``reading`` and ``reference`` index ``n`` i.i.d. raw readings of
+    standard deviation ``sigma``.  Each scheme binds its layout in a
+    module-level function, so that a :class:`Scheme` copies and pickles."""
+    xi = rng.standard_normal(shape + (n,)) * sigma
+    return xi.take(reading, axis=-1) - xi.take(reference, axis=-1)
+
+
+_PAIRS = np.arange(12).reshape(6, 2).T
+
+
 def _noise_pairs(rng: np.random.Generator, sigma: float, shape: tuple = ()) -> np.ndarray:
-    """Single-posture noise: six channels, each the difference of two
-    independent raw readings, variance ``2 sigma^2``."""
-    xi = rng.standard_normal(shape + (6, 2)) * sigma
-    return xi[..., 0] - xi[..., 1]
+    """Single-posture noise: channel ``k`` is raw reading ``2k`` minus raw
+    reading ``2k + 1``, variance ``2 sigma^2``."""
+    return _reading_noise(rng, sigma, shape, 12, *_PAIRS)
 
 
 def _noise_double(rng: np.random.Generator, sigma: float, shape: tuple = ()) -> np.ndarray:
-    """Double-posture noise with the raw-reading correlation structure.
-
-    Per leg and gauge, one reading is taken at each of the isotropic, max and
-    min postures; a deviation is the posture reading minus the isotropic one,
-    so the max and min deviations of a gauge share the isotropic noise term.
-    """
-    xi = rng.standard_normal(shape + (18,)) * sigma  # (leg, gauge slot, reading), flat
-    return xi.take(_NOISE_READING, axis=-1) - xi.take(_NOISE_ISO, axis=-1)
+    """Double-posture noise: per leg and gauge, one reading at each of the
+    isotropic, max and min postures; a channel is its posture reading minus
+    the isotropic one, so the max and min channels of a gauge share that
+    term."""
+    return _reading_noise(rng, sigma, shape, 18, _NOISE_READING, _NOISE_ISO)
 
 
 class Scheme(Record, eq=False):
@@ -730,11 +745,7 @@ SCHEMES = MappingProxyType(
         SYSTEM_TWELVE: Scheme(
             label=SYSTEM_TWELVE,
             measurement=DoublePostureMeasurements,
-            wire_keys=(
-                "dx_y_plus", "dx_y_minus", "dx_z_plus", "dx_z_minus",
-                "dy_x_plus", "dy_x_minus", "dy_z_plus", "dy_z_minus",
-                "dz_x_plus", "dz_x_minus", "dz_y_plus", "dz_y_minus",
-            ),
+            wire_keys=_wire_order(DoublePostureMeasurements),
             predict=double_deviation_array,
             design=_twelve_design,
             sample_noise=_noise_double,
@@ -743,14 +754,12 @@ SCHEMES = MappingProxyType(
         SYSTEM_SIX: Scheme(
             label=SYSTEM_SIX,
             measurement=ReducedMeasurements,
-            wire_keys=("dx_y", "dx_z", "dy_x", "dy_z", "dz_x", "dz_y"),
+            wire_keys=_wire_order(ReducedMeasurements),
             predict=reduced_deviation_array,
             design=_six_design,
             # the max-minus-min differences of the raw double-posture
             # readings: the shared isotropic reading cancels
-            sample_noise=lambda rng, sigma, shape=(): _reduce_channels(
-                _noise_double(rng, sigma, shape)
-            ),
+            sample_noise=lambda *draw: _reduce_channels(_noise_double(*draw)),
             noise_covariance=2.0 * np.eye(6),
         ),
     }

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from orthocal import ESTIMATORS, ConvergenceError
-from orthocal.cli import build_parser, main
+from orthocal.cli import MAX_RUNS, build_parser, main
 
 from conftest import REFERENCE_OFFSETS, TABLE4
 
@@ -382,6 +382,14 @@ class TestGeometryFile:
         assert len(err.splitlines()) == 1
         assert err.startswith("error:") and f"{key}=nan" in err
 
+    @pytest.mark.parametrize("key", ["r", "d"])
+    def test_negative_metadata_exit_1(self, capsys, tmp_path, key):
+        geo = self._geometry(tmp_path, L=310.25, rho_min=-100, rho_max=60, **{key: -5})
+        rc, _, err = run_cli(capsys, "simulate", "--offsets", "0,0,0", "--geometry", geo)
+        assert rc == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and f"{key} must be finite and non-negative" in err
+
     @pytest.mark.parametrize(
         "command",
         [
@@ -460,6 +468,13 @@ class TestMonteCarlo:
     def test_zero_runs_exit_1(self, capsys):
         rc, _, _ = run_cli(capsys, "montecarlo", "--runs", "0")
         assert rc == 1
+
+    @pytest.mark.parametrize("preset", [[], ["--reproduce", "table3"]], ids=["method", "table3"])
+    def test_runs_beyond_bound_exit_1(self, capsys, preset):
+        # rejected before a replication is drawn: one past the bound, never at it
+        rc, out, err = run_cli(capsys, "montecarlo", "--runs", str(MAX_RUNS + 1), *preset)
+        assert rc == 1 and out == ""
+        assert err == f"error: --runs must be in [1, {MAX_RUNS}], got {MAX_RUNS + 1}\n"
 
     def test_reproduce_preset_small(self, capsys):
         rc, out, _ = run_cli(

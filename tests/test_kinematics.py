@@ -14,6 +14,7 @@ from orthocal import (
     direct_kinematics,
     inverse_jacobian,
     inverse_kinematics,
+    leg_line_scaling,
     posture_commanded_joints,
     posture_jacobian,
     sensitivity_table,
@@ -312,9 +313,34 @@ class TestPostures:
         with pytest.raises(ValueError, match="sine of posture angle out of range: 1.0"):
             PostureAngles.from_sine(1.0)
 
-    @pytest.mark.parametrize("value", [Axis.Y, 1, " y ", "Y"])
+    @pytest.mark.parametrize("value", [Axis.Y, 1, " y ", "Y", np.int64(1)])
     def test_axis_parse(self, value):
         assert Axis.parse(value) is Axis.Y
+
+    @pytest.mark.parametrize(
+        "value, error",
+        [
+            (True, TypeError),
+            (1.0, TypeError),
+            (np.float64(1.0), TypeError),
+            (None, TypeError),
+            ("w", ValueError),
+            ("", ValueError),
+            (3, ValueError),
+            (-1, ValueError),
+        ],
+    )
+    def test_axis_parse_rejects(self, geom, value, error):
+        # a bool is an int to Python, but no axis; an unknown axis lists the
+        # valid ones, wherever an axis is parsed
+        match = "expected one of X, Y, Z" if error is ValueError else "an axis is"
+        for parse in (
+            Axis.parse,
+            Posture.max,
+            lambda leg: leg_line_scaling(Posture.isotropic(), leg, [0.0, 0.0, 0.0], geom),
+        ):
+            with pytest.raises(error, match=match):
+                parse(value)
 
     def test_sensitivity_linearization(self, geom):
         # TCP displacement from direct kinematics vs the linear posture model

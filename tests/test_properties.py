@@ -183,6 +183,26 @@ def test_jacobian_matches_central_differences(label, geom, data):
     assert np.abs(J0 - D).max() <= 1e-12 * max(1.0, np.abs(D).max())
 
 
+@pytest.mark.parametrize("label", list(SCHEMES))
+@settings(max_examples=100, deadline=None)
+@given(geom=_geometries(reach=0.9))
+def test_design_is_the_predictor_jacobian_at_zero(label, geom):
+    # the linear design each scheme builds from its channels' row names is
+    # the central-difference Jacobian of its exact predictor at zero offsets,
+    # on a random geometry; an unreachable or singular posture is a typed
+    # failure
+    scheme = SCHEMES[label]
+    h = 1e-6 * geom.L
+    step = h * np.eye(3)
+    try:
+        fd = (scheme.predict(step, geom) - scheme.predict(-step, geom)).T / (2 * h)
+    except (DomainError, SingularError):
+        return
+    D = scheme.design(geom)
+    assert D.shape == fd.shape
+    assert np.abs(fd - D).max() <= 1e-8 * max(1.0, np.abs(D).max())
+
+
 @pytest.mark.filterwarnings("ignore::orthocal.JointLimitWarning")
 @settings(max_examples=300, deadline=None)
 @given(geom=_geometries(reach=0.9), data=st.data())

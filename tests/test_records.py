@@ -157,6 +157,8 @@ def test_defaults(cls):
         lambda: Geometry(1.000001e6, -100.0, 60.0),
         lambda: Geometry(310.25, -100.0, 60.0, r=float("nan")),
         lambda: Geometry(310.25, -100.0, 60.0, d=float("inf")),
+        lambda: Geometry(310.25, -100.0, 60.0, r=-5.0),
+        lambda: Geometry(310.25, -100.0, 60.0, d=-1e-9),
         lambda: Posture(PostureKind.ISOTROPIC, Axis.X),
         lambda: Posture(PostureKind.MAX_DISPLACEMENT),
         lambda: ConfigurationIndices(2),
@@ -165,7 +167,8 @@ def test_defaults(cls):
     ],
     ids=[
         "geometry-L", "geometry-limits", "geometry-limit-beyond-L", "geometry-L-beyond-bound",
-        "geometry-r-nan", "geometry-d-inf", "posture-isotropic-axis",
+        "geometry-r-nan", "geometry-d-inf", "geometry-r-negative", "geometry-d-negative",
+        "posture-isotropic-axis",
         "posture-max-no-axis", "configuration-index", "noise-sigma", "noise-sigma-nan",
     ],
 )
