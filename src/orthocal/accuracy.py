@@ -21,7 +21,7 @@ from ._record import Record
 from .errors import ConvergenceError
 from .geometry import Geometry, check_offsets
 from .identification import ESTIMATORS, _estimate
-from .measurement import SCHEMES, _check_seed, _lookup
+from .measurement import SCHEMES, _check_count, _lookup
 
 __all__ = [
     "noise_covariance",
@@ -126,7 +126,7 @@ def monte_carlo(
     covariance or the statistics raise ValueError.
     """
     est = _lookup(ESTIMATORS, method, "estimator")
-    _check_seed(seed)
+    _check_count(seed, "seed")
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     if replications < 1:

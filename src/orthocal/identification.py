@@ -38,6 +38,7 @@ from .measurement import (
     Scheme,
     SinglePostureMeasurements,
     _STRIP_ROWS,
+    _check_count,
     _geometry_constant,
     _lookup,
     coefficients,
@@ -183,20 +184,24 @@ class Estimator(Record, eq=False):
     cli: str
 
 
-def _least_squares(label: str, nonlinear: bool, cli: str) -> Estimator:
-    """Least squares on the design ``D`` of scheme ``label``: ``K = pinv(D)``."""
-    scheme = SCHEMES[label]
-    return Estimator(scheme, lambda geom: _least_squares_gain(scheme.design(geom)), nonlinear, cli)
+# least squares on a double-posture design ``D``: ``K = pinv(D)``; module
+# functions, so that an estimator copies and pickles
+def _six_gain(geom: Geometry) -> np.ndarray:
+    return _least_squares_gain(SCHEMES[SYSTEM_SIX].design(geom))
+
+
+def _twelve_gain(geom: Geometry) -> np.ndarray:
+    return _least_squares_gain(SCHEMES[SYSTEM_TWELVE].design(geom))
 
 
 #: The offset estimators by name, the methods ``monte_carlo`` takes.
 ESTIMATORS = MappingProxyType(
     {
         "closed-form": Estimator(SCHEMES[SYSTEM_SINGLE], _closed_form_gain, False, "closed-form"),
-        "six": _least_squares(SYSTEM_SIX, False, "linear6"),
-        "twelve": _least_squares(SYSTEM_TWELVE, False, "linear12"),
-        "nonlinear-six": _least_squares(SYSTEM_SIX, True, "nonlinear6"),
-        "nonlinear-twelve": _least_squares(SYSTEM_TWELVE, True, "nonlinear12"),
+        "six": Estimator(SCHEMES[SYSTEM_SIX], _six_gain, False, "linear6"),
+        "twelve": Estimator(SCHEMES[SYSTEM_TWELVE], _twelve_gain, False, "linear12"),
+        "nonlinear-six": Estimator(SCHEMES[SYSTEM_SIX], _six_gain, True, "nonlinear6"),
+        "nonlinear-twelve": Estimator(SCHEMES[SYSTEM_TWELVE], _twelve_gain, True, "nonlinear12"),
     }
 )
 
@@ -289,36 +294,42 @@ def _gauss_newton(
     n_run = x.shape[0]
     converged = np.zeros(n_run, dtype=bool)
     iterations = np.zeros(n_run, dtype=int)
-    # the active rows, compacted: ids, iterates, residuals, Jacobians,
-    # objectives and readings.  Each was accepted at every sweep so far, so
-    # its iteration count is the sweep's; its results are written out once,
-    # when it leaves
+    # the active rows, compacted: ids, iterates, residuals, Jacobians (None
+    # for a constant design), objectives and readings, and whether each one's
+    # last sweep ended with a tiny damped step or with no halving level that
+    # lowered its objective.  A row is written out once, when it leaves: at
+    # the start of a sweep, or when the budget runs out
     ids, xa, ra, Ja, Fa, ob = np.arange(n_run), x, r, J, F, obs
+    tiny = worse = np.zeros(n_run, dtype=bool)
 
-    def leave(gone, xs, rs, Js, its, conv):
-        """Write out the results of the active rows ``gone``, taken from the
-        compacted iterates ``xs``, residuals ``rs`` and, on the exact path,
-        Jacobians ``Js``, with their iteration counts and convergence flags."""
+    def leave(gone, its, conv):
+        """Write out the results of the active rows ``gone`` with their
+        iteration counts and convergence flags."""
         out = ids.take(gone)
-        x[out], r[out] = xs.take(gone, 0), rs.take(gone, 0)
+        x[out], r[out] = xa.take(gone, 0), ra.take(gone, 0)
         iterations[out], converged[out] = its, conv
         if exact:
-            J[out] = Js.take(gone, 0)
+            J[out] = Ja.take(gone, 0)
 
     # every gather and scatter below reaches its rows through the indices of
     # their mask: a take runs several times faster than a boolean-mask gather
     for sweep in range(max_iter if n_run else 0):  # an empty batch runs no sweep
         grad = 2.0 * np.einsum("kn,kni->ki", ra, Ja) if exact else 2.0 * ra @ D  # (na, 3)
-        flat = _row_norm(grad) < _GRAD_TOL
-        if np.count_nonzero(flat):  # count_nonzero: the cheapest test of a small mask
-            gone, keep = flat.nonzero()[0], (~flat).nonzero()[0]
-            leave(gone, xa, ra, Ja, sweep, True)
-            ids, xa, ra, Fa, ob = (v.take(keep, 0) for v in (ids, xa, ra, Fa, ob))
-            if exact:
-                Ja = Ja.take(keep, 0)
-            if ids.size == 0:
+        # a row leaves on a flat gradient, or after a sweep that ended it: a
+        # tiny damped step converges it, accepted or with the damping
+        # exhausted; the damping exhausted on a larger one fails it, and that
+        # sweep is not counted
+        done = (_row_norm(grad) < _GRAD_TOL) | tiny | worse
+        if np.count_nonzero(done):  # count_nonzero: the cheapest test of a small mask
+            gone = done.nonzero()[0]
+            leave(gone, sweep - worse.take(gone), (tiny | ~worse).take(gone))
+            if gone.size == ids.size:
                 break
-        if exact:  # after the flat test: an exact solve often ends there
+            keep = (~done).nonzero()[0]
+            ids, xa, ra, Ja, Fa, ob = (
+                v if v is None else v.take(keep, 0) for v in (ids, xa, ra, Ja, Fa, ob)
+            )
+        if exact:  # after the exit: an exact solve often ends there
             gains = np.linalg.pinv(Ja, rcond=np.finfo(float).eps * max(Ja.shape[1:]))
             step = -np.einsum("kin,kn->ki", gains, ra)
         else:
@@ -363,8 +374,6 @@ def _gauss_newton(
                     sub, pack = sub.take(keep), pack.take(keep, 0)
             step = alpha[:, None] * step  # the products the accepted trial points were formed with
             x_try = xa + step
-        # a tiny damped step ends the row as converged, accepted or with the
-        # damping exhausted; the damping exhausted on a larger one, as failed
         tiny = _row_norm(step) < _STEP_TOL
         if sub.size:  # rows that no level lowered keep their iterate
             x_try[sub], r_try[sub], F_try[sub] = xa.take(sub, 0), ra.take(sub, 0), Fa.take(sub)
@@ -373,19 +382,9 @@ def _gauss_newton(
         if objective_history is not None:  # F holds each row's objective
             F[ids] = F_try
             objective_history.append(F.copy())
-        done = tiny | worse
-        gone = done.nonzero()[0]
-        if gone.size:
-            leave(gone, x_try, r_try, J_try, sweep + 1 - worse.take(gone), tiny.take(gone))
-            if gone.size == ids.size:  # no row remains to compact
-                break
-            keep = (~done).nonzero()[0]
-            ids, x_try, r_try, F_try, ob = (v.take(keep, 0) for v in (ids, x_try, r_try, F_try, ob))
-            if exact:
-                J_try = J_try.take(keep, 0)
         xa, ra, Ja, Fa = x_try, r_try, J_try, F_try
     else:  # the budget ran out on the rows still active
-        leave(np.arange(ids.size), xa, ra, Ja, max_iter, False)
+        leave(np.arange(ids.size), max_iter - worse, tiny)
     return x, converged, iterations, r, J
 
 
@@ -465,6 +464,9 @@ def nonlinear_identify(
 
     Raises
     ------
+    ValueError
+        If ``initial`` is not a single offset triple within the model's
+        validity bound, or ``max_iter`` is not a non-negative integer.
     ConvergenceError
         If the iteration budget is exhausted before the step or gradient
         tolerance is met, or if no halving of a step lowers the objective
@@ -472,7 +474,11 @@ def nonlinear_identify(
     """
     obs = _readings(m, *_GAUSS_NEWTON)
     if initial is not None:
-        initial = check_offsets(initial, geom)[None, :]
+        initial = check_offsets(initial, geom)
+        if initial.ndim != 1:
+            raise ValueError(f"initial must be a single offset triple, got shape {initial.shape}")
+        initial = initial[None, :]
+    _check_count(max_iter, "max_iter")
     est = _GAUSS_NEWTON[type(m)]
     return _identify(
         est, obs, geom, f"gauss-newton({est.scheme.label})", initial, jacobian, max_iter
@@ -496,6 +502,8 @@ def residual_report(
     ``"nonlinear"`` with the exact deviation model.
     """
     dr = check_offsets(offsets, geom)
+    if dr.ndim != 1:
+        raise ValueError("residual_report expects a single offset triple")
     scheme = scheme_of(m)
     if model == "linear":
         predicted = scheme.design(geom) @ dr

@@ -652,10 +652,11 @@ def leg_line_scaling(posture: Posture, leg: Axis, offsets, geom: Geometry) -> fl
         return float(strip.num[line, 0] / strip.den[line, 0])
 
 
-def _check_seed(seed) -> None:
-    """ValueError unless ``seed`` is a non-negative integer; a bool is none."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+def _check_count(value, name: str) -> None:
+    """ValueError naming ``name`` unless ``value`` is a non-negative integer;
+    a bool is none."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 class NoiseModel(Record):
@@ -672,7 +673,7 @@ class NoiseModel(Record):
     def __post_init__(self) -> None:
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValueError(f"sigma must be finite and non-negative, got {self.sigma}")
-        _check_seed(self.seed)
+        _check_count(self.seed, "seed")
 
     def make_rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
@@ -702,6 +703,12 @@ def _noise_double(rng: np.random.Generator, sigma: float, shape: tuple = ()) -> 
     the isotropic one, so the max and min channels of a gauge share that
     term."""
     return _reading_noise(rng, sigma, shape, 18, _NOISE_READING, _NOISE_ISO)
+
+
+def _noise_reduced(rng: np.random.Generator, sigma: float, shape: tuple = ()) -> np.ndarray:
+    """Reduced noise: the max-minus-min differences of the raw double-posture
+    readings, in which the shared isotropic reading cancels."""
+    return _reduce_channels(_noise_double(rng, sigma, shape))
 
 
 class Scheme(Record, eq=False):
@@ -757,9 +764,7 @@ SCHEMES = MappingProxyType(
             wire_keys=_wire_order(ReducedMeasurements),
             predict=reduced_deviation_array,
             design=_six_design,
-            # the max-minus-min differences of the raw double-posture
-            # readings: the shared isotropic reading cancels
-            sample_noise=lambda *draw: _reduce_channels(_noise_double(*draw)),
+            sample_noise=_noise_reduced,
             noise_covariance=2.0 * np.eye(6),
         ),
     }

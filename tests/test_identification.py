@@ -380,6 +380,23 @@ class TestNonlinearIdentify:
         with pytest.raises(ConvergenceError, match="did not converge within 1 iterations"):
             nonlinear_identify(reduced_from_table(1), geom, initial=[0, 0, 0], max_iter=1)
 
+    @pytest.mark.parametrize("max_iter", [0, np.int64(0)], ids=["int", "numpy-int"])
+    @pytest.mark.parametrize("jacobian", ["linear", "exact"])
+    def test_zero_budget_fails_without_a_sweep(self, geom, jacobian, max_iter):
+        # max_iter=0 is a legal budget: the linear estimate, not converged
+        with pytest.raises(ConvergenceError, match="did not converge within 0 iterations"):
+            nonlinear_identify(reduced_from_table(1), geom, jacobian=jacobian, max_iter=max_iter)
+
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 3)])
+    def test_initial_must_be_one_triple(self, geom, shape):
+        with pytest.raises(ValueError, match="initial must be a single offset triple"):
+            nonlinear_identify(reduced_from_table(1), geom, initial=np.zeros(shape))
+
+    @pytest.mark.parametrize("max_iter", [-1, True, False, 2.5, "3", None])
+    def test_max_iter_must_be_a_count(self, geom, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be a non-negative integer"):
+            nonlinear_identify(reduced_from_table(1), geom, max_iter=max_iter)
+
     def test_halving_exhausted_error(self, geom):
         # double-full readings at offsets (5, -5, 2.5) mm and sigma 0.1 mm on
         # which no halving of the constant-Jacobian step lowers the objective
@@ -456,6 +473,12 @@ class TestResidualReport:
     def test_invalid_model(self, geom):
         with pytest.raises(ValueError):
             residual_report([0, 0, 0], reduced_from_table(1), geom, model="quadratic")
+
+    @pytest.mark.parametrize("model", ["linear", "nonlinear"])
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 3), (6, 3)])
+    def test_rejects_a_batch_of_offsets(self, geom, model, shape):
+        with pytest.raises(ValueError, match="residual_report expects a single offset triple"):
+            residual_report(np.zeros(shape), reduced_from_table(1), geom, model=model)
 
 
 def _one_level_per_call(obs, jacobian, predict_fn, x0, max_iter=100, step_tol=1e-9,
@@ -567,7 +590,7 @@ class TestBlockHalving:
             for label in (SYSTEM_SIX, SYSTEM_TWELVE)
             for jacobian in ("linear", "exact")
             for n in (1, 7, 1000, 2500)
-            for max_iter in (1, 2, 100)
+            for max_iter in (0, 1, 2, 3, 100)
             # 2500 rows: the full-step calls span three forward strips, and
             # the rows that leave or halve are compacted across their bounds
             if n < 2500 or (jacobian == "linear" and max_iter > 1)

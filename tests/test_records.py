@@ -10,6 +10,7 @@ import pytest
 
 import orthocal
 from orthocal import (
+    ESTIMATORS,
     SCHEMES,
     Axis,
     CalibrationCoefficients,
@@ -272,6 +273,32 @@ def test_copy_and_pickle(cls, names, args, round_trip):
         assert back == obj
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(back, names.split()[0], args[0])
+
+
+def _same_entry(a, b):
+    """``b`` has the fields of the table entry ``a``: the same callables and
+    types, equal arrays, and a scheme with the same fields."""
+    assert type(a) is type(b)
+    for name in type(a)._fields:
+        value, back = getattr(a, name), getattr(b, name)
+        if isinstance(value, Scheme):
+            _same_entry(value, back)
+        else:
+            np.testing.assert_equal(back, value)  # a function equals only itself
+
+
+TABLE_ENTRIES = {
+    **{f"scheme-{label}": entry for label, entry in SCHEMES.items()},
+    **{f"estimator-{name}": entry for name, entry in ESTIMATORS.items()},
+}
+
+
+@pytest.mark.parametrize("entry", TABLE_ENTRIES.values(), ids=TABLE_ENTRIES.keys())
+@ROUND_TRIPS
+def test_table_entries_copy_and_pickle(entry, round_trip):
+    # every callable of the two tables is a module-level function, which a
+    # copy keeps and a pickle restores by name
+    _same_entry(entry, round_trip(entry))
 
 
 @ROUND_TRIPS
