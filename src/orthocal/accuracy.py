@@ -19,9 +19,9 @@ import numpy as np
 
 from ._record import Record
 from .errors import ConvergenceError
-from .geometry import Geometry, check_offsets
+from .geometry import Geometry, _check_count, _check_level, _offset_triple
 from .identification import ESTIMATORS, _estimate
-from .measurement import SCHEMES, _check_count, _lookup
+from .measurement import SCHEMES, _lookup
 
 __all__ = [
     "noise_covariance",
@@ -43,8 +43,7 @@ def noise_covariance(label: str, sigma: float) -> np.ndarray:
 
 def _noise(label: str, sigma: float) -> np.ndarray:
     """:func:`noise_covariance`, under the caller's ``np.errstate``."""
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise ValueError("sigma must be finite and non-negative")
+    _check_level(sigma, "sigma")
     S = sigma * sigma * _lookup(SCHEMES, label, "scheme").noise_covariance
     if not np.isfinite(S).all():
         raise ValueError(f"sigma {sigma:g} overflows the noise covariance")
@@ -122,18 +121,18 @@ def monte_carlo(
     correlation), identifies the offsets, and records the estimation error
     against the truth.  Non-converged runs are excluded and counted; a
     failure rate above 0.1% aborts the report.  An unknown method, a seed
-    that is not a non-negative integer and a sigma that overflows the
-    covariance or the statistics raise ValueError.
+    that is not a non-negative integer, runs or replications that are not
+    positive integers, a sigma that is not finite and non-negative or that
+    overflows the covariance or the statistics, and offsets that are not one
+    triple raise ValueError.
     """
     est = _lookup(ESTIMATORS, method, "estimator")
     _check_count(seed, "seed")
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    if replications < 1:
-        raise ValueError(f"replications must be >= 1, got {replications}")
+    _check_count(runs, "runs", 1)
+    _check_count(replications, "replications", 1)
     geom = geom or Geometry.prototype()
     offset_covariance(method, geom, sigma)
-    truth = check_offsets(true_offsets, geom)
+    truth = _offset_triple(true_offsets, geom, "monte_carlo")
 
     scheme = est.scheme
     d_true = scheme.predict(truth, geom)
@@ -143,7 +142,7 @@ def monte_carlo(
     rep_pooled = np.empty(replications)
     failed = 0
     for rep in range(replications):
-        rng = np.random.default_rng(seed + rep)
+        rng = np.random.default_rng(int(seed) + rep)  # int: a numpy seed + rep could wrap
         obs = d_true[None, :] + scheme.sample_noise(rng, sigma, (runs,))
         x, conv, *_ = _estimate(est, obs, geom)
         failed += int((~conv).sum())

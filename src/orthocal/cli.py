@@ -22,12 +22,13 @@ from .errors import InputError, OrthoglideError
 from .fileio import (
     FIXTURE_NAMES,
     CalibrationReport,
+    _read_json,
     geometry_from_dict,
     load_fixture,
     load_measurement_file,
     measurement_to_dict,
 )
-from .geometry import Geometry
+from .geometry import Geometry, _check_count, _check_level
 from .identification import ESTIMATORS, identify
 from .kinematics import sensitivity_table
 from .measurement import (
@@ -60,20 +61,8 @@ def _parse_offsets(text: str) -> np.ndarray:
         raise InputError(f"--offsets values must be numbers, got {text!r}") from None
 
 
-def _check_sigma(sigma: float) -> None:
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise InputError("--sigma must be finite and non-negative")
-
-
 def _load_geometry(path: str | None) -> Geometry | None:
-    if path is None:
-        return None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read geometry file {path}: {exc}") from None
-    return geometry_from_dict(doc)
+    return None if path is None else geometry_from_dict(_read_json(path)[0])
 
 
 def _emit(args, doc: dict) -> None:
@@ -141,9 +130,8 @@ def cmd_calibrate(args) -> int:
 def cmd_simulate(args) -> int:
     offsets = _parse_offsets(args.offsets)
     geom = _load_geometry(args.geometry) or Geometry.prototype()
-    _check_sigma(args.sigma)
-    if args.repetitions < 1:
-        raise InputError("--repetitions must be >= 1")
+    _check_level(args.sigma, "--sigma")
+    _check_count(args.repetitions, "--repetitions", 1)
     scheme = SCHEMES[args.method]
     m = scheme.measurement.from_array(scheme.predict(offsets, geom))
     m = add_noise(m, NoiseModel(sigma=args.sigma, seed=args.seed), args.repetitions)
@@ -172,7 +160,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_accuracy(args) -> int:
-    _check_sigma(args.sigma)
+    _check_level(args.sigma, "--sigma")
     geom = _load_geometry(args.geometry) or Geometry.prototype()
     six = offset_covariance("six", geom, args.sigma)
     twelve = offset_covariance("twelve", geom, args.sigma)
@@ -212,9 +200,8 @@ MAX_RUNS = 500_000
 def cmd_montecarlo(args) -> int:
     if not 1 <= args.runs <= MAX_RUNS:
         raise InputError(f"--runs must be in [1, {MAX_RUNS}], got {args.runs}")
-    if args.replications < 1:
-        raise InputError("--replications must be >= 1")
-    _check_sigma(args.sigma)
+    _check_count(args.replications, "--replications", 1)
+    _check_level(args.sigma, "--sigma")
     geom = _load_geometry(args.geometry) or Geometry.prototype()
     if args.reproduce == "table3":
         rows = []

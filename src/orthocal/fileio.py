@@ -177,17 +177,23 @@ def parse_measurement(doc: dict) -> MeasurementFile:
     )
 
 
-def load_measurement_file(path) -> tuple[MeasurementFile, str]:
-    """Read a measurement file; returns the parsed content and its digest."""
+def _read_json(path) -> tuple[object, bytes]:
+    """The document of the UTF-8 JSON file ``path`` and the file's bytes;
+    InputError naming the path if it cannot be read or parsed."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     try:
-        doc = json.loads(data.decode("utf-8"))
+        return json.loads(data.decode("utf-8")), data
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot parse {path}: {exc}") from None
+
+
+def load_measurement_file(path) -> tuple[MeasurementFile, str]:
+    """Read a measurement file; returns the parsed content and its digest."""
+    doc, data = _read_json(path)
     return parse_measurement(doc), sha256_digest(data)
 
 

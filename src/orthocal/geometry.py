@@ -77,9 +77,7 @@ class Geometry(Record):
         if not (0 < self.L <= _L_MAX):
             raise ValueError(f"leg length must be in (0, {_L_MAX:g}] mm, got L={self.L}")
         for name in ("r", "d"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and non-negative, got {name}={value}")
+            _check_level(getattr(self, name), name)
         if not (self.rho_min < 0 < self.rho_max):
             raise ValueError(
                 f"joint limits must straddle zero: rho_min={self.rho_min}, rho_max={self.rho_max}"
@@ -209,3 +207,34 @@ def check_offsets(offsets, geom: Geometry) -> np.ndarray:
             f"offset magnitude exceeds the model validity bound L/10 = {bound:.2f} mm"
         )
     return arr
+
+
+def _offset_triple(offsets, geom: Geometry, caller: str) -> np.ndarray:
+    """:func:`check_offsets` of one offset triple, shape ``(3,)``;
+    ValueError naming ``caller`` for a batch."""
+    arr = check_offsets(offsets, geom)
+    if arr.ndim != 1:
+        raise ValueError(f"{caller} expects a single offset triple, got shape {arr.shape}")
+    return arr
+
+
+def _check_count(value, name: str, least: int = 0) -> None:
+    """ValueError naming ``name`` unless ``value`` is an integer of at least
+    ``least``, 0 or 1; a bool is none."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        kind = "positive" if least else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+
+
+def _check_level(value, name: str) -> None:
+    """ValueError naming ``name`` unless ``value``, a noise level or a length,
+    is a real number (an int, a float or a numpy integer or float),
+    non-negative and finite as a float; a bool is none."""
+    # concrete types: an isinstance test against the numbers.Real ABC costs ten times more
+    real = isinstance(value, (float, int, np.floating, np.integer)) and not isinstance(value, bool)
+    try:  # math.isfinite of an int beyond the float range overflows
+        ok = real and 0 <= value and math.isfinite(value)
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be finite and non-negative, got {name}={value!r}")

@@ -26,7 +26,7 @@ import numpy as np
 
 from ._record import Record
 from .errors import ConvergenceError, RankError
-from .geometry import Geometry, check_offsets
+from .geometry import Geometry, _check_count, _offset_triple, check_offsets
 from .measurement import (
     SCHEMES,
     SYSTEM_SINGLE,
@@ -38,9 +38,9 @@ from .measurement import (
     Scheme,
     SinglePostureMeasurements,
     _STRIP_ROWS,
-    _check_count,
     _geometry_constant,
     _lookup,
+    _readings,
     coefficients,
     deviations_and_jacobian,
     scheme_of,
@@ -122,14 +122,6 @@ def _result(offsets, residuals, method, iterations, converged, gradient_norm) ->
         converged=bool(converged),
         gradient_norm=float(gradient_norm),
     )
-
-
-def _readings(m: MeasurementSet, *types: type) -> np.ndarray:
-    """The readings of ``m``: TypeError unless it is a set of one of ``types``."""
-    if type(m) not in types:
-        expected = " or ".join(t.__name__ for t in types)
-        raise TypeError(f"measurement set must be {expected}, got {type(m).__name__}")
-    return m.as_array()
 
 
 def _linear_fit(design: np.ndarray, gain: np.ndarray, obs: np.ndarray, method: str):
@@ -501,9 +493,7 @@ def residual_report(
     ``model="linear"`` predicts with the corresponding linear system,
     ``"nonlinear"`` with the exact deviation model.
     """
-    dr = check_offsets(offsets, geom)
-    if dr.ndim != 1:
-        raise ValueError("residual_report expects a single offset triple")
+    dr = _offset_triple(offsets, geom, "residual_report")
     scheme = scheme_of(m)
     if model == "linear":
         predicted = scheme.design(geom) @ dr

@@ -32,7 +32,7 @@ from .geometry import (
     Posture,
     PostureAngles,
     PostureKind,
-    check_offsets,
+    _offset_triple,
 )
 
 __all__ = [
@@ -392,9 +392,7 @@ def sensitivity_table(geom: Geometry, offsets) -> list[SensitivityRow]:
     rows evaluate ``tan(alpha) drho_leg + drho_perp`` at both the max and the
     min posture angle, for offsets within the validity bound L/10.
     """
-    off = check_offsets(offsets, geom)
-    if off.ndim != 1:
-        raise ValueError("sensitivity_table expects a single offset triple")
+    off = _offset_triple(offsets, geom, "sensitivity_table")
     t1 = geom.angle_max().t_alpha
     t2 = geom.angle_min().t_alpha
     rows = [

@@ -33,7 +33,10 @@ import numpy as np
 
 from ._record import Record
 from .errors import DomainError, SingularError
-from .geometry import Axis, Geometry, Posture, PostureKind, calibration_postures, check_offsets
+from .geometry import (
+    Axis, Geometry, Posture, PostureKind, _check_count, _check_level, _offset_triple,
+    calibration_postures, check_offsets,
+)
 from .kinematics import (
     _DK_FLAGS,
     _DK_FLOATS,
@@ -584,8 +587,9 @@ def predict_single_posture(offsets, geom: Geometry) -> SinglePostureMeasurements
 
 
 def reduce(m: DoublePostureMeasurements) -> ReducedMeasurements:
-    """Collapse a full double-posture set to max-minus-min differences."""
-    return ReducedMeasurements.from_array(_reduce_channels(m.as_array()))
+    """Collapse a full double-posture set to max-minus-min differences;
+    TypeError for any other set."""
+    return ReducedMeasurements.from_array(_reduce_channels(_readings(m, DoublePostureMeasurements)))
 
 
 class GaugeLocation(Record):
@@ -618,9 +622,7 @@ def gauge_locations(offsets, geom: Geometry) -> tuple[GaugeLocation, GaugeLocati
     and the cross-axis coordinates are half the isotropic TCP coordinates.
     It fails wherever the double-posture predictor fails.
     """
-    dr = _offsets_array(offsets, geom)
-    if dr.ndim != 1:
-        raise ValueError("gauge_locations expects a single offset triple")
+    dr = _offset_triple(offsets, geom, "gauge_locations")
     for _, strip in _posture_stack(dr[:, None], geom, _ALL_ROWS):
         station, p0 = strip.station[:, 0], strip.p0[:, 0]
         return tuple(
@@ -643,20 +645,11 @@ def leg_line_scaling(posture: Posture, leg: Axis, offsets, geom: Geometry) -> fl
             f"leg {leg.name} is gauged only at its own displacement postures, "
             f"not at {posture.label()}"
         )
-    dr = _offsets_array(offsets, geom)
-    if dr.ndim != 1:
-        raise ValueError("leg_line_scaling expects a single offset triple")
+    dr = _offset_triple(offsets, geom, "leg_line_scaling")
     # the isotropic lines come first, one per leg, then one per displacement posture
     line = leg if posture.kind is PostureKind.ISOTROPIC else _STACK.index(posture) + 2
     for _, strip in _posture_stack(dr[:, None], geom, _ALL_ROWS):
         return float(strip.num[line, 0] / strip.den[line, 0])
-
-
-def _check_count(value, name: str) -> None:
-    """ValueError naming ``name`` unless ``value`` is a non-negative integer;
-    a bool is none."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 class NoiseModel(Record):
@@ -671,8 +664,7 @@ class NoiseModel(Record):
     seed: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise ValueError(f"sigma must be finite and non-negative, got {self.sigma}")
+        _check_level(self.sigma, "sigma")
         _check_count(self.seed, "seed")
 
     def make_rng(self) -> np.random.Generator:
@@ -789,17 +781,28 @@ def scheme_of(m: MeasurementSet) -> Scheme:
     raise TypeError(f"unsupported measurement set type: {type(m).__name__}")
 
 
+def _readings(m: MeasurementSet, *types: type) -> np.ndarray:
+    """The readings of ``m``: TypeError unless it is a set of one of ``types``."""
+    if type(m) not in types:
+        expected = " or ".join(t.__name__ for t in types)
+        raise TypeError(f"measurement set must be {expected}, got {type(m).__name__}")
+    return m.as_array()
+
+
 def add_noise(m: MeasurementSet, noise: NoiseModel, repetitions: int = 1) -> MeasurementSet:
     """Perturb a measurement set with seeded gauge noise.
 
-    ``repetitions`` models averaging of repeated raw readings: each reading
-    error gets standard deviation ``sigma / sqrt(repetitions)``.  With
-    ``sigma=0`` the input is returned unchanged.
+    ``repetitions``, a positive integer, models averaging of repeated raw
+    readings: each reading error gets standard deviation
+    ``sigma / sqrt(repetitions)``.  With ``sigma=0`` the input is returned
+    unchanged.
     """
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    _check_count(repetitions, "repetitions", 1)
     if noise.sigma == 0.0:
         return m
     scheme = scheme_of(m)
-    sig = noise.sigma / math.sqrt(repetitions)
+    try:
+        sig = noise.sigma / math.sqrt(repetitions)
+    except OverflowError:  # a count beyond the float range
+        raise ValueError("repetitions is too large: its square root overflows a float") from None
     return type(m).from_array(m.as_array() + scheme.sample_noise(noise.make_rng(), sig))

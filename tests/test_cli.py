@@ -390,6 +390,18 @@ class TestGeometryFile:
         assert len(err.splitlines()) == 1
         assert err.startswith("error:") and f"{key} must be finite and non-negative" in err
 
+    @pytest.mark.parametrize("role", ["geometry", "measurement"])
+    def test_non_utf8_file_named(self, capsys, tmp_path, role):
+        # a geometry file and a measurement file go through one reader
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff{}")
+        file, geometry = ("experiment1", str(path)) if role == "geometry" else (str(path), None)
+        argv = ["calibrate", file, "--method", "linear6"]
+        rc, out, err = run_cli(capsys, *argv, *(["--geometry", geometry] if geometry else []))
+        assert rc == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: cannot parse {path}: 'utf-8' codec can't decode byte 0xff")
+
     @pytest.mark.parametrize(
         "command",
         [

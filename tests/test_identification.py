@@ -392,6 +392,11 @@ class TestNonlinearIdentify:
         with pytest.raises(ValueError, match="initial must be a single offset triple"):
             nonlinear_identify(reduced_from_table(1), geom, initial=np.zeros(shape))
 
+    def test_unknown_jacobian_rejected(self, geom):
+        message = r"^jacobian must be 'linear' or 'exact', got 'bogus'$"
+        with pytest.raises(ValueError, match=message):
+            nonlinear_identify(reduced_from_table(1), geom, jacobian="bogus")
+
     @pytest.mark.parametrize("max_iter", [-1, True, False, 2.5, "3", None])
     def test_max_iter_must_be_a_count(self, geom, max_iter):
         with pytest.raises(ValueError, match="max_iter must be a non-negative integer"):

@@ -11,6 +11,7 @@ from orthocal import (
     PostureAngles,
     SingularError,
     calibration_postures,
+    constraint_residuals,
     direct_kinematics,
     inverse_jacobian,
     inverse_kinematics,
@@ -107,6 +108,24 @@ class TestInverseKinematics:
         assert np.all(rho < 0)
         res = constraint_residuals_oracle(p, rho, L)
         assert np.abs(res).max() <= 1e-9
+
+    def test_constraint_residuals_vanish(self, geom):
+        # at the joints inverse_kinematics commands, batched, with offsets
+        p = np.array([[0.0, 0.0, 0.0], [5.0, -10.0, 15.0], [30.0, 20.0, -25.0]])
+        offsets = np.array([0.5, -0.3, 0.2])
+        rho = inverse_kinematics(p, offsets, geom)
+        res = constraint_residuals(p, rho, offsets, geom)
+        assert res.shape == (3, 3)
+        # mm^2 residuals of terms of order L^2 = 9.6e4 mm^2
+        assert np.abs(res).max() <= 1e-9
+        np.testing.assert_allclose(res, constraint_residuals_oracle(p, rho + offsets, L), atol=0)
+
+    @pytest.mark.parametrize("arg", ["p", "rho", "offsets"])
+    def test_constraint_residuals_reject_non_triples(self, geom, arg):
+        args = {"p": [0.0, 0.0, 0.0], "rho": [L, L, L], "offsets": [0.0, 0.0, 0.0]}
+        args[arg] = [1.0, 2.0]
+        with pytest.raises(ValueError, match=rf"^{arg} must have 3 components, got shape \(2,\)$"):
+            constraint_residuals(args["p"], args["rho"], args["offsets"], geom)
 
 
 class TestDirectKinematics:
@@ -389,6 +408,13 @@ class TestSensitivityTable:
     def test_batch_rejected(self, geom):
         with pytest.raises(ValueError, match="^sensitivity_table expects a single offset triple"):
             sensitivity_table(geom, np.zeros((2, 3)))
+
+    def test_value_of_a_displacement_row_raises(self, geom):
+        # a displacement row has distinct max and min values: no single value
+        row = sensitivity_table(geom, [1, 1, 1])[6]
+        assert row.posture == "max/min X-displacement" and row.at_max != row.at_min
+        with pytest.raises(ValueError, match="^row has distinct max/min values"):
+            row.value
 
     def test_row_expressions(self, geom):
         # each deviation pairs the leg offset (through tan alpha) with the

@@ -613,6 +613,16 @@ class TestReduce:
         red = reduce(predict_double_posture(dr, geom)).as_array()
         assert np.abs(red - design @ dr).max() <= 1e-4
 
+    @pytest.mark.parametrize("predict", [
+        lambda dr, geom: reduce(predict_double_posture(dr, geom)),
+        predict_single_posture,
+    ], ids=["reduced", "single-posture"])
+    def test_only_double_full_sets(self, geom, predict):
+        m = predict([0.1, -0.2, 0.3], geom)
+        message = f"^measurement set must be DoublePostureMeasurements, got {type(m).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            reduce(m)
+
 
 class TestGauges:
     def test_nominal_gauge_locations(self, geom):
