@@ -10,7 +10,6 @@ or six methods per class at import; a record compiles one.
 """
 
 import operator
-from dataclasses import FrozenInstanceError
 
 
 class Record:
@@ -47,8 +46,14 @@ class Record:
     def __hash__(self) -> int:
         return hash(self._values(self))
 
+    # dataclasses, and copy with it, is imported only where it raises: a
+    # cold process that never assigns to a record does not load it
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot delete field {name!r}")

@@ -28,7 +28,7 @@ from .fileio import (
     load_measurement_file,
     measurement_to_dict,
 )
-from .geometry import Geometry, _check_count, _check_level
+from .geometry import Geometry, _check_count, _check_level, _noise_of_mean
 from .identification import ESTIMATORS, identify
 from .kinematics import sensitivity_table
 from .measurement import (
@@ -131,7 +131,7 @@ def cmd_simulate(args) -> int:
     offsets = _parse_offsets(args.offsets)
     geom = _load_geometry(args.geometry) or Geometry.prototype()
     _check_level(args.sigma, "--sigma")
-    _check_count(args.repetitions, "--repetitions", 1)
+    _noise_of_mean(args.sigma, args.repetitions, "--repetitions")  # add_noise names no option
     scheme = SCHEMES[args.method]
     m = scheme.measurement.from_array(scheme.predict(offsets, geom))
     m = add_noise(m, NoiseModel(sigma=args.sigma, seed=args.seed), args.repetitions)

@@ -139,7 +139,7 @@ def parse_measurement(doc: dict) -> MeasurementFile:
     values = dict(values)
     clash = sorted(set(reps) & set(values))
     if clash:
-        raise InputError(f"keys given both as values and repetitions: {', '.join(clash)}")
+        raise InputError(f"keys given both as values and repetitions: {', '.join(map(repr, clash))}")
     for key, arr in reps.items():
         if not isinstance(arr, (list, tuple)) or not arr:
             raise InputError(f"repetitions entry {key!r} must be a non-empty array")
@@ -154,7 +154,7 @@ def parse_measurement(doc: dict) -> MeasurementFile:
         raise InputError(f"missing measurement keys: {', '.join(missing)}")
     unknown = sorted(set(values) - set(required))
     if unknown:
-        raise InputError(f"unknown measurement keys: {', '.join(unknown)}")
+        raise InputError(f"unknown measurement keys: {', '.join(map(repr, unknown))}")
     clean = {}
     for key in required:
         try:
@@ -280,7 +280,7 @@ class CalibrationReport(Record):
             raise InputError(f"unsupported report schema_version {version!r}")
         unknown = sorted(set(doc) - set(cls._fields))
         if unknown:
-            raise InputError(f"unknown report keys: {', '.join(unknown)}")
+            raise InputError(f"unknown report keys: {', '.join(map(repr, unknown))}")
         missing = sorted(set(cls._fields) - set(doc))
         if missing:
             raise InputError(f"missing report keys: {', '.join(missing)}")

@@ -74,6 +74,9 @@ class Geometry(Record):
     d: float = 80.0
 
     def __post_init__(self) -> None:
+        for name in ("L", "rho_min", "rho_max"):  # a real number before any comparison
+            if not _is_real(value := getattr(self, name)):
+                raise ValueError(f"{name} must be a real number, got {name}={value!r}")
         if not (0 < self.L <= _L_MAX):
             raise ValueError(f"leg length must be in (0, {_L_MAX:g}] mm, got L={self.L}")
         for name in ("r", "d"):
@@ -187,6 +190,15 @@ class PostureAngles(Record):
         return cls(alpha=math.asin(sine), s_alpha=sine, c_alpha=cos, t_alpha=sine / cos)
 
 
+def _vec3(x, name: str) -> np.ndarray:
+    """``x`` as a float array; ValueError naming ``name`` unless its last
+    axis has 3 components."""
+    arr = np.asarray(x, dtype=float)
+    if arr.shape[-1:] != (3,):
+        raise ValueError(f"{name} must have 3 components, got shape {arr.shape}")
+    return arr
+
+
 def check_offsets(offsets, geom: Geometry) -> np.ndarray:
     """Sanity bound on encoder offsets: finite and |offset| <= L/10.
 
@@ -194,9 +206,7 @@ def check_offsets(offsets, geom: Geometry) -> np.ndarray:
     before any prediction or identification is attempted.  Returns the
     offsets as the float array that was checked.
     """
-    arr = np.asarray(offsets, dtype=float)
-    if arr.shape[-1:] != (3,):
-        raise ValueError(f"offsets must have 3 components, got shape {arr.shape}")
+    arr = _vec3(offsets, "offsets")
     bound = geom.L / 10.0
     # one test on the accept path: NaN fails it too (count_nonzero is the
     # cheapest reduction on a 3-element mask)
@@ -226,15 +236,32 @@ def _check_count(value, name: str, least: int = 0) -> None:
         raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number: an int, a float or a numpy integer
+    or float; a bool is none."""
+    # concrete types: an isinstance test against the numbers.Real ABC costs ten times more
+    return isinstance(value, (float, int, np.floating, np.integer)) and not isinstance(value, bool)
+
+
 def _check_level(value, name: str) -> None:
     """ValueError naming ``name`` unless ``value``, a noise level or a length,
-    is a real number (an int, a float or a numpy integer or float),
-    non-negative and finite as a float; a bool is none."""
-    # concrete types: an isinstance test against the numbers.Real ABC costs ten times more
-    real = isinstance(value, (float, int, np.floating, np.integer)) and not isinstance(value, bool)
+    is a real number (:func:`_is_real`), non-negative and finite as a float."""
     try:  # math.isfinite of an int beyond the float range overflows
-        ok = real and 0 <= value and math.isfinite(value)
+        ok = _is_real(value) and 0 <= value and math.isfinite(value)
     except OverflowError:
         ok = False
     if not ok:
         raise ValueError(f"{name} must be finite and non-negative, got {name}={value!r}")
+
+
+def _noise_of_mean(sigma: float, repetitions: int, name: str) -> float:
+    """The noise level ``sigma / sqrt(repetitions)`` of the mean of
+    ``repetitions`` readings at level ``sigma``, or 0 for ``sigma`` 0, which
+    takes no root.  ValueError naming ``name`` unless ``repetitions`` is a
+    positive integer (:func:`_check_count`) whose square root, when taken,
+    is a float."""
+    _check_count(repetitions, name, 1)
+    try:
+        return sigma / math.sqrt(repetitions) if sigma else 0.0
+    except OverflowError:  # a count beyond the float range
+        raise ValueError(f"{name} is too large: its square root overflows a float") from None

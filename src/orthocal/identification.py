@@ -227,8 +227,9 @@ def _row_norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt((s[0] + s[1]) + s[2])
 
 
-# a Gauss-Newton row converges once its damped step (mm) or its gradient is below these
-_STEP_TOL, _GRAD_TOL = 1e-9, 1e-12
+# a Gauss-Newton row converges once its damped step (mm) or its gradient is below
+# these; a step that does not lower the objective is halved up to _MAX_HALVINGS times
+_STEP_TOL, _GRAD_TOL, _MAX_HALVINGS = 1e-9, 1e-12, 20
 
 
 def _gauss_newton(
@@ -237,7 +238,6 @@ def _gauss_newton(
     model,
     x0: np.ndarray,
     max_iter: int = 100,
-    max_halvings: int = 20,
     objective_history: list | None = None,
 ):
     """Vectorized damped Gauss-Newton.
@@ -251,7 +251,7 @@ def _gauss_newton(
     ``(..., n, 3)`` as a pair, so that every iterate's Jacobian comes from the
     call that evaluated it.  Then the step is the minimum-norm least-squares
     solution ``-pinv(J) r`` with the singular-value cut-off of
-    :func:`numpy.linalg.lstsq`.  A step is halved (up to ``max_halvings``
+    :func:`numpy.linalg.lstsq`.  A step is halved (up to ``_MAX_HALVINGS``
     times) whenever it fails to decrease the residual sum of squares, so the
     objective is non-increasing across accepted iterations; the halving
     levels are evaluated in blocks, several per model call, with the result
@@ -278,7 +278,7 @@ def _gauss_newton(
         return np.subtract(out, ob, order="C"), None
 
     x = np.array(x0, dtype=float, copy=True)
-    ladder = np.ldexp(1.0, -np.arange(max_halvings + 1))  # 2**-h: the damping of h halvings
+    ladder = np.ldexp(1.0, -np.arange(_MAX_HALVINGS + 1))  # 2**-h: the damping of h halvings
     r, J = residual(x, obs)
     F = np.einsum("ij,ij->i", r, r)
     if objective_history is not None:
@@ -339,9 +339,9 @@ def _gauss_newton(
             # compacts them; each keeps its first level that lowers the
             # objective, the level a one-level-per-call loop would stop at
             pack = np.concatenate([v.take(sub, 0) for v in (xa, step, Fa[:, None], ob)], axis=1)
-            while level < max_halvings and sub.size:
+            while level < _MAX_HALVINGS and sub.size:
                 # as many levels as fill one forward strip, at least one
-                k = min(max_halvings - level, max(1, _STRIP_ROWS // sub.size))
+                k = min(_MAX_HALVINGS - level, max(1, _STRIP_ROWS // sub.size))
                 a = ladder[level + 1:level + k + 1]
                 # the trial points component-major, (3, rows, k): long inner
                 # loops, and the columns the forward model reads, uncopied

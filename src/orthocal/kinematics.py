@@ -33,6 +33,7 @@ from .geometry import (
     PostureAngles,
     PostureKind,
     _offset_triple,
+    _vec3,
 )
 
 __all__ = [
@@ -49,13 +50,6 @@ __all__ = [
 
 #: Absolute guard on denominators and square-root arguments (mm resp. mm^2).
 SINGULARITY_TOL = 1e-9
-
-
-def _vec3(x, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.shape[-1:] != (3,):
-        raise ValueError(f"{name} must have 3 components, got shape {arr.shape}")
-    return arr
 
 
 class QuadraticRoots(Record):

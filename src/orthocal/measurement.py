@@ -24,7 +24,6 @@ and noise model.
 from __future__ import annotations
 
 import functools
-import math
 import threading
 from types import MappingProxyType
 from typing import Callable
@@ -35,7 +34,7 @@ from ._record import Record
 from .errors import DomainError, SingularError
 from .geometry import (
     Axis, Geometry, Posture, PostureKind, _check_count, _check_level, _offset_triple,
-    calibration_postures, check_offsets,
+    _noise_of_mean, calibration_postures, check_offsets,
 )
 from .kinematics import (
     _DK_FLAGS,
@@ -797,12 +796,8 @@ def add_noise(m: MeasurementSet, noise: NoiseModel, repetitions: int = 1) -> Mea
     ``sigma / sqrt(repetitions)``.  With ``sigma=0`` the input is returned
     unchanged.
     """
-    _check_count(repetitions, "repetitions", 1)
+    sig = _noise_of_mean(noise.sigma, repetitions, "repetitions")
     if noise.sigma == 0.0:
         return m
     scheme = scheme_of(m)
-    try:
-        sig = noise.sigma / math.sqrt(repetitions)
-    except OverflowError:  # a count beyond the float range
-        raise ValueError("repetitions is too large: its square root overflows a float") from None
     return type(m).from_array(m.as_array() + scheme.sample_noise(noise.make_rng(), sig))

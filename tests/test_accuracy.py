@@ -305,3 +305,18 @@ class TestMonteCarlo:
         message = "^Monte-Carlo failure rate too high: 106 of 2000 runs$"
         with pytest.raises(ConvergenceError, match=message):
             monte_carlo([10.0] * 3, 0.01, 2000, 1, "nonlinear-twelve")
+
+    def test_failure_rate_just_above_the_limit(self):
+        # 4 failed runs of 2000 are 0.2%: above the 0.1% limit, below 1%
+        message = "^Monte-Carlo failure rate too high: 4 of 2000 runs$"
+        with pytest.raises(ConvergenceError, match=message):
+            monte_carlo([7.0] * 3, 0.01, 2000, 1, "nonlinear-twelve", 0)
+
+    def test_std_of_std_is_the_sample_spread(self):
+        # replication k is the single-replication run at seed + k; std_of_std
+        # is the sample (ddof=1) spread of their pooled stds
+        rep = monte_carlo([0.1] * 3, 0.01, 200, 3, "nonlinear-six", 5)
+        pooled = [monte_carlo([0.1] * 3, 0.01, 200, 1, "nonlinear-six", s).pooled_std
+                  for s in (5, 6, 7)]
+        assert rep.pooled_std == np.mean(pooled)
+        assert rep.std_of_std == np.std(pooled, ddof=1)

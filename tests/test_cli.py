@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,8 +9,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orthocal import ESTIMATORS, ConvergenceError
+from orthocal import ESTIMATORS, FIXTURE_NAMES, ConvergenceError, fixture_path
 from orthocal.cli import MAX_RUNS, build_parser, main
 
 from conftest import REFERENCE_OFFSETS, TABLE4
@@ -600,8 +604,12 @@ class TestParsingAndProcess:
         json.loads(out)  # stdout stays pure JSON
 
     def test_import_leaves_hashlib_out(self):
-        # only calibrate digests its input; the other commands do not load hashlib
-        code = "import sys, orthocal.cli; print({'hashlib', '_hashlib'} & set(sys.modules))"
+        # only calibrate digests its input; the other commands do not load
+        # hashlib, and only assigning to a record loads dataclasses
+        code = (
+            "import sys, orthocal.cli; "
+            "print({'hashlib', '_hashlib', 'dataclasses'} & set(sys.modules))"
+        )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "set()"
@@ -615,3 +623,85 @@ class TestParsingAndProcess:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["six_equation"]["factor"] == pytest.approx(1.9843, abs=1e-3)
+
+
+# values that a JSON document may hold where a fixture holds another: wrong
+# types, huge integers, number-like strings and nested containers
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "0.5", "", "mm", "double-full"]),
+    st.text(max_size=4),
+    st.integers(-3, 3),
+    st.sampled_from([10**400, -(10**400), 2**1024, 2**63, -(2**63) - 1]),
+    st.floats(),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.sampled_from(["dx_y", "L", "x"]), st.integers(-3, 3), max_size=2),
+)
+# a geometry override near the prototype's, any of whose values may be junk
+_GEOMETRY = st.fixed_dictionaries(
+    {key: st.one_of(st.just(v), st.floats(-400.0, 400.0), _JUNK)
+     for key, v in (("L", 310.25), ("rho_min", -100.0), ("rho_max", 60.0))},
+    optional={"r": _JUNK, "d": _JUNK},
+)
+# (where, key): a top-level key, or a key of "values" or "repetitions"
+_PLACES = st.tuples(
+    st.sampled_from([None, "values", "repetitions"]),
+    st.sampled_from(["schema_version", "units", "method", "values", "repetitions", "comment",
+                     "simulation", "geometry", "dx_y", "dz_y", "extra", "dx_y\nextra"]),
+)
+_MUTATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("set"), _PLACES, _JUNK),
+        st.tuples(st.just("set"), st.just((None, "geometry")), _GEOMETRY),
+        st.tuples(st.just("delete"), _PLACES, st.none()),
+        st.tuples(st.just("nest"), _PLACES, st.sampled_from([lambda v: [v], lambda v: {"v": v}])),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _mutated(doc: dict, mutations) -> dict:
+    doc = json.loads(json.dumps(doc))
+    for op, (where, key), arg in mutations:
+        part = doc if where is None else doc.setdefault(where, {})
+        if not isinstance(part, dict):
+            continue
+        if op == "set":
+            part[key] = arg
+        elif op == "delete":
+            part.pop(key, None)
+        elif key in part:
+            part[key] = arg(part[key])
+    return doc
+
+
+class TestFuzzedDocuments:
+    DOCS = {name: json.loads(fixture_path(name).read_text()) for name in FIXTURE_NAMES}
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        name=st.sampled_from(FIXTURE_NAMES),
+        method=st.sampled_from(["linear6", "nonlinear6"]),
+        mutations=_MUTATIONS,
+    )
+    def test_calibrate_exits_0_1_or_2_with_one_message(self, tmp_path_factory, name, method,
+                                                       mutations):
+        # a document mutated from a fixture ends in JSON on stdout or in one
+        # error line on stderr: never a traceback or a warning
+        path = tmp_path_factory.getbasetemp() / "fuzzed-document.json"
+        path.write_text(json.dumps(_mutated(self.DOCS[name], mutations)))
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(["calibrate", str(path), "--method", method])
+        out, err = out.getvalue(), err.getvalue()
+        assert rc in (0, 1, 2)
+        if rc == 0:
+            assert err == ""
+            json.loads(out, parse_constant=_reject_constant)
+        else:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")

@@ -75,6 +75,13 @@ class TestParsing:
         with pytest.raises(InputError, match="dq_w"):
             parse_measurement(doc)
 
+    def test_unknown_key_named_on_one_line(self):
+        # a key from the document is quoted: its newline cannot split the message
+        doc = _reduced_doc()
+        doc["values"]["dq\nw"] = 1.0
+        with pytest.raises(InputError, match=r"^unknown measurement keys: 'dq\\nw'$"):
+            parse_measurement(doc)
+
     def test_wrong_units(self):
         with pytest.raises(InputError, match="units"):
             parse_measurement(_reduced_doc(units="inch"))

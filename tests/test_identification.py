@@ -620,13 +620,14 @@ class TestBlockHalving:
     @pytest.mark.parametrize("jacobian", ["linear", "exact"])
     @pytest.mark.parametrize("label", [SYSTEM_SIX, SYSTEM_TWELVE])
     def test_exhausted_and_deep_levels_equal_one_level_per_call(
-        self, geom, label, jacobian, max_halvings
+        self, geom, monkeypatch, label, jacobian, max_halvings
     ):
         # offsets up to 20 mm: in one sweep some rows find no level that lowers
         # the objective while others stop deep inside blocks of k > 1 levels
         args, oracle = self._problem(geom, label, jacobian, 1000, spread=20.0)
         got_history, want_history, levels = [], [], []
-        got = _gauss_newton(*args, max_halvings=max_halvings, objective_history=got_history)
+        monkeypatch.setattr("orthocal.identification._MAX_HALVINGS", max_halvings)
+        got = _gauss_newton(*args, objective_history=got_history)
         want = _one_level_per_call(
             *oracle, max_halvings=max_halvings, objective_history=want_history, levels=levels
         )
@@ -643,13 +644,14 @@ class TestBlockHalving:
             )
 
     @pytest.mark.parametrize("n", [1, 7])
-    def test_stiff_cubic_equals_one_level_per_call(self, n):
+    def test_stiff_cubic_equals_one_level_per_call(self, monkeypatch, n):
         rng = np.random.default_rng(n)
         obs = _stiff_cubic(rng.uniform(-1.0, 1.0, (n, 3)))
         x0 = rng.uniform(1.0, 6.0, (n, 3)) * rng.choice([-1.0, 1.0], (n, 3))
         args = (obs, (np.eye(3), np.eye(3)), _stiff_cubic, x0)
         for max_halvings in (0, 3, 20):
-            got = _gauss_newton(*args, max_iter=200, max_halvings=max_halvings)
+            monkeypatch.setattr("orthocal.identification._MAX_HALVINGS", max_halvings)
+            got = _gauss_newton(*args, max_iter=200)
             want = _one_level_per_call(*args, max_iter=200, max_halvings=max_halvings)
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)

@@ -1,11 +1,14 @@
-"""The three input rules at every entry that takes them.
+"""The input rules at every entry that takes them.
 
 A count is an integer, not a bool, of at least 0 (seeds, ``max_iter``) or 1
-(runs, replications, repetitions).  A noise level (and the inert lengths
+(runs, replications, repetitions), and a repetitions count with noise has a
+square root within the float range.  A noise level (and the inert lengths
 ``r`` and ``d`` of a Geometry) is a real number, not a bool, finite and
-non-negative.  A single offset triple has shape ``(3,)``.  A bad value raises
-one ValueError that names the argument, or the option on the command line; a
-good one, numpy scalars among them, passes.
+non-negative.  The lengths ``L``, ``rho_min`` and ``rho_max`` of a Geometry
+are real numbers before their ranges are checked.  A point, joint or offset
+argument has 3 components, and a single offset triple has shape ``(3,)``.  A
+bad value raises one ValueError that names the argument, or the option on the
+command line; a good one, numpy scalars among them, passes.
 """
 
 import re
@@ -46,6 +49,41 @@ LEVELS = {
     "monte_carlo-sigma": ("sigma", lambda v: _mc(sigma=v)),
     "Geometry-r": ("r", lambda v: oc.Geometry(310.25, -100.0, 60.0, r=v)),
     "Geometry-d": ("d", lambda v: oc.Geometry(310.25, -100.0, 60.0, d=v)),
+}
+
+# (a valid value, call of the field's value)
+LENGTHS = {
+    "L": (310.25, lambda v: oc.Geometry(v, -100.0, 60.0)),
+    "rho_min": (-100.0, lambda v: oc.Geometry(310.25, v, 60.0)),
+    "rho_max": (60.0, lambda v: oc.Geometry(310.25, -100.0, v)),
+}
+# Geometry field values that are rejected, with the start of the message each raises
+GEOMETRY_REJECTED = {
+    **{
+        f"{name}-{bad!r}": (name, bad, f"{name} must be a real number, got {name}={bad!r}")
+        for name in LENGTHS
+        for bad in ("310", True, None)
+    },
+    # zero is no limit: the limits straddle it
+    "rho_min-0": ("rho_min", 0, "joint limits must straddle zero"),
+    "rho_max-0": ("rho_max", 0, "joint limits must straddle zero"),
+}
+
+P0, RHO0, OFF0 = [0.0, 0.0, 0.0], [310.25] * 3, [0.0, 0.0, 0.0]
+# (argument, call of the argument's value), by entry and argument
+VECTORS = {
+    "constraint_residuals-p": ("p", lambda v: oc.constraint_residuals(v, RHO0, OFF0, GEOM)),
+    "constraint_residuals-rho": ("rho", lambda v: oc.constraint_residuals(P0, v, OFF0, GEOM)),
+    "constraint_residuals-offsets": (
+        "offsets", lambda v: oc.constraint_residuals(P0, RHO0, v, GEOM)
+    ),
+    "inverse_kinematics-p": ("p", lambda v: oc.inverse_kinematics(v, OFF0, GEOM)),
+    "inverse_kinematics-offsets": ("offsets", lambda v: oc.inverse_kinematics(P0, v, GEOM)),
+    "direct_kinematics-rho": ("rho", lambda v: oc.direct_kinematics(v, OFF0, GEOM)),
+    "direct_kinematics-offsets": ("offsets", lambda v: oc.direct_kinematics(RHO0, v, GEOM)),
+    "inverse_jacobian-p": ("p", lambda v: oc.inverse_jacobian(v, RHO0)),
+    "inverse_jacobian-rho": ("rho", lambda v: oc.inverse_jacobian(P0, v)),
+    "check_offsets-offsets": ("offsets", lambda v: oc.check_offsets(v, GEOM)),
 }
 
 # call of an offsets argument, by the name its error gives
@@ -116,6 +154,29 @@ class TestLevel:
             oc.NoiseModel(10**400, 0)
 
 
+class TestGeometryLength:
+    @pytest.mark.parametrize("entry", list(GEOMETRY_REJECTED))
+    def test_rejected(self, entry):
+        name, bad, message = GEOMETRY_REJECTED[entry]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            LENGTHS[name][1](bad)
+
+    @pytest.mark.parametrize("kind", [np.float64, np.int64])
+    @pytest.mark.parametrize("name", list(LENGTHS))
+    def test_numpy_scalar_accepted(self, name, kind):
+        valid, call = LENGTHS[name]
+        assert getattr(call(kind(valid)), name) == kind(valid)
+
+
+class TestVector:
+    @pytest.mark.parametrize("entry", list(VECTORS))
+    def test_two_components_rejected(self, entry):
+        name, call = VECTORS[entry]
+        message = rf"^{name} must have 3 components, got shape \(2,\)$"
+        with pytest.raises(ValueError, match=message):
+            call([1.0, 2.0])
+
+
 class TestOffsetTriple:
     @pytest.mark.parametrize("entry", list(TRIPLES))
     def test_batch_rejected(self, entry):
@@ -183,4 +244,10 @@ class TestCommandLine:
         huge = "1" + "0" * 400
         rc, out, err = run_cli(capsys, *COUNT_OPTIONS["--repetitions"], "--repetitions", huge)
         assert rc == 1 and out == ""
-        assert err == "error: repetitions is too large: its square root overflows a float\n"
+        assert err == "error: --repetitions is too large: its square root overflows a float\n"
+
+    def test_repetitions_beyond_the_float_range_without_noise_exit_0(self, capsys):
+        # no noise is drawn at sigma 0, so no square root is taken
+        huge = "1" + "0" * 400
+        rc, _, err = run_cli(capsys, "simulate", "--offsets", "0,0,0", "--repetitions", huge)
+        assert rc == 0 and err == ""
