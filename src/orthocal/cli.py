@@ -136,11 +136,12 @@ def cmd_simulate(args) -> int:
     m = scheme.measurement.from_array(scheme.predict(offsets, geom))
     m = add_noise(m, NoiseModel(sigma=args.sigma, seed=args.seed), args.repetitions)
     if args.quantize is not None:
-        if not (math.isfinite(args.quantize) and args.quantize > 0):
-            raise InputError("--quantize must be finite and positive")
         q = args.quantize
-        vals = np.round(m.as_array() / q) * q
-        m = type(m).from_array(vals)
+        with np.errstate(all="ignore"):  # a quantum this rule rejects may warn
+            steps = m.as_array() / q
+        if not (math.isfinite(q) and q > 0 and np.isfinite(steps).all()):
+            raise InputError(f"--quantize must be finite and positive, readings / q finite, got {q!r}")
+        m = type(m).from_array(np.round(steps) * q)
     doc = measurement_to_dict(
         m,
         geometry=geom if args.geometry else None,

@@ -32,6 +32,7 @@ from orthocal import (
 from orthocal.identification import (
     LinearSystem,
     _gauss_newton,
+    _gauss_newton_step,
     _least_squares_gain,
     _row_norm,
 )
@@ -492,7 +493,8 @@ def _one_level_per_call(obs, jacobian, predict_fn, x0, max_iter=100, step_tol=1e
     halving level: the loop whose results the batched solver must keep.
     ``jacobian`` is a pair ``(D, P)`` or a callable giving the model
     Jacobians, called apart from ``predict_fn`` at every sweep and, for the
-    returned Jacobians, at the final iterates (None with a constant design).
+    returned Jacobians, at the final iterates (None with a constant design);
+    with it the loop steps by the solver's own :func:`_gauss_newton_step`.
     ``levels``, if given, receives for every sweep that halves the halving
     level each still-worse row stopped at, 0 where none lowered the objective."""
     if not callable(jacobian):
@@ -523,8 +525,7 @@ def _one_level_per_call(obs, jacobian, predict_fn, x0, max_iter=100, step_tol=1e
             if idx.size == 0:
                 continue
         if callable(jacobian):
-            gains = np.linalg.pinv(J[~flat], rcond=np.finfo(float).eps * max(J.shape[1:]))
-            step = -np.einsum("kin,kn->ki", gains, r[idx])
+            step = _gauss_newton_step(J[~flat], r[idx])
         else:
             step = -(r[idx] @ P.T)
         alpha = np.ones(idx.size)
@@ -572,9 +573,10 @@ class TestBlockHalving:
     @staticmethod
     def _problem(geom, label, jacobian, n, spread=5.0):
         """The solver's arguments and the reference loop's: with the exact
-        Jacobian the solver takes the model that returns the deviations and
-        their Jacobian from one call, the reference loop the predictor and
-        its own deviations_and_jacobian call."""
+        Jacobian the solver takes the model that returns the deviations, and
+        on ``jacobian=True`` their Jacobian too from the same call; the
+        reference loop takes the predictor and its own
+        deviations_and_jacobian call at every iterate."""
         scheme = SCHEMES[label]
         rng = np.random.default_rng([n, len(label), jacobian == "exact"])
         truth = rng.uniform(-spread, spread, (n, 3))
@@ -582,7 +584,9 @@ class TestBlockHalving:
         x0 = obs @ np.linalg.pinv(scheme.design(geom)).T
         predict = lambda x: scheme.predict(x, geom)  # noqa: E731
         if jacobian == "exact":
-            model = lambda x: deviations_and_jacobian(x, geom, label)  # noqa: E731
+            def model(x, jacobian=False):
+                return deviations_and_jacobian(x, geom, label) if jacobian else predict(x)
+
             jac = lambda x: deviations_and_jacobian(x, geom, label)[1]  # noqa: E731
             return (obs, None, model, x0), (obs, jac, predict, x0)
         design = (scheme.design(geom), _least_squares_gain(scheme.design(geom)))
@@ -675,17 +679,21 @@ class TestBlockHalving:
             res = nonlinear_identify(m, geom)
             assert len(calls) <= 2 * res.iterations + 3
 
-    # forward-model calls of exact N = 1 solves, on test_call_budget's jobs
+    # forward-model calls of exact N = 1 solves, on test_call_budget's jobs;
+    # with Jacobians in the halving blocks they were six [3, 3, 7, 3, 3, 3,
+    # 4, 3, 3, 4, 3, 3, 4, 3, 3, 3, 3, 10, 3, 3] and twelve [4, 4, 5, 4, 5,
+    # 4, 3, 5, 3, 5, 4, 5, 3, 7, 5, 5, 3, 4, 3, 6]
     EXACT_CALLS = {
-        SYSTEM_SIX: [3, 3, 7, 3, 3, 3, 4, 3, 3, 4, 3, 3, 4, 3, 3, 3, 3, 10, 3, 3],
-        SYSTEM_TWELVE: [4, 4, 5, 4, 5, 4, 3, 5, 3, 5, 4, 5, 3, 7, 5, 5, 3, 4, 3, 6],
+        SYSTEM_SIX: [3, 3, 9, 3, 3, 3, 5, 3, 3, 4, 3, 3, 5, 3, 3, 3, 3, 14, 3, 3],
+        SYSTEM_TWELVE: [4, 4, 6, 4, 6, 4, 3, 6, 3, 6, 4, 5, 3, 8, 6, 5, 3, 4, 3, 8],
     }
 
     @pytest.mark.parametrize("label", [SYSTEM_SIX, SYSTEM_TWELVE])
     def test_exact_call_budget_pinned(self, geom, monkeypatch, label):
-        # with the exact Jacobian too, one call for the start, then per sweep
-        # one for the full step and one for all its halving levels: each
-        # iterate's Jacobian comes from the call that evaluated it
+        # with the exact Jacobian, one call for the start, then per sweep one
+        # for the full step, which returns its Jacobian too, one for all its
+        # halving levels, which returns deviations only, and one for the
+        # Jacobian at the accepted level
         calls, counts = [], []
         stack = measurement._posture_stack
         monkeypatch.setattr(
@@ -699,9 +707,24 @@ class TestBlockHalving:
             m = add_noise(m, NoiseModel(0.01, seed))
             calls.clear()
             res = nonlinear_identify(m, geom, jacobian="exact")
-            assert len(calls) <= 2 * res.iterations + 1
+            assert len(calls) <= 3 * res.iterations + 1
             counts.append(len(calls))
         assert counts == self.EXACT_CALLS[label]
+
+    @pytest.mark.parametrize("label", [SYSTEM_SIX, SYSTEM_TWELVE])
+    def test_exact_halving_blocks_evaluate_deviations_only(self, geom, label):
+        # the blocks' trial points (rows, k, 3) are evaluated without
+        # Jacobians; the start, every full step and the one call at each
+        # sweep's accepted halving points, all (rows, 3), return theirs
+        (obs, _, model, x0), _ = self._problem(geom, label, "exact", 1000, spread=20.0)
+        calls = []
+
+        def spy(x, jacobian=False):
+            calls.append((x.ndim, jacobian))
+            return model(x, jacobian=jacobian)
+
+        _gauss_newton(obs, None, spy, x0)
+        assert (3, False) in calls and (3, True) not in calls and (2, False) not in calls
 
     @pytest.mark.parametrize(
         "method, calls, rows",
@@ -767,9 +790,11 @@ class TestResidualLayout:
         (obs, jac, model, x0), _ = TestBlockHalving._problem(geom, label, jacobian, n, spread=20.0)
 
         def relaid(layout):  # the model with its predictions in another layout
-            def prediction(x):
-                out = model(x)  # the exact model's is (predictions, Jacobians)
-                return (layout(out[0]), out[1]) if jac is None else layout(out)
+            def prediction(x, jacobian=False):
+                if jacobian:  # the exact model's (predictions, Jacobians)
+                    out = model(x, jacobian=True)
+                    return layout(out[0]), out[1]
+                return layout(model(x))
 
             return prediction
 

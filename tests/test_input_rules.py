@@ -7,11 +7,15 @@ square root within the float range.  A noise level (and the inert lengths
 non-negative.  The lengths ``L``, ``rho_min`` and ``rho_max`` of a Geometry
 are real numbers before their ranges are checked.  A point, joint or offset
 argument has 3 components, and a single offset triple has shape ``(3,)``.  A
-bad value raises one ValueError that names the argument, or the option on the
-command line; a good one, numpy scalars among them, passes.
+``--quantize`` quantum is finite, positive and large enough that every reading
+over it is a float.  A bad value raises one ValueError that names the
+argument, or the option on the command line; a good one, numpy scalars among
+them, passes.
 """
 
+import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -245,6 +249,26 @@ class TestCommandLine:
         rc, out, err = run_cli(capsys, *COUNT_OPTIONS["--repetitions"], "--repetitions", huge)
         assert rc == 1 and out == ""
         assert err == "error: --repetitions is too large: its square root overflows a float\n"
+
+    @pytest.mark.parametrize("quantum", ["1e-320", "5e-324"])
+    def test_quantum_whose_steps_overflow_exit_1(self, capsys, quantum):
+        # readings of about 0.1 mm over a subnormal quantum exceed the float
+        # range: one error line naming the option, and no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run_cli(
+                capsys, "simulate", "--offsets", "1,1,1", "--quantize", quantum
+            )
+        assert rc == 1 and out == ""
+        assert err == (
+            "error: --quantize must be finite and positive, readings / q finite, "
+            f"got {float(quantum)!r}\n"
+        )
+
+    def test_tiny_quantum_within_the_float_range_exit_0(self, capsys):
+        rc, out, err = run_cli(capsys, "simulate", "--offsets", "1,1,1", "--quantize", "1e-300")
+        assert rc == 0 and err == ""
+        assert json.loads(out)["simulation"]["quantize"] == 1e-300
 
     def test_repetitions_beyond_the_float_range_without_noise_exit_0(self, capsys):
         # no noise is drawn at sigma 0, so no square root is taken

@@ -21,6 +21,7 @@ from orthocal import (
     single_deviation_array,
 )
 from orthocal.errors import DomainError, SingularError
+from orthocal.identification import _gauss_newton_step
 from orthocal.kinematics import (
     SINGULARITY_TOL,
     _dk_jacobian,
@@ -220,6 +221,60 @@ def test_dk_ik_round_trip_at_calibration_postures(geom, data):
         except OrthoglideError:
             continue
         assert np.abs(back - rho).max() <= 1e-12 * geom.L
+
+
+def _pinv_step(J, r):
+    """The minimum-norm least-squares step ``-pinv(J) r`` with the
+    singular-value cut-off of numpy's lstsq, and the norms ``|pinv(J)|``."""
+    gains = np.linalg.pinv(J, rcond=np.finfo(float).eps * max(J.shape[1:]))
+    return -np.einsum("kin,kn->ki", gains, r), np.linalg.norm(gains, 2, axis=(1, 2))
+
+
+@pytest.mark.parametrize("label", ["double-full", "double-reduced"])
+@settings(max_examples=100, deadline=None)
+@given(geom=_geometries(reach=0.9), data=st.data())
+def test_normal_equation_step_equals_pinv_step(label, geom, data):
+    # the exact Gauss-Newton step, J'J s = -J'r in closed form, is pinv's
+    # within 1e-13 of |pinv(J)| |r| (measured 1.5e-14) on random geometries,
+    # offsets up to L/10 and residuals of 1e-5 to 10 mm, and a row's step
+    # does not depend on the rest of the batch.  The bound is not relative to
+    # |s|: where r is nearly orthogonal to J's columns the normal equations'
+    # error grows with cond(J)^2 against a small step (1.3e-13 of |s| at
+    # cond(J) = 20, far from the prototype's cond(J) <= 1.6)
+    coord = st.floats(-geom.L / 10, geom.L / 10)
+    offsets = np.array(data.draw(st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=8)))
+    try:
+        J = deviations_and_jacobian(offsets, geom, label)[1]
+    except (DomainError, SingularError):
+        return
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    r = rng.standard_normal(J.shape[:2]) * 10.0 ** rng.uniform(-5.0, 1.0, (len(J), 1))
+    step = _gauss_newton_step(J, r)
+    want, gain_norm = _pinv_step(J, r)
+    error = np.linalg.norm(step - want, axis=1)
+    assert (error <= 1e-13 * gain_norm * np.linalg.norm(r, axis=1)).all()
+    # each row's step has the bits of its own single-row call
+    for i in range(len(J)):
+        assert np.array_equal(step[i], _gauss_newton_step(J[i, None], r[i, None])[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.sampled_from([6, 12]), seed=st.integers(0, 2**32 - 1))
+def test_rank_two_jacobian_takes_the_pinv_step(n, seed):
+    # a Jacobian whose third column is a combination of the first two has a
+    # rank of 2 and det(J'J) at the rounding floor: its row takes pinv's
+    # minimum-norm step, orthogonal to the null vector, while a full-rank
+    # row of the same batch keeps its closed-form step
+    rng = np.random.default_rng(seed)
+    J = rng.standard_normal((2, n, 3))
+    null = np.append(rng.uniform(-2.0, 2.0, 2), -1.0)
+    J[1, :, 2] = J[1, :, :2] @ null[:2]
+    r = rng.standard_normal((2, n))
+    step = _gauss_newton_step(J, r)
+    want, _ = _pinv_step(J, r)
+    assert np.abs(step[1] - want[1]).max() <= 1e-12 * np.abs(want[1]).max()
+    assert abs(step[1] @ null) <= 1e-12 * np.linalg.norm(step[1]) * np.linalg.norm(null)
+    assert np.array_equal(step[0], _gauss_newton_step(J[:1], r[:1])[0])
 
 
 _recovery_coord = st.floats(-0.8 * GEOM.L / 10, 0.8 * GEOM.L / 10)
