@@ -12,9 +12,10 @@ formula; its covariance ``K S K'`` is ``accuracy.offset_covariance``.
 Following the calibration procedure, the Gauss-Newton step uses the constant
 linear-system matrix as its Jacobian.  ``nonlinear_identify`` can step with the
 exact analytic Jacobian instead, which the forward model returns with the
-deviations from the same solve of the posture stack.  Its step solves the 3x3
-normal equations in closed form, with ``pinv``'s minimum-norm step only where
-``J'J`` is nearly singular, and its step halvings evaluate deviations alone.
+deviations from the same solve of the posture stack, so that an exact solve
+costs one forward solve per iterate, as the constant-design one does.  Its step
+solves the 3x3 normal equations, with ``pinv``'s minimum-norm step only where
+``J'J`` is nearly singular.
 """
 
 from __future__ import annotations
@@ -39,11 +40,11 @@ from .measurement import (
     Scheme,
     SinglePostureMeasurements,
     _STRIP_ROWS,
-    _double_posture,
     _geometry_constant,
     _lookup,
     _readings,
     coefficients,
+    deviations_and_jacobian,
     scheme_of,
 )
 
@@ -233,15 +234,22 @@ def _row_norm(v: np.ndarray) -> np.ndarray:
 _STEP_TOL, _GRAD_TOL, _MAX_HALVINGS = 1e-9, 1e-12, 20
 # an exact step solves the normal equations unless det(J'J) is at most this
 # fraction of the product of its diagonal (1 for orthogonal columns, 0 for a
-# rank below 3): there cond(J) may exceed 1e4 and pinv steps
-_DET_FLOOR = 1e-8
-# flat indices into J'J of the left and right factors of the two products whose
-# difference is its cofactor a[i+1, j+1] a[i+2, j+2] - a[i+1, j+2] a[i+2, j+1]
-# (indices mod 3), entry 3 i + j: for a symmetric matrix, its adjugate
-_COFACTOR_TAKE = np.array([
-    [[4, 5, 3, 7, 8, 6, 1, 2, 0], [5, 3, 4, 8, 6, 7, 2, 0, 1]],
-    [[8, 6, 7, 2, 0, 1, 5, 3, 4], [7, 8, 6, 1, 2, 0, 4, 5, 3]],
-])
+# rank below 3): below it cond(J) of the column-scaled J may exceed 26, the
+# normal equations lose digits with its square, and pinv steps
+_DET_FLOOR = 1e-2
+
+
+def _flat(di: int, dj: int) -> np.ndarray:
+    """For each entry ``3 i + j`` of a flattened 3x3 matrix, the flat index of
+    its entry ``(i + di, j + dj)``, indices mod 3."""
+    i, j = np.divmod(np.arange(9), 3)
+    return 3 * ((i + di) % 3) + (j + dj) % 3
+
+
+# entry (i, j) of the adjugate of a symmetric 3x3 matrix a is the cofactor
+# a[i+1, j+1] a[i+2, j+2] - a[i+1, j+2] a[i+2, j+1]: the first factors of its
+# two products, then the second ones
+_COFACTOR_TAKE = np.array([[_flat(1, 1), _flat(1, 2)], [_flat(2, 2), _flat(2, 1)]])
 
 
 def _gauss_newton_step(J: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -255,7 +263,7 @@ def _gauss_newton_step(J: np.ndarray, r: np.ndarray) -> np.ndarray:
     # row's step does not depend on the rest of the batch, and it runs many
     # times faster than on (k, n, 3)
     Jn = np.ascontiguousarray(J.transpose(1, 2, 0))
-    a = np.einsum("nik,njk->ijk", Jn, Jn).reshape(9, -1)  # J'J, entry-major
+    a = np.einsum("nik,njk->ijk", Jn, Jn).reshape(9, -1)  # J'J, flat entries first
     products = a[_COFACTOR_TAKE[0]] * a[_COFACTOR_TAKE[1]]
     adj = products[0] - products[1]  # symmetric, as J'J is
     det = a[0] * adj[0] + a[1] * adj[1] + a[2] * adj[2]
@@ -280,21 +288,19 @@ def _gauss_newton(
     """Vectorized damped Gauss-Newton.
 
     Iterates a batch of problems simultaneously: ``obs`` is ``(N, n)`` and
-    ``x0`` is ``(N, 3)``.  ``model`` maps iterates ``(..., 3)`` to
-    predictions ``(..., n)``.  ``design`` is either a pair of a constant
+    ``x0`` is ``(N, 3)``.  ``design`` is either a pair of a constant
     ``(n, 3)`` matrix ``D`` and its least-squares gain ``K = pinv(D)`` (see
-    :func:`_least_squares_gain`), the step being ``-K r``; or None, with
-    ``model(x, jacobian=True)`` returning the predictions and their model
-    Jacobians ``(..., n, 3)`` as a pair.  Then the step is
-    :func:`_gauss_newton_step`, ``-pinv(J) r`` by the normal equations.  A
-    step is halved (up to ``_MAX_HALVINGS`` times) whenever it fails to
-    decrease the residual sum of squares, so the objective is non-increasing
-    across accepted iterations; the halving levels are evaluated in blocks,
-    several per model call, with the result of trying them one by one.  The
-    blocks evaluate predictions only: an iterate's Jacobian comes from the
-    full-step call that evaluated it or, for the rows that accepted a halving
-    level, from one call at their accepted points.  When ``objective_history``
-    is given the per-run objective is appended after every sweep.
+    :func:`_least_squares_gain`), the step being ``-K r``, with ``model``
+    mapping iterates ``(..., 3)`` to predictions ``(..., n)``; or None, with
+    ``model`` returning the predictions and their model Jacobians
+    ``(..., n, 3)`` as a pair, so that every iterate's Jacobian comes from the
+    call that evaluated it.  Then the step is :func:`_gauss_newton_step`,
+    ``-pinv(J) r`` by the normal equations.  A step is halved (up to
+    ``_MAX_HALVINGS`` times) whenever it fails to decrease the residual sum of
+    squares, so the objective is non-increasing across accepted iterations;
+    the halving levels are evaluated in blocks, several per model call, with
+    the result of trying them one by one.  When ``objective_history`` is given
+    the per-run objective is appended after every sweep.
 
     Returns ``(x, converged, iterations, residuals, jacobians)`` where
     ``residuals`` is predicted minus observed at the final iterate and
@@ -306,12 +312,12 @@ def _gauss_newton(
     if not exact:
         D, K = design  # (n, 3), (3, n)
 
-    def residual(x, ob, jacobian=exact):  # C-ordered: einsum's summation order follows the layout
+    def residual(x, ob):  # C-ordered: einsum's summation order follows the layout
         try:
-            out = model(x, jacobian=True) if jacobian else model(x)
+            out = model(x)
         except ValueError as exc:  # check_offsets on an iterate
             raise ConvergenceError(f"Gauss-Newton iterate out of domain: {exc}") from None
-        if jacobian:
+        if exact:
             return np.subtract(out[0], ob, order="C"), out[1]
         return np.subtract(out, ob, order="C"), None
 
@@ -382,7 +388,7 @@ def _gauss_newton(
                 # loops, and the columns the forward model reads, uncopied
                 xt = np.multiply(a, pack.T[3:6, :, None], out=np.empty((3, sub.size, k)))
                 xt += pack.T[:3, :, None]
-                rt = residual(xt.transpose(1, 2, 0), pack[:, None, 7:], False)[0]
+                rt, Jt = residual(xt.transpose(1, 2, 0), pack[:, None, 7:])
                 rt = rt.reshape(-1, ob.shape[1])
                 Ft = np.einsum("ij,ij->i", rt, rt)
                 better = Ft.reshape(-1, k) < pack[:, 6, None]
@@ -394,15 +400,13 @@ def _gauss_newton(
                 if hit.size:
                     got, at = sub.take(hit), at.take(hit)
                     r_try[got], F_try[got] = rt.take(at, 0), Ft.take(at)
+                    if exact:
+                        J_try[got] = Jt.reshape(-1, ob.shape[1], 3).take(at, 0)
                     alpha[got], worse[got] = a.take(at % k), False
                     keep = (~found).nonzero()[0]
                     sub, pack = sub.take(keep), pack.take(keep, 0)
             step = alpha[:, None] * step  # the products the accepted trial points were formed with
             x_try = xa + step
-            if exact:  # the Jacobians of the rows that accepted a level, at their points
-                acc = ((alpha < 1.0) & ~worse).nonzero()[0]
-                if acc.size:
-                    J_try[acc] = model(x_try.take(acc, 0), jacobian=True)[1]
         tiny = _row_norm(step) < _STEP_TOL
         if sub.size:  # rows that no level lowered keep their iterate
             x_try[sub], r_try[sub], F_try[sub] = xa.take(sub, 0), ra.take(sub, 0), Fa.take(sub)
@@ -434,9 +438,7 @@ def _estimate(est: Estimator, obs: np.ndarray, geom: Geometry, x0=None,
     if jacobian == "linear":
         design, model = (scheme.design(geom), gain), lambda x: scheme.predict(x, geom)
     elif jacobian == "exact":
-        # the scheme's predictions, and on jacobian=True their Jacobians too
-        reduced = scheme.label == SYSTEM_SIX
-        design, model = None, functools.partial(_double_posture, geom=geom, reduced=reduced)
+        design, model = None, lambda x: deviations_and_jacobian(x, geom, scheme.label)
     else:
         raise ValueError(f"jacobian must be 'linear' or 'exact', got {jacobian!r}")
     return _gauss_newton(obs, design, model, x, max_iter=max_iter)

@@ -573,10 +573,9 @@ class TestBlockHalving:
     @staticmethod
     def _problem(geom, label, jacobian, n, spread=5.0):
         """The solver's arguments and the reference loop's: with the exact
-        Jacobian the solver takes the model that returns the deviations, and
-        on ``jacobian=True`` their Jacobian too from the same call; the
-        reference loop takes the predictor and its own
-        deviations_and_jacobian call at every iterate."""
+        Jacobian the solver takes the model that returns the deviations and
+        their Jacobian from one call, the reference loop the predictor and
+        its own deviations_and_jacobian call."""
         scheme = SCHEMES[label]
         rng = np.random.default_rng([n, len(label), jacobian == "exact"])
         truth = rng.uniform(-spread, spread, (n, 3))
@@ -584,9 +583,7 @@ class TestBlockHalving:
         x0 = obs @ np.linalg.pinv(scheme.design(geom)).T
         predict = lambda x: scheme.predict(x, geom)  # noqa: E731
         if jacobian == "exact":
-            def model(x, jacobian=False):
-                return deviations_and_jacobian(x, geom, label) if jacobian else predict(x)
-
+            model = lambda x: deviations_and_jacobian(x, geom, label)  # noqa: E731
             jac = lambda x: deviations_and_jacobian(x, geom, label)[1]  # noqa: E731
             return (obs, None, model, x0), (obs, jac, predict, x0)
         design = (scheme.design(geom), _least_squares_gain(scheme.design(geom)))
@@ -679,21 +676,17 @@ class TestBlockHalving:
             res = nonlinear_identify(m, geom)
             assert len(calls) <= 2 * res.iterations + 3
 
-    # forward-model calls of exact N = 1 solves, on test_call_budget's jobs;
-    # with Jacobians in the halving blocks they were six [3, 3, 7, 3, 3, 3,
-    # 4, 3, 3, 4, 3, 3, 4, 3, 3, 3, 3, 10, 3, 3] and twelve [4, 4, 5, 4, 5,
-    # 4, 3, 5, 3, 5, 4, 5, 3, 7, 5, 5, 3, 4, 3, 6]
+    # forward-model calls of exact N = 1 solves, on test_call_budget's jobs
     EXACT_CALLS = {
-        SYSTEM_SIX: [3, 3, 9, 3, 3, 3, 5, 3, 3, 4, 3, 3, 5, 3, 3, 3, 3, 14, 3, 3],
-        SYSTEM_TWELVE: [4, 4, 6, 4, 6, 4, 3, 6, 3, 6, 4, 5, 3, 8, 6, 5, 3, 4, 3, 8],
+        SYSTEM_SIX: [3, 3, 7, 3, 3, 3, 4, 3, 3, 4, 3, 3, 4, 3, 3, 3, 3, 10, 3, 3],
+        SYSTEM_TWELVE: [4, 4, 5, 4, 5, 4, 3, 5, 3, 5, 4, 5, 3, 7, 5, 5, 3, 4, 3, 6],
     }
 
     @pytest.mark.parametrize("label", [SYSTEM_SIX, SYSTEM_TWELVE])
     def test_exact_call_budget_pinned(self, geom, monkeypatch, label):
-        # with the exact Jacobian, one call for the start, then per sweep one
-        # for the full step, which returns its Jacobian too, one for all its
-        # halving levels, which returns deviations only, and one for the
-        # Jacobian at the accepted level
+        # with the exact Jacobian too, one call for the start, then per sweep
+        # one for the full step and one for all its halving levels: each
+        # iterate's Jacobian comes from the call that evaluated it
         calls, counts = [], []
         stack = measurement._posture_stack
         monkeypatch.setattr(
@@ -707,24 +700,9 @@ class TestBlockHalving:
             m = add_noise(m, NoiseModel(0.01, seed))
             calls.clear()
             res = nonlinear_identify(m, geom, jacobian="exact")
-            assert len(calls) <= 3 * res.iterations + 1
+            assert len(calls) <= 2 * res.iterations + 1
             counts.append(len(calls))
         assert counts == self.EXACT_CALLS[label]
-
-    @pytest.mark.parametrize("label", [SYSTEM_SIX, SYSTEM_TWELVE])
-    def test_exact_halving_blocks_evaluate_deviations_only(self, geom, label):
-        # the blocks' trial points (rows, k, 3) are evaluated without
-        # Jacobians; the start, every full step and the one call at each
-        # sweep's accepted halving points, all (rows, 3), return theirs
-        (obs, _, model, x0), _ = self._problem(geom, label, "exact", 1000, spread=20.0)
-        calls = []
-
-        def spy(x, jacobian=False):
-            calls.append((x.ndim, jacobian))
-            return model(x, jacobian=jacobian)
-
-        _gauss_newton(obs, None, spy, x0)
-        assert (3, False) in calls and (3, True) not in calls and (2, False) not in calls
 
     @pytest.mark.parametrize(
         "method, calls, rows",
@@ -790,11 +768,9 @@ class TestResidualLayout:
         (obs, jac, model, x0), _ = TestBlockHalving._problem(geom, label, jacobian, n, spread=20.0)
 
         def relaid(layout):  # the model with its predictions in another layout
-            def prediction(x, jacobian=False):
-                if jacobian:  # the exact model's (predictions, Jacobians)
-                    out = model(x, jacobian=True)
-                    return layout(out[0]), out[1]
-                return layout(model(x))
+            def prediction(x):
+                out = model(x)  # the exact model's is (predictions, Jacobians)
+                return (layout(out[0]), out[1]) if jac is None else layout(out)
 
             return prediction
 

@@ -234,13 +234,14 @@ def _pinv_step(J, r):
 @settings(max_examples=100, deadline=None)
 @given(geom=_geometries(reach=0.9), data=st.data())
 def test_normal_equation_step_equals_pinv_step(label, geom, data):
-    # the exact Gauss-Newton step, J'J s = -J'r in closed form, is pinv's
-    # within 1e-13 of |pinv(J)| |r| (measured 1.5e-14) on random geometries,
-    # offsets up to L/10 and residuals of 1e-5 to 10 mm, and a row's step
-    # does not depend on the rest of the batch.  The bound is not relative to
-    # |s|: where r is nearly orthogonal to J's columns the normal equations'
-    # error grows with cond(J)^2 against a small step (1.3e-13 of |s| at
-    # cond(J) = 20, far from the prototype's cond(J) <= 1.6)
+    # the exact Gauss-Newton step, by the normal equations J'J s = -J'r, is
+    # pinv's within 1e-13 of |pinv(J)| |r| (measured 2.6e-14 in a targeted
+    # search) on random geometries, offsets up to L/10 and residuals of 1e-5
+    # to 10 mm, and a row's step does not depend on the rest of the batch.
+    # The bound is not relative to |s|: where r is nearly orthogonal to J's
+    # columns the normal equations' error grows with cond(J)^2 against a
+    # small step (1.3e-13 of |s| at cond(J) = 20, far from the prototype's
+    # cond(J) <= 1.6)
     coord = st.floats(-geom.L / 10, geom.L / 10)
     offsets = np.array(data.draw(st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=8)))
     try:
@@ -264,7 +265,7 @@ def test_rank_two_jacobian_takes_the_pinv_step(n, seed):
     # a Jacobian whose third column is a combination of the first two has a
     # rank of 2 and det(J'J) at the rounding floor: its row takes pinv's
     # minimum-norm step, orthogonal to the null vector, while a full-rank
-    # row of the same batch keeps its closed-form step
+    # row of the same batch keeps its normal-equation step
     rng = np.random.default_rng(seed)
     J = rng.standard_normal((2, n, 3))
     null = np.append(rng.uniform(-2.0, 2.0, 2), -1.0)
@@ -275,6 +276,20 @@ def test_rank_two_jacobian_takes_the_pinv_step(n, seed):
     assert np.abs(step[1] - want[1]).max() <= 1e-12 * np.abs(want[1]).max()
     assert abs(step[1] @ null) <= 1e-12 * np.linalg.norm(step[1]) * np.linalg.norm(null)
     assert np.array_equal(step[0], _gauss_newton_step(J[:1], r[:1])[0])
+
+
+def test_ill_conditioned_jacobian_takes_the_pinv_step():
+    # a far geometry, found by a targeted search of the property above, where
+    # cond(J) is 357 and det(J'J) is 2.6e-5 of its diagonal's product: the
+    # normal equations there are up to 2e-11 of |pinv(J)| |r| off, so the
+    # row must take pinv's step
+    geom = Geometry(L=750.1063584830049, rho_min=-675.0957226347044, rho_max=283.01933602501816)
+    offsets = np.array([[-69.45067273, -67.70245634, -70.10223282]])
+    J = np.repeat(deviations_and_jacobian(offsets, geom, "double-reduced")[1], 20, axis=0)
+    r = np.random.default_rng(0).standard_normal((20, 6))
+    want, gain_norm = _pinv_step(J, r)
+    error = np.linalg.norm(_gauss_newton_step(J, r) - want, axis=1)
+    assert (error <= 1e-13 * gain_norm * np.linalg.norm(r, axis=1)).all()
 
 
 _recovery_coord = st.floats(-0.8 * GEOM.L / 10, 0.8 * GEOM.L / 10)
