@@ -41,11 +41,16 @@ def noise_covariance(label: str, sigma: float) -> np.ndarray:
         return _noise(label, sigma)
 
 
+# the largest entry of each scheme's reading-error pattern S0: sigma^2 S0 is
+# finite exactly where sigma^2 times it is, as no entry is negative
+_NOISE_PEAK = {label: float(s.noise_covariance.max()) for label, s in SCHEMES.items()}
+
+
 def _noise(label: str, sigma: float) -> np.ndarray:
     """:func:`noise_covariance`, under the caller's ``np.errstate``."""
     _check_level(sigma, "sigma")
     S = sigma * sigma * _lookup(SCHEMES, label, "scheme").noise_covariance
-    if not np.isfinite(S).all():
+    if not math.isfinite(sigma * sigma * _NOISE_PEAK[label]):
         raise ValueError(f"sigma {sigma:g} overflows the noise covariance")
     return S
 

@@ -103,7 +103,10 @@ def cmd_calibrate(args) -> int:
         raise InputError(
             f"method {args.method} requires {scheme.label} measurements, file has {mf.method}"
         )
-    result = identify(name, m, geom)
+    # readings near the float range overflow the residual sums; the
+    # non-finite sigma_hat that results is rejected below, with one message
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = identify(name, m, geom)
     residuals = dict(zip(scheme.row_keys, result.residuals.tolist()))
     report = CalibrationReport(
         input_digest=digest,

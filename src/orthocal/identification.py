@@ -21,6 +21,7 @@ solves the 3x3 normal equations, with ``pinv``'s minimum-norm step only where
 from __future__ import annotations
 
 import functools
+import math
 from types import MappingProxyType
 from typing import Callable
 
@@ -109,10 +110,12 @@ def _residual_scale(r: np.ndarray) -> tuple[float, float]:
     """RMS ``sqrt(ssr/n)`` and noise estimate ``sqrt(ssr/(n-3))`` of residuals ``r``."""
     n = r.size
     ssr = float(r @ r)
-    return float(np.sqrt(ssr / n)), float(np.sqrt(ssr / (n - 3)))
+    return math.sqrt(ssr / n), math.sqrt(ssr / (n - 3))
 
 
-def _result(offsets, residuals, method, iterations, converged, gradient_norm) -> CalibrationResult:
+def _result(offsets, residuals, method, iterations, converged, gradient) -> CalibrationResult:
+    """The result record; its gradient norm is ``np.linalg.norm``'s
+    ``sqrt(g . g)``, without that function's argument checks."""
     rms, sigma_hat = _residual_scale(residuals)  # both callers pass float arrays
     return CalibrationResult(
         offsets=offsets,
@@ -122,7 +125,7 @@ def _result(offsets, residuals, method, iterations, converged, gradient_norm) ->
         method=method,
         iterations=int(iterations),
         converged=bool(converged),
-        gradient_norm=float(gradient_norm),
+        gradient_norm=math.sqrt(gradient.dot(gradient)),
     )
 
 
@@ -131,7 +134,7 @@ def _linear_fit(design: np.ndarray, gain: np.ndarray, obs: np.ndarray, method: s
     with residuals ``r = obs - D x`` and gradient norm ``|2 D' r|``."""
     offsets = gain @ obs
     residuals = obs - design @ offsets
-    return _result(offsets, residuals, method, 0, True, np.linalg.norm(2.0 * design.T @ residuals))
+    return _result(offsets, residuals, method, 0, True, 2.0 * design.T @ residuals)
 
 
 def _least_squares_gain(design: np.ndarray) -> np.ndarray:
@@ -178,12 +181,14 @@ class Estimator(Record, eq=False):
     cli: str
 
 
-# least squares on a double-posture design ``D``: ``K = pinv(D)``; module
-# functions, so that an estimator copies and pickles
+# least squares on a double-posture design ``D``: ``K = pinv(D)``, one cache
+# lookup per call; module functions, so that an estimator copies and pickles
+@_geometry_constant
 def _six_gain(geom: Geometry) -> np.ndarray:
     return _least_squares_gain(SCHEMES[SYSTEM_SIX].design(geom))
 
 
+@_geometry_constant
 def _twelve_gain(geom: Geometry) -> np.ndarray:
     return _least_squares_gain(SCHEMES[SYSTEM_TWELVE].design(geom))
 
@@ -232,6 +237,8 @@ def _row_norm(v: np.ndarray) -> np.ndarray:
 # a Gauss-Newton row converges once its damped step (mm) or its gradient is below
 # these; a step that does not lower the objective is halved up to _MAX_HALVINGS times
 _STEP_TOL, _GRAD_TOL, _MAX_HALVINGS = 1e-9, 1e-12, 20
+# 2**-h: the damping of h halvings, h = 0 .. _MAX_HALVINGS
+_LADDER = np.ldexp(1.0, -np.arange(_MAX_HALVINGS + 1))
 # an exact step solves the normal equations unless det(J'J) is at most this
 # fraction of the product of its diagonal (1 for orthogonal columns, 0 for a
 # rank below 3): below it cond(J) of the column-scaled J may exceed 26, the
@@ -264,13 +271,13 @@ def _gauss_newton_step(J: np.ndarray, r: np.ndarray) -> np.ndarray:
     # times faster than on (k, n, 3)
     Jn = np.ascontiguousarray(J.transpose(1, 2, 0))
     a = np.einsum("nik,njk->ijk", Jn, Jn).reshape(9, -1)  # J'J, flat entries first
-    products = a[_COFACTOR_TAKE[0]] * a[_COFACTOR_TAKE[1]]
-    adj = products[0] - products[1]  # symmetric, as J'J is
-    det = a[0] * adj[0] + a[1] * adj[1] + a[2] * adj[2]
+    adj = np.subtract(*np.multiply(*a.take(_COFACTOR_TAKE, 0, mode="wrap")))  # symmetric, as J'J is
+    terms = np.multiply(a[:3], adj[:3])
+    det = terms[0] + terms[1] + terms[2]
     low = (~(det > _DET_FLOOR * (a[0] * a[4] * a[8]))).nonzero()[0]
-    det[low] = 1.0  # their steps are pinv's
+    det.put(low, 1.0)  # their steps are pinv's
     step = np.einsum("jik,jk->ki", adj.reshape(3, 3, -1), np.einsum("nik,nk->ik", Jn, r.T))
-    step /= -det[:, None]
+    np.divide(step, -det[:, None], out=step)
     if low.size:
         gains = np.linalg.pinv(J.take(low, 0), rcond=np.finfo(float).eps * max(J.shape[1:]))
         step[low] = -np.einsum("kin,kn->ki", gains, r.take(low, 0))
@@ -309,8 +316,9 @@ def _gauss_newton(
     :class:`ConvergenceError`.
     """
     exact = design is None
-    if not exact:
+    if not exact:  # the gradient's 2 D and the step's -K', each exactly scaled once
         D, K = design  # (n, 3), (3, n)
+        D2, gain = 2.0 * D, -K.T
 
     def residual(x, ob):  # C-ordered: einsum's summation order follows the layout
         try:
@@ -322,7 +330,6 @@ def _gauss_newton(
         return np.subtract(out, ob, order="C"), None
 
     x = np.array(x0, dtype=float, copy=True)
-    ladder = np.ldexp(1.0, -np.arange(_MAX_HALVINGS + 1))  # 2**-h: the damping of h halvings
     r, J = residual(x, obs)
     F = np.einsum("ij,ij->i", r, r)
     if objective_history is not None:
@@ -348,9 +355,10 @@ def _gauss_newton(
             J[out] = Ja.take(gone, 0)
 
     # every gather and scatter below reaches its rows through the indices of
-    # their mask: a take runs several times faster than a boolean-mask gather
+    # their mask: a take runs several times faster than a boolean-mask gather,
+    # and in a halving block a put several times faster than an index assignment
     for sweep in range(max_iter if n_run else 0):  # an empty batch runs no sweep
-        grad = 2.0 * np.einsum("kn,kni->ki", ra, Ja) if exact else 2.0 * ra @ D  # (na, 3)
+        grad = 2.0 * np.einsum("kn,kni->ki", ra, Ja) if exact else ra @ D2  # (na, 3)
         # a row leaves on a flat gradient, or after a sweep that ended it: a
         # tiny damped step converges it, accepted or with the damping
         # exhausted; the damping exhausted on a larger one fails it, and that
@@ -366,7 +374,7 @@ def _gauss_newton(
                 v if v is None else v.take(keep, 0) for v in (ids, xa, ra, Ja, Fa, ob)
             )
         # after the exit: an exact solve often ends there
-        step = _gauss_newton_step(Ja, ra) if exact else -(ra @ K.T)
+        step = _gauss_newton_step(Ja, ra) if exact else ra @ gain
         x_try = xa + step
         r_try, J_try = residual(x_try, ob)
         F_try = np.einsum("ij,ij->i", r_try, r_try)
@@ -374,7 +382,7 @@ def _gauss_newton(
         worse = ~(F_try < Fa)
         sub, level = worse.nonzero()[0], 0  # the still-worse rows, the halvings they tried
         if sub.size:
-            alpha = np.where(worse, ladder[-1], 1.0)  # the deepest factor if no level lowers F
+            alpha = np.where(worse, _LADDER[_MAX_HALVINGS], 1.0)  # the deepest if no level lowers F
             # the still-worse rows try k halving levels per call, packed as
             # (iterate, step, objective, readings) so that one gather per block
             # compacts them; each keeps its first level that lowers the
@@ -383,11 +391,11 @@ def _gauss_newton(
             while level < _MAX_HALVINGS and sub.size:
                 # as many levels as fill one forward strip, at least one
                 k = min(_MAX_HALVINGS - level, max(1, _STRIP_ROWS // sub.size))
-                a = ladder[level + 1:level + k + 1]
+                a = _LADDER[level + 1:level + k + 1]
                 # the trial points component-major, (3, rows, k): long inner
                 # loops, and the columns the forward model reads, uncopied
                 xt = np.multiply(a, pack.T[3:6, :, None], out=np.empty((3, sub.size, k)))
-                xt += pack.T[:3, :, None]
+                np.add(xt, pack.T[:3, :, None], out=xt)
                 rt, Jt = residual(xt.transpose(1, 2, 0), pack[:, None, 7:])
                 rt = rt.reshape(-1, ob.shape[1])
                 Ft = np.einsum("ij,ij->i", rt, rt)
@@ -399,12 +407,15 @@ def _gauss_newton(
                 hit = found.nonzero()[0]
                 if hit.size:
                     got, at = sub.take(hit), at.take(hit)
-                    r_try[got], F_try[got] = rt.take(at, 0), Ft.take(at)
+                    r_try[got] = rt.take(at, 0)
+                    F_try.put(got, Ft.take(at))
                     if exact:
                         J_try[got] = Jt.reshape(-1, ob.shape[1], 3).take(at, 0)
-                    alpha[got], worse[got] = a.take(at % k), False
+                    alpha.put(got, a.take(at % k))
+                    worse.put(got, False)
                     keep = (~found).nonzero()[0]
-                    sub, pack = sub.take(keep), pack.take(keep, 0)
+                    # no compaction of the pack after a sweep's last block
+                    sub, pack = sub.take(keep), pack.take(keep, 0) if level < _MAX_HALVINGS else pack
             step = alpha[:, None] * step  # the products the accepted trial points were formed with
             x_try = xa + step
         tiny = _row_norm(step) < _STEP_TOL
@@ -413,7 +424,7 @@ def _gauss_newton(
             if exact:
                 J_try[sub] = Ja.take(sub, 0)
         if objective_history is not None:  # F holds each row's objective
-            F[ids] = F_try
+            F.put(ids, F_try)
             objective_history.append(F.copy())
         xa, ra, Ja, Fa = x_try, r_try, J_try, F_try
     else:  # the budget ran out on the rows still active
@@ -460,7 +471,7 @@ def _identify(est: Estimator, obs: np.ndarray, geom: Geometry, method: str,
             "iterations: no damped step lowered the objective"
         )
     J = est.scheme.design(geom) if J is None else J[0]
-    return _result(x, -r, method, iters, conv, np.linalg.norm(2.0 * J.T @ r))
+    return _result(x, -r, method, iters, conv, 2.0 * J.T @ r)
 
 
 def identify(name: str, m: MeasurementSet, geom: Geometry) -> CalibrationResult:

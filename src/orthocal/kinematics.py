@@ -154,36 +154,34 @@ def _dk_roots(e: np.ndarray, L: float, ws: _DKScratch | None = None):
 
     The numerically stable form ``q = -(B + sqrt(disc))/2`` is used; ``B`` is
     a product of squares and therefore positive.  The roots are
-    ``t_minus = q / A`` and ``t_plus = (B C) / q``.
+    ``t_minus = q / A`` and ``t_plus = (B C) / q``.  The planes hold ``4 C``
+    and ``-2 q``: each power-of-two factor is applied where its value is
+    used, which gives the same bits with fewer passes.  Returns
+    ``A, B, 4 C, disc, -2 q``.
     """
     ws = ws or _dk_scratch(e.shape[1:])
-    s0, s1, s2, x, A, B, C, disc, q = ws[1:10]  # s0 .. q
+    s0, s1, s2, x, A, B, C4, disc, q2 = ws[1:10]  # s0 .. q
+    # explicit out= calls: an in-place operator costs a quarter microsecond more per pass
     np.multiply(e, e, out=ws.squares)
     np.multiply(s1, s2, out=A)
-    A += np.multiply(s0, s2, out=x)
-    A += np.multiply(s0, s1, out=x)
+    np.add(A, np.multiply(s0, s2, out=x), out=A)
+    np.add(A, np.multiply(s0, s1, out=x), out=A)
     np.multiply(x, s2, out=B)  # (s0 s1) s2
-    np.add(s0, s1, out=C)
-    C += s2
-    C -= 4.0 * L * L
-    C *= 0.25
-    np.multiply(A, 4.0, out=disc)
-    disc *= B
-    disc *= C
+    np.add(np.add(s0, s1, out=C4), s2, out=C4)
+    np.subtract(C4, 4.0 * L * L, out=C4)
+    np.multiply(np.multiply(A, B, out=disc), C4, out=disc)  # 4 A B C
     np.subtract(np.multiply(B, B, out=x), disc, out=disc)
     if np.count_nonzero(np.less(disc, 0.0, out=ws.positive)):  # a free flag plane
         raise DomainError("joint set unreachable: negative discriminant")
-    np.sqrt(disc, out=q)
-    q += B
-    q *= -0.5
-    return A, B, C, disc, q
+    np.add(np.sqrt(disc, out=q2), B, out=q2)
+    return A, B, C4, disc, q2
 
 
 def _dk_point(e: np.ndarray, L: float, p=None, ws: _DKScratch | None = None) -> np.ndarray:
     """TCP positions ``(3, ...)`` for effective joints ``e`` laid out
     component-major, ``(3, ...)``, written into ``p`` (new if None) through
     the scratch ``ws`` (:func:`_dk_scratch`; new if None), which holds the
-    quadratic's coefficients afterwards.
+    quadratic's coefficients afterwards, as :func:`_dk_roots` returns them.
 
     Of the two roots the admissible one (configuration indices
     ``sign(e_i - p_i)`` all +1, matching the prototype assembly) of minimal
@@ -191,25 +189,26 @@ def _dk_point(e: np.ndarray, L: float, p=None, ws: _DKScratch | None = None) -> 
     ``sum e_i^2/4 + 3t + S t^2`` and the roots sum to ``-1/S``, so ``t_minus``
     has the smaller norm by ``2 (t_plus - t_minus)``.  Being negative, it is
     admissible exactly when every effective joint is positive; the other
-    rows can only take ``t_plus``.
+    rows can only take ``t_plus``.  The root enters as ``-2 t``, so that
+    ``p = (e - (-2 t)/e) / 2``.
     """
     ws = ws or _dk_scratch(e.shape[1:])
-    s, t, x = ws.squares, ws.s0, ws.spare  # the squares are free once A, B, C are
+    s, t2, x = ws.squares, ws.s0, ws.spare  # the squares are free once A, B, C are
     marks, positive, rest, admissible = ws[10:]
     # joints all above the guard pass the zero-joint and sign guards at once
     checked = np.count_nonzero(np.greater(e, SINGULARITY_TOL, out=marks)) == marks.size
     if not checked and np.count_nonzero(np.less(np.abs(e, out=s), SINGULARITY_TOL, out=marks)):
         raise DomainError("effective joint value is zero")
-    A, B, C, _, q = _dk_roots(e, L, ws)
-    np.divide(q, A, out=t)
+    A, B, C4, _, q2 = _dk_roots(e, L, ws)
+    np.divide(q2, A, out=t2)
     mixed = not checked and np.count_nonzero(np.greater(e, 0.0, out=marks)) != marks.size
     if mixed:
         np.logical_and.reduce(marks, axis=0, out=positive)
         np.logical_not(positive, out=rest)
-        np.multiply(B, C, out=x, where=rest)
-        np.divide(x, q, out=t, where=rest)
-    p = np.divide(t, e, out=p)
-    p += np.multiply(e, 0.5, out=s)
+        np.multiply(B, C4, out=x, where=rest)
+        np.divide(x, q2, out=t2, where=rest)
+    p = np.divide(t2, e, out=p)
+    np.multiply(np.subtract(e, p, out=p), 0.5, out=p)
     if mixed:
         np.greater(np.subtract(e, p, out=s), 0.0, out=marks)
         np.logical_and.reduce(marks, axis=0, out=admissible)
@@ -242,7 +241,8 @@ def direct_kinematics(
     e = eff.reshape(-1, 3).T  # component-major, one column per joint triple
     ws = _dk_scratch(e.shape[1:])
     p = _dk_point(e, geom.L, None, ws)
-    A, B, C, disc, q = ws.A, ws.B, ws.C, ws.disc, ws.q  # the kernel's coefficients
+    # the kernel's coefficients, with its 4 C and -2 q rescaled
+    A, B, C, disc, q = ws.A, ws.B, ws.C * 0.25, ws.disc, ws.q * -0.5
     shape = eff.shape[:-1]
     roots = QuadraticRoots(
         *(v.reshape(shape) if shape else float(v[0]) for v in (A, B, C, (B * C) / q, q / A, disc))
@@ -303,7 +303,7 @@ def _dk_jacobian(e: np.ndarray, p: np.ndarray, out=None) -> np.ndarray:
     g = np.divide(1.0, np.multiply(e, s))
     D = np.multiply(g[:, None], np.multiply(p, a)[None], out=out)
     diagonal = D.reshape((9,) + a.shape[1:])[::4]  # a view of C-ordered D
-    diagonal += a
+    np.add(diagonal, a, out=diagonal)
     small = np.abs(r) > 1.0
     if np.count_nonzero(small):
         np.copyto(diagonal, a * (1.0 - (r[[1, 0, 0]] + r[[2, 2, 1]])) / s, where=small)

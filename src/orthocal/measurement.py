@@ -300,11 +300,6 @@ def _columns(a: np.ndarray) -> np.ndarray:
     return a.reshape(a.shape[0], -1)
 
 
-def _offsets_array(offsets, geom: Geometry) -> np.ndarray:
-    """Checked offsets ``(..., 3)`` as a component-major view ``(3, ...)``."""
-    return _cm(check_offsets(offsets, geom))
-
-
 # The forward model runs a batch in strips of at most this many rows, each in
 # the calling thread's scratch; a 400-700-row Gauss-Newton call takes one.
 _STRIP_ROWS = 1024
@@ -437,8 +432,7 @@ def _gauge_lines(strip: _Strip, dr: np.ndarray, L: float) -> None:
     the leg midpoints at the isotropic posture, and ``num``, ``den`` of the
     strip's leg lines."""
     station = np.add(strip.p0, dr, out=strip.station)
-    station *= 0.5
-    station += L / 2
+    np.add(np.multiply(station, 0.5, out=station), L / 2, out=station)
     strip.src.take(_GAUGED_LINES, axis=0, out=strip.take, mode="wrap")
     np.subtract(strip.joint, strip.ends, out=strip.ends)  # joint - station, joint - TCP
     if np.count_nonzero(np.less(np.abs(strip.den, out=strip.joint), 1e-9, out=strip.parallel)):
@@ -460,7 +454,7 @@ def _double_posture(offsets, geom: Geometry, reduced: bool, jacobian: bool = Fal
     """The twelve double-posture channels, or their max-minus-min
     differences if ``reduced``, written strip by strip into the result; with
     ``jacobian``, the pair of them and their Jacobian ``(..., n, 3)``."""
-    dr = _offsets_array(offsets, geom)
+    dr = _cm(check_offsets(offsets, geom))
     n = 6 if reduced else 12
     out = np.empty((n,) + dr.shape[1:])
     planes = _columns(out)
@@ -512,8 +506,9 @@ def _strip_jacobian(strip: _Strip, rows: np.ndarray, reduced: bool) -> None:
     R, w = len(_STACK), strip.p.shape[-1]
     planes = np.empty((9 * R + _JACOBIAN_TAKE.size, w))
     D = _dk_jacobian(strip.joints, strip.p, out=planes[: 9 * R].reshape(3, 3, R, w))
-    D[:, :, 0] *= 0.5  # the isotropic rows enter halved
-    D = planes[: 9 * R].take(_JACOBIAN_TAKE, 0, out=planes[9 * R :].reshape(3, 36, w))
+    np.multiply(D[:, :, 0], 0.5, out=D[:, :, 0])  # the isotropic rows enter halved
+    # mode="wrap" on in-range rows: the default mode buffers the output
+    D = planes[: 9 * R].take(_JACOBIAN_TAKE, 0, out=planes[9 * R :].reshape(3, 36, w), mode="wrap")
     half0_leg, d_leg, d_gauge, half0_gauge = D[:, :6], D[:, 6:12], D[:, 12:24], D[:, 24:]
     # gradient of the gauge-line parameter of each displacement posture on
     # its own leg, (d_num den - num d_den) / den^2; at the isotropic posture
@@ -521,16 +516,16 @@ def _strip_jacobian(strip: _Strip, rows: np.ndarray, reduced: bool) -> None:
     num, den = strip.num[3:], strip.den[3:]
     d_num = np.subtract(_DISP_HALF_UNIT, half0_leg, out=half0_leg)
     d_den = np.subtract(_DISP_UNIT, d_leg, out=d_leg)
-    d_num *= den
-    d_num -= np.multiply(num, d_den, out=d_den)
-    d_num /= den * den
-    full = d_num.take(_DISP_12, 1)
-    full *= strip.src.take(_P_12, 0)
-    full += np.multiply(strip.mu.take(_LINE_12, 0), d_gauge, out=d_gauge)
+    np.multiply(d_num, den, out=d_num)
+    np.subtract(d_num, np.multiply(num, d_den, out=d_den), out=d_num)
+    np.divide(d_num, den * den, out=d_num)
+    full = d_num.take(_DISP_12, 1, mode="wrap")
+    np.multiply(full, strip.src.take(_P_12, 0, mode="wrap"), out=full)
+    np.add(full, np.multiply(strip.mu.take(_LINE_12, 0, mode="wrap"), d_gauge, out=d_gauge), out=full)
     if not reduced:
         np.subtract(full, half0_gauge, out=rows.transpose(2, 1, 0))
         return
-    full -= half0_gauge  # by gauged plane pair, max or min, leg
+    np.subtract(full, half0_gauge, out=full)  # by gauged plane pair, max or min, leg
     full = full.reshape(3, 3, 2, 2, -1)
     np.subtract(full[:, :, 0], full[:, :, 1], out=rows.reshape(-1, 3, 2, 3).transpose(3, 1, 2, 0))
 
@@ -552,7 +547,7 @@ def single_deviation_array(offsets, geom: Geometry) -> np.ndarray:
     The prismatic end of each gauged leg lies in the base plane, so the
     deviation is the TCP z-coordinate at the posture.
     """
-    dr = _offsets_array(offsets, geom)
+    dr = _cm(check_offsets(offsets, geom))
     out = np.empty((6,) + dr.shape[1:])
     planes = _columns(out)
     for cols, strip in _posture_stack(_columns(dr), geom, _SINGLE_ROWS):

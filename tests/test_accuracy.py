@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,27 @@ class TestAnalyticPropagation:
         for sigma in (-1.0, np.nan, 1e154, 1e200):
             with pytest.raises(ValueError, match="sigma"):
                 noise_covariance(label, sigma)
+
+    @pytest.mark.parametrize("label", list(SCHEMES))
+    def test_noise_overflow_rule_is_elementwise(self, label):
+        # the scalar test sigma^2 max(S0) decides as the test of every entry
+        # of sigma^2 S0, on both sides of the overflow edge sqrt(max / 2)
+        edge = math.sqrt(np.finfo(float).max / 2.0)
+        sigmas = [edge * 1.5, edge / 1.5]
+        for direction in (0.0, math.inf):
+            sigma = edge
+            for _ in range(5):
+                sigmas.append(sigma)
+                sigma = math.nextafter(sigma, direction)
+        for sigma in sigmas:
+            with np.errstate(over="ignore", invalid="ignore"):
+                finite = np.isfinite(sigma * sigma * SCHEMES[label].noise_covariance).all()
+            try:
+                noise_covariance(label, sigma)
+            except ValueError:
+                assert not finite
+            else:
+                assert finite
 
     def test_offset_covariance_overflow_named(self, geom):
         # the noise covariance of this sigma is finite; K S K' is not

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,11 +10,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orthocal import ESTIMATORS, FIXTURE_NAMES, ConvergenceError, fixture_path
 from orthocal.cli import MAX_RUNS, build_parser, main
+from orthocal.geometry import _L_MAX
 
 from conftest import REFERENCE_OFFSETS, TABLE4
 
@@ -686,6 +688,9 @@ class TestFuzzedDocuments:
         method=st.sampled_from(["linear6", "nonlinear6"]),
         mutations=_MUTATIONS,
     )
+    # a finite reading whose square overflows the residual sum of squares
+    @example(name="experiment1", method="linear6",
+             mutations=[("set", ("values", "dx_y"), 1.8961503816218355e154)])
     def test_calibrate_exits_0_1_or_2_with_one_message(self, tmp_path_factory, name, method,
                                                        mutations):
         # a document mutated from a fixture ends in JSON on stdout or in one
@@ -705,3 +710,44 @@ class TestFuzzedDocuments:
         else:
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+# geometry overrides at the edges of the domain Geometry takes: L at its
+# bound _L_MAX or one ulp either side, joint limits within 1e-9 mm of zero
+_NEAR_ZERO = st.floats(-1e-9, 1e-9)
+_EDGE_GEOMETRY = st.fixed_dictionaries({
+    "L": st.sampled_from([_L_MAX, math.nextafter(_L_MAX, 0.0), math.nextafter(_L_MAX, math.inf),
+                          310.25]),
+    "rho_min": st.one_of(_NEAR_ZERO, st.just(-100.0)),
+    "rho_max": st.one_of(_NEAR_ZERO, st.just(60.0)),
+})
+
+
+class TestFuzzedGeometryEdges:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        name=st.sampled_from(FIXTURE_NAMES),
+        method=st.sampled_from(["linear6", "nonlinear6"]),
+        geometry=_EDGE_GEOMETRY,
+    )
+    def test_calibrate_exits_0_1_or_2_with_one_message(self, tmp_path_factory, name, method,
+                                                       geometry):
+        # finite JSON on stdout, or one error line on stderr, never a
+        # traceback or a warning; an input error names the key it rejects
+        path = tmp_path_factory.getbasetemp() / "edge-geometry.json"
+        path.write_text(json.dumps(geometry))
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(["calibrate", name, "--method", method, "--geometry", str(path)])
+        out, err = out.getvalue(), err.getvalue()
+        assert rc in (0, 1, 2)
+        if rc == 0:
+            assert err == ""
+            json.loads(out, parse_constant=_reject_constant)
+            return
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        if rc == 1:
+            assert any(f"{key}=" in err for key in geometry)

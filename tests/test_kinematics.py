@@ -211,6 +211,39 @@ class TestDirectKinematics:
                     assert np.abs(res).max() <= 1e-9
         assert worst <= 1e-9
 
+    # the TCP and every QuadraticRoots field at three joint sets of the
+    # prototype, as float.hex: the isotropic and a max-X posture under
+    # offsets, and mixed-sign joints that take the t_plus root.  The kernel
+    # applies C's 1/4, the discriminant's 4 and q's -1/2 where each is used;
+    # being powers of two, they keep these bits
+    PINNED = [
+        (
+            [310.25, 310.25, 310.25], [0.3, -0.2, 0.5],
+            ["0x1.33adb6871c000p-2", "-0x1.9879e78621800p-3", "0x1.001b794311000p-1"],
+            ["0x1.9f3f9ab37e8c6p+34", "0x1.971de48eb868dp+49", "-0x1.768a61eb851ecp+14",
+             "0x1.f408374b673acp+13", "-0x1.77feaea68dd72p+15", "0x1.4277cddd1150dp+101"],
+        ),
+        (
+            [369.1975, 304.045, 304.045], [-1.0, 0.75, 0.25],
+            ["0x1.cf954a278031ap+5", "0x1.50de251518000p-8", "-0x1.fb25fff7ec000p-2"],
+            ["0x1.f6e896ba254c8p+34", "0x1.0928d3d390a82p+50", "-0x1.f3a6d2ea4a8c0p+13",
+             "0x1.73b398c9c28dep+13", "-0x1.6ae0dbce22fb4p+15", "0x1.877e30db701b8p+101"],
+        ),
+        (
+            [-11.57, 119.25, 245.77], [0.0, 0.0, 0.0],
+            ["-0x1.1506bce763d0fp+8", "0x1.57c4435344bc2p+6", "0x1.0f4ee663c538cp+7"],
+            ["0x1.9e594ff87af20p+29", "0x1.ac5a408727cf9p+36", "-0x1.2efdbb80346dcp+16",
+             "0x1.884862e44e250p+11", "-0x1.98d2d16aa47c2p+11", "0x1.9a76366505658p+84"],
+        ),
+    ]
+
+    @pytest.mark.parametrize("rho, offsets, p, roots", PINNED, ids=["isotropic", "max-x", "mixed"])
+    def test_bits_pinned(self, geom, rho, offsets, p, roots):
+        got_p, got_roots = direct_kinematics(rho, offsets, geom)
+        assert [float(v).hex() for v in got_p] == p
+        assert [float(getattr(got_roots, f)).hex() for f in got_roots._fields] == roots
+        assert got_roots._fields == ("A", "B", "C", "t_plus", "t_minus", "discriminant")
+
 
 class TestJacobians:
     def test_identity_at_isotropic(self, geom):

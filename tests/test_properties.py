@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orthocal import (
@@ -85,7 +85,8 @@ def _roots(e, L):
     behind the same guards as ``_dk_point``."""
     if (np.abs(e) < SINGULARITY_TOL).any():
         raise DomainError("effective joint value is zero")
-    A, B, C, _, q = _dk_roots(e, L)
+    A, B, C4, _, q2 = _dk_roots(e, L)  # the kernel holds 4 C and -2 q
+    C, q = C4 * 0.25, q2 * -0.5
     return q / A, (B * C) / q
 
 
@@ -161,23 +162,42 @@ def test_root_rule_on_mixed_sign_joints(L, data):
     _check_root_rule(eff, L)
 
 
+@st.composite
+def _geometry_and_offsets(draw, reach=0.9):
+    """A random geometry and one offset triple within 0.95 of its L/10 bound."""
+    geom = draw(_geometries(reach))
+    coord = st.floats(-0.95 * geom.L / 10, 0.95 * geom.L / 10)
+    return geom, np.array(draw(st.tuples(coord, coord, coord)))
+
+
+def _central_difference(predict, dr, geom, h):
+    """``(f(dr + h e_j) - f(dr - h e_j)) / 2h`` for each offset component ``j``."""
+    step = h * np.eye(3)
+    return (predict(dr + step, geom) - predict(dr - step, geom)).T / (2 * h)
+
+
 @pytest.mark.parametrize("label", ["double-full", "double-reduced"])
 @settings(max_examples=100, deadline=None)
-@given(geom=_geometries(reach=0.9), data=st.data())
-def test_jacobian_matches_central_differences(label, geom, data):
+@given(case=_geometry_and_offsets())
+# a posture of large curvature, where the plain central difference at h is
+# 5e-7 of the entry off the exact Jacobian: its h^2 truncation, not the Jacobian
+@example(case=(Geometry(L=322.0, rho_min=-161.0, rho_max=208.43), np.array([0.0, 25.125, 27.375])))
+def test_jacobian_matches_central_differences(label, case):
     # the exact Jacobian the "exact" Gauss-Newton steps with, on a random
-    # geometry; an unreachable or singular posture is a typed failure
-    coord = st.floats(-0.95 * geom.L / 10, 0.95 * geom.L / 10)
-    dr = np.array(data.draw(st.tuples(coord, coord, coord)))
+    # geometry, against the Richardson extrapolation (4 D(h/2) - D(h)) / 3 of
+    # the central difference D, whose error falls as h^4; an unreachable or
+    # singular posture is a typed failure
+    geom, dr = case
     scheme = SCHEMES[label]
     try:
         J = deviations_and_jacobian(dr, geom, label)[1]
         h = 1e-7 * geom.L
-        step = h * np.eye(3)
-        fd = (scheme.predict(dr + step, geom) - scheme.predict(dr - step, geom)).T / (2 * h)
+        coarse = _central_difference(scheme.predict, dr, geom, h)
+        fine = _central_difference(scheme.predict, dr, geom, h / 2)
         J0 = deviations_and_jacobian(np.zeros(3), geom, label)[1]
     except (DomainError, SingularError):
         return
+    fd = (4.0 * fine - coarse) / 3.0
     scale = max(1.0, np.abs(J).max())
     assert np.abs(J - fd).max() <= 1e-7 * scale
     D = scheme.design(geom)
@@ -193,10 +213,8 @@ def test_design_is_the_predictor_jacobian_at_zero(label, geom):
     # on a random geometry; an unreachable or singular posture is a typed
     # failure
     scheme = SCHEMES[label]
-    h = 1e-6 * geom.L
-    step = h * np.eye(3)
     try:
-        fd = (scheme.predict(step, geom) - scheme.predict(-step, geom)).T / (2 * h)
+        fd = _central_difference(scheme.predict, np.zeros(3), geom, 1e-6 * geom.L)
     except (DomainError, SingularError):
         return
     D = scheme.design(geom)
