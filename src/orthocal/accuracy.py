@@ -49,6 +49,9 @@ _NOISE_PEAK = {label: float(s.noise_covariance.max()) for label, s in SCHEMES.it
 def _noise(label: str, sigma: float) -> np.ndarray:
     """:func:`noise_covariance`, under the caller's ``np.errstate``."""
     _check_level(sigma, "sigma")
+    # squared as a float: an int squares past the float range, and a numpy
+    # integer wraps
+    sigma = float(sigma)
     S = sigma * sigma * _lookup(SCHEMES, label, "scheme").noise_covariance
     if not math.isfinite(sigma * sigma * _NOISE_PEAK[label]):
         raise ValueError(f"sigma {sigma:g} overflows the noise covariance")

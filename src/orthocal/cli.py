@@ -9,6 +9,8 @@ codes: 0 success, 1 input error, 2 numerical or convergence failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import json
 import math
 import os
@@ -28,7 +30,7 @@ from .fileio import (
     load_measurement_file,
     measurement_to_dict,
 )
-from .geometry import Geometry, _check_count, _check_level, _noise_of_mean
+from .geometry import Geometry, _check_count, _check_level, _noise_of_mean, check_offsets
 from .identification import ESTIMATORS, identify
 from .kinematics import sensitivity_table
 from .measurement import (
@@ -42,23 +44,29 @@ from .measurement import (
 )
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # input errors exit 1, not argparse's 2
-        raise _UsageError(message)
+        raise InputError(message)
 
 
-def _parse_offsets(text: str) -> np.ndarray:
+def _parse_offsets(text: str, geom: Geometry) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
         raise InputError(f"--offsets expects three comma-separated values, got {text!r}")
     try:
-        return np.array([float(p) for p in parts])
-    except ValueError:
-        raise InputError(f"--offsets values must be numbers, got {text!r}") from None
+        return check_offsets([float(p) for p in parts], geom)
+    except ValueError as exc:  # not a number, not finite or beyond the model's bound
+        raise InputError(f"--offsets: {exc}, got {text!r}") from None
+
+
+@contextlib.contextmanager
+def _sigma_overflow():
+    """A ValueError inside, which the library raises for a sigma that
+    overflows its sums, as an InputError that names ``--sigma``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise InputError(f"--sigma: {exc}") from None
 
 
 def _load_geometry(path: str | None) -> Geometry | None:
@@ -131,13 +139,17 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    offsets = _parse_offsets(args.offsets)
     geom = _load_geometry(args.geometry) or Geometry.prototype()
+    offsets = _parse_offsets(args.offsets, geom)
     _check_level(args.sigma, "--sigma")
-    _noise_of_mean(args.sigma, args.repetitions, "--repetitions")  # add_noise names no option
+    _check_count(args.seed, "--seed")  # NoiseModel and add_noise name no option
+    _noise_of_mean(args.sigma, args.repetitions, "--repetitions")
     scheme = SCHEMES[args.method]
     m = scheme.measurement.from_array(scheme.predict(offsets, geom))
-    m = add_noise(m, NoiseModel(sigma=args.sigma, seed=args.seed), args.repetitions)
+    with np.errstate(over="ignore", invalid="ignore"):  # a sigma this rule rejects may warn
+        m = add_noise(m, NoiseModel(sigma=args.sigma, seed=args.seed), args.repetitions)
+    if not np.isfinite(m.as_array()).all():
+        raise InputError(f"--sigma {args.sigma!r} overflows the readings")
     if args.quantize is not None:
         q = args.quantize
         with np.errstate(all="ignore"):  # a quantum this rule rejects may warn
@@ -166,8 +178,9 @@ def cmd_simulate(args) -> int:
 def cmd_accuracy(args) -> int:
     _check_level(args.sigma, "--sigma")
     geom = _load_geometry(args.geometry) or Geometry.prototype()
-    six = offset_covariance("six", geom, args.sigma)
-    twelve = offset_covariance("twelve", geom, args.sigma)
+    with _sigma_overflow():
+        six = offset_covariance("six", geom, args.sigma)
+        twelve = offset_covariance("twelve", geom, args.sigma)
     unit_six = offset_covariance("six", geom, 1.0).sigma_rho
     unit_twelve = offset_covariance("twelve", geom, 1.0).sigma_rho
     doc = {
@@ -205,6 +218,7 @@ def cmd_montecarlo(args) -> int:
     if not 1 <= args.runs <= MAX_RUNS:
         raise InputError(f"--runs must be in [1, {MAX_RUNS}], got {args.runs}")
     _check_count(args.replications, "--replications", 1)
+    _check_count(args.seed, "--seed")
     _check_level(args.sigma, "--sigma")
     geom = _load_geometry(args.geometry) or Geometry.prototype()
     if args.reproduce == "table3":
@@ -234,10 +248,11 @@ def cmd_montecarlo(args) -> int:
             },
         )
         return 0
-    offsets = _parse_offsets(args.offsets)
-    report = monte_carlo(
-        offsets, args.sigma, args.runs, args.replications, args.method, args.seed, geom
-    )
+    offsets = _parse_offsets(args.offsets, geom)
+    with _sigma_overflow():
+        report = monte_carlo(
+            offsets, args.sigma, args.runs, args.replications, args.method, args.seed, geom
+        )
     doc = {
         "method": report.method,
         "sigma": report.sigma,
@@ -257,22 +272,11 @@ def cmd_montecarlo(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
-    offsets = _parse_offsets(args.offsets)
     geom = _load_geometry(args.geometry) or Geometry.prototype()
+    offsets = _parse_offsets(args.offsets, geom)
     rows = sensitivity_table(geom, offsets)
-    doc = {
-        "offsets": offsets.tolist(),
-        "rows": [
-            {
-                "posture": r.posture,
-                "leg": r.leg.name,
-                "plane": r.plane,
-                "at_max": r.at_max,
-                "at_min": r.at_min,
-            }
-            for r in rows
-        ],
-    }
+    # a row's fields in declaration order, the leg by name
+    doc = {"offsets": offsets.tolist(), "rows": [{**vars(r), "leg": r.leg.name} for r in rows]}
     _emit(args, doc)
     if args.verbose:
         print(f"{'posture':<26} {'leg':<4} {'plane':<6} {'at max':>9} {'at min':>9}", file=sys.stderr)
@@ -336,13 +340,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -353,4 +352,10 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
+    """The console script and ``python -m orthocal``: :func:`main` in a
+    process of its own."""
+    # what the imports built lives until the process exits: in the permanent
+    # generation, the collections of interpreter exit neither walk nor tear it
+    # down. Streams are still flushed and atexit handlers still run
+    gc.freeze()
     raise SystemExit(main())

@@ -162,6 +162,17 @@ class TestAnalyticPropagation:
             else:
                 assert finite
 
+    def test_integer_sigma_squared_as_a_float(self, geom):
+        # an int squares past the float range and a numpy integer wraps: both
+        # are squared as the float they equal
+        for call in (lambda: offset_covariance("six", geom, 10**200),
+                     lambda: monte_carlo([0.1] * 3, 10**200, 10, 1)):
+            with pytest.raises(ValueError, match=r"^sigma 1e\+200 overflows the noise covariance$"):
+                call()
+        wide = offset_covariance("six", geom, np.int64(2**40))
+        assert wide.sigma_rho == offset_covariance("six", geom, float(2**40)).sigma_rho > 0
+        assert np.array_equal(noise_covariance(SYSTEM_SIX, 3), noise_covariance(SYSTEM_SIX, 3.0))
+
     def test_offset_covariance_overflow_named(self, geom):
         # the noise covariance of this sigma is finite; K S K' is not
         assert np.isfinite(noise_covariance(SYSTEM_TWELVE, 9e153)).all()

@@ -1,5 +1,7 @@
 import argparse
 import contextlib
+import gc
+import importlib.util
 import io
 import json
 import math
@@ -607,24 +609,63 @@ class TestParsingAndProcess:
 
     def test_import_leaves_hashlib_out(self):
         # only calibrate digests its input; the other commands do not load
-        # hashlib, and only assigning to a record loads dataclasses
+        # hashlib, and only assigning to a record loads dataclasses. calibrate
+        # digests with the built-in SHA-256 where there is one, so that a
+        # process never loads OpenSSL's _hashlib
         code = (
-            "import sys, orthocal.cli; "
-            "print({'hashlib', '_hashlib', 'dataclasses'} & set(sys.modules))"
+            "import contextlib, io, sys, orthocal.cli\n"
+            "print(sorted({'hashlib', '_hashlib', 'dataclasses'} & set(sys.modules)))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = orthocal.cli.main(['calibrate', 'experiment1', '--method', 'linear6'])\n"
+            "print(rc, '_hashlib' in sys.modules)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0
-        assert proc.stdout.strip() == "set()"
+        imported, calibrated = proc.stdout.splitlines()
+        assert imported == "[]"
+        assert calibrated.startswith("0 ")
+        if importlib.util.find_spec("_sha256") is not None:
+            assert calibrated == "0 False"
 
-    def test_module_entry_point(self):
+    @pytest.mark.parametrize(
+        "argv",
+        [("calibrate", "experiment1", "--method", "nonlinear6"), ("accuracy", "--sigma", "0.01")],
+        ids=["calibrate", "accuracy"],
+    )
+    def test_module_entry_point(self, capsys, tmp_path, argv):
+        # python -m orthocal, which freezes the import heap before main, writes
+        # the bytes main writes in-process
         proc = subprocess.run(
-            [sys.executable, "-m", "orthocal", "accuracy", "--sigma", "1"],
+            [sys.executable, "-m", "orthocal", *argv, "--out", str(tmp_path / "process.json")],
             capture_output=True,
-            text=True,
         )
-        assert proc.returncode == 0
-        doc = json.loads(proc.stdout)
-        assert doc["six_equation"]["factor"] == pytest.approx(1.9843, abs=1e-3)
+        rc, out, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "in-process.json"))
+        assert proc.returncode == rc == 0
+        assert proc.stdout == out.encode()
+        assert (tmp_path / "process.json").read_bytes() == (tmp_path / "in-process.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("sensitivity", "--offsets", "40,0,0"), 1),
+            # iterates that leave the model's validity bound: one run suffices
+            (("montecarlo", "--offsets", "30,30,30", "--sigma", "0.5", "--runs", "1",
+              "--replications", "1"), 2),
+        ],
+        ids=["input", "numerical"],
+    )
+    def test_module_exit_codes(self, argv, code):
+        proc = subprocess.run([sys.executable, "-m", "orthocal", *argv], capture_output=True, text=True)
+        assert proc.returncode == code
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    def test_main_freezes_nothing(self, capsys):
+        # only the process entry point freezes: in-process callers keep
+        # their collections as they were
+        before = gc.get_freeze_count()
+        assert run_cli(capsys, "accuracy", "--sigma", "1")[0] == 0
+        assert gc.get_freeze_count() == before
 
 
 # values that a JSON document may hold where a fixture holds another: wrong
@@ -751,3 +792,85 @@ class TestFuzzedGeometryEdges:
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
         if rc == 1:
             assert any(f"{key}=" in err for key in geometry)
+
+
+# option values as a user may mistype them: number-like strings, nan and
+# inf, values beyond the float range, empty strings and wrong comma counts
+_NUMBER_TEXT = st.one_of(
+    st.sampled_from(["0", "1", "-1", "0.01", "-0", "1e-320", "1e154", "1e308", "1e400",
+                     "-1e400", str(10**400), "nan", "-nan", "inf", "-inf", "NaN", "Infinity",
+                     "", " ", "0x10", "1_0", " 2 ", "1e", "mm", "\n", "2**9"]),
+    st.integers().map(str),
+    st.floats().map(repr),
+)
+_OFFSETS_TEXT = st.one_of(
+    st.lists(st.one_of(st.floats(-40.0, 40.0).map(repr), _NUMBER_TEXT), min_size=3,
+             max_size=3).map(",".join),
+    st.lists(_NUMBER_TEXT, max_size=5).map(",".join),
+    st.sampled_from(["1,,1", ",,", "1,1,1,", "1;1;1"]),
+)
+# option -> (valid values, junk values) per command
+_ARGV_OPTIONS = {
+    "accuracy": {"--sigma": (st.sampled_from(["0", "0.01", "2"]), _NUMBER_TEXT)},
+    "sensitivity": {
+        "--offsets": (st.lists(st.floats(-30.0, 30.0), min_size=3, max_size=3)
+                      .map(lambda v: ",".join(map(repr, v))), _OFFSETS_TEXT),
+    },
+    "simulate": {
+        "--offsets": (st.sampled_from(["0,0,0", "1,-1,0.5"]), _OFFSETS_TEXT),
+        "--sigma": (st.sampled_from(["0", "0.01", "1e-320"]), _NUMBER_TEXT),
+        "--seed": (st.sampled_from(["0", "7", str(2**64)]), _NUMBER_TEXT),
+        "--repetitions": (st.sampled_from(["1", "4"]), _NUMBER_TEXT),
+        "--quantize": (st.sampled_from(["0.001", "0.01"]), _NUMBER_TEXT),
+        "--method": (st.sampled_from(["double-full", "single-posture"]),
+                     st.sampled_from(["reduced", "", "double_full"])),
+        "--comment": (st.text(max_size=4), st.text(max_size=4)),
+    },
+}
+
+
+@st.composite
+def _junk_argv(draw):
+    """(argv, options given) for one command: each option of the command
+    given or left out, a required one always given, with a valid or a junk
+    value, passed as ``--option value`` or ``--option=value``."""
+    command = draw(st.sampled_from(sorted(_ARGV_OPTIONS)))
+    argv, given = [command], []
+    for option, (valid, junk) in _ARGV_OPTIONS[command].items():
+        if option in ("--sigma", "--offsets") or draw(st.booleans()):
+            value = draw(junk if draw(st.booleans()) else valid)
+            argv += [f"{option}={value}"] if draw(st.booleans()) else [option, value]
+            given.append(option)
+    return argv, given
+
+
+class TestFuzzedArgv:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_junk_argv())
+    # what the property found: messages that named the library's argument,
+    # not the option, and readings that overflowed to inf with warnings
+    @example(case=(["accuracy", "--sigma", "1e154"], ["--sigma"]))
+    @example(case=(["simulate", "--offsets", "0,0,0", "--sigma", "1e308"],
+                   ["--offsets", "--sigma"]))
+    @example(case=(["simulate", "--offsets", "0,0,0", "--sigma", "1", "--seed=-1"],
+                   ["--offsets", "--sigma", "--seed"]))
+    @example(case=(["sensitivity", "--offsets", "nan,0,0"], ["--offsets"]))
+    @example(case=(["sensitivity", "--offsets", "40,0,0"], ["--offsets"]))
+    def test_exits_0_1_or_2_with_one_message(self, case):
+        # junk option values end in finite JSON on stdout or in one error line
+        # on stderr that names an option given, never a traceback or a warning
+        argv, options = case
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert rc in (0, 1, 2)
+        if rc == 0:
+            assert err == ""
+            json.loads(out, parse_constant=_reject_constant)
+            return
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert any(option in err for option in options)

@@ -1,7 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthocal import (
     SCHEMES,
@@ -19,7 +22,7 @@ from orthocal import (
     reduce,
     write_measurement_file,
 )
-from orthocal.fileio import FIXTURE_NAMES
+from orthocal.fileio import FIXTURE_NAMES, sha256_digest
 
 from conftest import TABLE4
 
@@ -212,6 +215,13 @@ class TestSerialization:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(InputError):
             load_measurement_file(path)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.binary(max_size=300))
+def test_sha256_digest_is_hashlibs(data):
+    # the built-in module, where there is one, digests as hashlib does
+    assert sha256_digest(data) == hashlib.sha256(data).hexdigest()
 
 
 class TestCalibrationReport:
