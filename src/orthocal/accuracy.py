@@ -69,15 +69,21 @@ class OffsetCovariance(Record, eq=False):
 
 def offset_covariance(name: str, geom: Geometry, sigma: float) -> OffsetCovariance:
     """Offset covariance ``K S K'`` of the linear map ``K`` of estimator
-    ``name`` on its scheme's readings."""
+    ``name`` on its scheme's readings; ValueError naming sigma, or the joint
+    limits of ``geom``, if it overflows."""
     est = _lookup(ESTIMATORS, name, "estimator")
     with np.errstate(over="ignore", invalid="ignore"):  # entered once: it costs a microsecond
         S = _noise(est.scheme.label, sigma)
         gain = est.gain(geom)
         V = gain @ S @ gain.T
         mean_variance = V.trace() / 3.0
-    if not (np.isfinite(V).all() and math.isfinite(mean_variance)):
-        raise ValueError(f"sigma {sigma:g} overflows the offset covariance")
+        if not (np.isfinite(V).all() and math.isfinite(mean_variance)):
+            # the joint limits' part first: limits near zero leave a design
+            # so near singular that its unit-sigma covariance overflows too
+            if not np.isfinite(gain @ est.scheme.noise_covariance @ gain.T).all():
+                limits = f"joint limits rho_min={geom.rho_min:g}, rho_max={geom.rho_max:g}"
+                raise ValueError(f"{limits} overflow the {name} offset covariance")
+            raise ValueError(f"sigma {sigma:g} overflows the offset covariance")
     return OffsetCovariance(V=V, sigma_rho=math.sqrt(mean_variance), method=name)
 
 

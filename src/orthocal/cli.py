@@ -61,11 +61,15 @@ def _parse_offsets(text: str, geom: Geometry) -> np.ndarray:
 
 @contextlib.contextmanager
 def _sigma_overflow():
-    """A ValueError inside, which the library raises for a sigma that
-    overflows its sums, as an InputError that names ``--sigma``."""
+    """A ValueError inside whose message starts with ``sigma``, which the
+    library raises for a sigma that overflows its sums, as an InputError that
+    names ``--sigma``; any other ValueError, such as the one for joint limits
+    that overflow the covariance, passes unchanged."""
     try:
         yield
     except ValueError as exc:
+        if not str(exc).startswith("sigma "):
+            raise
         raise InputError(f"--sigma: {exc}") from None
 
 
@@ -146,10 +150,8 @@ def cmd_simulate(args) -> int:
     _noise_of_mean(args.sigma, args.repetitions, "--repetitions")
     scheme = SCHEMES[args.method]
     m = scheme.measurement.from_array(scheme.predict(offsets, geom))
-    with np.errstate(over="ignore", invalid="ignore"):  # a sigma this rule rejects may warn
+    with _sigma_overflow():
         m = add_noise(m, NoiseModel(sigma=args.sigma, seed=args.seed), args.repetitions)
-    if not np.isfinite(m.as_array()).all():
-        raise InputError(f"--sigma {args.sigma!r} overflows the readings")
     if args.quantize is not None:
         q = args.quantize
         with np.errstate(all="ignore"):  # a quantum this rule rejects may warn

@@ -8,7 +8,7 @@ package and are addressable by fixture name.
 from __future__ import annotations
 
 import json
-import numbers
+import math
 from importlib import resources
 
 import numpy as np
@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from ._record import Record
 from .errors import InputError
-from .geometry import Geometry
+from .geometry import Geometry, _is_real
 from .measurement import SCHEMES, MeasurementSet, _lookup, scheme_of
 
 __all__ = [
@@ -64,44 +64,52 @@ class MeasurementFile(Record):
 
 
 def _number(v) -> float:
-    """``float(v)`` of a real number: TypeError for anything else, such as a
-    string, which float would parse, or a JSON boolean, which it reads as 0 or
-    1; ValueError for a JSON integer beyond the float range, for which float
-    raises OverflowError."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+    """``float(v)`` of a real number (:func:`geometry._is_real`): TypeError
+    for anything else, such as a string, which float would parse, or a JSON
+    boolean, which it reads as 0 or 1.  A JSON integer beyond the float range
+    reads as the infinity of its sign, as a JSON number such as ``1e400``
+    does."""
+    if not _is_real(v):
         raise TypeError(f"{v!r} is not a number")
     try:
         return float(v)
-    except OverflowError:
-        raise ValueError("integer too large for a float") from None
+    except OverflowError:  # float fails on a real number only by overflow
+        return math.inf if v > 0 else -math.inf
 
 
-def _reading(v) -> float:
-    """:func:`_number`, but a JSON integer beyond the float range reads as the
-    infinity of its sign, as a JSON number such as ``1e400`` does."""
-    try:
-        return _number(v)
-    except ValueError:
-        if type(v) is not int:  # float fails on an int only by overflow
-            raise
-        return np.inf if v > 0 else -np.inf
+def _finite(v) -> float:
+    """:func:`_number`, but ValueError for NaN or infinity, which JSON lacks."""
+    if not math.isfinite(x := _number(v)):
+        raise ValueError(f"{x!r} is not finite")
+    return x
+
+
+def _check_keys(doc: dict, what: str, required, allowed) -> None:
+    """InputError naming the ``required`` keys that the JSON object ``doc``
+    lacks, else the keys it has beyond ``allowed``: the schema's keys bare,
+    the document's quoted, so that no key of a document can split the
+    message."""
+    missing = sorted(set(required) - set(doc))
+    if missing:
+        raise InputError(f"missing {what} keys: {', '.join(missing)}")
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise InputError(f"unknown {what} keys: {', '.join(map(repr, unknown))}")
 
 
 def geometry_from_dict(d: dict) -> Geometry:
     """Geometry from its serialized form; raises :class:`InputError` naming
-    missing or invalid keys (``r`` and ``d`` fall back to prototype values)."""
+    missing, unknown or invalid keys (``r`` and ``d`` fall back to prototype
+    values)."""
     if not isinstance(d, dict):
         raise InputError(f"geometry must be a JSON object, got {type(d).__name__}")
-    missing = [k for k in ("L", "rho_min", "rho_max") if k not in d]
-    if missing:
-        raise InputError(f"geometry override missing keys: {', '.join(missing)}")
+    _check_keys(d, "geometry", Geometry._fields[:3], Geometry._fields)  # r and d have defaults
     values = {}
-    for key in ("L", "rho_min", "rho_max", "r", "d"):  # r and d have defaults
-        if key in d:
-            try:
-                values[key] = _number(d[key])
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"invalid geometry override: {key}: {exc}") from None
+    for key, v in d.items():
+        try:
+            values[key] = _number(v)
+        except TypeError as exc:
+            raise InputError(f"invalid geometry override: {key}: {exc}") from None
     try:
         return Geometry(**values)
     except ValueError as exc:
@@ -109,8 +117,7 @@ def geometry_from_dict(d: dict) -> Geometry:
 
 
 def geometry_to_dict(geom: Geometry) -> dict:
-    return {"L": geom.L, "rho_min": geom.rho_min, "rho_max": geom.rho_max,
-            "r": geom.r, "d": geom.d}
+    return dict(zip(Geometry._fields, Geometry._values(geom)))
 
 
 def parse_measurement(doc: dict) -> MeasurementFile:
@@ -148,26 +155,20 @@ def parse_measurement(doc: dict) -> MeasurementFile:
         if not isinstance(arr, (list, tuple)) or not arr:
             raise InputError(f"repetitions entry {key!r} must be a non-empty array")
         try:
-            numbers = [_reading(v) for v in arr]
-        except (TypeError, ValueError):
+            numbers = [_number(v) for v in arr]
+        except TypeError:
             raise InputError(f"repetitions entry {key!r} holds a non-number") from None
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean fails below
             values[key] = float(np.mean(numbers))
-    missing = sorted(set(required) - set(values))
-    if missing:
-        raise InputError(f"missing measurement keys: {', '.join(missing)}")
-    unknown = sorted(set(values) - set(required))
-    if unknown:
-        raise InputError(f"unknown measurement keys: {', '.join(map(repr, unknown))}")
+    _check_keys(values, "measurement", required, required)
     clean = {}
     for key in required:
         try:
-            v = _reading(values[key])
-        except (TypeError, ValueError):
+            clean[key] = _finite(values[key])
+        except TypeError:
             raise InputError(f"measurement value {key!r} is not a number") from None
-        if not np.isfinite(v):
-            raise InputError(f"measurement value {key!r} is not finite")
-        clean[key] = v
+        except ValueError:
+            raise InputError(f"measurement value {key!r} is not finite") from None
     for key, kind, name in (("comment", str, "a string"), ("simulation", dict, "a JSON object")):
         if not isinstance(doc.get(key), (kind, type(None))):
             raise InputError(f"{key} must be {name}, got {type(doc[key]).__name__}")
@@ -234,13 +235,6 @@ def write_measurement_file(path, doc: dict) -> None:
 _REPORT_TYPES = {"str": str, "int": int, "bool": bool, "dict": dict}
 
 
-def _finite(v) -> float:
-    """:func:`_number`, but ValueError for NaN or infinity, which JSON lacks."""
-    if not np.isfinite(x := _number(v)):
-        raise ValueError(f"{v!r} is not finite")
-    return x
-
-
 def _report_value(name: str, kind: str, v):
     """Report value ``v`` of field ``name`` checked against its annotation
     ``kind``: a finite number, a dict of finite numbers, else the exact type."""
@@ -282,12 +276,7 @@ class CalibrationReport(Record):
         version = doc.get("schema_version")
         if isinstance(version, bool) or version != SCHEMA_VERSION:
             raise InputError(f"unsupported report schema_version {version!r}")
-        unknown = sorted(set(doc) - set(cls._fields))
-        if unknown:
-            raise InputError(f"unknown report keys: {', '.join(map(repr, unknown))}")
-        missing = sorted(set(cls._fields) - set(doc))
-        if missing:
-            raise InputError(f"missing report keys: {', '.join(missing)}")
+        _check_keys(doc, "report", cls._fields, cls._fields)
         kinds = cls.__annotations__
         return cls(**{n: _report_value(n, kinds[n], doc[n]) for n in cls._fields})
 

@@ -199,6 +199,15 @@ def _vec3(x, name: str) -> np.ndarray:
     return arr
 
 
+def _finite_vec3(x, name: str) -> np.ndarray:
+    """:func:`_vec3` of ``x``; ValueError naming ``name`` unless every
+    component is finite."""
+    arr = _vec3(x, name)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    return arr
+
+
 def check_offsets(offsets, geom: Geometry) -> np.ndarray:
     """Sanity bound on encoder offsets: finite and |offset| <= L/10.
 

@@ -8,7 +8,8 @@ sphere constraints
 
 where ``drho`` are the encoder offsets.  All public functions broadcast over
 leading array dimensions: points and joint vectors may be shape ``(3,)`` or
-``(..., 3)``.  The direct-kinematics kernel :func:`_dk_point` works on joints
+``(..., 3)``, and a ValueError names such an argument with a component that
+is not finite.  The direct-kinematics kernel :func:`_dk_point` works on joints
 laid out component-major, ``(3, ...)``, so that each of its ops runs over
 long contiguous planes instead of a length-3 inner axis, and writes every
 intermediate into scratch planes that a caller may reuse across calls.
@@ -32,8 +33,8 @@ from .geometry import (
     Posture,
     PostureAngles,
     PostureKind,
+    _finite_vec3,
     _offset_triple,
-    _vec3,
 )
 
 __all__ = [
@@ -70,8 +71,8 @@ class QuadraticRoots(Record):
 
 def constraint_residuals(p, rho, offsets, geom: Geometry) -> np.ndarray:
     """Residuals of the three sphere constraints (mm^2), one per leg."""
-    p = _vec3(p, "p")
-    eff = _vec3(rho, "rho") + _vec3(offsets, "offsets")
+    p = _finite_vec3(p, "p")
+    eff = _finite_vec3(rho, "rho") + _finite_vec3(offsets, "offsets")
     psq = p * p
     total = psq.sum(axis=-1, keepdims=True)
     res = (p - eff) ** 2 + (total - psq) - geom.L**2
@@ -100,8 +101,8 @@ def inverse_kinematics(
         If a solution lies outside the software joint range; the solution is
         still returned.
     """
-    p = _vec3(p, "p")
-    off = _vec3(offsets, "offsets")
+    p = _finite_vec3(p, "p")
+    off = _finite_vec3(offsets, "offsets")
     psq = p * p
     args = geom.L**2 - (psq.sum(axis=-1, keepdims=True) - psq)
     if np.any(args <= SINGULARITY_TOL):
@@ -237,7 +238,7 @@ def direct_kinematics(
     SingularError
         Neither root yields +1 configuration indices.
     """
-    eff = _vec3(rho, "rho") + _vec3(offsets, "offsets")
+    eff = _finite_vec3(rho, "rho") + _finite_vec3(offsets, "offsets")
     e = eff.reshape(-1, 3).T  # component-major, one column per joint triple
     ws = _dk_scratch(e.shape[1:])
     p = _dk_point(e, geom.L, None, ws)
@@ -265,8 +266,8 @@ def inverse_jacobian(p, rho) -> np.ndarray:
     SingularError
         If any denominator ``|p_i - rho_i|`` falls below the guard.
     """
-    p = _vec3(p, "p")
-    denom = p - _vec3(rho, "rho")
+    p = _finite_vec3(p, "p")
+    denom = p - _finite_vec3(rho, "rho")
     if np.count_nonzero(np.abs(denom) < SINGULARITY_TOL):
         raise SingularError("singular configuration: p_i - rho_i vanishes")
     M = np.divide(p[..., None, :], denom[..., :, None], order="C")

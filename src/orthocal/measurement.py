@@ -789,10 +789,17 @@ def add_noise(m: MeasurementSet, noise: NoiseModel, repetitions: int = 1) -> Mea
     ``repetitions``, a positive integer, models averaging of repeated raw
     readings: each reading error gets standard deviation
     ``sigma / sqrt(repetitions)``.  With ``sigma=0`` the input is returned
-    unchanged.
+    unchanged.  ValueError naming ``sigma`` if a noisy reading is not finite,
+    or ``m`` if a reading of ``m`` is not.
     """
     sig = _noise_of_mean(noise.sigma, repetitions, "repetitions")
     if noise.sigma == 0.0:
         return m
     scheme = scheme_of(m)
-    return type(m).from_array(m.as_array() + scheme.sample_noise(noise.make_rng(), sig))
+    with np.errstate(over="ignore", invalid="ignore"):  # noise that overflows fails below
+        noisy = m.as_array() + scheme.sample_noise(noise.make_rng(), sig)
+    if not np.isfinite(noisy).all():
+        if not np.isfinite(m.as_array()).all():
+            raise ValueError("m must be finite")
+        raise ValueError(f"sigma {noise.sigma:g} overflows the readings")
+    return type(m).from_array(noisy)

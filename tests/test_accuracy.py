@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -178,6 +179,20 @@ class TestAnalyticPropagation:
         assert np.isfinite(noise_covariance(SYSTEM_TWELVE, 9e153)).all()
         with pytest.raises(ValueError, match=r"^sigma 9e\+153 overflows the offset covariance$"):
             offset_covariance("twelve", geom, 9e153)
+
+    # the least-squares estimators: closed-form's own gain divides by a zero
+    # that these limits underflow to before any covariance is formed
+    @pytest.mark.parametrize("name", ["six", "twelve", "nonlinear-six", "nonlinear-twelve"])
+    def test_joint_limits_that_overflow_named(self, name):
+        # limits near zero leave the design near singular: the error names
+        # them, not the unit sigma; at sigma 0 the covariance is 0
+        flat = Geometry(310.25, -1e-300, 1e-300)
+        limits = "joint limits rho_min=-1e-300, rho_max=1e-300"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{limits} overflow the {name} offset covariance$"):
+                offset_covariance(name, flat, 1.0)
+            assert offset_covariance(name, flat, 0.0).sigma_rho == 0.0
 
 
 class TestClosedFormCovariance:

@@ -133,8 +133,9 @@ class TestCalibrate:
             ({"values": {**TABLE4[2], "dx_y": 10**400}}, None, "'dx_y'"),
             ({"repetitions": {"dx_y": [1, 10**400]}}, None, "'dx_y'"),
             ({"repetitions": {"dx_y": [1e308, 1e308]}}, None, "'dx_y'"),
-            ({"geometry": {"L": 10**400, "rho_min": -100, "rho_max": 60}}, None, "L:"),
-            ({}, {"L": 310.25, "rho_min": -100, "rho_max": 60, "d": -(10**400)}, "d:"),
+            # a geometry integer beyond the float range reads as infinite, as 1e400 does
+            ({"geometry": {"L": 10**400, "rho_min": -100, "rho_max": 60}}, None, "L=inf"),
+            ({}, {"L": 310.25, "rho_min": -100, "rho_max": 60, "d": -(10**400)}, "d=-inf"),
         ],
         ids=["value", "repetition", "repetition-mean", "geometry-key", "geometry-file-key"],
     )
@@ -397,6 +398,27 @@ class TestGeometryFile:
         assert rc == 1
         assert len(err.splitlines()) == 1
         assert err.startswith("error:") and f"{key} must be finite and non-negative" in err
+
+    def test_unknown_key_exit_1(self, capsys, tmp_path):
+        geo = self._geometry(tmp_path, L=310.25, rho_min=-100, rho_max=60, rho_mid=0)
+        rc, out, err = run_cli(capsys, "simulate", "--offsets", "0,0,0", "--geometry", geo)
+        assert rc == 1 and out == ""
+        assert err == "error: unknown geometry keys: 'rho_mid'\n"
+
+    @pytest.mark.parametrize(
+        "command",
+        [("accuracy",), ("montecarlo", "--method", "six", "--runs", "10", "--replications", "1")],
+        ids=["accuracy", "montecarlo"],
+    )
+    def test_joint_limits_that_overflow_the_covariance_exit_1(self, capsys, tmp_path, command):
+        # the error blames the joint limits, not the --sigma the command was given
+        geo = self._geometry(tmp_path, L=310.25, rho_min=-1e-300, rho_max=1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run_cli(capsys, *command, "--sigma", "0.01", "--geometry", geo)
+        assert rc == 1 and out == ""
+        assert err == ("error: joint limits rho_min=-1e-300, rho_max=1e-300 "
+                       "overflow the six offset covariance\n")
 
     @pytest.mark.parametrize("role", ["geometry", "measurement"])
     def test_non_utf8_file_named(self, capsys, tmp_path, role):

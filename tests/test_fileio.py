@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from orthocal import (
     InputError,
     ReducedMeasurements,
     fixture_path,
+    geometry_from_dict,
     load_fixture,
     load_measurement_file,
     measurement_to_dict,
@@ -126,10 +129,13 @@ class TestParsing:
             {"geometry": {}},
             {"geometry": []},
             {"geometry": {"L": True, "rho_min": -0.5, "rho_max": 0.5}},
+            # a number is an int or a float, as JSON gives them, or a numpy scalar
+            {"values": {**TABLE4[2], "dx_y": Fraction(1, 2)}},
         ],
         ids=["values-list", "repetitions-list", "repetition-not-number", "geometry-number",
              "method-list", "values-bool", "repetition-bool", "schema-bool",
-             "geometry-empty-object", "geometry-empty-list", "geometry-L-bool"],
+             "geometry-empty-object", "geometry-empty-list", "geometry-L-bool",
+             "values-fraction"],
     )
     def test_malformed_types_rejected(self, overrides):
         doc = _reduced_doc()
@@ -224,35 +230,36 @@ def test_sha256_digest_is_hashlibs(data):
     assert sha256_digest(data) == hashlib.sha256(data).hexdigest()
 
 
-class TestCalibrationReport:
-    def _report(self):
-        return CalibrationReport(
-            input_digest="ab" * 32,
-            method="linear6",
-            offsets={"d_rho_x": -0.52, "d_rho_y": 0.6, "d_rho_z": -1.76},
-            residuals={"dx_y": -0.28, "dx_z": 0.25, "dy_x": 0.21,
-                       "dy_z": -0.14, "dz_x": -0.13, "dz_y": 0.09},
-            residual_rms=0.195,
-            sigma_hat=0.276,
-            sigma_rho=0.548,
-            iterations=0,
-            converged=True,
-            gradient_norm=1e-16,
-        )
+def _report() -> CalibrationReport:
+    return CalibrationReport(
+        input_digest="ab" * 32,
+        method="linear6",
+        offsets={"d_rho_x": -0.52, "d_rho_y": 0.6, "d_rho_z": -1.76},
+        residuals={"dx_y": -0.28, "dx_z": 0.25, "dy_x": 0.21,
+                   "dy_z": -0.14, "dz_x": -0.13, "dz_y": 0.09},
+        residual_rms=0.195,
+        sigma_hat=0.276,
+        sigma_rho=0.548,
+        iterations=0,
+        converged=True,
+        gradient_norm=1e-16,
+    )
 
+
+class TestCalibrationReport:
     def test_json_round_trip_identical(self):
-        rep = self._report()
+        rep = _report()
         back = CalibrationReport.from_dict(json.loads(rep.to_json()))
         assert back == rep
 
     def test_exact_float_round_trip(self):
-        rep = self._report()
+        rep = _report()
         doc = json.loads(rep.to_json())
         assert doc["sigma_hat"] == rep.sigma_hat
         assert doc["offsets"]["d_rho_x"] == rep.offsets["d_rho_x"]
 
     def test_schema_stability(self):
-        doc = self._report().to_dict()
+        doc = _report().to_dict()
         assert doc["schema_version"] == 1
         doc["surprise"] = 1
         with pytest.raises(InputError, match="surprise"):
@@ -283,7 +290,7 @@ class TestCalibrationReport:
              "list-dict", "str-in-dict", "str-nan", "str-inf", "nan", "inf-in-dict"],
     )
     def test_bad_value_rejected(self, key, value):
-        doc = self._report().to_dict()
+        doc = _report().to_dict()
         doc[key] = value
         with pytest.raises(InputError, match=key):
             CalibrationReport.from_dict(doc)
@@ -291,16 +298,58 @@ class TestCalibrationReport:
     @pytest.mark.parametrize("key", ["residual_rms", "gradient_norm", "offsets"])
     def test_string_float_rejected(self, key):
         # a string that float() parses is no JSON number
-        doc = self._report().to_dict()
+        doc = _report().to_dict()
         doc[key] = {**doc[key], "d_rho_y": "0.6"} if key == "offsets" else str(doc[key])
         with pytest.raises(InputError, match=f"report value '{key}' is invalid: .* is not a number"):
             CalibrationReport.from_dict(doc)
 
     def test_non_finite_not_written(self):
         # JSON has no NaN: a report built in code with one cannot be written
-        rep = CalibrationReport(**{**self._report().to_dict(), "sigma_hat": float("nan")})
+        rep = CalibrationReport(**{**_report().to_dict(), "sigma_hat": float("nan")})
         with pytest.raises(ValueError, match="JSON compliant"):
             rep.to_json()
+
+
+# the reader of each kind of JSON object, a valid object of the kind and one
+# of its required keys
+OBJECTS = {
+    "measurement": (lambda d: parse_measurement(_reduced_doc(d)), TABLE4[2], "dx_y"),
+    "geometry": (geometry_from_dict, {"L": 310.25, "rho_min": -100, "rho_max": 60}, "rho_max"),
+    "report": (CalibrationReport.from_dict, _report().to_dict(), "sigma_rho"),
+}
+
+
+class TestObjectKeys:
+    @pytest.mark.parametrize("kind", list(OBJECTS))
+    def test_missing_then_unknown_named(self, kind):
+        # one rule for every object: missing keys first, bare, then unknown
+        # keys, quoted so that a key's newline cannot split the message
+        read, valid, key = OBJECTS[kind]
+        doc = {k: v for k, v in valid.items() if k != key}
+        doc["z\nz"] = 1.0
+        with pytest.raises(InputError, match=f"^missing {kind} keys: {key}$"):
+            read(doc)
+        doc[key] = valid[key]
+        with pytest.raises(InputError, match=rf"^unknown {kind} keys: 'z\\nz'$"):
+            read(doc)
+
+
+class TestJsonNumbers:
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize(
+        "kind, key",
+        [("measurement", "dx_y"), ("report", "sigma_hat")]
+        + [("geometry", k) for k in ("L", "rho_min", "rho_max", "r", "d")],
+    )
+    def test_integer_beyond_the_float_range_reads_as_infinity(self, kind, key, sign):
+        # as a JSON number such as 1e400 does: the same error
+        read, doc, _ = OBJECTS[kind]
+        errors = []
+        for big in (sign * 10**400, sign * math.inf):
+            with pytest.raises(InputError) as exc:
+                read({**doc, key: big})
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
 
 
 class TestMeasurementDictLayout:

@@ -6,7 +6,8 @@ square root within the float range.  A noise level (and the inert lengths
 ``r`` and ``d`` of a Geometry) is a real number, not a bool, finite and
 non-negative.  The lengths ``L``, ``rho_min`` and ``rho_max`` of a Geometry
 are real numbers before their ranges are checked.  A point, joint or offset
-argument has 3 components, and a single offset triple has shape ``(3,)``.  A
+argument has 3 finite components, and a single offset triple has shape ``(3,)``.
+Noise whose readings overflow the float range is rejected.  A
 ``--quantize`` quantum is finite, positive and large enough that every reading
 over it is a float.  A bad value raises one ValueError that names the
 argument, or the option on the command line; a good one, numpy scalars among
@@ -157,6 +158,21 @@ class TestLevel:
         with pytest.raises(ValueError, match="^sigma must be finite and non-negative"):
             oc.NoiseModel(10**400, 0)
 
+    @pytest.mark.parametrize("m", [FULL, oc.reduce(FULL)], ids=["full", "reduced"])
+    def test_noise_beyond_the_float_range(self, m):
+        # readings that overflow are one ValueError naming sigma, not a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^sigma 1e\+308 overflows the readings$"):
+                oc.add_noise(m, oc.NoiseModel(1e308, 0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=repr)
+    def test_noise_on_readings_not_finite(self, bad):
+        # the readings are to blame, not sigma
+        m = oc.ReducedMeasurements(bad, 0.0, 0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="^m must be finite$"):
+            oc.add_noise(m, oc.NoiseModel(0.01, 0))
+
 
 class TestGeometryLength:
     @pytest.mark.parametrize("entry", list(GEOMETRY_REJECTED))
@@ -179,6 +195,17 @@ class TestVector:
         message = rf"^{name} must have 3 components, got shape \(2,\)$"
         with pytest.raises(ValueError, match=message):
             call([1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=repr)
+    @pytest.mark.parametrize("entry", list(VECTORS))
+    def test_not_finite_rejected(self, entry, bad):
+        # before any arithmetic: no RuntimeWarning, no NaN result, no
+        # kinematic error that blames the pose
+        name, call = VECTORS[entry]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                call([310.25, bad, 310.25] if name == "rho" else [0.0, bad, 0.0])
 
 
 class TestOffsetTriple:
@@ -249,6 +276,13 @@ class TestCommandLine:
         rc, out, err = run_cli(capsys, *COUNT_OPTIONS["--repetitions"], "--repetitions", huge)
         assert rc == 1 and out == ""
         assert err == "error: --repetitions is too large: its square root overflows a float\n"
+
+    def test_sigma_that_overflows_the_readings_exit_1(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run_cli(capsys, "simulate", "--offsets", "0,0,0", "--sigma", "1e308")
+        assert rc == 1 and out == ""
+        assert err == "error: --sigma: sigma 1e+308 overflows the readings\n"
 
     @pytest.mark.parametrize("quantum", ["1e-320", "5e-324"])
     def test_quantum_whose_steps_overflow_exit_1(self, capsys, quantum):
