@@ -20,7 +20,7 @@ import numpy as np
 from ._record import Record
 from .errors import ConvergenceError
 from .geometry import Geometry, _check_count, _check_level, _offset_triple
-from .identification import ESTIMATORS, _estimate
+from .identification import ESTIMATORS, _estimate, _limits_overflow
 from .measurement import SCHEMES, _lookup
 
 __all__ = [
@@ -81,8 +81,7 @@ def offset_covariance(name: str, geom: Geometry, sigma: float) -> OffsetCovarian
             # the joint limits' part first: limits near zero leave a design
             # so near singular that its unit-sigma covariance overflows too
             if not np.isfinite(gain @ est.scheme.noise_covariance @ gain.T).all():
-                limits = f"joint limits rho_min={geom.rho_min:g}, rho_max={geom.rho_max:g}"
-                raise ValueError(f"{limits} overflow the {name} offset covariance")
+                raise _limits_overflow(geom, name)
             raise ValueError(f"sigma {sigma:g} overflows the offset covariance")
     return OffsetCovariance(V=V, sigma_rho=math.sqrt(mean_variance), method=name)
 

@@ -74,7 +74,7 @@ def _sigma_overflow():
 
 
 def _load_geometry(path: str | None) -> Geometry | None:
-    return None if path is None else geometry_from_dict(_read_json(path)[0])
+    return None if path is None else _read_json(path, geometry_from_dict)[0]
 
 
 def _emit(args, doc: dict) -> None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from importlib import resources
+import os
 
 import numpy as np
 
@@ -120,14 +120,22 @@ def geometry_to_dict(geom: Geometry) -> dict:
     return dict(zip(Geometry._fields, Geometry._values(geom)))
 
 
+# the keys of a measurement document: those measurement_to_dict writes, and
+# the raw replicates that a file may give in place of values
+_DOCUMENT_KEYS = (
+    "schema_version", "units", "method", "values", "geometry", "comment", "simulation",
+    "repetitions",
+)
+
+
 def parse_measurement(doc: dict) -> MeasurementFile:
     """Validate and parse a measurement document.
 
     Raises :class:`InputError` naming every offending key: wrong schema or
-    units, unknown method, missing/unknown/non-finite values, a ``comment``
-    that is not a string, a ``simulation`` that is not an object.  Raw
-    replicate arrays under ``repetitions`` are averaged into the
-    corresponding values.
+    units, an unknown top-level key, unknown method, missing/unknown/non-finite
+    values, a ``comment`` that is not a string, a ``simulation`` that is not
+    an object.  Raw replicate arrays under ``repetitions`` are averaged into
+    the corresponding values.
     """
     if not isinstance(doc, dict):
         raise InputError("measurement file must contain a JSON object")
@@ -138,6 +146,7 @@ def parse_measurement(doc: dict) -> MeasurementFile:
         )
     if doc.get("units") != "mm":
         raise InputError(f"units must be 'mm', got {doc.get('units')!r}")
+    _check_keys(doc, "top-level", (), _DOCUMENT_KEYS)
     method = doc.get("method")
     if not isinstance(method, str) or method not in SCHEMES:
         raise InputError(f"unknown method {method!r}; expected one of {sorted(SCHEMES)}")
@@ -182,24 +191,29 @@ def parse_measurement(doc: dict) -> MeasurementFile:
     )
 
 
-def _read_json(path) -> tuple[object, bytes]:
-    """The document of the UTF-8 JSON file ``path`` and the file's bytes;
-    InputError naming the path if it cannot be read or parsed."""
+def _read_json(path, parse) -> tuple[object, bytes]:
+    """``parse`` of the document of the UTF-8 JSON file ``path``, and the
+    file's bytes; one InputError naming the path if the file cannot be read
+    or decoded, or ``parse`` rejects the document."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     try:
-        return json.loads(data.decode("utf-8")), data
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return parse(json.loads(data.decode("utf-8"))), data
+    except InputError as exc:  # a document that breaks a rule of its kind
+        raise InputError(f"{path}: {exc}") from None
+    # UnicodeDecodeError, JSONDecodeError and an integer beyond the digit
+    # limit are ValueErrors; a document nested past the stack, a RecursionError
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"cannot parse {path}: {exc}") from None
 
 
 def load_measurement_file(path) -> tuple[MeasurementFile, str]:
     """Read a measurement file; returns the parsed content and its digest."""
-    doc, data = _read_json(path)
-    return parse_measurement(doc), sha256_digest(data)
+    mf, data = _read_json(path, parse_measurement)
+    return mf, sha256_digest(data)
 
 
 def measurement_to_dict(
@@ -284,14 +298,20 @@ class CalibrationReport(Record):
         return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
 
-def fixture_path(name: str):
-    """Filesystem path of a bundled dataset (``experiment1`` .. ``experiment3``)."""
+def _fixture_file(name: str) -> str:
+    """Path of a bundled dataset: package data next to this module."""
     if name not in FIXTURE_NAMES:
         raise InputError(f"unknown fixture {name!r}; have {', '.join(FIXTURE_NAMES)}")
-    return resources.files("orthocal").joinpath("data", f"{name}.json")
+    return os.path.join(os.path.dirname(__file__), "data", f"{name}.json")
+
+
+def fixture_path(name: str):
+    """Filesystem path of a bundled dataset (``experiment1`` .. ``experiment3``)."""
+    import pathlib  # here, not at the top: only this public helper returns a Path
+
+    return pathlib.Path(_fixture_file(name))
 
 
 def load_fixture(name: str) -> tuple[MeasurementFile, str]:
-    """Parsed bundled dataset and its digest."""
-    data = fixture_path(name).read_bytes()
-    return parse_measurement(json.loads(data.decode("utf-8"))), sha256_digest(data)
+    """Parsed bundled dataset and its digest, read as any measurement file."""
+    return load_measurement_file(_fixture_file(name))

@@ -156,12 +156,22 @@ def _pinv_of(shape: tuple, data: bytes) -> np.ndarray:
     return gain
 
 
+def _limits_overflow(geom: Geometry, name: str) -> ValueError:
+    """The ValueError for joint limits of ``geom`` so near zero that the
+    offset covariance of estimator ``name`` overflows."""
+    limits = f"joint limits rho_min={geom.rho_min:g}, rho_max={geom.rho_max:g}"
+    return ValueError(f"{limits} overflow the {name} offset covariance")
+
+
 @_geometry_constant
 def _closed_form_gain(geom: Geometry) -> np.ndarray:
     """:func:`solve_single_posture_closed_form` as a 3x6 map of the readings,
-    written from the coefficients."""
+    written from the coefficients; :func:`_limits_overflow` where their
+    squares underflow to zero."""
     k = coefficients(geom)
     den = k.a1**2 + k.a2**2
+    if den == 0.0:
+        raise _limits_overflow(geom, "closed-form")
     iso = -(k.a1 + k.a2) / (2.0 * den)
     return np.array([
         [iso, iso, k.a1 / den, k.a2 / den, 0.0, 0.0],

@@ -17,6 +17,7 @@ intermediate into scratch planes that a caller may reuse across calls.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from collections import namedtuple
@@ -52,6 +53,20 @@ __all__ = [
 #: Absolute guard on denominators and square-root arguments (mm resp. mm^2).
 SINGULARITY_TOL = 1e-9
 
+_UNREACHABLE_POSE = "pose unreachable: square-root argument is not positive"
+
+
+@contextlib.contextmanager
+def _overflow_as(error: Exception):
+    """Raise ``error`` in place of a float overflow inside the block: finite
+    inputs whose squares leave the float range fail with a typed error and
+    no RuntimeWarning.  Every other error passes unchanged."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise error from None
+
 
 class QuadraticRoots(Record):
     """Coefficients and both roots of the direct-kinematics quadratic
@@ -70,13 +85,14 @@ class QuadraticRoots(Record):
 
 
 def constraint_residuals(p, rho, offsets, geom: Geometry) -> np.ndarray:
-    """Residuals of the three sphere constraints (mm^2), one per leg."""
+    """Residuals of the three sphere constraints (mm^2), one per leg;
+    ValueError if they overflow a float."""
     p = _finite_vec3(p, "p")
-    eff = _finite_vec3(rho, "rho") + _finite_vec3(offsets, "offsets")
-    psq = p * p
-    total = psq.sum(axis=-1, keepdims=True)
-    res = (p - eff) ** 2 + (total - psq) - geom.L**2
-    return res
+    rho, offsets = _finite_vec3(rho, "rho"), _finite_vec3(offsets, "offsets")
+    with _overflow_as(ValueError("p, rho and offsets overflow the constraint residuals")):
+        psq = p * p
+        total = psq.sum(axis=-1, keepdims=True)
+        return (p - (rho + offsets)) ** 2 + (total - psq) - geom.L**2
 
 
 def inverse_kinematics(
@@ -93,7 +109,8 @@ def inverse_kinematics(
     Raises
     ------
     DomainError
-        If any square-root argument is not positive (pose unreachable).
+        If any square-root argument is not positive (pose unreachable),
+        also where a square leaves the float range.
 
     Warns
     -----
@@ -103,10 +120,11 @@ def inverse_kinematics(
     """
     p = _finite_vec3(p, "p")
     off = _finite_vec3(offsets, "offsets")
-    psq = p * p
-    args = geom.L**2 - (psq.sum(axis=-1, keepdims=True) - psq)
+    with _overflow_as(DomainError(_UNREACHABLE_POSE)):  # such a square is far beyond reach
+        psq = p * p
+        args = geom.L**2 - (psq.sum(axis=-1, keepdims=True) - psq)
     if np.any(args <= SINGULARITY_TOL):
-        raise DomainError("pose unreachable: square-root argument is not positive")
+        raise DomainError(_UNREACHABLE_POSE)
     signs = np.asarray(indices.as_tuple(), dtype=float)
     rho = p + signs * np.sqrt(args) - off
     lo, hi = geom.joint_bounds()
@@ -234,14 +252,18 @@ def direct_kinematics(
     Raises
     ------
     DomainError
-        Effective joint value zero, or negative discriminant.
+        Effective joint value zero, or negative discriminant, also where the
+        joints are so far beyond reach that the quadratic overflows a float.
     SingularError
         Neither root yields +1 configuration indices.
     """
-    eff = _finite_vec3(rho, "rho") + _finite_vec3(offsets, "offsets")
-    e = eff.reshape(-1, 3).T  # component-major, one column per joint triple
-    ws = _dk_scratch(e.shape[1:])
-    p = _dk_point(e, geom.L, None, ws)
+    rho, offsets = _finite_vec3(rho, "rho"), _finite_vec3(offsets, "offsets")
+    # a reachable joint set is within 2 L of zero, where nothing overflows
+    with _overflow_as(DomainError("joint set unreachable: negative discriminant")):
+        eff = rho + offsets
+        e = eff.reshape(-1, 3).T  # component-major, one column per joint triple
+        ws = _dk_scratch(e.shape[1:])
+        p = _dk_point(e, geom.L, None, ws)
     # the kernel's coefficients, with its 4 C and -2 q rescaled
     A, B, C, disc, q = ws.A, ws.B, ws.C * 0.25, ws.disc, ws.q * -0.5
     shape = eff.shape[:-1]

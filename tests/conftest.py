@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -44,3 +46,28 @@ def constraint_residuals_oracle(p, rho_eff, L):
     psq = p * p
     total = psq.sum(axis=-1, keepdims=True)
     return (p - rho_eff) ** 2 + (total - psq) - L * L
+
+
+# a valid measurement document and geometry file, each with one value that
+# stands for a 5001-digit integer: past the 4300 digits that Python converts
+# from a string by default
+_LONG_INTEGER_DOCUMENTS = {
+    "measurement": {"schema_version": 1, "units": "mm", "method": "double-reduced",
+                    "values": {**TABLE4[1], "dx_y": "LONG"}},
+    "geometry": {"L": "LONG", "rho_min": -100, "rho_max": 60},
+}
+UNPARSABLE_KINDS = ("deep-array", "long-integer", "not-utf8")
+
+
+def unparsable_json(kind: str, role: str) -> bytes:
+    """Bytes of a file of ``role`` (measurement or geometry) that
+    ``json.loads`` cannot read, by ``kind`` (:data:`UNPARSABLE_KINDS`): an
+    array nested past the stack, a valid document with a 5001-digit integer,
+    or bytes that are not UTF-8."""
+    if kind == "deep-array":
+        return b"[" * 100_000 + b"]" * 100_000
+    if kind == "long-integer":
+        text = json.dumps(_LONG_INTEGER_DOCUMENTS[role])
+        return text.replace('"LONG"', "1" + "0" * 5000).encode()
+    assert kind == "not-utf8"
+    return b"\xff{}"

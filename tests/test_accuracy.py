@@ -180,19 +180,26 @@ class TestAnalyticPropagation:
         with pytest.raises(ValueError, match=r"^sigma 9e\+153 overflows the offset covariance$"):
             offset_covariance("twelve", geom, 9e153)
 
-    # the least-squares estimators: closed-form's own gain divides by a zero
-    # that these limits underflow to before any covariance is formed
-    @pytest.mark.parametrize("name", ["six", "twelve", "nonlinear-six", "nonlinear-twelve"])
+    @pytest.mark.parametrize("name", list(ESTIMATORS))
     def test_joint_limits_that_overflow_named(self, name):
         # limits near zero leave the design near singular: the error names
-        # them, not the unit sigma; at sigma 0 the covariance is 0
+        # them, not the unit sigma; at sigma 0 the least-squares covariance is
+        # 0, while closed-form's gain divides by a zero that they underflow to
         flat = Geometry(310.25, -1e-300, 1e-300)
         limits = "joint limits rho_min=-1e-300, rho_max=1e-300"
+        message = f"^{limits} overflow the {name} offset covariance$"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=f"^{limits} overflow the {name} offset covariance$"):
+            with pytest.raises(ValueError, match=message):
                 offset_covariance(name, flat, 1.0)
-            assert offset_covariance(name, flat, 0.0).sigma_rho == 0.0
+            if name != "closed-form":
+                assert offset_covariance(name, flat, 0.0).sigma_rho == 0.0
+                return
+            with pytest.raises(ValueError, match=message):
+                offset_covariance(name, flat, 0.0)
+            zero = SCHEMES[SYSTEM_SINGLE].measurement.from_array(np.zeros(6))
+            with pytest.raises(ValueError, match=message):
+                solve_single_posture_closed_form(zero, flat)
 
 
 class TestClosedFormCovariance:

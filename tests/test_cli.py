@@ -15,11 +15,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import orthocal
 from orthocal import ESTIMATORS, FIXTURE_NAMES, ConvergenceError, fixture_path
 from orthocal.cli import MAX_RUNS, build_parser, main
 from orthocal.geometry import _L_MAX
 
-from conftest import REFERENCE_OFFSETS, TABLE4
+from conftest import REFERENCE_OFFSETS, TABLE4, unparsable_json
 
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 NOT_A_DIR = os.path.join(os.path.abspath(__file__), "x.json")  # under a file: cannot be written
@@ -229,7 +230,17 @@ class TestCalibrate:
         path.write_text(json.dumps([dict(TABLE4[2])]), encoding="utf-8")
         rc, _, err = run_cli(capsys, "calibrate", str(path), "--method", "linear6")
         assert rc == 1
-        assert err == "error: measurement file must contain a JSON object\n"
+        assert err == f"error: {path}: measurement file must contain a JSON object\n"
+
+    def test_misspelt_top_level_key_exit_1(self, capsys, tmp_path):
+        # a geometry under a misspelt key would calibrate on the prototype
+        doc = json.loads(fixture_path("experiment1").read_text())
+        doc["geomtery"] = {"L": 300.0, "rho_min": -100, "rho_max": 60}
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(doc))
+        rc, out, err = run_cli(capsys, "calibrate", str(path), "--method", "linear6")
+        assert rc == 1 and out == ""
+        assert err == f"error: {path}: unknown top-level keys: 'geomtery'\n"
 
     def test_directory_exit_1(self, capsys, tmp_path):
         rc, _, err = run_cli(capsys, "calibrate", str(tmp_path), "--method", "linear6")
@@ -319,12 +330,18 @@ class TestSimulate:
         assert out1 != out3
 
     def test_round_trip_with_calibrate(self, capsys, tmp_path):
-        path = tmp_path / "sim.json"
+        # with every top-level key simulate writes, which calibrate reads back
+        geo, path = tmp_path / "g.json", tmp_path / "sim.json"
+        geo.write_text(json.dumps({"L": 300.0, "rho_min": -100, "rho_max": 60}))
         rc, _, _ = run_cli(
             capsys, "simulate", "--offsets", "1,1,1", "--sigma", "0",
-            "--method", "double-reduced", "--out", str(path),
+            "--method", "double-reduced", "--comment", "round trip", "--geometry", str(geo),
+            "--out", str(path),
         )
         assert rc == 0
+        assert sorted(json.loads(path.read_text())) == [
+            "comment", "geometry", "method", "schema_version", "simulation", "units", "values"
+        ]
         rc, out, _ = run_cli(capsys, "calibrate", str(path), "--method", "nonlinear6")
         assert rc == 0
         doc = json.loads(out)
@@ -403,7 +420,7 @@ class TestGeometryFile:
         geo = self._geometry(tmp_path, L=310.25, rho_min=-100, rho_max=60, rho_mid=0)
         rc, out, err = run_cli(capsys, "simulate", "--offsets", "0,0,0", "--geometry", geo)
         assert rc == 1 and out == ""
-        assert err == "error: unknown geometry keys: 'rho_mid'\n"
+        assert err == f"error: {geo}: unknown geometry keys: 'rho_mid'\n"
 
     @pytest.mark.parametrize(
         "command",
@@ -431,6 +448,21 @@ class TestGeometryFile:
         assert rc == 1 and out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: cannot parse {path}: 'utf-8' codec can't decode byte 0xff")
+
+    @pytest.mark.parametrize("role", ["geometry", "measurement"])
+    @pytest.mark.parametrize("kind", ["deep-array", "long-integer"])
+    def test_unparsable_file_named(self, capsys, tmp_path, kind, role):
+        # a nesting past the stack and an integer past the digit limit fail as
+        # bytes that are not UTF-8 do (above): one line naming the file, no
+        # traceback
+        path = tmp_path / "bad.json"
+        path.write_bytes(unparsable_json(kind, role))
+        geometry = ["--geometry", str(path)] if role == "geometry" else []
+        file = "experiment1" if geometry else str(path)
+        rc, out, err = run_cli(capsys, "calibrate", file, "--method", "linear6", *geometry)
+        assert rc == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: cannot parse {path}: ")
 
     @pytest.mark.parametrize(
         "command",
@@ -648,6 +680,23 @@ class TestParsingAndProcess:
         assert calibrated.startswith("0 ")
         if importlib.util.find_spec("_sha256") is not None:
             assert calibrated == "0 False"
+
+    def test_import_leaves_resource_loading_out(self):
+        # the fixtures are package data read by their path: importing the CLI
+        # on top of numpy loads neither importlib.resources nor pathlib, also
+        # without the site module, which may load them for other packages
+        paths = [os.path.dirname(os.path.dirname(m.__file__)) for m in (orthocal, np)]
+        code = (
+            "import sys, numpy\n"
+            "before = set(sys.modules)\n"
+            "import orthocal.cli\n"
+            "print(sorted({'importlib.resources', 'pathlib'} & (set(sys.modules) - before)))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     @pytest.mark.parametrize(
         "argv",

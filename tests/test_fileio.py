@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -25,9 +26,10 @@ from orthocal import (
     reduce,
     write_measurement_file,
 )
+import orthocal.fileio as fileio
 from orthocal.fileio import FIXTURE_NAMES, sha256_digest
 
-from conftest import TABLE4
+from conftest import TABLE4, UNPARSABLE_KINDS, unparsable_json
 
 
 def _reduced_doc(values=None, **overrides):
@@ -58,8 +60,23 @@ class TestFixtures:
         assert m.dz_x == pytest.approx(-1.14)
 
     def test_unknown_fixture(self):
-        with pytest.raises(InputError):
-            fixture_path("experiment9")
+        for read in (fixture_path, load_fixture):
+            with pytest.raises(InputError, match="^unknown fixture 'experiment9'"):
+                read("experiment9")
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_read_as_its_file(self, monkeypatch, name):
+        # a fixture is the file next to the module, read by the one reader:
+        # the same record and the same digest as the file read by path
+        read_json, paths = fileio._read_json, []
+
+        def counted(path, parse):
+            paths.append(str(path))
+            return read_json(path, parse)
+
+        monkeypatch.setattr(fileio, "_read_json", counted)
+        assert load_fixture(name) == load_measurement_file(fixture_path(name))
+        assert paths == [str(fixture_path(name))] * 2
 
 
 class TestParsing:
@@ -95,6 +112,12 @@ class TestParsing:
     def test_wrong_schema(self):
         with pytest.raises(InputError, match="schema_version"):
             parse_measurement(_reduced_doc(schema_version=2))
+
+    def test_misspelt_top_level_key_named(self):
+        # an optional key under another name is not ignored
+        doc = _reduced_doc(geomtery={"L": 300.0, "rho_min": -100, "rho_max": 60})
+        with pytest.raises(InputError, match="^unknown top-level keys: 'geomtery'$"):
+            parse_measurement(doc)
 
     def test_unknown_method(self):
         with pytest.raises(InputError, match="method"):
@@ -220,6 +243,22 @@ class TestSerialization:
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(InputError):
+            load_measurement_file(path)
+
+    @pytest.mark.parametrize("kind", UNPARSABLE_KINDS)
+    def test_unparsable_file_named(self, tmp_path, kind):
+        # every way json.loads can fail is one InputError naming the file
+        path = tmp_path / "bad.json"
+        path.write_bytes(unparsable_json(kind, "measurement"))
+        with pytest.raises(InputError, match=f"^cannot parse {re.escape(str(path))}: "):
+            load_measurement_file(path)
+
+    def test_rejected_document_named(self, tmp_path):
+        # a document that parses but is no measurement: the file, then the key
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(_reduced_doc(comemnt="x")), encoding="utf-8")
+        message = f"^{re.escape(str(path))}: unknown top-level keys: 'comemnt'$"
+        with pytest.raises(InputError, match=message):
             load_measurement_file(path)
 
 

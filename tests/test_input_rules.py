@@ -6,7 +6,9 @@ square root within the float range.  A noise level (and the inert lengths
 ``r`` and ``d`` of a Geometry) is a real number, not a bool, finite and
 non-negative.  The lengths ``L``, ``rho_min`` and ``rho_max`` of a Geometry
 are real numbers before their ranges are checked.  A point, joint or offset
-argument has 3 finite components, and a single offset triple has shape ``(3,)``.
+argument has 3 finite components, and a single offset triple has shape ``(3,)``;
+finite components whose squares overflow the float range raise the entry's
+typed error.
 Noise whose readings overflow the float range is rejected.  A
 ``--quantize`` quantum is finite, positive and large enough that every reading
 over it is a float.  A bad value raises one ValueError that names the
@@ -89,6 +91,53 @@ VECTORS = {
     "inverse_jacobian-p": ("p", lambda v: oc.inverse_jacobian(v, RHO0)),
     "inverse_jacobian-rho": ("rho", lambda v: oc.inverse_jacobian(P0, v)),
     "check_offsets-offsets": ("offsets", lambda v: oc.check_offsets(v, GEOM)),
+}
+
+L0 = GEOM.L
+# finite points and joints whose squares leave the float range: (call, the
+# error and its message), by entry and argument
+OVERFLOWS = {
+    "inverse_kinematics-p": (
+        lambda: oc.inverse_kinematics([1e160, 0, 0], OFF0, GEOM),
+        oc.DomainError, "pose unreachable: square-root argument is not positive",
+    ),
+    "inverse_kinematics-p-all": (
+        lambda: oc.inverse_kinematics([1e160] * 3, OFF0, GEOM),
+        oc.DomainError, "pose unreachable: square-root argument is not positive",
+    ),
+    "constraint_residuals-p": (
+        lambda: oc.constraint_residuals([1e300, 0, 0], OFF0, OFF0, GEOM),
+        ValueError, "p, rho and offsets overflow the constraint residuals",
+    ),
+    "constraint_residuals-rho-offsets": (
+        lambda: oc.constraint_residuals(P0, [1e308, 0, 0], [1e308, 0, 0], GEOM),
+        ValueError, "p, rho and offsets overflow the constraint residuals",
+    ),
+    "direct_kinematics-rho": (
+        lambda: oc.direct_kinematics([1e100, L0, L0], OFF0, GEOM),
+        oc.DomainError, "joint set unreachable: negative discriminant",
+    ),
+    "direct_kinematics-rho-mixed-signs": (
+        lambda: oc.direct_kinematics([1e100, -L0, L0], OFF0, GEOM),
+        oc.DomainError, "joint set unreachable: negative discriminant",
+    ),
+    "direct_kinematics-rho-offsets": (
+        lambda: oc.direct_kinematics([1e308, L0, L0], [1e308, 0, 0], GEOM),
+        oc.DomainError, "joint set unreachable: negative discriminant",
+    ),
+    # within the float range, or caught by an earlier guard: as before
+    "inverse_kinematics-p-1e150": (
+        lambda: oc.inverse_kinematics([1e150, 0, 0], OFF0, GEOM),
+        oc.DomainError, "pose unreachable: square-root argument is not positive",
+    ),
+    "direct_kinematics-rho-1e20": (
+        lambda: oc.direct_kinematics([1e20, L0, L0], OFF0, GEOM),
+        oc.DomainError, "joint set unreachable: negative discriminant",
+    ),
+    "direct_kinematics-rho-zero": (
+        lambda: oc.direct_kinematics([1e200, 0, L0], OFF0, GEOM),
+        oc.DomainError, "effective joint value is zero",
+    ),
 }
 
 # call of an offsets argument, by the name its error gives
@@ -206,6 +255,16 @@ class TestVector:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^{name} must be finite$"):
                 call([310.25, bad, 310.25] if name == "rho" else [0.0, bad, 0.0])
+
+    @pytest.mark.parametrize("entry", list(OVERFLOWS))
+    def test_squares_beyond_the_float_range(self, entry):
+        # a typed error and no RuntimeWarning: such a point or joint set is
+        # far beyond any reach
+        call, error, message = OVERFLOWS[entry]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=f"^{message}$"):
+                call()
 
 
 class TestOffsetTriple:
