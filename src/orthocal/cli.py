@@ -209,10 +209,11 @@ def _mc_row(report) -> dict:
     }
 
 
-# Most runs a montecarlo replication takes.  A replication is one batch of
-# --runs rows, and its peak RSS grows by about 1.15 KB a run (table3 preset,
-# 37 MB at one run, 152 MB at 1e5 runs), so the largest allowed run stays
-# near 0.6 GB.
+# Most runs a montecarlo replication takes, and most replications.  A
+# replication is one batch of --runs rows, and its peak RSS grows by about
+# 1.15 KB a run (table3 preset, 37 MB at one run, 152 MB at 1e5 runs), so the
+# largest allowed run stays near 0.6 GB; the statistics take 56 bytes a
+# replication, 28 MB at the bound.
 MAX_RUNS = 500_000
 
 
@@ -220,6 +221,8 @@ def cmd_montecarlo(args) -> int:
     if not 1 <= args.runs <= MAX_RUNS:
         raise InputError(f"--runs must be in [1, {MAX_RUNS}], got {args.runs}")
     _check_count(args.replications, "--replications", 1)
+    if args.replications > MAX_RUNS:
+        raise InputError(f"--replications must be at most {MAX_RUNS}, got {args.replications}")
     _check_count(args.seed, "--seed")
     _check_level(args.sigma, "--sigma")
     geom = _load_geometry(args.geometry) or Geometry.prototype()

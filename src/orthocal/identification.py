@@ -20,7 +20,6 @@ solves the 3x3 normal equations, with ``pinv``'s minimum-norm step only where
 
 from __future__ import annotations
 
-import functools
 import math
 from types import MappingProxyType
 from typing import Callable
@@ -129,10 +128,10 @@ def _result(offsets, residuals, method, iterations, converged, gradient) -> Cali
     )
 
 
-def _linear_fit(design: np.ndarray, gain: np.ndarray, obs: np.ndarray, method: str):
-    """The linear estimate ``x = K @ obs`` of the readings of design ``D``,
-    with residuals ``r = obs - D x`` and gradient norm ``|2 D' r|``."""
-    offsets = gain @ obs
+def _linear_fit(design: np.ndarray, offsets: np.ndarray, obs: np.ndarray, method: str):
+    """The result of the linear estimate ``offsets``, ``x = K @ obs``, of the
+    readings of design ``D``, with residuals ``r = obs - D x`` and gradient
+    norm ``|2 D' r|``."""
     residuals = obs - design @ offsets
     return _result(offsets, residuals, method, 0, True, 2.0 * design.T @ residuals)
 
@@ -145,15 +144,13 @@ def _least_squares_gain(design: np.ndarray) -> np.ndarray:
     return _pinv_of(design.shape, design.tobytes())
 
 
-@functools.lru_cache(maxsize=32)
+@_geometry_constant
 def _pinv_of(shape: tuple, data: bytes) -> np.ndarray:
     design = np.frombuffer(data).reshape(shape)
     rank = np.linalg.matrix_rank(design)
     if rank < 3:
         raise RankError(f"design matrix has rank {rank} < 3")
-    gain = np.linalg.pinv(design)
-    gain.setflags(write=False)
-    return gain
+    return np.linalg.pinv(design)
 
 
 def _limits_overflow(geom: Geometry, name: str) -> ValueError:
@@ -226,7 +223,9 @@ def least_squares_solve(sys: LinearSystem, m: MeasurementSet) -> CalibrationResu
     and the Gauss-Newton step use too; the result is the unique
     least-squares minimizer for a rank-3 design.  ``m`` is a measurement set
     of the system's scheme: TypeError for another; ValueError for a design
-    that is not one row per reading by three offsets.
+    that is not one row per reading by three offsets.  A system carries no
+    geometry, so the estimate is not held to the model's validity bound, as
+    :func:`identify`'s is.
     """
     obs = _readings(m, _lookup(SCHEMES, sys.label, "scheme").measurement)
     D = sys.design_matrix
@@ -234,7 +233,7 @@ def least_squares_solve(sys: LinearSystem, m: MeasurementSet) -> CalibrationResu
         raise ValueError(
             f"design matrix of {sys.label!r} must have shape ({obs.size}, 3), got {np.shape(D)}"
         )
-    return _linear_fit(D, _least_squares_gain(D), obs, f"least-squares({sys.label})")
+    return _linear_fit(D, _least_squares_gain(D) @ obs, obs, f"least-squares({sys.label})")
 
 
 def _row_norm(v: np.ndarray) -> np.ndarray:
@@ -467,9 +466,15 @@ def _estimate(est: Estimator, obs: np.ndarray, geom: Geometry, x0=None,
 
 def _identify(est: Estimator, obs: np.ndarray, geom: Geometry, method: str,
               x0=None, jacobian: str = "linear", max_iter: int = 100) -> CalibrationResult:
-    """``est`` on the readings ``obs`` of one set; ConvergenceError if it fails."""
+    """``est`` on the readings ``obs`` of one set; ConvergenceError if it fails
+    or if its estimate, linear or iterate, is beyond the validity bound."""
     if not est.nonlinear:
-        return _linear_fit(est.scheme.design(geom), est.gain(geom), obs, method)
+        x = est.gain(geom) @ obs
+        try:
+            check_offsets(x, geom)
+        except ValueError as exc:
+            raise ConvergenceError(f"linear estimate out of domain: {exc}") from None
+        return _linear_fit(est.scheme.design(geom), x, obs, method)
     x, conv, iters, r, J = _estimate(est, obs[None, :], geom, x0, jacobian, max_iter)
     x, conv, iters, r = x[0], bool(conv[0]), int(iters[0]), r[0]
     if not conv:
@@ -486,7 +491,10 @@ def _identify(est: Estimator, obs: np.ndarray, geom: Geometry, method: str,
 
 def identify(name: str, m: MeasurementSet, geom: Geometry) -> CalibrationResult:
     """The estimator ``ESTIMATORS[name]`` on one measurement set of its scheme:
-    TypeError for a set of another scheme, ConvergenceError if it fails."""
+    TypeError for a set of another scheme, ConvergenceError if it fails or
+    if its estimate is beyond the model's validity bound, ``|offset| <= L/10``
+    (:func:`~orthocal.geometry.check_offsets`), as a Gauss-Newton iterate
+    must be."""
     est = _lookup(ESTIMATORS, name, "estimator")
     return _identify(est, _readings(m, est.scheme.measurement), geom, name)
 

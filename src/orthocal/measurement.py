@@ -10,8 +10,9 @@ moves between the isotropic and the max/min displacement postures.
 All deviation predictors are exact nonlinear models built on the direct
 kinematics, which solves the isotropic and the six displacement postures as
 one stack; the linear calibration systems are their first-order expansions.
-Predictors accept offset arrays of shape ``(3,)`` or ``(..., 3)``; the
-``*_array`` variants return plain arrays in the canonical equation order.
+A scheme's predictor, ``SCHEMES[label].predict``, takes offset arrays of
+shape ``(3,)`` or ``(..., 3)`` and returns a plain array in the scheme's row
+order; ``predict_*_posture`` return one measurement set.
 Inside, offsets, joints and TCPs are laid out component-major, ``(3, ...)``
 and ``(3, 7, ...)`` for the posture stack, so that every op runs over
 contiguous planes.  A batch runs in strips of at most ``_STRIP_ROWS`` rows,
@@ -67,9 +68,6 @@ __all__ = [
     "deviations_and_jacobian",
     "predict_single_posture",
     "predict_double_posture",
-    "single_deviation_array",
-    "double_deviation_array",
-    "reduced_deviation_array",
     "reduce",
     "add_noise",
 ]
@@ -231,8 +229,10 @@ def coefficients(geom: Geometry) -> CalibrationCoefficients:
 
 
 def _geometry_constant(fn):
-    """Compute ``fn(..., geom)`` once per argument tuple (``lru_cache``).  The
-    array it returns is shared by every caller and therefore made read-only."""
+    """Compute a derived constant ``fn(*args)``, such as an array of a
+    geometry or the gain of a design, once per argument tuple
+    (``lru_cache``).  The array it returns is shared by every caller and
+    therefore made read-only."""
 
     @functools.lru_cache(maxsize=16)
     @functools.wraps(fn)
@@ -530,18 +530,18 @@ def _strip_jacobian(strip: _Strip, rows: np.ndarray, reduced: bool) -> None:
     np.subtract(full[:, :, 0], full[:, :, 1], out=rows.reshape(-1, 3, 2, 3).transpose(3, 1, 2, 0))
 
 
-def double_deviation_array(offsets, geom: Geometry) -> np.ndarray:
+def _double_deviation_array(offsets, geom: Geometry) -> np.ndarray:
     """Exact double-posture deviations, shape ``(..., 12)`` in canonical order,
     with each leg's gauge at its midpoint at the isotropic posture."""
     return _double_posture(offsets, geom, False)
 
 
-def reduced_deviation_array(offsets, geom: Geometry) -> np.ndarray:
+def _reduced_deviation_array(offsets, geom: Geometry) -> np.ndarray:
     """Exact max-minus-min deviations, shape ``(..., 6)`` in reduced order."""
     return _double_posture(offsets, geom, True)
 
 
-def single_deviation_array(offsets, geom: Geometry) -> np.ndarray:
+def _single_deviation_array(offsets, geom: Geometry) -> np.ndarray:
     """Exact single-posture z-deviations, shape ``(..., 6)``.
 
     The prismatic end of each gauged leg lies in the base plane, so the
@@ -572,12 +572,12 @@ def deviations_and_jacobian(offsets, geom: Geometry, label: str) -> tuple[np.nda
 
 def predict_double_posture(offsets, geom: Geometry) -> DoublePostureMeasurements:
     """Noise-free double-posture measurement set for true offsets."""
-    return DoublePostureMeasurements.from_array(double_deviation_array(offsets, geom))
+    return DoublePostureMeasurements.from_array(_double_deviation_array(offsets, geom))
 
 
 def predict_single_posture(offsets, geom: Geometry) -> SinglePostureMeasurements:
     """Noise-free single-posture measurement set for true offsets."""
-    return SinglePostureMeasurements.from_array(single_deviation_array(offsets, geom))
+    return SinglePostureMeasurements.from_array(_single_deviation_array(offsets, geom))
 
 
 def reduce(m: DoublePostureMeasurements) -> ReducedMeasurements:
@@ -730,7 +730,7 @@ SCHEMES = MappingProxyType(
             label=SYSTEM_SINGLE,
             measurement=SinglePostureMeasurements,
             wire_keys=SinglePostureMeasurements._fields,  # files keep the row order
-            predict=single_deviation_array,
+            predict=_single_deviation_array,
             design=_single_design,
             sample_noise=_noise_pairs,
             noise_covariance=2.0 * np.eye(6),
@@ -739,7 +739,7 @@ SCHEMES = MappingProxyType(
             label=SYSTEM_TWELVE,
             measurement=DoublePostureMeasurements,
             wire_keys=_wire_order(DoublePostureMeasurements),
-            predict=double_deviation_array,
+            predict=_double_deviation_array,
             design=_twelve_design,
             sample_noise=_noise_double,
             noise_covariance=np.kron(np.eye(3), GAUGE_CORRELATION_BLOCK),
@@ -748,7 +748,7 @@ SCHEMES = MappingProxyType(
             label=SYSTEM_SIX,
             measurement=ReducedMeasurements,
             wire_keys=_wire_order(ReducedMeasurements),
-            predict=reduced_deviation_array,
+            predict=_reduced_deviation_array,
             design=_six_design,
             sample_noise=_noise_reduced,
             noise_covariance=2.0 * np.eye(6),

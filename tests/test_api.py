@@ -26,3 +26,11 @@ def test_each_name_declared_once_by_its_defining_module():
             assert getattr(orthocal, name) is obj
             if isinstance(obj, (type, types.FunctionType)):
                 assert obj.__module__ == mod.__name__, name
+
+
+def test_scheme_predictors_reached_through_the_table():
+    # a scheme's exact deviation array has one public entry, the table's
+    for scheme in measurement.SCHEMES.values():
+        name = scheme.predict.__name__
+        assert name.startswith("_") and getattr(measurement, name) is scheme.predict
+        assert not hasattr(orthocal, name[1:])

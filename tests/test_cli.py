@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import orthocal
-from orthocal import ESTIMATORS, FIXTURE_NAMES, ConvergenceError, fixture_path
+from orthocal import (
+    ESTIMATORS, FIXTURE_NAMES, ConvergenceError, DomainError, InputError, RankError, SingularError,
+    cli, fixture_path,
+)
 from orthocal.cli import MAX_RUNS, build_parser, main
 from orthocal.geometry import _L_MAX
 
@@ -437,6 +441,19 @@ class TestGeometryFile:
         assert err == ("error: joint limits rho_min=-1e-300, rho_max=1e-300 "
                        "overflow the six offset covariance\n")
 
+    @pytest.mark.parametrize("method", ["linear6", "nonlinear6"])
+    def test_estimate_beyond_the_validity_bound_exit_2(self, capsys, tmp_path, method):
+        # near-zero joint limits send the linear estimate, and so the first
+        # Gauss-Newton iterate, far beyond L/10: a numerical error
+        geo = self._geometry(tmp_path, L=310.25, rho_min=-1e-100, rho_max=1e-100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run_cli(capsys, "calibrate", "experiment1", "--method", method,
+                                   "--geometry", geo)
+        assert rc == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "validity bound L/10 = 31.02 mm" in err
+
     @pytest.mark.parametrize("role", ["geometry", "measurement"])
     def test_non_utf8_file_named(self, capsys, tmp_path, role):
         # a geometry file and a measurement file go through one reader
@@ -549,6 +566,15 @@ class TestMonteCarlo:
         rc, out, err = run_cli(capsys, "montecarlo", "--runs", str(MAX_RUNS + 1), *preset)
         assert rc == 1 and out == ""
         assert err == f"error: --runs must be in [1, {MAX_RUNS}], got {MAX_RUNS + 1}\n"
+
+    @pytest.mark.parametrize("replications", [MAX_RUNS + 1, 10**12])
+    def test_replications_beyond_bound_exit_1(self, capsys, replications):
+        # rejected before anything is allocated: the statistics of 10**12
+        # replications do not fit in memory
+        rc, out, err = run_cli(capsys, "montecarlo", "--runs", "1",
+                               "--replications", str(replications))
+        assert rc == 1 and out == ""
+        assert err == f"error: --replications must be at most {MAX_RUNS}, got {replications}\n"
 
     def test_reproduce_preset_small(self, capsys):
         rc, out, _ = run_cli(
@@ -945,3 +971,116 @@ class TestFuzzedArgv:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
         assert any(option in err for option in options)
+
+
+# count options as a user may mistype them: zero, negative, fractional, past
+# their bound, beyond any integer type, or not numbers; valid runs stay small
+_COUNT_JUNK = st.sampled_from(["0", "-1", "2.5", "1e3", str(MAX_RUNS + 1), str(10**12), str(10**30),
+                               str(10**400), "x", "", "nan"])
+_MONTECARLO_OPTIONS = {
+    "--runs": (st.sampled_from(["1", "2", "50", "1000"]), _COUNT_JUNK),
+    "--replications": (st.sampled_from(["1", "2"]), _COUNT_JUNK),
+    "--sigma": (st.sampled_from(["0", "0.01", "0.5"]), _NUMBER_TEXT),
+    "--offsets": (st.lists(st.floats(-31.0, 31.0), min_size=3, max_size=3)
+                  .map(lambda v: ",".join(map(repr, v))), _OFFSETS_TEXT),
+    "--method": (st.sampled_from(sorted(ESTIMATORS)),
+                 st.sampled_from(["linear6", "", "nonlinear_six", "six "])),
+    "--seed": (st.sampled_from(["0", "7", str(2**64)]), _NUMBER_TEXT),
+    "--reproduce": (st.just("table3"), st.sampled_from(["table4", ""])),
+}
+# geometry files: the prototype's, joint limits near zero, the longest leg,
+# and junk near the prototype's (an unknown key, wrong types)
+_GEOMETRY_FILES = st.one_of(
+    st.sampled_from([
+        {"L": 310.25, "rho_min": -100.0, "rho_max": 60.0},
+        {"L": 310.25, "rho_min": -1e-100, "rho_max": 1e-100},
+        {"L": _L_MAX, "rho_min": -_L_MAX / 4, "rho_max": _L_MAX / 5},
+        {"L": 310.25, "rho_min": -100.0, "rho_max": 60.0, "rho_mid": 0.0},
+    ]),
+    _GEOMETRY,
+)
+_CALIBRATE_METHODS = st.one_of(
+    st.sampled_from(sorted(ESTIMATORS[name].cli for name in ESTIMATORS)),
+    st.sampled_from(["six", "linear", "", "LINEAR6"]),
+)
+
+
+@pytest.fixture(scope="module")
+def measurement_files(tmp_path_factory):
+    """Paths ``calibrate`` takes: the fixture names, simulated files of each
+    scheme at the paper scale and near the validity bound, and junk."""
+    root = tmp_path_factory.mktemp("argv")
+    files = list(FIXTURE_NAMES) + [str(root / "missing.json"), str(root)]
+    (root / "text.json").write_text("offsets: 1, 2, 3")
+    files.append(str(root / "text.json"))
+    for method in ("single-posture", "double-full", "double-reduced"):
+        for offsets in ("0.5,-0.3,0.2", "29,-30,28"):
+            path = root / f"{method}-{offsets}.json"
+            assert main(["simulate", "--offsets", offsets, "--sigma", "0.01", "--method", method,
+                         "--out", str(path)]) == 0
+            files.append(str(path))
+    return files
+
+
+@st.composite
+def _calibrate_or_montecarlo_argv(draw, files):
+    """A ``calibrate`` argv (file, method, geometry file or none) or a
+    ``montecarlo`` argv (each option left out or given a valid or a junk
+    value), and the geometry document to write, or None."""
+    if draw(st.booleans()):
+        argv = ["calibrate", draw(st.sampled_from(files)), "--method", draw(_CALIBRATE_METHODS)]
+        return argv, draw(st.one_of(st.none(), _GEOMETRY_FILES))
+    argv = ["montecarlo"]
+    for option, (valid, junk) in _MONTECARLO_OPTIONS.items():
+        if draw(st.booleans()):
+            argv += [option, draw(junk if draw(st.booleans()) else valid)]
+    for option, small in (("--runs", "50"), ("--replications", "1")):
+        if option not in argv:  # not the defaults, 10000 runs x 20 replications
+            argv += [option, small]
+    return argv, None
+
+
+class TestFuzzedCalibrateAndMonteCarloArgv:
+    NUMERICAL = (DomainError, SingularError, RankError, ConvergenceError)
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_matches_the_error_class(self, measurement_files, tmp_path_factory, data):
+        # exit 0 with finite JSON; or one error line and exit 1 for an input
+        # error (InputError, ValueError) or 2 for a numerical one; never a
+        # traceback or a warning
+        argv, geometry = data.draw(_calibrate_or_montecarlo_argv(measurement_files))
+        if geometry is not None:
+            path = tmp_path_factory.getbasetemp() / "argv-geometry.json"
+            path.write_text(json.dumps(geometry))
+            argv += ["--geometry", str(path)]
+        raised = []
+
+        def recording(command):
+            def run(args):
+                try:
+                    return command(args)
+                except Exception as exc:
+                    raised.append(exc)
+                    raise
+            return run
+
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), \
+                mock.patch.object(cli, "cmd_calibrate", recording(cli.cmd_calibrate)), \
+                mock.patch.object(cli, "cmd_montecarlo", recording(cli.cmd_montecarlo)):
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        if rc == 0:
+            assert err == "" and not raised
+            json.loads(out, parse_constant=_reject_constant)
+            return
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        exc = raised[0] if raised else InputError("argv")  # the parser raises InputError
+        if rc == 1:
+            assert isinstance(exc, (InputError, ValueError)), exc
+        else:
+            assert rc == 2 and isinstance(exc, self.NUMERICAL), exc

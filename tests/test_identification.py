@@ -3,11 +3,13 @@ import pytest
 from scipy.optimize import least_squares as scipy_least_squares
 
 from orthocal import (
+    ESTIMATORS,
     SCHEMES,
     SYSTEM_SINGLE,
     SYSTEM_SIX,
     SYSTEM_TWELVE,
     ConvergenceError,
+    Geometry,
     NoiseModel,
     RankError,
     ReducedMeasurements,
@@ -17,6 +19,7 @@ from orthocal import (
     build_six_eq_system,
     build_twelve_eq_system,
     coefficients,
+    identify,
     least_squares_solve,
     measurement,
     monte_carlo,
@@ -25,7 +28,6 @@ from orthocal import (
     predict_double_posture,
     predict_single_posture,
     reduce,
-    reduced_deviation_array,
     residual_report,
     solve_single_posture_closed_form,
 )
@@ -242,7 +244,7 @@ class TestLeastSquares:
 
 def _scipy_oracle(obs_rows: np.ndarray, geom, x0) -> np.ndarray:
     """Independent nonlinear fit of the deviation model (scipy, numeric)."""
-    fun = lambda dr: reduced_deviation_array(dr, geom) - obs_rows  # noqa: E731
+    fun = lambda dr: SCHEMES[SYSTEM_SIX].predict(dr, geom) - obs_rows  # noqa: E731
     return scipy_least_squares(fun, x0, method="lm", xtol=1e-14, ftol=1e-14).x
 
 
@@ -328,12 +330,11 @@ class TestNonlinearIdentify:
 
     def test_twelve_equation_matches_scipy_on_noisy_data(self, geom):
         from orthocal import DoublePostureMeasurements, NoiseModel, add_noise
-        from orthocal.measurement import double_deviation_array
 
         truth = np.array([1.0, -2.0, 0.5])
         m = add_noise(predict_double_posture(truth, geom), NoiseModel(0.05, 9))
         mine = nonlinear_identify(m, geom)
-        fun = lambda dr: double_deviation_array(dr, geom) - m.as_array()  # noqa: E731
+        fun = lambda dr: SCHEMES[SYSTEM_TWELVE].predict(dr, geom) - m.as_array()  # noqa: E731
         oracle = scipy_least_squares(fun, truth, method="lm", xtol=1e-14, ftol=1e-14).x
         np.testing.assert_allclose(mine.offsets, oracle, atol=1e-3)
 
@@ -369,7 +370,7 @@ class TestNonlinearIdentify:
         _gauss_newton(
             obs[None, :],
             (sys.design_matrix, _least_squares_gain(sys.design_matrix)),
-            lambda x: reduced_deviation_array(x, geom),
+            lambda x: SCHEMES[SYSTEM_SIX].predict(x, geom),
             x0,
             objective_history=history,
         )
@@ -443,6 +444,39 @@ class TestNonlinearIdentify:
         )
         J6 = deviations_and_jacobian([0, 0, 0], geom, "double-reduced")[1]
         np.testing.assert_allclose(J6, build_six_eq_system(geom).design_matrix, atol=1e-12)
+
+
+class TestLinearEstimateValidity:
+    # joint limits near zero leave a design so near singular that the linear
+    # estimate of noisy zero-offset readings lies far beyond L/10: identify
+    # raises the ConvergenceError of an iterate out of domain (closed-form's
+    # gain raises its own ValueError at 1e-300, test_accuracy.py)
+    CASES = [(1e-300, "six"), (1e-300, "twelve"),
+             (1e-100, "closed-form"), (1e-100, "six"), (1e-100, "twelve")]
+
+    @staticmethod
+    def _noisy_zero(name, geom):
+        scheme = ESTIMATORS[name].scheme
+        clean = scheme.measurement.from_array(scheme.predict(np.zeros(3), geom))
+        return add_noise(clean, NoiseModel(0.01, 3))
+
+    @pytest.mark.parametrize("limit, name", CASES)
+    def test_estimate_beyond_bound_raises(self, limit, name):
+        geom = Geometry(310.25, -limit, limit)
+        m = self._noisy_zero(name, geom)
+        linear = "^linear estimate out of domain: offset magnitude exceeds the model validity bound"
+        with pytest.raises(ConvergenceError, match=linear):
+            identify(name, m, geom)
+        if name == "closed-form":
+            with pytest.raises(ConvergenceError, match=linear):
+                solve_single_posture_closed_form(m, geom)
+            return
+        # the Gauss-Newton entry of the scheme fails on the same set alike
+        with pytest.raises(ConvergenceError, match="^Gauss-Newton iterate out of domain: "):
+            identify(f"nonlinear-{name}", m, geom)
+        # a LinearSystem carries no geometry: least squares returns the estimate
+        far = least_squares_solve(build_system(ESTIMATORS[name].scheme.label, geom), m)
+        assert np.abs(far.offsets).max() > 1e90 and far.converged
 
 
 class TestResidualReport:

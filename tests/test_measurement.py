@@ -27,7 +27,6 @@ from orthocal import (
     coefficients,
     deviations_and_jacobian,
     direct_kinematics,
-    double_deviation_array,
     gauge_locations,
     identify,
     least_squares_solve,
@@ -41,8 +40,6 @@ from orthocal import (
     predict_double_posture,
     predict_single_posture,
     reduce,
-    reduced_deviation_array,
-    single_deviation_array,
 )
 from orthocal.errors import DomainError, SingularError
 from orthocal.identification import LinearSystem, _least_squares_gain
@@ -64,9 +61,9 @@ from orthocal.measurement import (
 class TestPredictors:
     def test_zero_offset_nullity(self, geom):
         zero = np.zeros(3)
-        assert np.abs(single_deviation_array(zero, geom)).max() <= 1e-12
-        assert np.abs(double_deviation_array(zero, geom)).max() <= 1e-12
-        assert np.abs(reduced_deviation_array(zero, geom)).max() <= 1e-12
+        assert np.abs(SCHEMES[SYSTEM_SINGLE].predict(zero, geom)).max() <= 1e-12
+        assert np.abs(SCHEMES[SYSTEM_TWELVE].predict(zero, geom)).max() <= 1e-12
+        assert np.abs(SCHEMES[SYSTEM_SIX].predict(zero, geom)).max() <= 1e-12
 
     def test_single_posture_pure_z_offset(self, geom):
         m = predict_single_posture([0, 0, 1], geom)
@@ -89,26 +86,26 @@ class TestPredictors:
 
     def test_double_posture_matches_linear_model_at_unit_offsets(self, geom):
         dr = np.array([1.0, 1.0, 1.0])
-        nonlinear = double_deviation_array(dr, geom)
+        nonlinear = SCHEMES[SYSTEM_TWELVE].predict(dr, geom)
         linear = build_twelve_eq_system(geom).design_matrix @ dr
         # second-order error at 1 mm offsets stays below a few microns
         assert np.abs(nonlinear - linear).max() <= 5e-3
         assert np.abs(nonlinear - linear).max() > 1e-4
 
     @pytest.mark.parametrize(
-        "deviation_fn, label",
+        "label",
         [
-            (single_deviation_array, SYSTEM_SINGLE),
-            (double_deviation_array, SYSTEM_TWELVE),
-            (reduced_deviation_array, SYSTEM_SIX),
+            pytest.param(SYSTEM_SINGLE, id="single_deviation_array-single-posture"),
+            pytest.param(SYSTEM_TWELVE, id="double_deviation_array-double-full"),
+            pytest.param(SYSTEM_SIX, id="reduced_deviation_array-double-reduced"),
         ],
     )
-    def test_linear_consistency_at_small_offsets(self, geom, deviation_fn, label):
+    def test_linear_consistency_at_small_offsets(self, geom, label):
         design = build_system(label, geom).design_matrix
         rng = np.random.default_rng(21)
         for _ in range(10):
             dr = rng.uniform(-0.1, 0.1, 3)
-            err = np.abs(deviation_fn(dr, geom) - design @ dr).max()
+            err = np.abs(SCHEMES[label].predict(dr, geom) - design @ dr).max()
             assert err <= 1e-3
 
     def test_error_grows_quadratically(self, geom):
@@ -117,7 +114,7 @@ class TestPredictors:
 
         def err(scale):
             dr = scale * u
-            return np.abs(double_deviation_array(dr, geom) - design @ dr).max()
+            return np.abs(SCHEMES[SYSTEM_TWELVE].predict(dr, geom) - design @ dr).max()
 
         e01, e05, e10 = err(0.1), err(0.5), err(1.0)
         assert 20 < e05 / e01 < 32  # ~25 for a quadratic remainder
@@ -125,12 +122,12 @@ class TestPredictors:
 
     def test_offset_bound_enforced(self, geom):
         with pytest.raises(ValueError):
-            double_deviation_array([40.0, 0, 0], geom)
+            SCHEMES[SYSTEM_TWELVE].predict([40.0, 0, 0], geom)
         # |offset| = L/10 exactly is inside the validity domain, one ulp more is not
         bound = geom.L / 10.0
-        double_deviation_array([bound, -bound, bound], geom)
+        SCHEMES[SYSTEM_TWELVE].predict([bound, -bound, bound], geom)
         with pytest.raises(ValueError, match="validity bound"):
-            double_deviation_array([0.0, np.nextafter(-bound, -np.inf), 0.0], geom)
+            SCHEMES[SYSTEM_TWELVE].predict([0.0, np.nextafter(-bound, -np.inf), 0.0], geom)
 
     @pytest.mark.parametrize(
         "offsets, message",
@@ -149,13 +146,13 @@ class TestPredictors:
     )
     def test_offset_rejected(self, geom, offsets, message):
         with pytest.raises(ValueError, match=message):
-            double_deviation_array(offsets, geom)
+            SCHEMES[SYSTEM_TWELVE].predict(offsets, geom)
 
     @pytest.mark.parametrize(
         "call",
         [
             lambda g: check_offsets(3.0, g),
-            lambda g: double_deviation_array(3.0, g),
+            lambda g: SCHEMES[SYSTEM_TWELVE].predict(3.0, g),
             lambda g: monte_carlo(3.0, 0.01, 10, 1, "six"),
             lambda g: nonlinear_identify(
                 reduce(predict_double_posture(np.zeros(3), g)), g, initial=3.0
@@ -170,10 +167,10 @@ class TestPredictors:
 
     def test_batch_shape(self, geom):
         drs = np.random.default_rng(0).uniform(-1, 1, (7, 3))
-        batch = double_deviation_array(drs, geom)
+        batch = SCHEMES[SYSTEM_TWELVE].predict(drs, geom)
         assert batch.shape == (7, 12)
         for i, dr in enumerate(drs):
-            np.testing.assert_allclose(batch[i], double_deviation_array(dr, geom), atol=0)
+            np.testing.assert_allclose(batch[i], SCHEMES[SYSTEM_TWELVE].predict(dr, geom), atol=0)
 
     # predictions at these offsets, recorded before the seven postures were
     # solved as one stack (one posture per direct-kinematics call)
@@ -207,12 +204,8 @@ class TestPredictors:
 
     @pytest.mark.parametrize("predictor, shifted", list(PINNED))
     def test_predictions_pinned(self, geom, predictor, shifted):
-        fn = {
-            "double": double_deviation_array,
-            "reduced": reduced_deviation_array,
-            "single": single_deviation_array,
-        }[predictor]
-        out = fn(np.array(self.PINNED_OFFSETS), geom)
+        label = {"double": SYSTEM_TWELVE, "reduced": SYSTEM_SIX, "single": SYSTEM_SINGLE}[predictor]
+        out = SCHEMES[label].predict(np.array(self.PINNED_OFFSETS), geom)
         assert np.array_equal(out, np.array(self.PINNED[predictor, shifted]))
 
     # the exact Jacobian at PINNED_OFFSETS while dp/drho came from LAPACK's inv,
@@ -346,8 +339,8 @@ class TestPredictors:
     @pytest.mark.parametrize(
         "fn",
         [
-            double_deviation_array,
-            single_deviation_array,
+            pytest.param(SCHEMES[SYSTEM_TWELVE].predict, id="double_deviation_array"),
+            pytest.param(SCHEMES[SYSTEM_SINGLE].predict, id="single_deviation_array"),
             pytest.param(
                 lambda dr, g: leg_line_scaling(Posture.max(Axis.Y), Axis.Y, dr, g),
                 id="leg_line_scaling",
@@ -366,9 +359,9 @@ class TestPredictors:
 
 
 _PREDICTORS = (
-    double_deviation_array,
-    reduced_deviation_array,
-    single_deviation_array,
+    SCHEMES[SYSTEM_TWELVE].predict,
+    SCHEMES[SYSTEM_SIX].predict,
+    SCHEMES[SYSTEM_SINGLE].predict,
     lambda dr, geom: deviations_and_jacobian(dr, geom, "double-full")[1],
     lambda dr, geom: deviations_and_jacobian(dr, geom, "double-reduced")[1],
 )
@@ -527,7 +520,7 @@ class TestStrips:
         assert str(exc.value) == want[1]
         if "nan" not in rows.values():
             with pytest.raises(want[0]) as exc:
-                double_deviation_array(offsets, _GUARD_GEOM)
+                SCHEMES[SYSTEM_TWELVE].predict(offsets, _GUARD_GEOM)
             assert str(exc.value) == want[1]
 
     @pytest.mark.parametrize("strip", [0, 2], ids=["first-strip", "later-strip"])
@@ -604,7 +597,7 @@ class TestReduce:
     def test_reduced_prediction_consistency(self, geom):
         dr = [0.5, -0.25, 0.75]
         via_reduce = reduce(predict_double_posture(dr, geom)).as_array()
-        direct = reduced_deviation_array(dr, geom)
+        direct = SCHEMES[SYSTEM_SIX].predict(dr, geom)
         np.testing.assert_allclose(via_reduce, direct, atol=0)
 
     def test_reduced_matches_linear_model_second_order(self, geom):

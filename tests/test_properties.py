@@ -11,14 +11,11 @@ from orthocal import (
     OrthoglideError,
     deviations_and_jacobian,
     direct_kinematics,
-    double_deviation_array,
     inverse_kinematics,
     nonlinear_identify,
     posture_commanded_joints,
     predict_double_posture,
     reduce,
-    reduced_deviation_array,
-    single_deviation_array,
 )
 from orthocal.errors import DomainError, SingularError
 from orthocal.identification import _gauss_newton_step
@@ -36,9 +33,9 @@ _coord = st.floats(-GEOM.L / 10, GEOM.L / 10, allow_nan=False)
 _batches = st.lists(st.tuples(_coord, _coord, _coord), min_size=1, max_size=8).map(np.array)
 
 _MODELS = (
-    double_deviation_array,
-    reduced_deviation_array,
-    single_deviation_array,
+    SCHEMES["double-full"].predict,
+    SCHEMES["double-reduced"].predict,
+    SCHEMES["single-posture"].predict,
     lambda dr, geom: deviations_and_jacobian(dr, geom, "double-full")[1],
     lambda dr, geom: deviations_and_jacobian(dr, geom, "double-reduced")[1],
 )
